@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, ceil
 
 from .errors import InputError, ResourceCapError, VerificationError
-from .setsystem import SetSystem
+from .setsystem import SetSystem, traces
 
 __all__ = [
     "RelaxedBanProblem",
@@ -476,13 +476,13 @@ def from_vc(system: SetSystem, m):
     per_s = {}
     full = 1 << m
     for S in itertools.combinations(range(n), m):
-        realized = set()
-        for mask in system.sets:
-            realized.add(tuple(mask >> s & 1 for s in S))
+        # Traces on the reversed tuple read S[0] as the high bit, so they
+        # are the indices of the realized patterns in product order.
+        realized = traces(system.sets, S[::-1])
         if len(realized) == full:
             raise InputError(f"VC dimension >= {m}: the family shatters {S}")
-        per_s[S] = frozenset(Z for Z in itertools.product((0, 1), repeat=m)
-                             if Z not in realized)
+        patterns = enumerate(itertools.product((0, 1), repeat=m))
+        per_s[S] = frozenset(Z for i, Z in patterns if i not in realized)
 
     def fn(S, X):
         return per_s[S]

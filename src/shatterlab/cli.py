@@ -68,10 +68,6 @@ def _problem_from_shorthand(data):
     raise InputError(f"unknown problem generator {gen!r}")
 
 
-def _rank_json(value):
-    return dims.rank_to_str(value)
-
-
 def _emit(args, payload, csv_lines=None):
     if args.quiet:
         return
@@ -79,10 +75,6 @@ def _emit(args, payload, csv_lines=None):
         sys.stdout.write("\n".join(csv_lines) + "\n")
     else:
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _fail_rows(report_rows):
-    return [row for row in report_rows if not row["pass"]]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +89,7 @@ def cmd_sys_dim(args):
         value = dims.thicket_dimension(system)
     else:
         value = dims.op_rank(system, args.s, cap=args.cap)
-    _emit(args, {"kind": args.kind, "dimension": _rank_json(value)})
+    _emit(args, {"kind": args.kind, "dimension": dims.rank_to_str(value)})
     return EXIT_OK
 
 
@@ -123,7 +115,7 @@ def cmd_sys_audit(args):
         for row in rows]
     _emit(args, rows, csv_lines)
     if not report.all_pass:
-        for row in _fail_rows(rows):
+        for row in report.failures():
             print(f"bound failed: {row['bound']} {row['params']}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK

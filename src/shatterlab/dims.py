@@ -1,8 +1,12 @@
 """Dimensions and shatter functions of finite set systems.
 
 Implements VC dimension, thicket dimension, op_s-rank and their shatter
-functions, all by exact recursion over canonically sorted families, plus an
-auditor that machine-checks the Sauer-Shelah style bounds relating them.
+functions, plus an auditor that machine-checks the Sauer-Shelah style bounds
+relating them.  The VC quantities count traces (``setsystem.traces``) on
+every tuple.  op_s-rank and psi^s come from one memoized rank recursion and
+one memoized shatter recursion over canonically sorted families, splitting
+by ``setsystem.child_masks``; thicket dimension and the thicket shatter
+function are the s = 1 calls of those recursions, without the universe cap.
 
 The empty family has rank ``NEG_INF`` (serialized as the string "-inf").
 """
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InputError, ResourceCapError
-from .setsystem import SetSystem, child_masks, project
+from .setsystem import SetSystem, child_masks, project, traces
 
 __all__ = [
     "NEG_INF",
@@ -149,22 +153,12 @@ def vc_dimension(system: SetSystem, cap=None):
     for k in range(1, n + 1):
         if len(system.sets) < 1 << k:
             break
-        if any(_shatters_masks(system.sets, combo)
+        if any(len(traces(system.sets, combo)) == 1 << k
                for combo in itertools.combinations(range(n), k)):
             best = k
         else:
             break
     return best
-
-
-def _shatters_masks(sets, combo):
-    want = 1 << len(combo)
-    seen = set()
-    for m in sets:
-        seen.add(sum(((m >> y) & 1) << j for j, y in enumerate(combo)))
-        if len(seen) == want:
-            return True
-    return False
 
 
 def vc_shatter_function(system: SetSystem, size, cap=None):
@@ -177,90 +171,14 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
     best = 0
     full = 1 << size
     for combo in itertools.combinations(range(system.universe_size), size):
-        traces = set()
-        for m in system.sets:
-            traces.add(sum(((m >> y) & 1) << j for j, y in enumerate(combo)))
-        best = max(best, len(traces))
+        best = max(best, len(traces(system.sets, combo)))
         if best == full:
             break
     return best
 
 
 # ---------------------------------------------------------------------------
-# thicket dimension and shatter function
-# ---------------------------------------------------------------------------
-
-def thicket_dimension(system: SetSystem):
-    """Largest height of a binary element tree with all leaves properly
-    labeled; found by deepening a memoized feasibility test (dim >= t
-    requires at least 2^t sets, which prunes the search hard)."""
-    if not system.sets:
-        return NEG_INF
-    memo = {}
-    t = 0
-    while _thicket_dim_at_least(system.sets, system.universe_size, t + 1, memo):
-        t += 1
-    return t
-
-
-def _thicket_dim_at_least(sets, n, t, memo):
-    if t <= 0:
-        return bool(sets)
-    if len(sets) < 1 << t:
-        return False
-    key = (sets, t)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    out = False
-    for x in range(n):
-        bit = 1 << x
-        f1 = tuple(m for m in sets if m & bit)
-        if len(f1) < 1 << (t - 1) or len(sets) - len(f1) < 1 << (t - 1):
-            continue
-        f0 = tuple(m for m in sets if not m & bit)
-        if _thicket_dim_at_least(f0, n, t - 1, memo) and \
-                _thicket_dim_at_least(f1, n, t - 1, memo):
-            out = True
-            break
-    memo[key] = out
-    return out
-
-
-def thicket_shatter(system: SetSystem, height):
-    """rho_F(height): maximum number of properly labeled leaves."""
-    if height < 0:
-        raise InputError("height must be non-negative")
-    return _thicket_shatter(system.sets, system.universe_size, height, {})
-
-
-def _thicket_shatter(sets, n, height, memo):
-    if not sets:
-        return 0
-    if height == 0 or len(sets) == 1:
-        return 1
-    key = (sets, height)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    cap = min(1 << height, len(sets))
-    best = 1
-    for x in range(n):
-        bit = 1 << x
-        f1 = tuple(m for m in sets if m & bit)
-        f0 = tuple(m for m in sets if not m & bit)
-        total = (_thicket_shatter(f0, n, height - 1, memo)
-                 + _thicket_shatter(f1, n, height - 1, memo))
-        if total > best:
-            best = total
-            if best == cap:
-                break
-    memo[key] = best
-    return best
-
-
-# ---------------------------------------------------------------------------
-# op_s-rank and op_s shatter function
+# op_s-rank and op_s shatter function; thicket is s = 1 without the cap
 # ---------------------------------------------------------------------------
 
 def _check_op_cap(system, cap):
@@ -269,6 +187,22 @@ def _check_op_cap(system, cap):
         raise ResourceCapError(
             f"universe {system.universe_size} exceeds op-rank cap {limit}",
             cap=limit)
+
+
+def thicket_dimension(system: SetSystem):
+    """Largest height of a binary element tree with all leaves properly
+    labeled: op_1-rank, without the universe cap."""
+    if not system.sets:
+        return NEG_INF
+    return _op_rank(system.sets, system.universe_size, 1)
+
+
+def thicket_shatter(system: SetSystem, height):
+    """rho_F(height): maximum number of properly labeled leaves, that is
+    psi_F^1(height), without the universe cap."""
+    if height < 0:
+        raise InputError("height must be non-negative")
+    return _op_shatter(system.sets, system.universe_size, 1, height)
 
 
 def op_rank(system: SetSystem, s, cap=None):
@@ -280,34 +214,49 @@ def op_rank(system: SetSystem, s, cap=None):
     if not system.sets:
         return NEG_INF
     _check_op_cap(system, cap)
+    return _op_rank(system.sets, system.universe_size, s)
+
+
+def _op_rank(sets, n, s):
+    """op_s-rank of a nonempty family, found by deepening a memoized
+    feasibility test."""
+    # Distinct tuples only: a repeated element forces an empty child, and
+    # the min over children is invariant under permuting the tuple.
+    tuples = list(itertools.combinations(range(n), s))
+    sigmas = list(itertools.product((0, 1), repeat=s))
     memo = {}
     k = 0
-    while _op_rank_at_least(system.sets, system.universe_size, s, k + 1, memo):
+    while _op_rank_at_least(sets, tuples, sigmas, k + 1, memo):
         k += 1
     return k
 
 
-def _op_rank_at_least(sets, n, s, t, memo):
-    if not sets:
-        return False
+def _op_rank_at_least(sets, tuples, sigmas, t, memo):
+    """Rank >= t needs 2^(st) = len(sigmas)^t sets in the family and
+    2^(s(t-1)) in each child; the children are checked one by one before
+    any recursion, which prunes the search hard."""
     if t <= 0:
         return True
-    if len(sets) < 1 << (s * t):
+    if len(sets) < len(sigmas) ** t:
         return False
     key = (sets, t)
     cached = memo.get(key)
     if cached is not None:
         return cached
+    need = len(sigmas) ** (t - 1)
     out = False
-    # Distinct tuples only: a repeated element forces an empty child, and
-    # the min over children is invariant under permuting the tuple.
-    for xs in itertools.combinations(range(n), s):
-        children = [child_masks(sets, xs, sigma)
-                    for sigma in itertools.product((0, 1), repeat=s)]
-        if all(children) and all(_op_rank_at_least(ch, n, s, t - 1, memo)
-                                 for ch in children):
-            out = True
-            break
+    for xs in tuples:
+        children = []
+        for sigma in sigmas:
+            kid = child_masks(sets, xs, sigma)
+            if len(kid) < need:
+                break
+            children.append(kid)
+        else:
+            if all(_op_rank_at_least(kid, tuples, sigmas, t - 1, memo)
+                   for kid in children):
+                out = True
+                break
     memo[key] = out
     return out
 
@@ -324,10 +273,16 @@ def op_shatter(system: SetSystem, s, height, cap=None):
     if not system.sets:
         return 0
     _check_op_cap(system, cap)
-    return _op_shatter(system.sets, system.universe_size, s, height, {})
+    return _op_shatter(system.sets, system.universe_size, s, height)
 
 
-def _op_shatter(sets, n, s, height, memo):
+def _op_shatter(sets, n, s, height):
+    tuples = list(itertools.combinations_with_replacement(range(n), s))
+    sigmas = list(itertools.product((0, 1), repeat=s))
+    return _op_shatter_leaves(sets, tuples, sigmas, height, {})
+
+
+def _op_shatter_leaves(sets, tuples, sigmas, height, memo):
     if not sets:
         return 0
     if height == 0 or len(sets) == 1:
@@ -336,14 +291,13 @@ def _op_shatter(sets, n, s, height, memo):
     cached = memo.get(key)
     if cached is not None:
         return cached
-    cap = min(1 << (s * height), len(sets))
+    cap = min(len(sigmas) ** height, len(sets))
     best = 1
-    sigmas = list(itertools.product((0, 1), repeat=s))
-    for xs in itertools.combinations_with_replacement(range(n), s):
+    for xs in tuples:
         total = 0
         for sigma in sigmas:
-            total += _op_shatter(child_masks(sets, xs, sigma), n, s,
-                                 height - 1, memo)
+            total += _op_shatter_leaves(child_masks(sets, xs, sigma), tuples,
+                                        sigmas, height - 1, memo)
         if total > best:
             best = total
             if best == cap:

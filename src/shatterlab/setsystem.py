@@ -7,7 +7,6 @@ a canonical memoization key for the recursive dimension computations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -91,10 +90,7 @@ def project(system: SetSystem, targets) -> SetSystem:
     for y in ys:
         if not 0 <= y < system.universe_size:
             raise InputError(f"projection target {y} out of range")
-    traces = set()
-    for m in system.sets:
-        traces.add(sum(((m >> y) & 1) << j for j, y in enumerate(ys)))
-    return SetSystem(len(ys), tuple(traces))
+    return SetSystem(len(ys), tuple(traces(system.sets, ys)))
 
 
 def dual(system: SetSystem) -> SetSystem:
@@ -117,25 +113,27 @@ def child(system: SetSystem, xs, sigma) -> SetSystem:
     for x in xs:
         if not 0 <= x < system.universe_size:
             raise InputError(f"element {x} out of range")
-    kept = [m for m in system.sets
-            if all((m >> x & 1) == (1 if b else 0) for x, b in zip(xs, sigma))]
-    return SetSystem(system.universe_size, tuple(kept))
+    return SetSystem(system.universe_size, child_masks(system.sets, xs, sigma))
 
 
 def child_masks(sets, xs, sigma):
     """Same filter as :func:`child` but on a raw mask tuple (no revalidation)."""
-    want = 0
+    want = care = 0
     for x, b in zip(xs, sigma):
-        if b:
-            want |= 1 << x
-    care = 0
-    for x in xs:
-        care |= 1 << x
-    # A repeated element with conflicting bits can never match.
-    for x, b in zip(xs, sigma):
-        if ((want >> x) & 1) != (1 if b else 0):
+        bit = 1 << x
+        # A repeated element with conflicting bits can never match.
+        if care & bit and bool(want & bit) != bool(b):
             return ()
+        care |= bit
+        if b:
+            want |= bit
     return tuple(m for m in sets if m & care == want)
+
+
+def traces(sets, ys):
+    """Distinct traces of the masks on the tuple ``ys``: bit j of a trace
+    records membership of ``ys[j]``."""
+    return {sum(((m >> y) & 1) << j for j, y in enumerate(ys)) for m in sets}
 
 
 def _powerset(n):
@@ -230,9 +228,3 @@ def generate(kind, *params) -> SetSystem:
         raise InputError(f"bad parameters for generator {kind!r}: {exc}") from exc
     raise InputError(f"unknown generator kind {kind!r}")
 
-
-def all_subfamilies(system):
-    """Iterate every subfamily (exponential; test helper for tiny systems)."""
-    for r in range(len(system.sets) + 1):
-        for combo in itertools.combinations(system.sets, r):
-            yield SetSystem(system.universe_size, combo)

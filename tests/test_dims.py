@@ -74,6 +74,9 @@ def test_caps_raise():
     with pytest.raises(ResourceCapError):
         op_rank(SetSystem(13, (1,)), 1)
     assert op_rank(SetSystem(13, (1,)), 1, cap=13) == 0
+    # thicket is op_1 without the cap
+    assert thicket_dimension(SetSystem(13, (1,))) == 0
+    assert thicket_shatter(SetSystem(13, (1,)), 2) == 1
 
 
 def test_rank_serialization():
@@ -104,6 +107,13 @@ def test_op2_matches_brute_force(seed):
     assert min(op_rank(system, 2), 2) == brute
     for height in range(3):
         assert op_shatter(system, 2, height) == brute_shatter(system, 2, height)
+    # s = 3: universe 2 < s needs repeated tuples and has rank 0; the
+    # powerset of 3 has rank 1
+    for system in (random_system(2, 4, seed=50 + seed),
+                   random_system(3, 8, seed=50 + seed), generate("powerset", 3)):
+        assert min(op_rank(system, 3), 1) == brute_rank(system, 3, 1)
+        for height in range(2):
+            assert op_shatter(system, 3, height) == brute_shatter(system, 3, height)
 
 
 def test_powerset4_universe4_brute_spot_check():

@@ -92,6 +92,7 @@ def test_child_filters_by_pattern():
 def test_child_masks_conflicting_repeat_is_empty():
     sets = generate("powerset", 3).sets
     assert child_masks(sets, (1, 1), (0, 1)) == ()
+    assert child_masks(sets, (1, 1, 1), (1, 0, 1)) == ()
     assert child_masks(sets, (1, 1), (1, 1)) == tuple(
         m for m in sets if m & 2)
 

@@ -148,6 +148,13 @@ def test_tree_rank_bounds_above_cap():
     assert 1 <= out["lower"] <= out["upper"]
     exact = tree_rank(g, cap=30)
     assert out["lower"] <= exact <= out["upper"]
+    # small graphs forced onto the bounds path, against the exact rank
+    for seed in range(60):
+        n = 8 + seed % 9
+        g = random_graph(n, (1 + seed % 3) / 4, seed=seed)
+        bounds = tree_rank(g, cap=n - 1)
+        assert not bounds["exact"]
+        assert bounds["lower"] <= tree_rank(g) <= bounds["upper"]
 
 
 # ---------------------------------------------------------------------------
