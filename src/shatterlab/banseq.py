@@ -9,6 +9,10 @@ ascending S order.  A sequence is banned when any S catches it.  True
 problems have every ban set nonempty; the relaxed variant (produced by the
 f-hat / f-prime reductions) may have empty ban sets and only the counting
 operations accept it.
+
+Storage.  A problem's table is one numpy bool array of shape (C(n,k),
+j^(n-k), j^k): index subset x context x pattern.  It is filled once, by one
+``ban_set`` call per entry, when a whole-table operation first needs it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, ceil
+
+import numpy as np
 
 from .errors import InputError, ResourceCapError, VerificationError
 from .setsystem import SetSystem, traces
@@ -47,7 +53,14 @@ DEFAULT_HITTING_CAP = 8
 
 
 class RelaxedBanProblem:
-    """Ban table behind a (possibly lazy) function; empty ban sets allowed."""
+    """Ban table behind a (possibly lazy) function; empty ban sets allowed.
+
+    ``_bans[r, c, z]``: pattern z is banned at the r-th index subset and the
+    c-th context, all three in ``itertools`` order.  ``_table`` fills it
+    once, by one ``ban_set`` call per entry, and drops the function:
+    ``from_table`` at construction, lazy problems after the caller's
+    enumeration cap.  Until then ``ban_set`` calls the function.
+    """
 
     allow_empty = True
 
@@ -61,52 +74,59 @@ class RelaxedBanProblem:
         self.j = j
         self._fn = fn
         self.name = name
-        self._cache = {}
+        self._bans = None
 
     @classmethod
     def from_table(cls, n, k, j, table, name=None):
-        table = {key: frozenset(val) for key, val in table.items()}
-
-        def fn(S, X):
-            try:
-                return table[(S, X)]
-            except KeyError:
-                raise InputError(f"missing ban-table entry for S={S}, X={X}")
-
-        problem = cls(n, k, j, fn, name=name)
-        problem._validate_table_keys(table)
-        return problem
-
-    def _validate_table_keys(self, table):
-        expected = comb(self.n, self.k) * self.j ** (self.n - self.k)
+        expected = comb(n, k) * j ** (n - k)
         if len(table) != expected:
             raise InputError(f"ban table has {len(table)} entries, expected {expected}")
-        for (S, X), zs in table.items():
-            self._check_key(S, X)
-            for Z in zs:
-                if len(Z) != self.k or any(not 0 <= v < self.j for v in Z):
-                    raise InputError(f"bad banned pattern {Z} for S={S}")
-            if not zs and not self.allow_empty:
-                raise InputError(f"empty ban set at S={S}, X={X}")
+        problem = cls(n, k, j, lambda S, X: table[(S, X)], name=name)
+        try:
+            problem._table()
+        except KeyError as exc:
+            raise InputError(f"missing ban-table entry {exc}") from exc
+        return problem
 
-    def _check_key(self, S, X):
-        if (len(S) != self.k or any(not 0 <= s < self.n for s in S)
-                or list(S) != sorted(set(S))):
-            raise InputError(f"bad index subset {S}")
-        if len(X) != self.n - self.k or any(not 0 <= v < self.j for v in X):
-            raise InputError(f"bad context sequence {X} for S={S}")
+    def _table(self):
+        """The ``_bans`` array, filled on first use."""
+        if self._bans is None:
+            n, k, j = self.n, self.k, self.j
+            patterns = {Z: i for i, Z in
+                        enumerate(itertools.product(range(j), repeat=k))}
+            width = len(patterns)
+            bans = np.zeros((comb(n, k), j ** (n - k), width), dtype=bool)
+            flat, base = bans.reshape(-1), 0
+            for S in self.index_subsets():
+                for X in self.contexts():
+                    for Z in self.ban_set(S, X):
+                        i = patterns.get(Z)
+                        if i is None:
+                            raise InputError(f"bad banned pattern {Z} for S={S}")
+                        flat[base + i] = True
+                    base += width
+            self._bans, self._fn = bans, None
+        return self._bans
 
     def ban_set(self, S, X):
         S, X = tuple(S), tuple(X)
-        key = (S, X)
-        out = self._cache.get(key)
-        if out is None:
-            self._check_key(S, X)
+        n, k, j = self.n, self.k, self.j
+        if (len(S) != k or any(not 0 <= s < n for s in S)
+                or list(S) != sorted(set(S))):
+            raise InputError(f"bad index subset {S}")
+        if len(X) != n - k or not set(X).issubset(range(j)):
+            raise InputError(f"bad context sequence {X} for S={S}")
+        if self._bans is None:
             out = frozenset(self._fn(S, X))
             if not out and not self.allow_empty:
                 raise InputError(f"empty ban set at S={S}, X={X}")
-            self._cache[key] = out
-        return out
+            return out
+        # Rank of S among the k-subsets of [n] in lexicographic order.
+        row = comb(n, k) - 1 - sum(comb(n - 1 - s, k - i)
+                                   for i, s in enumerate(S))
+        flags = self._bans[row].reshape((j,) * (n - k) + (-1,))[X]
+        return frozenset(itertools.compress(
+            itertools.product(range(j), repeat=k), flags.tolist()))
 
     def index_subsets(self):
         return itertools.combinations(range(self.n), self.k)
@@ -114,15 +134,11 @@ class RelaxedBanProblem:
     def contexts(self):
         return itertools.product(range(self.j), repeat=self.n - self.k)
 
-    def to_table(self):
-        return {(S, X): self.ban_set(S, X)
-                for S in self.index_subsets() for X in self.contexts()}
-
     def __eq__(self, other):
         if not isinstance(other, RelaxedBanProblem):
             return NotImplemented
         return ((self.n, self.k, self.j) == (other.n, other.k, other.j)
-                and self.to_table() == other.to_table())
+                and np.array_equal(self._table(), other._table()))
 
     def __repr__(self):
         tag = self.name or "lazy"
@@ -132,28 +148,26 @@ class RelaxedBanProblem:
     def to_json_dict(self):
         if self.j > 10:
             raise InputError("string serialization supports alphabets up to 10")
+        patterns = ["".join(map(str, Z)) for Z in
+                    itertools.product(range(self.j), repeat=self.k)]
         bans = []
-        for S in self.index_subsets():
-            for X in self.contexts():
-                zs = sorted(self.ban_set(S, X))
+        for S, rows in zip(self.index_subsets(), self._table()):
+            for X, flags in zip(self.contexts(), rows.tolist()):
                 bans.append({"S": list(S),
-                             "X": "".join(str(v) for v in X),
-                             "banned": ["".join(str(v) for v in Z) for Z in zs]})
+                             "X": "".join(map(str, X)),
+                             "banned": list(itertools.compress(patterns, flags))})
         return {"n": self.n, "k": self.k, "j": self.j, "bans": bans}
 
     @classmethod
     def from_json_dict(cls, data):
         try:
             n, k, j = int(data["n"]), int(data["k"]), int(data["j"])
-            entries = data["bans"]
+            table = {(tuple(int(s) for s in entry["S"]),
+                      tuple(int(c) for c in entry["X"])):
+                     frozenset(tuple(int(c) for c in z) for z in entry["banned"])
+                     for entry in data["bans"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed ban-problem object: {exc}") from exc
-        table = {}
-        for entry in entries:
-            S = tuple(int(s) for s in entry["S"])
-            X = tuple(int(c) for c in entry["X"])
-            zs = frozenset(tuple(int(c) for c in z) for z in entry["banned"])
-            table[(S, X)] = zs
         return cls.from_table(n, k, j, table)
 
 
@@ -195,40 +209,31 @@ def _check_enum_cap(problem, cap):
 
 
 def _banned_marks(problem, cap=None):
-    """Bit per sequence id (base-j, digit p at weight j^p): 1 = banned."""
+    """Flag per sequence id (base-j, digit p at weight j^p): True = banned."""
     total = _check_enum_cap(problem, cap)
-    n, k, j = problem.n, problem.k, problem.j
-    powers = [j ** p for p in range(n)]
-    marks = bytearray(total)
-    for S in problem.index_subsets():
-        s_pow = [powers[s] for s in S]
-        non_s = [p for p in range(n) if p not in S]
-        x_pow = [powers[p] for p in non_s]
-        for X in problem.contexts():
-            base = sum(v * w for v, w in zip(X, x_pow))
-            for Z in problem.ban_set(S, X):
-                marks[base + sum(v * w for v, w in zip(Z, s_pow))] = 1
+    n, j = problem.n, problem.j
+    marks = np.zeros(total, dtype=bool)
+    cube = marks.reshape((j,) * n)
+    for S, rows in zip(problem.index_subsets(), problem._table()):
+        # Axes of ``rows`` are the context positions, then S; position p
+        # is axis n-1-p of ``cube``.
+        positions = [p for p in range(n) if p not in S] + list(S)
+        view = cube.transpose([n - 1 - p for p in positions])
+        view |= rows.reshape((j,) * n)
     return marks
 
 
 def banned_count(problem, cap=None):
     """B(f): sequences containing some banned subsequence."""
-    return sum(_banned_marks(problem, cap))
+    return int(np.count_nonzero(_banned_marks(problem, cap)))
 
 
 def solutions(problem, cap=None):
     """(solution sequences, banned count); solutions avoid every ban set."""
     marks = _banned_marks(problem, cap)
     n, j = problem.n, problem.j
-    sols = []
-    for idx, banned in enumerate(marks):
-        if not banned:
-            seq = []
-            rest = idx
-            for _ in range(n):
-                rest, digit = divmod(rest, j)
-                seq.append(digit)
-            sols.append(tuple(seq))
+    digits = np.flatnonzero(~marks)[:, None] // j ** np.arange(n) % j
+    sols = list(map(tuple, digits.tolist()))
     return sols, len(marks) - len(sols)
 
 
@@ -241,15 +246,8 @@ def trivial_upper_bound(problem):
 def is_independent(problem, cap=None):
     """True iff every ban set depends on S alone."""
     _check_enum_cap(problem, cap)
-    for S in problem.index_subsets():
-        first = None
-        for X in problem.contexts():
-            bans = problem.ban_set(S, X)
-            if first is None:
-                first = bans
-            elif bans != first:
-                return False
-    return True
+    bans = problem._table()
+    return bool((bans == bans[:, :1]).all())
 
 
 def _search_witness(problem, S):
@@ -325,17 +323,13 @@ def reduce_hat(problem, cap=None):
     if problem.k < 2 or problem.n < 2:
         raise InputError("reduce_hat requires k >= 2 and n >= 2")
     _check_enum_cap(problem, cap)
-    n, k = problem.n, problem.k
-    table = {}
-    for T in itertools.combinations(range(n - 1), k - 1):
-        S = T + (n - 1,)
-        for X in itertools.product(range(problem.j), repeat=n - k):
-            fset = problem.ban_set(S, X)
-            # n-1 is the largest element of S, so dropping the last entry
-            # of each banned pattern projects onto T.
-            table[(T, X)] = frozenset(Z[:-1] for Z in fset)
-    return RelaxedBanProblem.from_table(n - 1, k - 1, problem.j, table,
-                                        name="hat")
+    n, k, j = problem.n, problem.k, problem.j
+    rows = [S[-1] == n - 1 for S in problem.index_subsets()]
+    # n-1 is the largest element of S, so it is the last pattern digit.
+    bans = problem._table()[rows].reshape(-1, j ** (n - k), j ** (k - 1), j)
+    hat = RelaxedBanProblem(n - 1, k - 1, j, None, name="hat")
+    hat._bans = bans.any(axis=3)
+    return hat
 
 
 def reduce_prime(problem, cap=None):
@@ -345,15 +339,12 @@ def reduce_prime(problem, cap=None):
         raise InputError("reduce_prime requires n >= 2 and k <= n-1")
     _check_enum_cap(problem, cap)
     n, k, j = problem.n, problem.k, problem.j
-    table = {}
-    for S in itertools.combinations(range(n - 1), k):
-        for X in itertools.product(range(j), repeat=(n - 1) - k):
-            inter = None
-            for last in range(j):
-                bans = problem.ban_set(S, X + (last,))
-                inter = bans if inter is None else inter & bans
-            table[(S, X)] = frozenset(inter)
-    return RelaxedBanProblem.from_table(n - 1, k, j, table, name="prime")
+    rows = [S[-1] != n - 1 for S in problem.index_subsets()]
+    # Outside S, n-1 is the last context digit.
+    bans = problem._table()[rows].reshape(-1, j ** (n - 1 - k), j, j ** k)
+    prime = RelaxedBanProblem(n - 1, k, j, None, name="prime")
+    prime._bans = bans.all(axis=2)
+    return prime
 
 
 def check_counting_inequality(problem, cap=None):
@@ -379,8 +370,9 @@ def solution_bound(n, k, j):
 def verify_main_theorem(problem, cap=None):
     """Check the hereditary solution bound; a violation is only legal for
     non-hereditary problems and is reported as such."""
-    hereditary, witness = is_hereditary(problem, cap)
+    # Solving first fills the table, so the witness search reads the array.
     sols, banned = solutions(problem, cap)
+    hereditary, witness = is_hereditary(problem, cap)
     bound = solution_bound(problem.n, problem.k, problem.j)
     count = len(sols)
     report = {

@@ -47,25 +47,29 @@ def _load_system(spec):
 def _load_problem(spec):
     if os.path.exists(spec):
         data = _load_json(spec)
-        if "generator" in data:
+        if isinstance(data, dict) and "generator" in data:
             return _problem_from_shorthand(data)
         return banseq.BanProblem.from_json_dict(data)
     raise InputError(f"no such ban-problem file: {spec!r}")
 
 
 def _problem_from_shorthand(data):
-    gen = data["generator"]
-    if gen == "parity":
-        return banseq.parity_problem(int(data["n"]))
-    if gen == "random":
-        return banseq.random_problem(int(data["n"]), int(data["k"]),
-                                     int(data.get("j", 2)),
-                                     int(data.get("seed", 0)),
-                                     float(data.get("density", 0.5)))
-    if gen == "from_vc":
-        system = setsystem.SetSystem.from_json_dict(data["system"])
-        return banseq.from_vc(system, int(data["m"]))
-    raise InputError(f"unknown problem generator {gen!r}")
+    try:
+        gen = data["generator"]
+        if gen == "parity":
+            make, params = banseq.parity_problem, (int(data["n"]),)
+        elif gen == "random":
+            make, params = banseq.random_problem, (
+                int(data["n"]), int(data["k"]), int(data.get("j", 2)),
+                int(data.get("seed", 0)), float(data.get("density", 0.5)))
+        elif gen == "from_vc":
+            make, params = banseq.from_vc, (
+                setsystem.SetSystem.from_json_dict(data["system"]), int(data["m"]))
+        else:
+            raise InputError(f"unknown problem generator {gen!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed problem generator object: {exc}") from exc
+    return make(*params)
 
 
 def _emit(args, payload, csv_lines=None):

@@ -76,3 +76,51 @@ def brute_is_hereditary(problem):
             if ok:
                 return False
     return True
+
+
+def brute_banned(problem):
+    """Sequences in [j]^n whose pattern on some S is banned at its context."""
+    n = problem.n
+    banned = set()
+    for seq in itertools.product(range(problem.j), repeat=n):
+        for S in problem.index_subsets():
+            X = tuple(seq[p] for p in range(n) if p not in S)
+            if tuple(seq[s] for s in S) in problem.ban_set(S, X):
+                banned.add(seq)
+                break
+    return banned
+
+
+def brute_is_independent(problem):
+    """Every S bans the same patterns at every context."""
+    return all(len({problem.ban_set(S, X) for X in problem.contexts()}) == 1
+               for S in problem.index_subsets())
+
+
+def brute_reduce_hat(problem):
+    """f-hat as a table: at T = S minus n-1 (for S containing n-1), the
+    patterns of f(S, X) with their entry at n-1 dropped."""
+    n = problem.n
+    table = {}
+    for S in problem.index_subsets():
+        if n - 1 not in S:
+            continue
+        T = tuple(s for s in S if s != n - 1)
+        for X in problem.contexts():
+            table[(T, X)] = {Z[:-1] for Z in problem.ban_set(S, X)}
+    return table
+
+
+def brute_reduce_prime(problem):
+    """f-prime as a table: at S avoiding n-1, the patterns banned at every
+    context that extends X by one more entry at n-1."""
+    n = problem.n
+    table = {}
+    for S in problem.index_subsets():
+        if n - 1 in S:
+            continue
+        for X in problem.contexts():
+            key = (S, X[:-1])
+            bans = set(problem.ban_set(S, X))
+            table[key] = table[key] & bans if key in table else bans
+    return table

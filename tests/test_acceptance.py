@@ -24,7 +24,7 @@ from shatterlab import (ProbSpace, SetSystem, build_type_tree,
 from shatterlab.banseq import BanProblem, solution_bound, witness_is_valid
 from shatterlab.errors import InputError
 
-from conftest import fixture_zoo, random_system
+from families import fixture_zoo, random_system
 from oracles import brute_is_hereditary, brute_rank, brute_shatter
 
 

@@ -16,8 +16,10 @@ from shatterlab.banseq import (RelaxedBanProblem, assemble, solution_bound,
                                witness_is_valid)
 from shatterlab.dims import random_element_tree
 
-from conftest import random_system
-from oracles import brute_is_hereditary
+from families import random_system
+from oracles import (brute_banned, brute_is_hereditary,
+                     brute_is_independent, brute_reduce_hat,
+                     brute_reduce_prime)
 
 
 def const_problem(n, k, j, banned):
@@ -68,6 +70,65 @@ def test_from_table_requires_every_key():
         BanProblem.from_table(2, 1, 2, {((0,), (0,)): frozenset({(1,)})})
 
 
+def full_table(n, k, j, banned):
+    return {(S, X): set(banned)
+            for S in itertools.combinations(range(n), k)
+            for X in itertools.product(range(j), repeat=n - k)}
+
+
+def with_entry(table, key, value, drop=None):
+    table = dict(table)
+    table.pop(drop, None)
+    table[key] = value
+    return table
+
+
+BASE = full_table(3, 2, 2, {(0, 1)})
+
+
+@pytest.mark.parametrize("table", [
+    with_entry(BASE, ((0, 1), (0, 0)), {(0, 1)}),
+    with_entry(BASE, ((0, 3), (0,)), {(0, 1)}, drop=((0, 2), (1,))),
+    with_entry(BASE, ((1, 0), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
+    with_entry(BASE, ((0, 1), (0,)), {(0, 1, 1)}),
+    with_entry(BASE, ((0, 1), (0,)), {(0,)}),
+    with_entry(BASE, ((1, 2), (1,)), {(2, 0)}),
+    with_entry(BASE, ((0, 2), (1,)), set()),
+], ids=["extra-entry", "foreign-subset", "unsorted-subset", "long-pattern",
+        "short-pattern", "digit-too-large", "empty-set"])
+def test_from_table_validates_at_construction(table):
+    with pytest.raises(InputError):
+        BanProblem.from_table(3, 2, 2, table)
+
+
+def test_relaxed_from_table_accepts_empty_sets():
+    table = with_entry(BASE, ((0, 2), (1,)), set())
+    problem = RelaxedBanProblem.from_table(3, 2, 2, table)
+    assert problem.ban_set((0, 2), (1,)) == frozenset()
+    assert problem.ban_set((1, 2), (0,)) == {(0, 1)}
+
+
+def test_source_called_once_per_entry():
+    calls = []
+
+    def fn(S, X):
+        calls.append((S, X))
+        return frozenset({(sum(X) % 2, 0)})
+
+    problem = BanProblem(4, 2, 2, fn)
+    assert calls == []
+    solutions(problem)
+    banned_count(problem)
+    is_independent(problem)
+    reduce_prime(problem)
+    assert sorted(calls) == sorted(
+        (S, X) for S in problem.index_subsets() for X in problem.contexts())
+
+
+def test_lazy_problem_reads_one_entry_without_filling():
+    assert parity_problem(30).ban_set((0,), (0,) * 29) == {(1,)}
+
+
 def test_assemble():
     assert assemble(5, (1, 3), (7, 8), (0, 2, 4)) == (0, 7, 2, 8, 4)
 
@@ -100,6 +161,39 @@ def test_solutions_by_direct_enumeration():
         if not hit:
             expected.append(seq)
     assert sorted(sols) == expected
+
+
+ORACLE_PROBLEMS = [
+    *(random_problem(n, k, j, seed=10 * n + k + j)
+      for n, k, j in [(3, 1, 2), (4, 2, 2), (5, 3, 2), (6, 2, 2), (6, 3, 2),
+                      (6, 1, 3), (5, 2, 3), (4, 3, 3), (6, 5, 2),
+                      (2, 2, 2), (3, 3, 3), (4, 4, 2)]),
+    parity_problem(5),
+    from_vc(generate("thresholds", 5), 2),
+    from_vc(generate("intervals", 5), 3),
+]
+
+
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=lambda p: p.name)
+def test_table_operations_match_per_entry_oracles(problem):
+    n, k = problem.n, problem.k
+    # Oracles first, so lazy problems are read entry by entry before the fill.
+    expected_banned = brute_banned(problem)
+    expected_independent = brute_is_independent(problem)
+    expected_hat = brute_reduce_hat(problem) if k >= 2 else None
+    expected_prime = brute_reduce_prime(problem) if k <= n - 1 else None
+    sols, banned = solutions(problem)
+    assert banned == banned_count(problem) == len(expected_banned)
+    assert sorted(sols) == sorted(
+        set(itertools.product(range(problem.j), repeat=n)) - expected_banned)
+    assert is_independent(problem) == expected_independent
+    for expected, reduce in ((expected_hat, reduce_hat),
+                             (expected_prime, reduce_prime)):
+        if expected is not None:
+            reduced = reduce(problem)
+            assert {(S, X): reduced.ban_set(S, X)
+                    for S in reduced.index_subsets()
+                    for X in reduced.contexts()} == expected
 
 
 def test_trivial_upper_bound_holds():

@@ -83,6 +83,45 @@ def test_ban_solve_explicit_table(capsys, tmp_path):
     assert json.loads(out)["sequences"] == ["00"]
 
 
+@pytest.mark.parametrize("entry", [
+    {"X": "0", "banned": ["1"]},
+    {"S": [0], "banned": ["1"]},
+    {"S": [0], "X": "0"},
+    {"S": [0], "X": "a", "banned": ["1"]},
+    {"S": [0], "X": "0", "banned": ["x"]},
+    {"S": ["zero"], "X": "0", "banned": ["1"]},
+])
+def test_ban_solve_malformed_entry(capsys, tmp_path, entry):
+    data = {"n": 2, "k": 1, "j": 2,
+            "bans": [entry,
+                     {"S": [0], "X": "1", "banned": ["1"]},
+                     {"S": [1], "X": "0", "banned": ["1"]},
+                     {"S": [1], "X": "1", "banned": ["1"]}]}
+    path = write_json(tmp_path, "p.json", data)
+    code, _, err = run(capsys, "ban", "solve", path)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    {"generator": "random", "k": 2},
+    {"generator": "parity"},
+    {"generator": "parity", "n": "x"},
+    {"generator": "random", "n": "x", "k": 2},
+    {"generator": "from_vc", "m": 2},
+    {"generator": "from_vc",
+     "system": {"universe": 3, "sets": ["100", "110"]}},
+    {"generator": "from_vc", "system": 5, "m": 2},
+    ["generator"],
+    5,
+])
+def test_ban_shorthand_missing_or_bad_field(capsys, tmp_path, data):
+    path = write_json(tmp_path, "gen.json", data)
+    code, _, err = run(capsys, "ban", "solve", path)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
 def test_ban_reduce(capsys, tmp_path):
     path = write_json(tmp_path, "rand.json",
                       {"generator": "random", "n": 4, "k": 2, "seed": 8})

@@ -13,7 +13,7 @@ from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
                         vc_dimension, vc_shatter_function)
 from shatterlab.dims import rank_from_str, rank_to_str
 
-from conftest import random_system
+from families import random_system
 from oracles import brute_rank, brute_shatter
 
 
