@@ -208,6 +208,20 @@ def _check_enum_cap(problem, cap):
     return total
 
 
+def check_table_cap(n, k, j, cap=None):
+    """Refuse, before anything is built, a table of more than the cap's
+    C(n,k) * j^n entries: the size of the ``_bans`` array and of the
+    pattern lists of ``to_json_dict``.  A shape the constructor rejects is
+    left to it."""
+    if not (1 <= k <= n and j >= 2):
+        return
+    limit = DEFAULT_ENUM_CAP if cap is None else cap
+    total = comb(n, k) * j ** n
+    if total > limit:
+        raise ResourceCapError(
+            f"C(n,k) * j^n = {total} table entries exceed cap {limit}", cap=limit)
+
+
 def _banned_marks(problem, cap=None):
     """Flag per sequence id (base-j, digit p at weight j^p): True = banned."""
     total = _check_enum_cap(problem, cap)

@@ -48,28 +48,35 @@ def _load_problem(spec):
     if os.path.exists(spec):
         data = _load_json(spec)
         if isinstance(data, dict) and "generator" in data:
-            return _problem_from_shorthand(data)
+            make, params, _ = _generator_call(data)
+            return make(*params)
         return banseq.BanProblem.from_json_dict(data)
     raise InputError(f"no such ban-problem file: {spec!r}")
 
 
-def _problem_from_shorthand(data):
+def _generator_call(data):
+    """The constructor and arguments a generator object names, and the
+    (n, k, j) shape of the problem it builds."""
     try:
         gen = data["generator"]
         if gen == "parity":
-            make, params = banseq.parity_problem, (int(data["n"]),)
+            n = int(data["n"])
+            make, params, shape = banseq.parity_problem, (n,), (n, 1, 2)
         elif gen == "random":
-            make, params = banseq.random_problem, (
-                int(data["n"]), int(data["k"]), int(data.get("j", 2)),
-                int(data.get("seed", 0)), float(data.get("density", 0.5)))
+            n, k, j = int(data["n"]), int(data["k"]), int(data.get("j", 2))
+            make, params, shape = banseq.random_problem, (
+                n, k, j, int(data.get("seed", 0)),
+                float(data.get("density", 0.5))), (n, k, j)
         elif gen == "from_vc":
-            make, params = banseq.from_vc, (
-                setsystem.SetSystem.from_json_dict(data["system"]), int(data["m"]))
+            system = setsystem.SetSystem.from_json_dict(data["system"])
+            m = int(data["m"])
+            make, params, shape = (banseq.from_vc, (system, m),
+                                   (system.universe_size, m, 2))
         else:
             raise InputError(f"unknown problem generator {gen!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed problem generator object: {exc}") from exc
-    return make(*params)
+    return make, params, shape
 
 
 def _emit(args, payload, csv_lines=None):
@@ -188,8 +195,9 @@ def cmd_ban_gen(args):
     if args.j is not None:
         data["j"] = args.j
     data["seed"] = args.seed
-    problem = _problem_from_shorthand(data)
-    _emit(args, problem.to_json_dict())
+    make, params, shape = _generator_call(data)
+    banseq.check_table_cap(*shape, cap=args.cap)
+    _emit(args, make(*params).to_json_dict())
     return EXIT_OK
 
 
@@ -288,11 +296,18 @@ def _report_exit(args, report):
     return EXIT_OK
 
 
+def _parse_epsilon(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad --epsilon {text!r}: {exc}") from exc
+
+
 def cmd_mc_weaklaw(args):
     space = _load_space(args)
     members = _parse_members(args.set)
     report = thicketvc.run_weak_law(space, members, args.n,
-                                    Fraction(args.epsilon), args.trials,
+                                    _parse_epsilon(args.epsilon), args.trials,
                                     args.seed, keep_rows=args.format == "csv")
     return _report_exit(args, report)
 
@@ -301,7 +316,7 @@ def cmd_mc_vcthm(args):
     space = _load_space(args)
     system = _load_system(args.system)
     report = thicketvc.run_vc_theorem(space, system, args.n,
-                                      Fraction(args.epsilon), args.trials,
+                                      _parse_epsilon(args.epsilon), args.trials,
                                       args.seed, keep_rows=args.format == "csv")
     return _report_exit(args, report)
 
@@ -318,11 +333,15 @@ def cmd_geom_regions(args):
 
 def cmd_geom_cells(args):
     data = _load_json(args.lines)
-    entries = data.get("lines", data.get("halfspaces"))
+    entries = (data.get("lines", data.get("halfspaces"))
+               if isinstance(data, dict) else None)
     if entries is None:
-        raise InputError("expected a 'lines' or 'halfspaces' array")
-    lines = [((Fraction(e["normal"][0]), Fraction(e["normal"][1])),
-              Fraction(e["offset"])) for e in entries]
+        raise InputError("expected an object with a 'lines' or 'halfspaces' array")
+    try:
+        lines = [((Fraction(e["normal"][0]), Fraction(e["normal"][1])),
+                  Fraction(e["offset"])) for e in entries]
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed line entry: {exc}") from exc
     cells = geometry.line_arrangement_cells(lines)
     _emit(args, {"lines": len(lines), "cells": cells})
     return EXIT_OK

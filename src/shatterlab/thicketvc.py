@@ -6,6 +6,13 @@ Sampling is counter-based: the label of a tree node is a pure function of
 are identical regardless of traversal order or worker count.  Estimates and
 probabilities are exact rationals; only the exp(.) bound comparison uses
 floats, with a 1e-12 guard.
+
+The audits walk every (trial, set) path at once in numpy, bit-identical to
+the scalar ``TestTree``: a node's label comes from a guide table on the top
+12 bits of its state plus a bounded forward correction, which equals
+``bisect_right`` on the sampling thresholds.  A deviation depends only on a
+set and its count of 1s, so each distinct (set, count) pair gets one exact
+``Fraction``, and a trial's supremum is a max over their ranks.
 """
 
 from __future__ import annotations
@@ -38,26 +45,41 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _SCALE = 1 << 64
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_GUIDE_BITS = 12
+_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
+_GUIDE_LOW = np.uint64((1 << (64 - _GUIDE_BITS)) - 1)
 FLOAT_GUARD = 1e-12
 DEFAULT_EXPECTATION_CAP = 10 ** 6
 
 
 def splitmix64(x):
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = (x + _GAMMA) & _MASK
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK
+    x = (x * _MIX1) & _MASK
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK
+    x = (x * _MIX2) & _MASK
     return x ^ (x >> 31)
 
 
-def _splitmix64_np(x):
-    x = (x + np.uint64(0x9E3779B97F4A7C15))
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+# Made once: building a numpy scalar from a Python int costs about as much
+# as one ufunc call on a short array.
+_SPLITMIX_NP = tuple(map(np.uint64, (_GAMMA, 30, _MIX1, 27, _MIX2, 31)))
+
+
+def _splitmix64_np(x, scratch):
+    """splitmix64 of every entry of the uint64 array ``x``, in place;
+    ``scratch`` is a uint64 array of the same shape."""
+    gamma, s1, m1, s2, m2, s3 = _SPLITMIX_NP
+    np.add(x, gamma, out=x)
+    np.bitwise_xor(x, np.right_shift(x, s1, out=scratch), out=x)
+    np.multiply(x, m1, out=x)
+    np.bitwise_xor(x, np.right_shift(x, s2, out=scratch), out=x)
+    np.multiply(x, m2, out=x)
+    np.bitwise_xor(x, np.right_shift(x, s3, out=scratch), out=x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -251,25 +273,81 @@ def trial_seed(master_seed, trial_index):
     return splitmix64(splitmix64(master_seed & _MASK) ^ (trial_index + 1))
 
 
+def _guide_table(thresholds):
+    """Guide table for ``bisect_right(thresholds, x)`` over 64-bit x (Chen
+    and Asau 1974; Devroye 1986, III.2.4).
+
+    ``guide[b]`` is the label of the start of bucket b, the x whose top 12
+    bits are b.  Each threshold strictly inside a bucket moves the label of
+    a later x in that bucket by one, so ``passes``, the most such
+    thresholds in one bucket, bounds the forward correction.  ``padded``
+    appends ``passes`` copies of 2^64-1 so that every pass indexes in
+    bounds."""
+    t = np.array(thresholds, dtype=np.uint64)
+    starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
+    guide = np.searchsorted(t, starts, side="right").astype(np.uint64)
+    inside = t[(t & _GUIDE_LOW) != 0] >> _GUIDE_SHIFT
+    passes = int(np.bincount(inside.astype(np.intp), minlength=1).max())
+    padded = np.concatenate([t, np.full(passes, _MASK, dtype=np.uint64)])
+    return guide, padded, passes
+
+
+def _guide_lookup(table, x, labels, scratch):
+    """Set the uint64 array ``labels`` to ``bisect_right(thresholds, x)``
+    entrywise for the uint64 array ``x``; ``scratch`` is a uint64 array of
+    the same shape.  Every index taken is in range; ``mode="clip"`` only
+    spares ``np.take`` its buffered bounds check."""
+    guide, padded, passes = table
+    np.take(guide, np.right_shift(x, _GUIDE_SHIFT, out=scratch), out=labels,
+            mode="clip")
+    for _ in range(passes):
+        np.take(padded, labels, out=scratch, mode="clip")
+        np.add(labels, np.less_equal(scratch, x, out=scratch), out=labels)
+    if passes:
+        # Only x = 2^64-1 walks on into the padding.
+        np.minimum(labels, np.uint64(len(padded) - passes), out=labels)
+    return labels
+
+
 def _simulate_ones(space: ProbSpace, masks, height, trials, seed):
     """Vectorized per-trial, per-set counts of 1s along characteristic
-    paths; bit-identical to walking scalar TestTree objects."""
-    m = len(masks)
-    thresholds = np.array(space.sampling_thresholds(), dtype=np.uint64)
-    memb = np.zeros((m, space.size), dtype=np.uint64)
-    for i, mask in enumerate(masks):
-        for x in range(space.size):
-            memb[i, x] = (mask >> x) & 1
-    seeds = np.array([trial_seed(seed, t) for t in range(trials)], dtype=np.uint64)
-    states = np.repeat(_splitmix64_np(seeds)[:, None], m, axis=1)
-    ones = np.zeros((trials, m), dtype=np.int64)
-    rows = np.arange(m)[None, :]
+    paths; bit-identical to walking scalar TestTree objects.
+
+    Entry t*m + i follows set i in trial t.  A step XORs ``bit + 1`` into
+    the state, as TestTree does, and adds it to the count, which so ends
+    ``height`` too high."""
+    m, size = len(masks), space.size
+    table = _guide_table(space.sampling_thresholds())
+    steps = np.array([[(mask >> x & 1) + 1 for x in range(size)]
+                      for mask in masks], dtype=np.uint64).reshape(-1)
+    offsets = np.tile(np.arange(m, dtype=np.uint64) * np.uint64(size), trials)
+    roots = np.arange(1, trials + 1, dtype=np.uint64)
+    roots ^= np.uint64(splitmix64(seed & _MASK))
+    scratch = np.empty_like(roots)
+    _splitmix64_np(roots, scratch)  # trial_seed(seed, t)
+    _splitmix64_np(roots, scratch)  # the root node's state
+    states = np.repeat(roots, m)
+    ones = np.zeros_like(states)
+    labels, step, scratch = (np.empty_like(states) for _ in range(3))
     for _ in range(height):
-        labels = np.searchsorted(thresholds, states, side="right")
-        bits = memb[rows, labels]
-        ones += bits.astype(np.int64)
-        states = _splitmix64_np(states ^ (bits + np.uint64(1)))
-    return ones
+        _guide_lookup(table, states, labels, scratch)
+        np.add(labels, offsets, out=labels)
+        np.take(steps, labels, out=step, mode="clip")
+        np.add(ones, step, out=ones)
+        np.bitwise_xor(states, step, out=states)
+        _splitmix64_np(states, scratch)
+    ones -= np.uint64(height)
+    return ones.view(np.int64).reshape(trials, m)
+
+
+def _report_rows(height, eps, values, hits, index):
+    """Trial t's row reads deviation ``values[index[t]]``."""
+    text = [f"{v.numerator}/{v.denominator}" for v in values]
+    flags = hits.astype(int).tolist()
+    epsilon = str(eps)
+    return [{"trial": t, "n": height, "epsilon": epsilon,
+             "deviation": text[k], "exceeded": flags[k]}
+            for t, k in enumerate(index.tolist())]
 
 
 def _binomial_slack(exceedances, trials):
@@ -282,20 +360,19 @@ def run_weak_law(space: ProbSpace, members, height, epsilon, trials, seed,
     """Monte Carlo check of the 1/(4 n eps^2) tail bound for a single set."""
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if height < 1:
+        raise InputError("height must be >= 1")
     eps = Fraction(epsilon)
+    if eps <= 0:
+        raise InputError("epsilon must be > 0")
     mask = _as_mask(members, space.size)
     mu = space.mass(mask)
     ones = _simulate_ones(space, [mask], height, trials, seed)[:, 0]
-    exceed = 0
-    rows = []
-    for t in range(trials):
-        dev = abs(Fraction(int(ones[t]), height) - mu)
-        hit = dev >= eps
-        exceed += hit
-        if keep_rows:
-            rows.append({"trial": t, "n": height, "epsilon": str(eps),
-                         "deviation": f"{dev.numerator}/{dev.denominator}",
-                         "exceeded": int(hit)})
+    # The deviation of a trial depends only on its count c of 1s.
+    devs = [abs(Fraction(c, height) - mu) for c in range(height + 1)]
+    hits = np.array([d >= eps for d in devs], dtype=bool)
+    exceed = int(np.count_nonzero(hits[ones]))
+    rows = _report_rows(height, eps, devs, hits, ones) if keep_rows else []
     bound = Fraction(1, 4 * height) / (eps * eps)
     slack = _binomial_slack(exceed, trials)
     empirical = Fraction(exceed, trials)
@@ -325,25 +402,32 @@ def run_vc_theorem(space: ProbSpace, system: SetSystem, height, epsilon,
     """Monte Carlo audit of the 8 rho(n) exp(-n eps^2 / 32) uniform bound."""
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if height < 1:
+        raise InputError("height must be >= 1")
     if system.universe_size != space.size:
         raise InputError("family universe must equal the space's points")
     eps = Fraction(epsilon)
+    if eps < 0:
+        raise InputError("epsilon must be >= 0")
     masses = [space.mass(m) for m in system.sets]
     ones = _simulate_ones(space, list(system.sets), height, trials, seed)
-    exceed = 0
-    rows = []
-    for t in range(trials):
-        dev = Fraction(0)
-        for i in range(len(system.sets)):
-            d = abs(Fraction(int(ones[t, i]), height) - masses[i])
-            if d > dev:
-                dev = d
-        hit = dev > eps
-        exceed += hit
-        if keep_rows:
-            rows.append({"trial": t, "n": height, "epsilon": str(eps),
-                         "deviation": f"{dev.numerator}/{dev.denominator}",
-                         "exceeded": int(hit)})
+    # One exact deviation per distinct (set i, count c) pair, keyed
+    # i*(height+1) + c; a trial's supremum is the max of their ranks among
+    # the distinct values, with 0 (rank 0) for an empty family.
+    keys, inverse = np.unique(
+        (ones + np.arange(len(masses)) * (height + 1)).ravel(),
+        return_inverse=True)
+    devs = []
+    for key in keys.tolist():
+        i, c = divmod(key, height + 1)
+        devs.append(abs(Fraction(c, height) - masses[i]))
+    values = sorted(set(devs) | {Fraction(0)})
+    rank = {v: r for r, v in enumerate(values)}
+    ranks = np.array([rank[d] for d in devs], dtype=np.intp)
+    best = ranks[inverse].reshape(ones.shape).max(axis=1, initial=0)
+    hits = np.array([v > eps for v in values], dtype=bool)
+    exceed = int(np.count_nonzero(hits[best]))
+    rows = _report_rows(height, eps, values, hits, best) if keep_rows else []
     rho, rho_source = _thicket_shatter_estimate(system, height)
     bound = min(1.0, 8.0 * rho * math.exp(-height * float(eps) ** 2 / 32.0))
     slack = _binomial_slack(exceed, trials)

@@ -1,14 +1,20 @@
 """Independent brute-force oracles used to cross-check the fast recursions.
 
 Everything here favors obviousness over speed: dimensions and shatter
-functions are computed by enumerating every complete element tree, and the
-hereditary check by enumerating every candidate context assignment.
+functions are computed by enumerating every complete element tree, the
+hereditary check by enumerating every candidate context assignment, and
+the Monte Carlo audits by walking one scalar test tree per trial.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from shatterlab.banseq import assemble
 from shatterlab.dims import ElementTree, NEG_INF
+from shatterlab.thicketvc import (FLOAT_GUARD, ExperimentReport, TestTree,
+                                  _binomial_slack, _thicket_shatter_estimate,
+                                  characteristic_path, trial_seed)
 
 
 def _all_trees(universe_size, arity_exponent, height):
@@ -124,3 +130,77 @@ def brute_reduce_prime(problem):
             bans = set(problem.ban_set(S, X))
             table[key] = table[key] & bans if key in table else bans
     return table
+
+
+def scalar_counts(space, masks, height, trials, seed):
+    """Per trial, the count of 1s along each set's characteristic path in
+    the scalar test tree of that trial's seed."""
+    counts = []
+    for t in range(trials):
+        tree = TestTree(space, height, trial_seed(seed, t))
+        counts.append([sum(characteristic_path(tree, mask)) for mask in masks])
+    return counts
+
+
+def _mc_row(t, height, eps, dev, hit):
+    return {"trial": t, "n": height, "epsilon": str(eps),
+            "deviation": f"{dev.numerator}/{dev.denominator}",
+            "exceeded": int(hit)}
+
+
+def scalar_weak_law(space, members, height, epsilon, trials, seed,
+                    keep_rows=True):
+    """``run_weak_law`` with one Fraction deviation per trial."""
+    eps = Fraction(epsilon)
+    mu = space.mass(members)
+    exceed, rows = 0, []
+    for t, (count,) in enumerate(scalar_counts(space, [members], height,
+                                               trials, seed)):
+        dev = abs(Fraction(count, height) - mu)
+        hit = dev >= eps
+        exceed += hit
+        if keep_rows:
+            rows.append(_mc_row(t, height, eps, dev, hit))
+    bound = Fraction(1, 4 * height) / (eps * eps)
+    slack = _binomial_slack(exceed, trials)
+    empirical = Fraction(exceed, trials)
+    return ExperimentReport(
+        kind="weak_law",
+        config={"n": height, "epsilon": str(eps), "trials": trials,
+                "seed": seed, "mu": f"{mu.numerator}/{mu.denominator}"},
+        trials=trials, exceedances=exceed, empirical=empirical,
+        bound=float(bound), slack=slack,
+        passed=float(empirical) <= float(bound) + slack + FLOAT_GUARD,
+        notes={"bound_exact": f"{bound.numerator}/{bound.denominator}"},
+        rows=rows)
+
+
+def scalar_vc_theorem(space, system, height, epsilon, trials, seed,
+                      keep_rows=True):
+    """``run_vc_theorem`` with one Fraction deviation per trial and set."""
+    eps = Fraction(epsilon)
+    masses = [space.mass(mask) for mask in system.sets]
+    exceed, rows = 0, []
+    for t, counts in enumerate(scalar_counts(space, system.sets, height,
+                                             trials, seed)):
+        dev = Fraction(0)
+        for count, mass in zip(counts, masses):
+            dev = max(dev, abs(Fraction(count, height) - mass))
+        hit = dev > eps
+        exceed += hit
+        if keep_rows:
+            rows.append(_mc_row(t, height, eps, dev, hit))
+    rho, rho_source = _thicket_shatter_estimate(system, height)
+    bound = min(1.0, 8.0 * rho * math.exp(-height * float(eps) ** 2 / 32.0))
+    slack = _binomial_slack(exceed, trials)
+    empirical = Fraction(exceed, trials)
+    return ExperimentReport(
+        kind="vc_theorem",
+        config={"n": height, "epsilon": str(eps), "trials": trials,
+                "seed": seed, "sets": len(system.sets)},
+        trials=trials, exceedances=exceed, empirical=empirical,
+        bound=bound, slack=slack,
+        passed=float(empirical) <= bound + slack + FLOAT_GUARD,
+        notes={"rho": rho, "rho_source": rho_source,
+               "bound_vacuous": bound >= 1.0},
+        rows=rows)

@@ -251,3 +251,65 @@ def test_stdout_is_byte_stable(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "weaklaw", "--uniform", "8", "--set", "0,1", "--n", "10",
+     f"--epsilon={epsilon}", "--trials", "10"]
+    for epsilon in ("abc", "1/0", "0", "-1/4")
+] + [
+    ["mc", "weaklaw", "--uniform", "8", "--set", "0,1", "--n", "0",
+     "--epsilon", "1/4", "--trials", "10"],
+    ["mc", "vcthm", "--uniform", "8", "--n", "0", "--epsilon", "1/4",
+     "--trials", "10", "thresholds:8"],
+    ["mc", "vcthm", "--uniform", "8", "--n", "10", "--epsilon", "abc",
+     "--trials", "10", "thresholds:8"],
+    ["mc", "vcthm", "--uniform", "8", "--n", "2000", "--epsilon=-1/4",
+     "--trials", "10", "thresholds:8"],
+])
+def test_mc_bad_epsilon_or_height(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
+def test_mc_vcthm_epsilon_zero_is_vacuous(capsys):
+    code, out, _ = run(capsys, "mc", "vcthm", "--uniform", "8", "--n", "10",
+                       "--epsilon", "0", "--trials", "10", "thresholds:8")
+    assert code == 0
+    assert json.loads(out)["notes"]["bound_vacuous"] is True
+
+
+@pytest.mark.parametrize("data", [
+    {"lines": [{"normal": [3], "offset": 0}, {"normal": [1, 2], "offset": 1}]},
+    [{"normal": [1, 3], "offset": 0}],
+    {"lines": [{"normal": [1, 0]}]},
+    {"lines": 5},
+])
+def test_geom_cells_malformed(capsys, tmp_path, data):
+    path = write_json(tmp_path, "lines.json", data)
+    code, _, err = run(capsys, "geom", "cells", path)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--generator", "parity", "--n", "40"),
+    ("--generator", "random", "--n", "30", "--k", "2"),
+    ("--generator", "random", "--n", "5", "--k", "2", "--cap", "319"),
+])
+def test_ban_gen_table_cap(capsys, argv):
+    code, out, err = run(capsys, "ban", "gen", *argv)
+    assert code == 3 and "resource cap" in err and out == ""
+
+
+def test_ban_gen_table_cap_env(capsys, monkeypatch):
+    # C(5,2) * 2^5 = 320 table entries
+    monkeypatch.setenv("SHATTERLAB_CAP", "319")
+    code, _, _ = run(capsys, "ban", "gen", "--generator", "random",
+                     "--n", "5", "--k", "2")
+    assert code == 3
+    monkeypatch.setenv("SHATTERLAB_CAP", "320")
+    code, out, _ = run(capsys, "ban", "gen", "--generator", "random",
+                       "--n", "5", "--k", "2")
+    assert code == 0 and len(json.loads(out)["bans"]) == 10 * 8

@@ -1,8 +1,10 @@
 """Test trees: counter-based determinism, exact expectations, and the two
 Monte Carlo audits."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shatterlab import (InputError, ProbSpace, ResourceCapError, SetSystem,
@@ -11,7 +13,10 @@ from shatterlab import (InputError, ProbSpace, ResourceCapError, SetSystem,
                         uniform_deviation)
 from shatterlab import TestTree as SamplingTree
 from shatterlab import test_estimate as estimate_along_path
-from shatterlab.thicketvc import _simulate_ones, splitmix64, trial_seed
+from shatterlab.thicketvc import (_guide_lookup, _guide_table, _simulate_ones,
+                                  splitmix64, trial_seed)
+
+from oracles import scalar_vc_theorem, scalar_weak_law
 
 
 def test_prob_space_validation():
@@ -157,3 +162,87 @@ def test_trials_guard():
     with pytest.raises(InputError):
         run_weak_law(ProbSpace.uniform(2), {0}, height=3, epsilon=Fraction(1, 2),
                      trials=0, seed=0)
+
+
+F = Fraction
+MC_SPACES = {
+    "uniform": ProbSpace.uniform(6),
+    # every threshold starts a bucket of the guide table: no correction pass
+    "dyadic": ProbSpace.uniform(8),
+    "skewed": ProbSpace((F(1, 12), F(5, 12), F(1, 6), F(1, 3))),
+    # zero weights first, inside and last: a threshold at 0, a run of
+    # equal thresholds and the threshold 2^64-1
+    "zero-weights": ProbSpace((F(0), F(1, 3), F(0), F(0), F(2, 3), F(0))),
+    # three thresholds inside the first bucket of the guide table
+    "clustered": ProbSpace((F(1, 1 << 14), F(1, 1 << 14), F(1, 1 << 14),
+                            1 - F(3, 1 << 14))),
+}
+MC_RUNS = [(1, 30), (7, 1), (9, 40)]
+
+
+def _same_reports(fast, slow, *args):
+    for keep_rows in (True, False):
+        a, b = fast(*args, keep_rows=keep_rows), slow(*args, keep_rows=keep_rows)
+        assert a.to_json_dict() == b.to_json_dict()
+        assert a.csv_rows() == b.csv_rows()
+
+
+@pytest.mark.parametrize("name", sorted(MC_SPACES))
+@pytest.mark.parametrize("height,trials", MC_RUNS)
+def test_weak_law_matches_scalar_oracle(name, height, trials):
+    space = MC_SPACES[name]
+    # {0, 1, 2} at epsilon 1/2 ties the deviation with epsilon on uniform(6)
+    for members, epsilon in (({1}, F(1, 3)), ({0, 3}, F(1, 2)),
+                             ({0, 1, 2}, F(1, 2)), (set(), F(1, 9)),
+                             (set(range(space.size)), F(1, 4))):
+        _same_reports(run_weak_law, scalar_weak_law,
+                      space, members, height, epsilon, trials, 77)
+
+
+@pytest.mark.parametrize("name", sorted(MC_SPACES))
+@pytest.mark.parametrize("height,trials", MC_RUNS)
+def test_vc_theorem_matches_scalar_oracle(name, height, trials):
+    space = MC_SPACES[name]
+    n = space.size
+    families = (SetSystem(n, ()),
+                SetSystem(n, (0b1, 0b10)),
+                SetSystem(n, tuple((1 << i) - 1 for i in range(n + 1))))
+    for system in families:
+        # 1/6 ties with the deviation of {0} and {1} at count 0 on uniform(6)
+        for epsilon in (F(0), F(1, 6), F(1, 5), F(1, 2)):
+            _same_reports(run_vc_theorem, scalar_vc_theorem,
+                          space, system, height, epsilon, trials, 5)
+
+
+@pytest.mark.parametrize("name", sorted(MC_SPACES))
+def test_guide_lookup_matches_bisect(name):
+    thresholds = MC_SPACES[name].sampling_thresholds()
+    top = (1 << 64) - 1
+    xs = sorted({0, top} | {t + d for t in thresholds for d in (-1, 0, 1)
+                            if 0 <= t + d <= top})
+    x = np.array(xs, dtype=np.uint64)
+    labels = _guide_lookup(_guide_table(thresholds), x, np.empty_like(x),
+                           np.empty_like(x))
+    assert labels.tolist() == [bisect_right(thresholds, v) for v in xs]
+
+
+def test_guide_table_passes():
+    assert _guide_table(MC_SPACES["uniform"].sampling_thresholds())[2] == 1
+    assert _guide_table(MC_SPACES["dyadic"].sampling_thresholds())[2] == 0
+    assert _guide_table(MC_SPACES["clustered"].sampling_thresholds())[2] == 3
+    assert _guide_table([])[2] == 0
+
+
+@pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(0)),
+                                            (5, F(-1, 4))])
+def test_weak_law_rejects_bad_height_or_epsilon(height, epsilon):
+    with pytest.raises(InputError):
+        run_weak_law(ProbSpace.uniform(2), {0}, height=height, epsilon=epsilon,
+                     trials=3, seed=0)
+
+
+@pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(-1, 4))])
+def test_vc_theorem_rejects_bad_height_or_epsilon(height, epsilon):
+    with pytest.raises(InputError):
+        run_vc_theorem(ProbSpace.uniform(3), generate("thresholds", 3),
+                       height=height, epsilon=epsilon, trials=3, seed=0)
