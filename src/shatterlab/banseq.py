@@ -12,13 +12,19 @@ operations accept it.
 
 Storage.  A problem's table is one numpy bool array of shape (C(n,k),
 j^(n-k), j^k): index subset x context x pattern.  It is filled once, by one
-``ban_set`` call per entry, when a whole-table operation first needs it.
+``ban_set`` call per entry, when a whole-table operation first needs it;
+the fill collects each index subset's hits and writes them in one numpy
+assignment.  ``ban_set`` checks an index subset in full once and then finds
+its row in a per-problem memo, so a key check costs a dict lookup plus a
+length and alphabet test of the context.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, ceil
 
 import numpy as np
@@ -59,7 +65,13 @@ class RelaxedBanProblem:
     c-th context, all three in ``itertools`` order.  ``_table`` fills it
     once, by one ``ban_set`` call per entry, and drops the function:
     ``from_table`` at construction, lazy problems after the caller's
-    enumeration cap.  Until then ``ban_set`` calls the function.
+    enumeration cap.  The fill walks the contexts of each index subset,
+    collects that subset's flat hit indices and sets them with one write.
+    Until then ``ban_set`` calls the function.
+
+    ``_rows`` maps each index subset ``ban_set`` has accepted to its row r.
+    A subset is checked in full and ranked only on its first visit, and
+    only a valid one is stored; the array reads use the same row.
     """
 
     allow_empty = True
@@ -75,6 +87,9 @@ class RelaxedBanProblem:
         self._fn = fn
         self.name = name
         self._bans = None
+        self._rows = {}
+        self._alphabet = frozenset(range(j))
+        self._context_shape = (j,) * (n - k) + (-1,)
 
     @classmethod
     def from_table(cls, n, k, j, table, name=None):
@@ -92,41 +107,54 @@ class RelaxedBanProblem:
         """The ``_bans`` array, filled on first use."""
         if self._bans is None:
             n, k, j = self.n, self.k, self.j
-            patterns = {Z: i for i, Z in
-                        enumerate(itertools.product(range(j), repeat=k))}
+            patterns = {Z: i for i, Z in enumerate(self._patterns)}
             width = len(patterns)
             bans = np.zeros((comb(n, k), j ** (n - k), width), dtype=bool)
-            flat, base = bans.reshape(-1), 0
-            for S in self.index_subsets():
-                for X in self.contexts():
-                    for Z in self.ban_set(S, X):
+            ban_set = self.ban_set
+            for S, row in zip(self.index_subsets(), bans.reshape(len(bans), -1)):
+                # Flat hit indices in the S row, 8 bytes each: a list of
+                # ints or of the contexts would outweigh the table itself.
+                hits = array("q")
+                for base, X in zip(itertools.count(0, width), self.contexts()):
+                    for Z in ban_set(S, X):
                         i = patterns.get(Z)
                         if i is None:
                             raise InputError(f"bad banned pattern {Z} for S={S}")
-                        flat[base + i] = True
-                    base += width
+                        hits.append(base + i)
+                row[hits] = True
             self._bans, self._fn = bans, None
         return self._bans
 
     def ban_set(self, S, X):
         S, X = tuple(S), tuple(X)
-        n, k, j = self.n, self.k, self.j
-        if (len(S) != k or any(not 0 <= s < n for s in S)
-                or list(S) != sorted(set(S))):
-            raise InputError(f"bad index subset {S}")
-        if len(X) != n - k or not set(X).issubset(range(j)):
+        row = self._rows.get(S)
+        if row is None:
+            row = self._row(S)
+        if len(X) != self.n - self.k or not self._alphabet.issuperset(X):
             raise InputError(f"bad context sequence {X} for S={S}")
         if self._bans is None:
             out = frozenset(self._fn(S, X))
             if not out and not self.allow_empty:
                 raise InputError(f"empty ban set at S={S}, X={X}")
             return out
-        # Rank of S among the k-subsets of [n] in lexicographic order.
-        row = comb(n, k) - 1 - sum(comb(n - 1 - s, k - i)
-                                   for i, s in enumerate(S))
-        flags = self._bans[row].reshape((j,) * (n - k) + (-1,))[X]
-        return frozenset(itertools.compress(
-            itertools.product(range(j), repeat=k), flags.tolist()))
+        flags = self._bans[row].reshape(self._context_shape)[X]
+        return frozenset(itertools.compress(self._patterns, flags.tolist()))
+
+    @cached_property
+    def _patterns(self):
+        """The j^k patterns on an index subset, in ``itertools`` order."""
+        return list(itertools.product(range(self.j), repeat=self.k))
+
+    def _row(self, S):
+        """Check the index subset S and memoize its row: its rank among the
+        k-subsets of [n] in lexicographic order."""
+        n, k = self.n, self.k
+        if (len(S) != k or any(not 0 <= s < n for s in S)
+                or list(S) != sorted(set(S))):
+            raise InputError(f"bad index subset {S}")
+        row = self._rows[S] = comb(n, k) - 1 - sum(
+            comb(n - 1 - s, k - i) for i, s in enumerate(S))
+        return row
 
     def index_subsets(self):
         return itertools.combinations(range(self.n), self.k)
@@ -465,8 +493,10 @@ def parity_problem(n):
     if n < 1:
         raise InputError("n must be >= 1")
 
+    bans = (frozenset({(1,)}), frozenset({(0,)}))
+
     def fn(S, X):
-        return frozenset({(1,)}) if sum(X) % 2 == 0 else frozenset({(0,)})
+        return bans[sum(X) % 2]
 
     return BanProblem(n, 1, 2, fn, name=f"parity({n})")
 
@@ -512,12 +542,21 @@ def from_element_tree(tree, system: SetSystem, m, cap=None):
     j = 1 << s
     sets = system.sets
 
+    labelable = {}  # leaf -> whether some member labels it properly
+
     def fn(S, X):
-        bans = set()
+        # X is placed once; each pattern overwrites the S positions.
+        path = list(assemble(n, S, (0,) * m, X))
+        bans = []
         for Z in itertools.product(range(j), repeat=m):
-            path = assemble(n, S, Z, X)
-            if not tree.properly_labelable(path, sets):
-                bans.add(Z)
+            for p, z in zip(S, Z):
+                path[p] = z
+            leaf = tuple(path)
+            ok = labelable.get(leaf)
+            if ok is None:
+                ok = labelable[leaf] = tree.properly_labelable(leaf, sets)
+            if not ok:
+                bans.append(Z)
         return frozenset(bans)
 
     return BanProblem(n, m, j, fn, name=f"from_element_tree(s={s},m={m})")

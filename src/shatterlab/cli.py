@@ -44,11 +44,14 @@ def _load_system(spec):
     raise InputError(f"no such file or generator shorthand: {spec!r}")
 
 
-def _load_problem(spec):
+def _load_problem(spec, cap=None):
     if os.path.exists(spec):
         data = _load_json(spec)
         if isinstance(data, dict) and "generator" in data:
-            make, params, _ = _generator_call(data)
+            make, params, shape = _generator_call(data)
+            # The random table is built eagerly; parity and from_vc stay lazy.
+            if make is banseq.random_problem:
+                banseq.check_table_cap(*shape, cap=cap)
             return make(*params)
         return banseq.BanProblem.from_json_dict(data)
     raise InputError(f"no such ban-problem file: {spec!r}")
@@ -137,7 +140,7 @@ def cmd_sys_audit(args):
 # ---------------------------------------------------------------------------
 
 def cmd_ban_solve(args):
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args.problem, args.cap)
     sols, banned = banseq.solutions(problem, cap=args.cap)
     bound = banseq.trivial_upper_bound(problem)
     if len(sols) > bound:
@@ -157,7 +160,7 @@ def cmd_ban_solve(args):
 
 
 def cmd_ban_hereditary(args):
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args.problem, args.cap)
     hereditary, witness = banseq.is_hereditary(problem, cap=args.cap)
     payload = {"hereditary": hereditary}
     if witness is not None:
@@ -171,7 +174,7 @@ def cmd_ban_hereditary(args):
 
 
 def cmd_ban_reduce(args):
-    problem = _load_problem(args.problem)
+    problem = _load_problem(args.problem, args.cap)
     if args.which == "hat":
         reduced = banseq.reduce_hat(problem, cap=args.cap)
     else:
@@ -338,8 +341,13 @@ def cmd_geom_cells(args):
     if entries is None:
         raise InputError("expected an object with a 'lines' or 'halfspaces' array")
     try:
-        lines = [((Fraction(e["normal"][0]), Fraction(e["normal"][1])),
-                  Fraction(e["offset"])) for e in entries]
+        lines = []
+        for e in entries:
+            normal = e["normal"]
+            if not isinstance(normal, list) or len(normal) != 2:
+                raise ValueError(f"normal {normal!r} is not a list of two entries")
+            lines.append(((Fraction(normal[0]), Fraction(normal[1])),
+                          Fraction(e["offset"])))
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed line entry: {exc}") from exc
     cells = geometry.line_arrangement_cells(lines)

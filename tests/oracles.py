@@ -97,6 +97,31 @@ def brute_banned(problem):
     return banned
 
 
+def brute_element_tree_bans(tree, system, m):
+    """{(S, X): banned patterns} of the m-fold element-tree problem, walked
+    directly from the labels: a leaf is banned unless some member holds
+    every label its path takes a 1-bit at and no label it takes a 0-bit at."""
+    s, n = tree.arity_exponent, tree.height
+    j = 1 << s
+    members = [{x for x in range(system.universe_size) if mask >> x & 1}
+               for mask in system.sets]
+    table = {}
+    for S in itertools.combinations(range(n), m):
+        for X in itertools.product(range(j), repeat=n - m):
+            bans = set()
+            for Z in itertools.product(range(j), repeat=m):
+                leaf = assemble(n, S, Z, X)
+                inside, outside = set(), set()
+                for depth, symbol in enumerate(leaf):
+                    for i, x in enumerate(tree.labels[leaf[:depth]]):
+                        (inside if symbol >> i & 1 else outside).add(x)
+                if not any(inside <= member and not outside & member
+                           for member in members):
+                    bans.add(Z)
+            table[(S, X)] = frozenset(bans)
+    return table
+
+
 def brute_is_independent(problem):
     """Every S bans the same patterns at every context."""
     return all(len({problem.ban_set(S, X) for X in problem.contexts()}) == 1

@@ -2,8 +2,10 @@
 extremal counts, with a pairwise brute-force oracle for hereditariness."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shatterlab import (BanProblem, InputError, ResourceCapError, SetSystem,
                         VerificationError, banned_count,
@@ -14,10 +16,10 @@ from shatterlab import (BanProblem, InputError, ResourceCapError, SetSystem,
                         trivial_upper_bound, verify_main_theorem)
 from shatterlab.banseq import (RelaxedBanProblem, assemble, solution_bound,
                                witness_is_valid)
-from shatterlab.dims import random_element_tree
+from shatterlab.dims import ElementTree, random_element_tree
 
 from families import random_system
-from oracles import (brute_banned, brute_is_hereditary,
+from oracles import (brute_banned, brute_element_tree_bans, brute_is_hereditary,
                      brute_is_independent, brute_reduce_hat,
                      brute_reduce_prime)
 
@@ -57,6 +59,48 @@ def test_ban_set_key_checking():
         problem.ban_set((0,), (0, 2))
     with pytest.raises(InputError):
         problem.ban_set((1, 0), (0,))
+
+
+KEY_SHAPE = (4, 2, 3)
+KEY_SUBSETS = list(itertools.combinations(range(KEY_SHAPE[0]), KEY_SHAPE[1]))
+KEY_CONTEXTS = list(itertools.product(range(KEY_SHAPE[2]),
+                                      repeat=KEY_SHAPE[0] - KEY_SHAPE[1]))
+
+
+def key_source(S, X):
+    return frozenset({(S[0] % 3, sum(X) % 3), (S[1] % 3, X[0])})
+
+
+def any_key():
+    """(S, X) pairs, valid or not: lists of ints around the valid ranges."""
+    n, k, j = KEY_SHAPE
+    subsets = st.one_of(st.sampled_from(KEY_SUBSETS).map(list),
+                        st.lists(st.integers(-1, n), max_size=k + 1))
+    contexts = st.one_of(st.sampled_from(KEY_CONTEXTS).map(list),
+                         st.lists(st.integers(-1, j), max_size=n - k + 1))
+    return st.tuples(subsets, contexts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=any_key(), filled=st.booleans(),
+       other=st.one_of(st.none(), st.sampled_from(KEY_SUBSETS)))
+def test_ban_set_raises_exactly_on_invalid_keys(key, filled, other):
+    S, X = key
+    valid = tuple(S) in KEY_SUBSETS and tuple(X) in KEY_CONTEXTS
+    problem = BanProblem(*KEY_SHAPE, key_source)
+    if filled:
+        solutions(problem)
+    if other is not None:
+        X0 = KEY_CONTEXTS[0]
+        assert problem.ban_set(other, X0) == key_source(other, X0)
+    for _ in range(2):  # a second ask must not pass a memoized check
+        if valid:
+            assert problem.ban_set(S, X) == key_source(tuple(S), tuple(X))
+        else:
+            with pytest.raises(InputError):
+                problem.ban_set(S, X)
+    assert problem.ban_set(KEY_SUBSETS[-1], KEY_CONTEXTS[-1]) == key_source(
+        KEY_SUBSETS[-1], KEY_CONTEXTS[-1])
 
 
 def test_json_round_trip():
@@ -376,6 +420,45 @@ def test_from_element_tree():
     assert verify_main_theorem(problem)["within_bound"]
     with pytest.raises(InputError, match="rank"):
         from_element_tree(tree, generate("powerset", 4), m=3)
+
+
+def tree_and_family(s, height, m, seed, universe=5):
+    """A seeded element tree and a family of 2^(s m) - 1 sets: too few
+    sets to reach op_s-rank m."""
+    tree = random_element_tree(universe, s, height, seed=seed)
+    rng = random.Random(seed)
+    masks = tuple(rng.sample(range(1 << universe), (1 << (s * m)) - 1))
+    return tree, SetSystem(universe, masks)
+
+
+@pytest.mark.parametrize("s,height,m,seed", [
+    (1, 4, 1, 0), (1, 5, 2, 1), (1, 6, 2, 2), (1, 6, 3, 3),
+    (2, 2, 1, 4), (2, 3, 1, 5), (2, 3, 2, 6), (2, 4, 2, 7),
+])
+def test_from_element_tree_matches_label_walk(s, height, m, seed):
+    tree, system = tree_and_family(s, height, m, seed)
+    problem = from_element_tree(tree, system, m)
+    expected = brute_element_tree_bans(tree, system, m)
+    solutions(problem)  # fills the table
+    assert {key: problem.ban_set(*key) for key in expected} == expected
+
+
+def test_from_element_tree_tests_each_leaf_once(monkeypatch):
+    leaves = []
+    original = ElementTree.path_requirements
+
+    def counting(self, leaf):
+        leaves.append(leaf)
+        return original(self, leaf)
+
+    monkeypatch.setattr(ElementTree, "path_requirements", counting)
+    s, height, m = 1, 7, 2
+    tree, system = tree_and_family(s, height, m, seed=11)
+    problem = from_element_tree(tree, system, m)
+    is_hereditary(problem)  # lazy reads first, then the fill
+    solutions(problem)
+    assert 0 < len(leaves) <= (1 << s) ** height
+    assert len(set(leaves)) == len(leaves)
 
 
 def test_random_problem_is_seeded():

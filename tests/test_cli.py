@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output shape, exit codes, and determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -282,6 +283,8 @@ def test_mc_vcthm_epsilon_zero_is_vacuous(capsys):
 
 @pytest.mark.parametrize("data", [
     {"lines": [{"normal": [3], "offset": 0}, {"normal": [1, 2], "offset": 1}]},
+    {"lines": [{"normal": [1, 0, 7], "offset": 0}, {"normal": [0, 1], "offset": 1}]},
+    {"lines": [{"normal": "12", "offset": 0}, {"normal": [0, 1], "offset": 1}]},
     [{"normal": [1, 3], "offset": 0}],
     {"lines": [{"normal": [1, 0]}]},
     {"lines": 5},
@@ -301,6 +304,34 @@ def test_geom_cells_malformed(capsys, tmp_path, data):
 def test_ban_gen_table_cap(capsys, argv):
     code, out, err = run(capsys, "ban", "gen", *argv)
     assert code == 3 and "resource cap" in err and out == ""
+
+
+@pytest.mark.parametrize("verb", [("solve",), ("hereditary",),
+                                  ("reduce", "--which", "hat")])
+def test_random_generator_file_table_cap(capsys, tmp_path, verb):
+    # C(6,2) * 2^6 = 960 table entries
+    path = write_json(tmp_path, "rand.json", {"generator": "random", "n": 6, "k": 2})
+    code, out, err = run(capsys, "ban", *verb, "--cap", "100", path)
+    assert code == 3 and "resource cap" in err and out == ""
+    code, _, _ = run(capsys, "ban", *verb, "--cap", "960", path)
+    assert code == 0
+
+
+def test_large_random_generator_file_refused_before_building(capsys, tmp_path):
+    path = write_json(tmp_path, "rand.json", {"generator": "random", "n": 30, "k": 2})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ban", "solve", path)
+    assert code == 3 and "resource cap" in err and out == ""
+    assert time.perf_counter() - start < 1
+
+
+def test_lazy_generator_files_load_uncapped(capsys, tmp_path):
+    # 2^22 sequences are within the default enumeration cap, the table's
+    # C(22,1) * 2^22 entries are not; the witness search reads a few
+    # entries of the lazy problem and never builds the table
+    path = write_json(tmp_path, "parity.json", {"generator": "parity", "n": 22})
+    code, out, _ = run(capsys, "ban", "hereditary", path)
+    assert code == 0 and json.loads(out)["hereditary"] is False
 
 
 def test_ban_gen_table_cap_env(capsys, monkeypatch):
