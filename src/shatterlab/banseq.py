@@ -29,7 +29,7 @@ from math import comb, ceil
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import InputError, ResourceCapError, VerificationError, require_int
 from .setsystem import SetSystem, traces
 
 __all__ = [
@@ -77,10 +77,7 @@ class RelaxedBanProblem:
     allow_empty = True
 
     def __init__(self, n, k, j, fn, name=None):
-        if not (1 <= k <= n):
-            raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if j < 2:
-            raise InputError("alphabet size must be at least 2")
+        _check_shape(n, k, j)
         self.n = n
         self.k = k
         self.j = j
@@ -93,10 +90,10 @@ class RelaxedBanProblem:
 
     @classmethod
     def from_table(cls, n, k, j, table, name=None):
+        problem = cls(n, k, j, lambda S, X: table[(S, X)], name=name)
         expected = comb(n, k) * j ** (n - k)
         if len(table) != expected:
             raise InputError(f"ban table has {len(table)} entries, expected {expected}")
-        problem = cls(n, k, j, lambda S, X: table[(S, X)], name=name)
         try:
             problem._table()
         except KeyError as exc:
@@ -189,14 +186,28 @@ class RelaxedBanProblem:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n, k, j = int(data["n"]), int(data["k"]), int(data["j"])
-            table = {(tuple(int(s) for s in entry["S"]),
-                      tuple(int(c) for c in entry["X"])):
-                     frozenset(tuple(int(c) for c in z) for z in entry["banned"])
+            n, k, j = (require_int(data[f], f) for f in ("n", "k", "j"))
+            table = {(tuple(require_int(s, "S entry") for s in entry["S"]),
+                      _digits(entry["X"])):
+                     frozenset(_digits(z) for z in entry["banned"])
                      for entry in data["bans"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed ban-problem object: {exc}") from exc
         return cls.from_table(n, k, j, table)
+
+
+def _digits(text):
+    """A context or pattern written as a string with one digit per entry."""
+    if not isinstance(text, str):
+        raise InputError(f"expected a string of digits, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def _check_shape(n, k, j):
+    if not (1 <= k <= n):
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if j < 2:
+        raise InputError("alphabet size must be at least 2")
 
 
 class BanProblem(RelaxedBanProblem):
@@ -257,12 +268,18 @@ def _banned_marks(problem, cap=None):
     marks = np.zeros(total, dtype=bool)
     cube = marks.reshape((j,) * n)
     for S, rows in zip(problem.index_subsets(), problem._table()):
-        # Axes of ``rows`` are the context positions, then S; position p
-        # is axis n-1-p of ``cube``.
-        positions = [p for p in range(n) if p not in S] + list(S)
-        view = cube.transpose([n - 1 - p for p in positions])
-        view |= rows.reshape((j,) * n)
+        view = _subset_view(cube, S)
+        view |= rows.reshape(view.shape)
     return marks
+
+
+def _subset_view(cube, S):
+    """``cube``, one axis per position with position p on axis n-1-p, seen
+    with its axes in the order of one index subset's rows: the context
+    positions, then S."""
+    n = cube.ndim
+    positions = [p for p in range(n) if p not in S] + list(S)
+    return cube.transpose([n - 1 - p for p in positions])
 
 
 def banned_count(problem, cap=None):
@@ -431,53 +448,44 @@ def verify_main_theorem(problem, cap=None):
 
 
 def min_subcube_hitting(n, k, cap=None):
-    """Minimum size of B in 2^n meeting every k-dimensional subcube,
-    by branch and bound over the cubes' candidate points."""
+    """Minimum size of B in 2^n meeting every k-dimensional subcube, by
+    branch and bound.  Cube c is the c-th (index subset, context) row of
+    the table layout; bit c of ``cover[p]`` is set when cube c holds p."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     limit = DEFAULT_HITTING_CAP if cap is None else cap
     if n > limit:
         raise ResourceCapError(f"length {n} exceeds hitting-search cap {limit}",
                                cap=limit)
-    powers = [1 << p for p in range(n)]
-    cubes = []
-    for S in itertools.combinations(range(n), k):
-        non_s = [p for p in range(n) if p not in S]
-        for X in itertools.product((0, 1), repeat=n - k):
-            base = sum(v * powers[p] for v, p in zip(X, non_s))
-            cubes.append(tuple(base + sum(v * powers[s] for v, s in zip(Z, S))
-                               for Z in itertools.product((0, 1), repeat=k)))
-    cubes_of_point = {}
-    for idx, cube in enumerate(cubes):
-        for pt in cube:
-            cubes_of_point.setdefault(pt, []).append(idx)
-    max_cover = max(len(v) for v in cubes_of_point.values())
+    points = np.arange(1 << n).reshape((2,) * n)
+    cubes = np.concatenate([_subset_view(points, S).reshape(-1, 1 << k)
+                            for S in itertools.combinations(range(n), k)]).tolist()
+    cover = [0] * (1 << n)
+    for c, cube in enumerate(cubes):
+        for p in cube:
+            cover[p] |= 1 << c
 
     # Greedy upper bound.
-    uncovered = set(range(len(cubes)))
+    uncovered = (1 << len(cubes)) - 1
     greedy = 0
     while uncovered:
-        pt = max(cubes_of_point,
-                 key=lambda p: sum(1 for c in cubes_of_point[p] if c in uncovered))
-        uncovered -= set(cubes_of_point[pt])
+        uncovered &= ~max(cover, key=lambda m: (m & uncovered).bit_count())
         greedy += 1
-    best = greedy
+    # Each point lies on one cube per index subset.
+    return _hitting_search(cubes, cover, comb(n, k), (1 << len(cubes)) - 1, 0, greedy)
 
-    def bb(uncovered, chosen):
-        nonlocal best
-        if not uncovered:
-            best = min(best, chosen)
-            return
-        if chosen + ceil(len(uncovered) / max_cover) >= best:
-            return
-        target = cubes[min(uncovered)]
-        ranked = sorted(target,
-                        key=lambda p: -sum(1 for c in cubes_of_point[p]
-                                           if c in uncovered))
-        for pt in ranked:
-            bb(uncovered - set(cubes_of_point[pt]), chosen + 1)
 
-    bb(frozenset(range(len(cubes))), 0)
+def _hitting_search(cubes, cover, max_cover, uncovered, chosen, best):
+    """``chosen`` plus the fewest points meeting every cube in the bitmask
+    ``uncovered`` if that is below ``best``, else ``best``."""
+    if not uncovered:
+        return chosen
+    if chosen + ceil(uncovered.bit_count() / max_cover) >= best:
+        return best
+    target = cubes[(uncovered & -uncovered).bit_length() - 1]
+    for p in sorted(target, key=lambda p: -(cover[p] & uncovered).bit_count()):
+        best = _hitting_search(cubes, cover, max_cover, uncovered & ~cover[p],
+                               chosen + 1, best)
     return best
 
 
@@ -600,6 +608,7 @@ def random_problem(n, k, j, seed, density=0.5):
     the given probability, with one forced ban to keep sets nonempty."""
     import random as _random
 
+    _check_shape(n, k, j)
     rng = _random.Random(seed)
     patterns = list(itertools.product(range(j), repeat=k))
     table = {}

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import banseq, dims, geometry, setsystem, thicketvc, typetree
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import InputError, ResourceCapError, VerificationError, require_int
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -40,6 +40,9 @@ def _load_system(spec):
         return setsystem.SetSystem.from_json_dict(_load_json(spec))
     if ":" in spec:
         kind, *params = spec.split(":")
+        if kind in ("halfspace_incidence", "halfspace_dual"):
+            raise InputError(f"generator {kind!r} needs an arrangement, "
+                             "which a shorthand cannot give")
         return setsystem.generate(kind, *params)
     raise InputError(f"no such file or generator shorthand: {spec!r}")
 
@@ -63,21 +66,25 @@ def _generator_call(data):
     try:
         gen = data["generator"]
         if gen == "parity":
-            n = int(data["n"])
+            n = require_int(data["n"], "n")
             make, params, shape = banseq.parity_problem, (n,), (n, 1, 2)
         elif gen == "random":
-            n, k, j = int(data["n"]), int(data["k"]), int(data.get("j", 2))
+            n, k = require_int(data["n"], "n"), require_int(data["k"], "k")
+            j = require_int(data.get("j", 2), "j")
+            density = data.get("density", 0.5)
+            if (isinstance(density, bool) or not isinstance(density, (int, float))
+                    or not 0 <= density <= 1):
+                raise InputError(f"density must be a number in [0, 1], got {density!r}")
             make, params, shape = banseq.random_problem, (
-                n, k, j, int(data.get("seed", 0)),
-                float(data.get("density", 0.5))), (n, k, j)
+                n, k, j, require_int(data.get("seed", 0), "seed"), density), (n, k, j)
         elif gen == "from_vc":
             system = setsystem.SetSystem.from_json_dict(data["system"])
-            m = int(data["m"])
+            m = require_int(data["m"], "m")
             make, params, shape = (banseq.from_vc, (system, m),
                                    (system.universe_size, m, 2))
         else:
             raise InputError(f"unknown problem generator {gen!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"malformed problem generator object: {exc}") from exc
     return make, params, shape
 
@@ -287,7 +294,10 @@ def _load_space(args):
 def _parse_members(text):
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"bad --set {text!r}: {exc}") from exc
 
 
 def _report_exit(args, report):

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer-field check
+shared by the JSON loaders.
 
 Exit-code mapping used by the CLI:
   VerificationError -> 1, InputError -> 2, ResourceCapError -> 3.
 """
+
+from numbers import Integral
 
 
 class ShatterLabError(Exception):
@@ -23,3 +26,12 @@ class ResourceCapError(ShatterLabError):
 
 class VerificationError(ShatterLabError):
     """A checked bound or validator failed."""
+
+
+def require_int(value, what):
+    """``value`` as an int when it is an integer and not a bool; an integer
+    field given as a string, a float or ``true`` is an InputError, not
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)

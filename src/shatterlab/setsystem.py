@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "SetSystem",
@@ -69,13 +69,15 @@ class SetSystem:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n = int(data["universe"])
+            n = require_int(data["universe"], "universe")
             strings = data["sets"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed set-system object: {exc}") from exc
+        if not isinstance(strings, list):
+            raise InputError(f"set-system 'sets' must be a list, got {strings!r}")
         masks = []
         for s in strings:
-            if len(s) != n or set(s) - {"0", "1"}:
+            if not isinstance(s, str) or len(s) != n or set(s) - {"0", "1"}:
                 raise InputError(f"bad set string {s!r} for universe [{n}]")
             masks.append(sum(1 << i for i, c in enumerate(s) if c == "1"))
         return cls(n, tuple(masks), data.get("name"))

@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, require_int
 from .setsystem import SetSystem
 from .dims import thicket_dimension, thicket_shatter, NEG_INF
 from math import comb
@@ -127,7 +127,7 @@ class ProbSpace:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n = int(data["points"])
+            n = require_int(data["points"], "points")
             ws = tuple(Fraction(w) for w in data["weights"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed probability space: {exc}") from exc

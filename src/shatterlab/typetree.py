@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, require_int
 from .setsystem import SetSystem
 from .dims import thicket_dimension, NEG_INF
 
@@ -33,13 +33,26 @@ DEFAULT_RANK_CAP = 18
 
 @dataclass(frozen=True)
 class Graph:
+    """Simple graph on vertices 0..vertex_count-1; ``_neighbors[v]`` is v's
+    neighbour bitmask, built once, so adjacency is a bit test (on vertices
+    in range only)."""
     vertex_count: int
     edges: frozenset[frozenset[int]]
 
+    def __post_init__(self):
+        masks = [0] * self.vertex_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "_neighbors", tuple(masks))
+
     @classmethod
     def from_edge_list(cls, vertex_count, edge_list):
+        if vertex_count < 0:
+            raise InputError(f"negative vertex count {vertex_count}")
         edges = set()
         for u, v in edge_list:
+            u, v = require_int(u, "edge endpoint"), require_int(v, "edge endpoint")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InputError(f"edge ({u},{v}) out of range")
             if u == v:
@@ -48,21 +61,14 @@ class Graph:
         return cls(vertex_count, frozenset(edges))
 
     def adjacent(self, u, v):
-        return frozenset((u, v)) in self.edges
+        return bool(self._neighbors[u] >> v & 1)
 
     def neighbor_mask(self, v):
-        m = 0
-        for u in range(self.vertex_count):
-            if u != v and self.adjacent(u, v):
-                m |= 1 << u
-        return m
+        return self._neighbors[v]
 
     def neighborhood_system(self) -> SetSystem:
         """Set system {N(v) : v in V} over the vertex universe."""
-        return SetSystem(self.vertex_count,
-                         tuple({self.neighbor_mask(v)
-                                for v in range(self.vertex_count)}),
-                         name="neighborhoods")
+        return SetSystem(self.vertex_count, self._neighbors, name="neighborhoods")
 
     def to_json_dict(self):
         return {"vertices": self.vertex_count,
@@ -71,7 +77,8 @@ class Graph:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            return cls.from_edge_list(int(data["vertices"]), data["edges"])
+            return cls.from_edge_list(require_int(data["vertices"], "vertices"),
+                                      data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed graph object: {exc}") from exc
 
@@ -128,37 +135,24 @@ def build_type_tree(graph: Graph, order=None) -> TypeTree:
 
 
 def validate_type_tree(graph: Graph, tree: TypeTree):
-    """(True, None) or (False, description of the first violation)."""
+    """(True, None) or (False, description of the first violation).
+    Conditions 1 and 2 are one rule: a node's vertex is adjacent to its
+    ancestor at depth d iff the key turns "1" at depth d; the parent's
+    depth is condition 1, shallower depths are condition 2."""
     labels = tree.labels
-    if graph.vertex_count != len(labels):
-        return False, "labeling is not a bijection with the vertex set"
     if sorted(labels.values()) != list(range(graph.vertex_count)):
         return False, "labeling is not a bijection with the vertex set"
-    for key in labels:
+    for key, v in labels.items():
         if set(key) - {"0", "1"}:
             return False, f"bad node key {key!r}"
-        if key and key[:-1] not in labels:
-            return False, f"index set not prefix-closed at {key!r}"
-    for key, v in labels.items():
-        parent = labels.get(key[:-1]) if key else None
-        if parent is not None:
-            adjacent = graph.adjacent(v, parent)
-            if key[-1] == "1" and not adjacent:
-                return False, f"condition 1: {key!r} marked adjacent but is not"
-            if key[-1] == "0" and adjacent:
-                return False, f"condition 1: {key!r} marked nonadjacent but is adjacent"
-    keys = sorted(labels, key=len)
-    for eta, eta2 in itertools.permutations(keys, 2):
-        if not (len(eta) < len(eta2) and eta2.startswith(eta)):
-            continue
-        # condition 2 via the parent chain: adjacency of a_eta to any strict
-        # descendant equals its adjacency to the child it passes through.
-        mid = eta2[: len(eta) + 1]
-        if mid == eta2:
-            continue
-        if graph.adjacent(labels[eta], labels[mid]) != \
-                graph.adjacent(labels[eta], labels[eta2]):
-            return False, (f"condition 2: triple ({eta!r}, {mid!r}, {eta2!r})")
+        for d, turn in enumerate(key):
+            if key[:d] not in labels:
+                return False, f"index set not prefix-closed at {key!r}"
+            if graph.adjacent(labels[key[:d]], v) != (turn == "1"):
+                rule = 1 if d == len(key) - 1 else 2
+                marked = "adjacent" if turn == "1" else "nonadjacent"
+                return False, (f"condition {rule}: {key!r} marked {marked} "
+                               f"to ancestor {key[:d]!r} but is not")
     return True, None
 
 
@@ -172,37 +166,37 @@ def tree_rank(graph: Graph, cap=None):
     limit = DEFAULT_RANK_CAP if cap is None else cap
     if n > limit:
         return _tree_rank_bounds(graph)
-    neighbor = [graph.neighbor_mask(v) for v in range(n)]
-    full = (1 << n) - 1
     memo = {}
+    t = 1
+    while _holds_full_tree(graph._neighbors, memo, (1 << n) - 1, t + 1):
+        t += 1
+    return t
 
-    def feasible(pool, t):
-        if t <= 1:
-            return pool != 0
-        if bin(pool).count("1") < (1 << t) - 1:
-            return False
-        key = (pool, t)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+
+def _holds_full_tree(neighbors, memo, pool, t):
+    """Whether the vertex bitmask ``pool`` holds a full binary type tree of
+    height t: some root whose non-neighbours and neighbours in the pool
+    each hold one of height t - 1.  ``memo`` is keyed by (pool, t)."""
+    if t <= 1:
+        return pool != 0
+    if pool.bit_count() < (1 << t) - 1:
+        return False
+    key = (pool, t)
+    out = memo.get(key)
+    if out is None:
         out = False
         rest = pool
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            others = pool & ~(1 << v)
-            ones = others & neighbor[v]
-            zeros = others & ~neighbor[v]
-            if feasible(zeros, t - 1) and feasible(ones, t - 1):
+            bit = rest & -rest
+            rest ^= bit
+            others = pool ^ bit
+            ones = others & neighbors[bit.bit_length() - 1]
+            if (_holds_full_tree(neighbors, memo, others ^ ones, t - 1)
+                    and _holds_full_tree(neighbors, memo, ones, t - 1)):
                 out = True
                 break
         memo[key] = out
-        return out
-
-    t = 1
-    while feasible(full, t + 1):
-        t += 1
-    return t
+    return out
 
 
 def _greedy_rank_lower_bound(graph: Graph):
@@ -213,14 +207,15 @@ def _greedy_rank_lower_bound(graph: Graph):
         order = ([seed_vertex]
                  + [v for v in range(graph.vertex_count) if v != seed_vertex])
         labels = build_type_tree(graph, order).labels
-
-        def full_height(key):
-            if key not in labels:
-                return 0
-            return 1 + min(full_height(key + "0"), full_height(key + "1"))
-
-        best = max(best, full_height(""))
+        best = max(best, _full_height(labels, ""))
     return best
+
+
+def _full_height(labels, key):
+    """Height of the full binary subtree of the index set rooted at key."""
+    if key not in labels:
+        return 0
+    return 1 + min(_full_height(labels, key + "0"), _full_height(labels, key + "1"))
 
 
 def _tree_rank_bounds(graph: Graph):

@@ -157,6 +157,52 @@ def brute_reduce_prime(problem):
     return table
 
 
+def brute_type_tree_violation(graph, labels):
+    """None when ``labels`` is a type tree of ``graph``, else the first
+    failed requirement, checked pair by pair from the statement with
+    adjacency read from ``graph.edges``: a bijection onto the vertices, a
+    prefix-closed set of binary keys, each child adjacent to its parent
+    iff it is the "1" child (condition 1), and each ancestor adjacent to a
+    strict descendant iff it is adjacent to the child on the way down
+    (condition 2)."""
+    def adjacent(u, v):
+        return frozenset((u, v)) in graph.edges
+
+    if sorted(labels.values()) != list(range(graph.vertex_count)):
+        return "bijection"
+    for key in labels:
+        if set(key) - {"0", "1"} or (key and key[:-1] not in labels):
+            return "prefix-closed binary keys"
+    for eta, child in itertools.product(labels, repeat=2):
+        if len(child) == len(eta) + 1 and child.startswith(eta):
+            if adjacent(labels[eta], labels[child]) != (child[-1] == "1"):
+                return "condition 1"
+    for eta, below in itertools.product(labels, repeat=2):
+        if len(below) > len(eta) + 1 and below.startswith(eta):
+            mid = below[:len(eta) + 1]
+            if adjacent(labels[eta], labels[below]) != adjacent(labels[eta], labels[mid]):
+                return "condition 2"
+    return None
+
+
+def brute_min_hitting(n, k):
+    """Fewest points of {0,1}^n meeting every k-dimensional subcube, by
+    trying every point set in order of size.  A subcube frees k
+    coordinates and fixes the others, and holds the points agreeing with
+    the fixed values."""
+    points = list(itertools.product((0, 1), repeat=n))
+    cubes = []
+    for free in itertools.combinations(range(n), k):
+        fixed = [p for p in range(n) if p not in free]
+        for values in itertools.product((0, 1), repeat=n - k):
+            cubes.append({pt for pt in points
+                          if all(pt[p] == v for p, v in zip(fixed, values))})
+    for size in itertools.count():
+        for chosen in itertools.combinations(points, size):
+            if all(cube.intersection(chosen) for cube in cubes):
+                return size
+
+
 def scalar_counts(space, masks, height, trials, seed):
     """Per trial, the count of 1s along each set's characteristic path in
     the scalar test tree of that trial's seed."""

@@ -20,7 +20,7 @@ from shatterlab.dims import ElementTree, random_element_tree
 
 from families import random_system
 from oracles import (brute_banned, brute_element_tree_bans, brute_is_hereditary,
-                     brute_is_independent, brute_reduce_hat,
+                     brute_is_independent, brute_min_hitting, brute_reduce_hat,
                      brute_reduce_prime)
 
 
@@ -362,20 +362,14 @@ def test_min_hitting_known_values():
     assert min_subcube_hitting(3, 1) == 4  # must hit every 1-dim edge
     assert min_subcube_hitting(3, 3) == 1
     assert min_subcube_hitting(2, 1) == 2
+    # (5, 2) = 10 and (5, 3) = 6 also come out of an independent MILP.
+    assert [min_subcube_hitting(5, k) for k in range(1, 6)] == [16, 10, 6, 2, 1]
 
 
 def test_min_hitting_matches_exhaustive_small():
-    # exhaustive check over all subsets for n = 3, k = 2
-    cubes = []
-    for S in itertools.combinations(range(3), 2):
-        rest = [p for p in range(3) if p not in S]
-        for X in itertools.product((0, 1), repeat=1):
-            base = sum(v << p for v, p in zip(X, rest))
-            cubes.append({base + sum(v << s for v, s in zip(Z, S))
-                          for Z in itertools.product((0, 1), repeat=2)})
-    best = min(bin(b).count("1") for b in range(1 << 8)
-               if all(any(b >> p & 1 for p in cube) for cube in cubes))
-    assert min_subcube_hitting(3, 2) == best
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            assert min_subcube_hitting(n, k) == brute_min_hitting(n, k), (n, k)
 
 
 def test_hitting_cap():

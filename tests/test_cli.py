@@ -344,3 +344,77 @@ def test_ban_gen_table_cap_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "ban", "gen", "--generator", "random",
                        "--n", "5", "--k", "2")
     assert code == 0 and len(json.loads(out)["bans"]) == 10 * 8
+
+
+@pytest.mark.parametrize("verb", ["typetree", "treerank", "extract", "heightcheck"])
+@pytest.mark.parametrize("data", [
+    {"vertices": -1, "edges": []},
+    {"vertices": 3, "edges": [[0.5, 1]]},
+    {"vertices": 3, "edges": [[0, True]]},
+])
+def test_graph_negative_size_or_non_int_endpoint(capsys, tmp_path, verb, data):
+    path = write_json(tmp_path, "g.json", data)
+    code, _, err = run(capsys, "graph", verb, path)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["sys", "dim", "--kind", "vc", "{file}"], {"universe": 2, "sets": [1]}),
+    (["sys", "dim", "--kind", "vc", "{file}"], {"universe": 1, "sets": "01"}),
+    (["sys", "dim", "--kind", "vc", "halfspace_incidence:3"], None),
+    (["sys", "dim", "--kind", "vc", "halfspace_dual:3"], None),
+    (["mc", "weaklaw", "--uniform", "4", "--set", "a", "--n", "4",
+      "--epsilon", "1/4", "--trials", "5"], None),
+    (["ban", "gen", "--generator", "random", "--n", "-1", "--k", "1"], None),
+    (["ban", "gen", "--generator", "random", "--n", "0", "--k", "-1"], None),
+    (["ban", "solve", "{file}"], {"generator": "random", "n": -1, "k": 1}),
+    (["ban", "solve", "{file}"], {"n": -1, "k": 1, "j": 2, "bans": []}),
+])
+def test_inputs_that_raised_exit_2(capsys, tmp_path, argv, data):
+    if data is not None:
+        path = write_json(tmp_path, "in.json", data)
+        argv = [path if a == "{file}" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
+def _table_with_S(first):
+    bans = [{"S": S, "X": X, "banned": ["1"]}
+            for S in ([0], [1]) for X in ("0", "1")]
+    bans[0]["S"] = bans[1]["S"] = first
+    return {"n": 2, "k": 1, "j": 2, "bans": bans}
+
+
+SPACE_ARGV = ["mc", "weaklaw", "--n", "4", "--epsilon", "1/4", "--trials", "5",
+              "--space"]
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["ban", "solve"], {"generator": "parity", "n": "3"}),
+    (["ban", "solve"], {"generator": "parity", "n": 3.7}),
+    (["ban", "solve"], {"generator": "parity", "n": True}),
+    (["ban", "solve"], {"generator": "parity", "n": 3.0}),
+    (["ban", "solve"], {"generator": "random", "n": 3, "k": "2"}),
+    (["ban", "solve"], {"generator": "random", "n": 3, "k": 2, "j": 2.0}),
+    (["ban", "solve"], {"generator": "random", "n": 3, "k": 2, "seed": "1"}),
+    (["ban", "solve"], {"generator": "random", "n": 3, "k": 2, "density": "nan"}),
+    (["ban", "solve"], {"generator": "random", "n": 3, "k": 2, "density": 1.5}),
+    (["ban", "solve"], {"generator": "random", "n": 3, "k": 2, "density": True}),
+    (["ban", "solve"], {"generator": "from_vc", "m": "1",
+                        "system": {"universe": 2, "sets": ["00"]}}),
+    (["ban", "solve"], _table_with_S([0.5])),
+    (["ban", "solve"], _table_with_S([False])),
+    (["ban", "solve"], dict(_table_with_S([0]), n="2")),
+    (["ban", "solve"], {"n": 1, "k": 1, "j": 2,
+                        "bans": [{"S": [0], "X": "", "banned": [[0.5]]}]}),
+    (["sys", "dim", "--kind", "vc"], {"universe": 2.5, "sets": ["01"]}),
+    (["graph", "treerank"], {"vertices": "3", "edges": [[0, 1]]}),
+    (SPACE_ARGV, {"points": "2", "weights": ["1/2", "1/2"]}),
+])
+def test_integer_fields_must_be_json_integers(capsys, tmp_path, argv, data):
+    path = write_json(tmp_path, "in.json", data)
+    code, _, err = run(capsys, *argv, path)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Graphs, type-tree construction and validation, tree rank, extraction."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from shatterlab import (Graph, InputError, TypeTree, VerificationError,
                         extract_clique_or_independent, from_type_tree,
                         random_graph, solutions, tree_rank,
                         validate_type_tree)
+
+from oracles import brute_type_tree_violation
 
 
 def path_graph(n):
@@ -49,6 +52,16 @@ def test_random_graph_seeded():
     assert random_graph(8, 0.5, 3) == random_graph(8, 0.5, 3)
     assert random_graph(8, 0.0, 3).edges == frozenset()
     assert len(random_graph(5, 1.0, 3).edges) == 10
+    for seed in range(20):
+        n = 2 + seed % 15
+        g = random_graph(n, (1 + seed % 3) / 4, seed=seed)
+        for v in range(n):
+            mask = 0
+            for u in range(n):
+                edge = frozenset((u, v)) in g.edges
+                assert g.adjacent(u, v) == edge
+                mask |= edge << u
+            assert g.neighbor_mask(v) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +107,34 @@ def test_validate_condition_two():
     ok, why = validate_type_tree(g, bad)
     assert not ok
     assert "condition" in why
+
+
+def test_validate_matches_pairwise_oracle():
+    """Built trees, trees with two labels swapped and trees with one key
+    bit flipped, on seeded graphs in shuffled insertion orders."""
+    failures = []
+    for seed in range(70):
+        n = 4 + seed % 13
+        g = random_graph(n, (1 + seed % 3) / 4, seed=seed)
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        labels = build_type_tree(g, order).labels
+        rng = random.Random(seed)
+        keys = sorted(labels)
+        a, b = rng.sample(keys, 2)
+        swapped = dict(labels)
+        swapped[a], swapped[b] = labels[b], labels[a]
+        key = rng.choice(keys[1:])
+        d = rng.randrange(len(key))
+        moved = key[:d] + "10"[int(key[d])] + key[d + 1:]
+        flipped = {moved if k == key else k: v for k, v in labels.items()}
+        for case in (labels, swapped, flipped):
+            ok, why = validate_type_tree(g, TypeTree(case))
+            violation = brute_type_tree_violation(g, case)
+            assert ok == (violation is None), (seed, case, why, violation)
+            failures.append(violation)
+    assert len(failures) == 210 and failures.count(None) >= 70
+    assert "condition 1" in failures and "condition 2" in failures
 
 
 def test_height():
