@@ -29,7 +29,7 @@ from math import comb, ceil
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError, VerificationError, require_int
+from .errors import InputError, VerificationError, check_cap, require_int
 from .setsystem import SetSystem, traces
 
 __all__ = [
@@ -239,12 +239,7 @@ def assemble(n, S, Z, X):
 
 
 def _check_enum_cap(problem, cap):
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    total = problem.j ** problem.n
-    if total > limit:
-        raise ResourceCapError(
-            f"j^n = {total} exceeds enumeration cap {limit}", cap=limit)
-    return total
+    return check_cap(problem.j ** problem.n, cap, DEFAULT_ENUM_CAP, "j^n")
 
 
 def check_table_cap(n, k, j, cap=None):
@@ -252,13 +247,8 @@ def check_table_cap(n, k, j, cap=None):
     C(n,k) * j^n entries: the size of the ``_bans`` array and of the
     pattern lists of ``to_json_dict``.  A shape the constructor rejects is
     left to it."""
-    if not (1 <= k <= n and j >= 2):
-        return
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    total = comb(n, k) * j ** n
-    if total > limit:
-        raise ResourceCapError(
-            f"C(n,k) * j^n = {total} table entries exceed cap {limit}", cap=limit)
+    if 1 <= k <= n and j >= 2:
+        check_cap(comb(n, k) * j ** n, cap, DEFAULT_ENUM_CAP, "C(n,k) * j^n table entries")
 
 
 def _banned_marks(problem, cap=None):
@@ -453,10 +443,7 @@ def min_subcube_hitting(n, k, cap=None):
     the table layout; bit c of ``cover[p]`` is set when cube c holds p."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    limit = DEFAULT_HITTING_CAP if cap is None else cap
-    if n > limit:
-        raise ResourceCapError(f"length {n} exceeds hitting-search cap {limit}",
-                               cap=limit)
+    check_cap(n, cap, DEFAULT_HITTING_CAP, "hitting-search length n")
     points = np.arange(1 << n).reshape((2,) * n)
     cubes = np.concatenate([_subset_view(points, S).reshape(-1, 1 << k)
                             for S in itertools.combinations(range(n), k)]).tolist()

@@ -9,6 +9,7 @@ failure, 2 invalid input, 3 resource cap.  All randomness flows from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,9 +34,10 @@ def _load_json(path):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _load_system(spec):
+def _load_system(spec, cap):
     """A set system from a JSON file or a generator shorthand like
-    'powerset:3' or 'all_subsets_of_size_at_most:4:2'."""
+    'powerset:3' or 'all_subsets_of_size_at_most:4:2'; ``cap`` bounds the
+    shorthands that walk all 2^n masks."""
     if os.path.exists(spec):
         return setsystem.SetSystem.from_json_dict(_load_json(spec))
     if ":" in spec:
@@ -43,7 +45,7 @@ def _load_system(spec):
         if kind in ("halfspace_incidence", "halfspace_dual"):
             raise InputError(f"generator {kind!r} needs an arrangement, "
                              "which a shorthand cannot give")
-        return setsystem.generate(kind, *params)
+        return setsystem.generate(kind, *params, cap=cap)
     raise InputError(f"no such file or generator shorthand: {spec!r}")
 
 
@@ -103,7 +105,7 @@ def _emit(args, payload, csv_lines=None):
 # ---------------------------------------------------------------------------
 
 def cmd_sys_dim(args):
-    system = _load_system(args.system)
+    system = _load_system(args.system, args.cap)
     if args.kind == "vc":
         value = dims.vc_dimension(system, cap=args.cap)
     elif args.kind == "thicket":
@@ -115,7 +117,7 @@ def cmd_sys_dim(args):
 
 
 def cmd_sys_shatter(args):
-    system = _load_system(args.system)
+    system = _load_system(args.system, args.cap)
     if args.kind == "vc":
         value = dims.vc_shatter_function(system, args.n, cap=args.cap)
     elif args.kind == "thicket":
@@ -127,7 +129,7 @@ def cmd_sys_shatter(args):
 
 
 def cmd_sys_audit(args):
-    system = _load_system(args.system)
+    system = _load_system(args.system, args.cap)
     report = dims.audit_bounds(system, args.s, args.r, args.n, cap=args.cap)
     rows = report.to_json_list()
     csv_lines = ["bound,params,lhs,rhs,pass"] + [
@@ -327,7 +329,7 @@ def cmd_mc_weaklaw(args):
 
 def cmd_mc_vcthm(args):
     space = _load_space(args)
-    system = _load_system(args.system)
+    system = _load_system(args.system, args.cap)
     report = thicketvc.run_vc_theorem(space, system, args.n,
                                       _parse_epsilon(args.epsilon), args.trials,
                                       args.seed, keep_rows=args.format == "csv")
@@ -369,14 +371,15 @@ def cmd_geom_cells(args):
 # parser wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    ``main`` call; it reads nothing at run time."""
     parser = argparse.ArgumentParser(prog="shatterlab")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int,
-                        default=(int(os.environ["SHATTERLAB_CAP"])
-                                 if os.environ.get("SHATTERLAB_CAP") else None))
+    common.add_argument("--cap", type=int)
     common.add_argument("--quiet", action="store_true")
 
     top = parser.add_subparsers(dest="noun", required=True)
@@ -464,14 +467,24 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
+def _env_cap():
+    """The SHATTERLAB_CAP override of the default caps; None when unset."""
+    text = os.environ.get("SHATTERLAB_CAP")
     try:
-        args = parser.parse_args(argv)
+        return int(text) if text else None
+    except ValueError:
+        raise InputError(f"SHATTERLAB_CAP must be an integer, got {text!r}") from None
+
+
+def main(argv=None):
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if args.cap is None:
+            args.cap = _env_cap()
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

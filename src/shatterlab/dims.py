@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, check_cap
 from .setsystem import SetSystem, child_masks, project, traces
 
 __all__ = [
@@ -135,19 +135,11 @@ def shatters(system: SetSystem, targets) -> bool:
     return len(project(system, ys).sets) == 1 << len(ys)
 
 
-def _check_vc_cap(system, cap):
-    limit = DEFAULT_VC_CAP if cap is None else cap
-    if system.universe_size > limit:
-        raise ResourceCapError(
-            f"universe {system.universe_size} exceeds VC enumeration cap {limit}",
-            cap=limit)
-
-
 def vc_dimension(system: SetSystem, cap=None):
     """Largest size of a shattered subset; NEG_INF for the empty family."""
     if not system.sets:
         return NEG_INF
-    _check_vc_cap(system, cap)
+    check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     n = system.universe_size
     best = 0
     for k in range(1, n + 1):
@@ -167,7 +159,7 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
         raise InputError(f"size {size} out of range for universe [{system.universe_size}]")
     if not system.sets:
         return 0
-    _check_vc_cap(system, cap)
+    check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     best = 0
     full = 1 << size
     for combo in itertools.combinations(range(system.universe_size), size):
@@ -180,14 +172,6 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
 # ---------------------------------------------------------------------------
 # op_s-rank and op_s shatter function; thicket is s = 1 without the cap
 # ---------------------------------------------------------------------------
-
-def _check_op_cap(system, cap):
-    limit = DEFAULT_OP_CAP if cap is None else cap
-    if system.universe_size > limit:
-        raise ResourceCapError(
-            f"universe {system.universe_size} exceeds op-rank cap {limit}",
-            cap=limit)
-
 
 def thicket_dimension(system: SetSystem):
     """Largest height of a binary element tree with all leaves properly
@@ -213,7 +197,7 @@ def op_rank(system: SetSystem, s, cap=None):
         raise InputError("s must be >= 1")
     if not system.sets:
         return NEG_INF
-    _check_op_cap(system, cap)
+    check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
     return _op_rank(system.sets, system.universe_size, s)
 
 
@@ -272,7 +256,7 @@ def op_shatter(system: SetSystem, s, height, cap=None):
         raise InputError("height must be non-negative")
     if not system.sets:
         return 0
-    _check_op_cap(system, cap)
+    check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
     return _op_shatter(system.sets, system.universe_size, s, height)
 
 

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all modules, and the integer-field check
-shared by the JSON loaders.
+"""Exception hierarchy shared by all modules, the integer-field check
+shared by the JSON loaders, and the cap check shared by every exponential
+path.
 
 Exit-code mapping used by the CLI:
   VerificationError -> 1, InputError -> 2, ResourceCapError -> 3.
@@ -35,3 +36,12 @@ def require_int(value, what):
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_cap(size, cap, default, what):
+    """``size`` when it is at most the limit, ``cap`` or ``default`` when
+    ``cap`` is None; above it a ResourceCapError carrying the limit."""
+    limit = default if cap is None else cap
+    if size > limit:
+        raise ResourceCapError(f"{what} = {size} exceeds cap {limit}", cap=limit)
+    return size

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "PointArrangement",
@@ -62,7 +62,7 @@ class PointArrangement:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            r = int(data["r"])
+            r = require_int(data["r"], "r")
             points = [tuple(Fraction(c) for c in p) for p in data.get("points", [])]
             halfspaces = [(tuple(Fraction(c) for c in h["normal"]),
                            Fraction(h["offset"]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError, require_int
+from .errors import InputError, check_cap, require_int
 
 __all__ = [
     "SetSystem",
@@ -19,6 +19,10 @@ __all__ = [
     "generate",
     "GENERATOR_KINDS",
 ]
+
+# Universe size above which ``powerset`` and ``all_subsets_of_size_at_most``
+# are refused: both walk all 2^n masks (2^20 masks take about 1 s).
+DEFAULT_GENERATOR_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -202,12 +206,14 @@ GENERATOR_KINDS = (
 )
 
 
-def generate(kind, *params) -> SetSystem:
-    """Named fixture systems; see ``GENERATOR_KINDS``."""
+def generate(kind, *params, cap=None) -> SetSystem:
+    """Named fixture systems; see ``GENERATOR_KINDS``.  ``cap`` bounds the
+    universe of the generators that walk all 2^n masks."""
     try:
         if kind == "powerset":
             (n,) = params
-            return _powerset(int(n))
+            return _powerset(check_cap(int(n), cap, DEFAULT_GENERATOR_CAP,
+                                       "powerset universe"))
         if kind == "singletons_with_empty":
             (n,) = params
             return _singletons_with_empty(int(n))
@@ -219,7 +225,9 @@ def generate(kind, *params) -> SetSystem:
             return _intervals(int(n))
         if kind == "all_subsets_of_size_at_most":
             n, d = params
-            return _bounded_size(int(n), int(d))
+            return _bounded_size(check_cap(int(n), cap, DEFAULT_GENERATOR_CAP,
+                                           "all_subsets_of_size_at_most universe"),
+                                 int(d))
         if kind == "halfspace_incidence":
             (arr,) = params
             return halfspace_incidence(arr)

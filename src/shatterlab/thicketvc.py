@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError, require_int
+from .errors import InputError, check_cap, require_int
 from .setsystem import SetSystem
 from .dims import thicket_dimension, thicket_shatter, NEG_INF
 from math import comb
@@ -207,10 +207,8 @@ def test_estimate(tree: TestTree, members) -> Fraction:
 def exact_expectation(space: ProbSpace, members, height, cap=None):
     """Exact expectation of the test estimate by enumerating the labels of
     the path-relevant nodes; equals the measure of the queried set."""
-    limit = DEFAULT_EXPECTATION_CAP if cap is None else cap
-    if space.size ** height > limit:
-        raise ResourceCapError(
-            f"{space.size}^{height} label patterns exceed cap {limit}", cap=limit)
+    check_cap(space.size ** height, cap, DEFAULT_EXPECTATION_CAP,
+              f"{space.size}^{height} label patterns")
     mask = _as_mask(members, space.size)
     total = Fraction(0)
     for labels in product(range(space.size), repeat=height):

@@ -107,8 +107,9 @@ class TypeTree:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            return cls({str(key): int(v) for key, v in data.items()})
-        except (TypeError, ValueError) as exc:
+            return cls({str(key): require_int(v, f"label of {key!r}")
+                        for key, v in data.items()})
+        except AttributeError as exc:
             raise InputError(f"malformed type tree: {exc}") from exc
 
 

@@ -1,0 +1,57 @@
+"""The one cap rule at every site that applies it: a size equal to the
+limit passes, one above it raises ResourceCapError carrying the limit,
+whether the limit is an explicit ``cap`` or the module default."""
+
+import pytest
+
+from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banseq, dims,
+                        exact_expectation, generate, min_subcube_hitting, op_rank,
+                        op_shatter, parity_problem, setsystem, solutions, thicketvc,
+                        vc_dimension, vc_shatter_function)
+
+ONE_SET = SetSystem(5, (1,))
+
+# (module, name of its default limit, call(cap), size the call is capped on)
+SITES = {
+    "vc_dimension": (dims, "DEFAULT_VC_CAP",
+                     lambda cap: vc_dimension(ONE_SET, cap=cap), 5),
+    "vc_shatter_function": (dims, "DEFAULT_VC_CAP",
+                            lambda cap: vc_shatter_function(ONE_SET, 2, cap=cap), 5),
+    "op_rank": (dims, "DEFAULT_OP_CAP", lambda cap: op_rank(ONE_SET, 1, cap=cap), 5),
+    "op_shatter": (dims, "DEFAULT_OP_CAP",
+                   lambda cap: op_shatter(ONE_SET, 1, 2, cap=cap), 5),
+    # j^n = 2^5 sequences
+    "solutions": (banseq, "DEFAULT_ENUM_CAP",
+                  lambda cap: solutions(parity_problem(5), cap=cap), 32),
+    # C(5,2) * 2^5 table entries
+    "check_table_cap": (banseq, "DEFAULT_ENUM_CAP",
+                        lambda cap: banseq.check_table_cap(5, 2, 2, cap=cap), 320),
+    "min_subcube_hitting": (banseq, "DEFAULT_HITTING_CAP",
+                            lambda cap: min_subcube_hitting(4, 2, cap=cap), 4),
+    # 3^2 label patterns
+    "exact_expectation": (thicketvc, "DEFAULT_EXPECTATION_CAP",
+                          lambda cap: exact_expectation(ProbSpace.uniform(3), {0}, 2,
+                                                        cap=cap), 9),
+    "powerset": (setsystem, "DEFAULT_GENERATOR_CAP",
+                 lambda cap: generate("powerset", 4, cap=cap), 4),
+    "all_subsets_of_size_at_most": (
+        setsystem, "DEFAULT_GENERATOR_CAP",
+        lambda cap: generate("all_subsets_of_size_at_most", 4, 2, cap=cap), 4),
+}
+
+
+@pytest.mark.parametrize("explicit", [True, False], ids=["cap", "default"])
+@pytest.mark.parametrize("site", SITES)
+def test_cap_boundary(monkeypatch, site, explicit):
+    module, default, call, size = SITES[site]
+
+    def call_with_limit(limit):
+        if explicit:
+            return call(limit)
+        monkeypatch.setattr(module, default, limit)
+        return call(None)
+
+    call_with_limit(size)
+    with pytest.raises(ResourceCapError) as info:
+        call_with_limit(size - 1)
+    assert info.value.cap == size - 1

@@ -241,6 +241,33 @@ def test_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "5.0", "1e3"])
+def test_cap_env_not_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("SHATTERLAB_CAP", value)
+    code, out, err = run(capsys, "sys", "dim", "--kind", "vc", "powerset:3")
+    assert code == 2 and "input error" in err and out == ""
+    assert "Traceback" not in err
+
+
+def test_cap_flag_wins_over_junk_env(capsys, monkeypatch):
+    monkeypatch.setenv("SHATTERLAB_CAP", "abc")
+    code, out, _ = run(capsys, "sys", "dim", "--kind", "vc", "--cap", "5", "powerset:3")
+    assert code == 0 and json.loads(out)["dimension"] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sys", "dim", "--kind", "vc", "powerset:40"],
+    ["sys", "dim", "--kind", "thicket", "all_subsets_of_size_at_most:40:1"],
+    ["mc", "vcthm", "--uniform", "8", "--n", "10", "--epsilon", "1/4",
+     "--trials", "10", "powerset:40"],
+], ids=["powerset", "all_subsets_of_size_at_most", "vcthm-powerset"])
+def test_exponential_shorthands_refused_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "resource cap" in err and out == ""
+    assert time.perf_counter() - start < 1
+
+
 def test_quiet_suppresses_stdout(capsys):
     code, out, _ = run(capsys, "ban", "maxsol", "--n", "3", "--k", "2",
                        "--quiet")

@@ -4,12 +4,14 @@ verification message.
 
 Inputs stay small (n <= 6, universes <= 6, ``maxsol --n`` <= 4) so the
 derandomized run takes a few seconds; it explores malformed JSON fields,
-missing keys, wrong types and out-of-range values."""
+missing keys, wrong types and out-of-range values, under an unset, an
+integer or a junk ``SHATTERLAB_CAP``."""
 
 import contextlib
 import io
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +230,9 @@ def geom_call(draw):
 
 
 CAP = st.sampled_from([[], [], [], ["--cap", "1"], ["--cap", "40"], ["--cap", "-1"]])
+# None leaves SHATTERLAB_CAP unset
+ENV_CAP = st.one_of(st.none(), st.integers(0, 40).map(str),
+                    st.sampled_from(["", "abc", "5.0", "1e3", "-", "0x10"]))
 CALLS = st.one_of(sys_call(), ban_call(), graph_call(), mc_call(), geom_call())
 
 
@@ -237,15 +242,23 @@ def input_path(tmp_path_factory):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(call=CALLS)
-def test_cli_exit_codes_and_messages(input_path, call):
+@given(call=CALLS, env_cap=ENV_CAP)
+def test_cli_exit_codes_and_messages(input_path, call, env_cap):
     argv, data = call
     if FILE in argv:
         input_path.write_text(json.dumps(data))
     argv = [str(input_path) if a == FILE else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    saved = os.environ.pop("SHATTERLAB_CAP", None)
+    if env_cap is not None:
+        os.environ["SHATTERLAB_CAP"] = env_cap
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.environ.pop("SHATTERLAB_CAP", None)
+        if saved is not None:
+            os.environ["SHATTERLAB_CAP"] = saved
     stderr = err.getvalue()
     assert code in (0, 1, 2, 3), (argv, data, code)
     assert "Traceback" not in stderr

@@ -66,6 +66,12 @@ def test_point_arrangement_round_trip_and_position():
     assert arr.in_general_position()
 
 
+@pytest.mark.parametrize("r", [2.7, "2", True])
+def test_point_arrangement_dimension_must_be_an_integer(r):
+    with pytest.raises(InputError, match="r must be an integer"):
+        PointArrangement.from_json_dict({"r": r, "points": [], "halfspaces": []})
+
+
 def test_general_position_detects_degeneracy():
     on_boundary = PointArrangement(
         2, ((Fraction(1), Fraction(0)),),

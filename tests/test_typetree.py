@@ -143,6 +143,14 @@ def test_height():
     assert TypeTree({"": 0, "1": 1, "10": 2}).height == 3
 
 
+def test_type_tree_json_labels_must_be_integers():
+    tree = TypeTree({"": 0, "1": 1})
+    assert TypeTree.from_json_dict(tree.to_json_dict()) == tree
+    for data in ({"": "0"}, {"": 0, "1": 1.9}, {"": True}, ["", 0]):
+        with pytest.raises(InputError):
+            TypeTree.from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # tree rank
 # ---------------------------------------------------------------------------
