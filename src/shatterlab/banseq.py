@@ -65,7 +65,8 @@ class RelaxedBanProblem:
     c-th context, all three in ``itertools`` order.  ``_table`` fills it
     once, by one ``ban_set`` call per entry, and drops the function:
     ``from_table`` at construction, lazy problems after the caller's
-    enumeration cap.  The fill walks the contexts of each index subset,
+    enumeration cap or, in ``to_json_dict`` and ``==``, after the table cap
+    of ``_capped_table``.  The fill walks the contexts of each index subset,
     collects that subset's flat hit indices and sets them with one write.
     Until then ``ban_set`` calls the function.
 
@@ -163,20 +164,27 @@ class RelaxedBanProblem:
         if not isinstance(other, RelaxedBanProblem):
             return NotImplemented
         return ((self.n, self.k, self.j) == (other.n, other.k, other.j)
-                and np.array_equal(self._table(), other._table()))
+                and np.array_equal(self._capped_table(), other._capped_table()))
 
     def __repr__(self):
         tag = self.name or "lazy"
         return (f"{type(self).__name__}(n={self.n}, k={self.k}, j={self.j}, "
                 f"{tag})")
 
-    def to_json_dict(self):
+    def _capped_table(self, cap=None):
+        """``_table``, refused before allocation while unfilled if it would
+        hold more than ``cap`` entries (``check_table_cap``)."""
+        if self._bans is None:
+            check_table_cap(self.n, self.k, self.j, cap)
+        return self._table()
+
+    def to_json_dict(self, cap=None):
         if self.j > 10:
             raise InputError("string serialization supports alphabets up to 10")
         patterns = ["".join(map(str, Z)) for Z in
                     itertools.product(range(self.j), repeat=self.k)]
         bans = []
-        for S, rows in zip(self.index_subsets(), self._table()):
+        for S, rows in zip(self.index_subsets(), self._capped_table(cap)):
             for X, flags in zip(self.contexts(), rows.tolist()):
                 bans.append({"S": list(S),
                              "X": "".join(map(str, X)),

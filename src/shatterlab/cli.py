@@ -53,13 +53,19 @@ def _load_problem(spec, cap=None):
     if os.path.exists(spec):
         data = _load_json(spec)
         if isinstance(data, dict) and "generator" in data:
-            make, params, shape = _generator_call(data)
-            # The random table is built eagerly; parity and from_vc stay lazy.
-            if make is banseq.random_problem:
-                banseq.check_table_cap(*shape, cap=cap)
-            return make(*params)
+            return _generated_problem(data, cap)
         return banseq.BanProblem.from_json_dict(data)
     raise InputError(f"no such ban-problem file: {spec!r}")
+
+
+def _generated_problem(data, cap):
+    """The problem a generator object names.  The random table is built
+    eagerly, so its size is checked against ``cap`` first; parity and
+    from_vc stay lazy."""
+    make, params, shape = _generator_call(data)
+    if make is banseq.random_problem:
+        banseq.check_table_cap(*shape, cap=cap)
+    return make(*params)
 
 
 def _generator_call(data):
@@ -207,9 +213,7 @@ def cmd_ban_gen(args):
     if args.j is not None:
         data["j"] = args.j
     data["seed"] = args.seed
-    make, params, shape = _generator_call(data)
-    banseq.check_table_cap(*shape, cap=args.cap)
-    _emit(args, make(*params).to_json_dict())
+    _emit(args, _generated_problem(data, args.cap).to_json_dict(cap=args.cap))
     return EXIT_OK
 
 

@@ -2,8 +2,16 @@
 
 Implements VC dimension, thicket dimension, op_s-rank and their shatter
 functions, plus an auditor that machine-checks the Sauer-Shelah style bounds
-relating them.  The VC quantities count traces (``setsystem.traces``) on
-every tuple.  op_s-rank and psi^s come from one memoized rank recursion and
+relating them.  The VC quantities come from one depth-first search over
+tuples y_1 < y_2 < ... of the universe.  The trace of a mask m on a tuple is
+m & Y, Y the tuple's mask, so extending the tuple by y sets one bit of Y and
+a node's trace count is the number of distinct codes m & Y, O(|F|) per node.
+VC dimension extends only shattered tuples (a subset of a shattered set is
+shattered, so every shattered set is reached through its shattered
+prefixes) and stops at min(n, floor(log2 |F|)); the shatter function walks
+tuples of the asked size and prunes a node whose count times 2^(elements
+still to add) cannot beat the best count, stopping at min(2^size, |F|).
+op_s-rank and psi^s come from one memoized rank recursion and
 one memoized shatter recursion over canonically sorted families, splitting
 by ``setsystem.child_masks``; thicket dimension and the thicket shatter
 function are the s = 1 calls of those recursions, without the universe cap.
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InputError, check_cap
-from .setsystem import SetSystem, child_masks, project, traces
+from .setsystem import SetSystem, child_masks
 
 __all__ = [
     "NEG_INF",
@@ -131,8 +139,12 @@ def random_element_tree(universe_size, arity_exponent, height, seed):
 # ---------------------------------------------------------------------------
 
 def shatters(system: SetSystem, targets) -> bool:
-    ys = sorted(set(targets))
-    return len(project(system, ys).sets) == 1 << len(ys)
+    chosen = 0
+    for y in set(targets):
+        if not 0 <= y < system.universe_size:
+            raise InputError(f"target {y} out of range for universe [{system.universe_size}]")
+        chosen |= 1 << y
+    return len({m & chosen for m in system.sets}) == 1 << chosen.bit_count()
 
 
 def vc_dimension(system: SetSystem, cap=None):
@@ -140,16 +152,23 @@ def vc_dimension(system: SetSystem, cap=None):
     if not system.sets:
         return NEG_INF
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
-    n = system.universe_size
-    best = 0
-    for k in range(1, n + 1):
-        if len(system.sets) < 1 << k:
+    sets, n = system.sets, system.universe_size
+    # Shattering k elements takes 2^k sets.
+    limit = min(n, len(sets).bit_length() - 1)
+    return _shattered_search(sets, n, 0, 0, 0, 0, limit)
+
+
+def _shattered_search(sets, n, chosen, start, k, best, limit):
+    """Largest size, at least ``best`` and at most ``limit``, of a shattered
+    set extending the shattered k-set ``chosen`` by elements >= start."""
+    for y in range(start, n):
+        # Below y's subtree no set is larger than k + (n - y).
+        if best == limit or k + n - y <= best:
             break
-        if any(len(traces(system.sets, combo)) == 1 << k
-               for combo in itertools.combinations(range(n), k)):
-            best = k
-        else:
-            break
+        kid = chosen | 1 << y
+        if len({m & kid for m in sets}) == 2 << k:
+            best = _shattered_search(sets, n, kid, y + 1, k + 1,
+                                     max(best, k + 1), limit)
     return best
 
 
@@ -160,12 +179,25 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
     if not system.sets:
         return 0
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
-    best = 0
-    full = 1 << size
-    for combo in itertools.combinations(range(system.universe_size), size):
-        best = max(best, len(traces(system.sets, combo)))
-        if best == full:
-            break
+    if size == 0:
+        return 1
+    sets = system.sets
+    return _trace_count_search(sets, system.universe_size, size, 0, 0, 0, 0,
+                               min(1 << size, len(sets)))
+
+
+def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
+    """Largest trace count, at least ``best`` and at most ``stop``, over the
+    size-sets extending the k-set ``chosen`` by elements >= start."""
+    for y in range(start, n - size + k + 1):
+        kid = chosen | 1 << y
+        # Each of the kid's classes splits into at most 2^(size-k-1) traces.
+        reach = len({m & kid for m in sets}) << (size - k - 1)
+        if reach > best:
+            best = reach if k + 1 == size else _trace_count_search(
+                sets, n, size, kid, y + 1, k + 1, best, stop)
+            if best == stop:
+                break
     return best
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the fast recursions.
 
-Everything here favors obviousness over speed: dimensions and shatter
-functions are computed by enumerating every complete element tree, the
+Everything here favors obviousness over speed: op_s-ranks and their shatter
+functions are computed by enumerating every complete element tree, the VC
+dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment, and
 the Monte Carlo audits by walking one scalar test tree per trial.
 """
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 from shatterlab.banseq import assemble
 from shatterlab.dims import ElementTree, NEG_INF
+from shatterlab.setsystem import project, traces
 from shatterlab.thicketvc import (FLOAT_GUARD, ExperimentReport, TestTree,
                                   _binomial_slack, _thicket_shatter_estimate,
                                   characteristic_path, trial_seed)
@@ -54,6 +56,42 @@ def brute_shatter(system, arity_exponent, height):
     return max(tree.count_properly_labeled(system)
                for tree in _all_trees(system.universe_size,
                                       arity_exponent, height))
+
+
+def brute_vc_dimension(system):
+    """Largest k such that some k-subset has all 2^k traces."""
+    if not system.sets:
+        return NEG_INF
+    n = system.universe_size
+    best = 0
+    for k in range(1, n + 1):
+        if len(system.sets) < 1 << k:
+            break
+        if any(len(traces(system.sets, combo)) == 1 << k
+               for combo in itertools.combinations(range(n), k)):
+            best = k
+        else:
+            break
+    return best
+
+
+def brute_shatters(system, targets):
+    """Whether the projection onto ``targets`` is their whole powerset."""
+    ys = sorted(set(targets))
+    return len(project(system, ys).sets) == 1 << len(ys)
+
+
+def brute_vc_shatter_function(system, size):
+    """Largest trace count over the subsets of the given size."""
+    if not system.sets:
+        return 0
+    best = 0
+    full = 1 << size
+    for combo in itertools.combinations(range(system.universe_size), size):
+        best = max(best, len(traces(system.sets, combo)))
+        if best == full:
+            break
+    return best
 
 
 def brute_is_hereditary(problem):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shatterlab import (BanProblem, InputError, ResourceCapError, SetSystem,
-                        VerificationError, banned_count,
+                        VerificationError, banned_count, banseq,
                         check_counting_inequality, from_element_tree, from_vc,
                         generate, is_hereditary, is_independent,
                         max_solutions, min_subcube_hitting, parity_problem,
@@ -251,6 +251,24 @@ def test_enum_cap():
     big = parity_problem(30)
     with pytest.raises(ResourceCapError):
         solutions(big, cap=1 << 10)
+
+
+def test_unfilled_table_capped_before_serializing_or_comparing():
+    # C(40,1) * 2^40 entries, about 4.4e13
+    big = parity_problem(40)
+    with pytest.raises(ResourceCapError):
+        big.to_json_dict()
+    with pytest.raises(ResourceCapError):
+        big == parity_problem(40)
+    assert big._bans is None
+
+
+def test_filled_table_serializes_and_compares_uncapped(monkeypatch):
+    problem = random_problem(4, 2, 3, seed=5)
+    filled = BanProblem.from_json_dict(problem.to_json_dict())
+    monkeypatch.setattr(banseq, "DEFAULT_ENUM_CAP", 1)
+    assert filled.to_json_dict(cap=1) == problem.to_json_dict()
+    assert filled == problem
 
 
 def test_is_independent():

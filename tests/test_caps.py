@@ -26,6 +26,9 @@ SITES = {
     # C(5,2) * 2^5 table entries
     "check_table_cap": (banseq, "DEFAULT_ENUM_CAP",
                         lambda cap: banseq.check_table_cap(5, 2, 2, cap=cap), 320),
+    # C(4,1) * 2^4 entries of an unfilled table
+    "to_json_dict": (banseq, "DEFAULT_ENUM_CAP",
+                     lambda cap: parity_problem(4).to_json_dict(cap=cap), 64),
     "min_subcube_hitting": (banseq, "DEFAULT_HITTING_CAP",
                             lambda cap: min_subcube_hitting(4, 2, cap=cap), 4),
     # 3^2 label patterns

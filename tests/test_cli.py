@@ -327,10 +327,18 @@ def test_geom_cells_malformed(capsys, tmp_path, data):
     ("--generator", "parity", "--n", "40"),
     ("--generator", "random", "--n", "30", "--k", "2"),
     ("--generator", "random", "--n", "5", "--k", "2", "--cap", "319"),
+    ("--generator", "parity", "--n", "4", "--cap", "63"),
 ])
 def test_ban_gen_table_cap(capsys, argv):
     code, out, err = run(capsys, "ban", "gen", *argv)
     assert code == 3 and "resource cap" in err and out == ""
+
+
+def test_ban_gen_lazy_generator_within_table_cap(capsys):
+    # C(4,1) * 2^4 = 64 table entries
+    code, out, _ = run(capsys, "ban", "gen", "--generator", "parity",
+                       "--n", "4", "--cap", "64")
+    assert code == 0 and len(json.loads(out)["bans"]) == 4 * 8
 
 
 @pytest.mark.parametrize("verb", [("solve",), ("hereditary",),

@@ -2,6 +2,8 @@
 against exhaustive tree-enumeration oracles on tiny instances."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,9 @@ from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
                         vc_dimension, vc_shatter_function)
 from shatterlab.dims import rank_from_str, rank_to_str
 
-from families import random_system
-from oracles import brute_rank, brute_shatter
+from families import fixture_zoo, random_system
+from oracles import (brute_rank, brute_shatter, brute_shatters,
+                     brute_vc_dimension, brute_vc_shatter_function)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +68,17 @@ def test_shatters_predicate():
     assert shatters(chain, [2])
     assert not shatters(chain, [1, 3])
     assert shatters(generate("powerset", 3), [0, 1, 2])
+
+
+def test_out_of_range_inputs_raise():
+    power = generate("powerset", 3)
+    for targets in ([3], [-1], [0, 5]):
+        with pytest.raises(InputError):
+            shatters(power, targets)
+    for system in (power, SetSystem(3, ())):
+        for size in (-1, 4):
+            with pytest.raises(InputError):
+                vc_shatter_function(system, size)
 
 
 def test_caps_raise():
@@ -120,6 +134,86 @@ def test_powerset4_universe4_brute_spot_check():
     system = generate("powerset", 4)
     assert brute_rank(system, 1, 3) == 3  # capped enumeration height
     assert thicket_shatter(system, 3) == brute_shatter(system, 1, 3) == 8
+
+
+# ---------------------------------------------------------------------------
+# VC search against the trace-counting oracles
+# ---------------------------------------------------------------------------
+
+def _vc_corpus():
+    """2,000 seeded (universe, masks) draws: universes 0-10, 0-40 masks, one
+    membership density per family."""
+    rng = random.Random(2018)
+    corpus = []
+    for _ in range(2000):
+        n, density = rng.randint(0, 10), rng.random()
+        masks = tuple(sum(1 << x for x in range(n) if rng.random() < density)
+                      for _ in range(rng.randint(0, 40)))
+        corpus.append((n, masks))
+    return corpus
+
+
+VC_CORPUS = _vc_corpus()
+
+
+def _assert_vc_matches_oracles(system, rng):
+    assert vc_dimension(system) == brute_vc_dimension(system), system
+    for size in range(system.universe_size + 1):
+        assert (vc_shatter_function(system, size)
+                == brute_vc_shatter_function(system, size)), (system, size)
+    n = system.universe_size
+    for _ in range(4):
+        targets = rng.sample(range(n), rng.randint(0, min(n, 4)))
+        targets += targets[:1]  # a repeated target counts once
+        assert shatters(system, targets) == brute_shatters(system, targets), \
+            (system, targets)
+
+
+def test_vc_corpus_covers_the_edge_families():
+    distinct = [(n, len(masks), len(set(masks))) for n, masks in VC_CORPUS]
+    assert any(drawn == 0 for _, drawn, _ in distinct)
+    assert any(kept == 1 for _, _, kept in distinct)
+    assert any(drawn >= 20 and kept <= drawn // 4 for _, drawn, kept in distinct)
+    assert any(n >= 3 and kept >= (1 << n) - 1 for n, _, kept in distinct)
+
+
+def test_vc_search_matches_oracles_on_seeded_corpus():
+    rng = random.Random(7)
+    for n, masks in VC_CORPUS:
+        _assert_vc_matches_oracles(SetSystem(n, masks), rng)
+
+
+def test_vc_search_matches_oracles_on_generator_fixtures():
+    rng = random.Random(8)
+    systems = fixture_zoo()
+    for n in range(9):
+        systems += [generate("powerset", n), generate("singletons_with_empty", n),
+                    generate("thresholds", n), generate("intervals", n)]
+        systems += [generate("all_subsets_of_size_at_most", n, d) for d in range(4)]
+    for system in systems:
+        _assert_vc_matches_oracles(system, rng)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_vc_search_matches_oracles_at_benchmark_sizes(seed):
+    rng = random.Random(seed)
+    n = rng.randint(14, 16)
+    masks = tuple(sum(1 << x for x in range(n) if rng.random() < 0.3)
+                  for _ in range(rng.randint(20, 28)))
+    _assert_vc_matches_oracles(SetSystem(n, masks), rng)
+
+
+@pytest.mark.parametrize("call, generator, expected", [
+    (vc_dimension, ("powerset", 16), 16),
+    (vc_dimension, ("all_subsets_of_size_at_most", 20, 3), 3),
+    (lambda system: vc_shatter_function(system, 12),
+     ("all_subsets_of_size_at_most", 12, 2), 79),
+], ids=["vc-powerset-16", "vc-at-most-3-of-20", "pi12-at-most-2-of-12"])
+def test_vc_worst_cases_within_a_second(call, generator, expected):
+    system = generate(*generator)
+    start = time.perf_counter()
+    assert call(system) == expected
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
