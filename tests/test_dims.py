@@ -1,5 +1,5 @@
 """Dimensions, shatter functions, and the bound auditor, cross-checked
-against exhaustive tree-enumeration oracles on tiny instances."""
+against exhaustive tree-enumeration and trace-counting oracles."""
 
 import itertools
 import random
@@ -211,9 +211,9 @@ def test_vc_search_matches_oracles_at_benchmark_sizes(seed):
 ], ids=["vc-powerset-16", "vc-at-most-3-of-20", "pi12-at-most-2-of-12"])
 def test_vc_worst_cases_within_a_second(call, generator, expected):
     system = generate(*generator)
-    start = time.perf_counter()
+    start = time.process_time()
     assert call(system) == expected
-    assert time.perf_counter() - start < 1
+    assert time.process_time() - start < 1
 
 
 # ---------------------------------------------------------------------------
