@@ -327,7 +327,8 @@ def cmd_mc_weaklaw(args):
     members = _parse_members(args.set)
     report = thicketvc.run_weak_law(space, members, args.n,
                                     _parse_epsilon(args.epsilon), args.trials,
-                                    args.seed, keep_rows=args.format == "csv")
+                                    args.seed, keep_rows=args.format == "csv",
+                                    cap=args.cap)
     return _report_exit(args, report)
 
 
@@ -336,7 +337,8 @@ def cmd_mc_vcthm(args):
     system = _load_system(args.system, args.cap)
     report = thicketvc.run_vc_theorem(space, system, args.n,
                                       _parse_epsilon(args.epsilon), args.trials,
-                                      args.seed, keep_rows=args.format == "csv")
+                                      args.seed, keep_rows=args.format == "csv",
+                                      cap=args.cap)
     return _report_exit(args, report)
 
 

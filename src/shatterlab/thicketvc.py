@@ -10,15 +10,20 @@ floats, with a 1e-12 guard.
 The audits walk every (trial, set) path at once in numpy, bit-identical to
 the scalar ``TestTree``: a node's label comes from a guide table on the top
 12 bits of its state plus a bounded forward correction, which equals
-``bisect_right`` on the sampling thresholds.  A deviation depends only on a
-set and its count of 1s, so each distinct (set, count) pair gets one exact
-``Fraction``, and a trial's supremum is a max over their ranks.
+``bisect_right`` on the sampling thresholds.  The correction compares with
+each threshold minus 1 and ends on a 2^64-1 that no state passes, so a
+label never walks past the last point and needs no clip.  One step is a
+fixed sequence of ufunc and take calls with preallocated outputs, the
+splitmix64 step inlined.  A deviation depends only on a set and its count
+of 1s, so each distinct (set, count) pair gets one exact integer numerator
+over a common denominator, and a trial's supremum is a max over their
+ranks; a ``Fraction`` is built only for CSV rows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -53,6 +58,8 @@ _GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
 _GUIDE_LOW = np.uint64((1 << (64 - _GUIDE_BITS)) - 1)
 FLOAT_GUARD = 1e-12
 DEFAULT_EXPECTATION_CAP = 10 ** 6
+# (trial, set) entries of one Monte Carlo audit, about 64 bytes each
+DEFAULT_MC_CAP = 10 ** 6
 
 
 def splitmix64(x):
@@ -278,74 +285,122 @@ def _guide_table(thresholds):
     ``guide[b]`` is the label of the start of bucket b, the x whose top 12
     bits are b.  Each threshold strictly inside a bucket moves the label of
     a later x in that bucket by one, so ``passes``, the most such
-    thresholds in one bucket, bounds the forward correction.  ``padded``
-    appends ``passes`` copies of 2^64-1 so that every pass indexes in
-    bounds."""
+    thresholds in one bucket, bounds the forward correction, which adds
+    ``below[label] < x`` per pass.  ``below`` holds each threshold minus 1,
+    so that ``<`` reads as ``<=`` on it, and then 2^64-1, which no x
+    passes, so a label never walks past the last point.  (A threshold of 0
+    stays 0 and is never read: it lies at or before every bucket's start.)"""
     t = np.array(thresholds, dtype=np.uint64)
     starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
-    guide = np.searchsorted(t, starts, side="right").astype(np.uint64)
+    guide = np.searchsorted(t, starts, side="right")
     inside = t[(t & _GUIDE_LOW) != 0] >> _GUIDE_SHIFT
     passes = int(np.bincount(inside.astype(np.intp), minlength=1).max())
-    padded = np.concatenate([t, np.full(passes, _MASK, dtype=np.uint64)])
-    return guide, padded, passes
+    below = np.append(t - (t != 0), np.uint64(_MASK))
+    return guide, below, passes
 
 
-def _guide_lookup(table, x, labels, scratch):
-    """Set the uint64 array ``labels`` to ``bisect_right(thresholds, x)``
-    entrywise for the uint64 array ``x``; ``scratch`` is a uint64 array of
-    the same shape.  Every index taken is in range; ``mode="clip"`` only
-    spares ``np.take`` its buffered bounds check."""
-    guide, padded, passes = table
-    np.take(guide, np.right_shift(x, _GUIDE_SHIFT, out=scratch), out=labels,
-            mode="clip")
-    for _ in range(passes):
-        np.take(padded, labels, out=scratch, mode="clip")
-        np.add(labels, np.less_equal(scratch, x, out=scratch), out=labels)
-    if passes:
-        # Only x = 2^64-1 walks on into the padding.
-        np.minimum(labels, np.uint64(len(padded) - passes), out=labels)
-    return labels
+def _walk(space: ProbSpace, masks, roots, height):
+    """Walk ``height`` levels down the characteristic path of every set of
+    ``masks`` in the test tree of every root state of the uint64 array
+    ``roots``, all (root, set) pairs at once; entry t*m + i follows set i
+    from root t.
 
-
-def _simulate_ones(space: ProbSpace, masks, height, trials, seed):
-    """Vectorized per-trial, per-set counts of 1s along characteristic
-    paths; bit-identical to walking scalar TestTree objects.
-
-    Entry t*m + i follows set i in trial t.  A step XORs ``bit + 1`` into
-    the state, as TestTree does, and adds it to the count, which so ends
-    ``height`` too high."""
+    A step XORs ``bit + 1`` into the state, as TestTree does.  Returns each
+    entry's sum of its steps, and the index of its last node's label in the
+    flat step table, ``label + i * size``.  Every ufunc gets its output
+    array positionally and its constants as zero-stride views, and every
+    take reads int64 indices with ``mode="clip"`` (all are in range): on
+    arrays of a few hundred entries each of these spares a fixed cost of
+    about half a call."""
     m, size = len(masks), space.size
-    table = _guide_table(space.sampling_thresholds())
-    steps = np.array([[(mask >> x & 1) + 1 for x in range(size)]
-                      for mask in masks], dtype=np.uint64).reshape(-1)
-    offsets = np.tile(np.arange(m, dtype=np.uint64) * np.uint64(size), trials)
+    guide, below, passes = _guide_table(space.sampling_thresholds())
+    steps = np.array([(mask >> x & 1) + 1 for mask in masks for x in range(size)],
+                     dtype=np.uint64)
+    n = len(roots) * m
+    offsets = np.tile(np.arange(0, m * size, size, dtype=np.int64), len(roots))
+    gamma, mix1, mix2, s30, s27, s31, shift = (
+        np.broadcast_to(np.uint64(c), (n,))
+        for c in (_GAMMA, _MIX1, _MIX2, 30, 27, 31, _GUIDE_SHIFT))
+    states = np.repeat(roots, m)
+    ones = np.zeros_like(states)
+    scratch = np.empty_like(states)
+    bucket = scratch.view(np.int64)  # a state's top 12 bits read alike as int64
+    labels = np.empty(n, dtype=np.int64)
+    passed = np.empty(n, dtype=bool)
+    add, xor, rshift, mul, less = (np.add, np.bitwise_xor, np.right_shift,
+                                   np.multiply, np.less)
+    guide_take, below_take, steps_take = guide.take, below.take, steps.take
+    for _ in range(height):
+        rshift(states, shift, scratch)
+        guide_take(bucket, out=labels, mode="clip")
+        for _ in range(passes):
+            below_take(labels, out=scratch, mode="clip")
+            less(scratch, states, passed)
+            add(labels, passed, labels)
+        add(labels, offsets, labels)
+        steps_take(labels, out=scratch, mode="clip")
+        add(ones, scratch, ones)
+        xor(states, scratch, states)
+        # splitmix64, inline
+        add(states, gamma, states)
+        xor(states, rshift(states, s30, scratch), states)
+        mul(states, mix1, states)
+        xor(states, rshift(states, s27, scratch), states)
+        mul(states, mix2, states)
+        xor(states, rshift(states, s31, scratch), states)
+    return ones, labels
+
+
+def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None):
+    """Vectorized per-trial, per-set counts of 1s along characteristic
+    paths; bit-identical to walking scalar TestTree objects.  The
+    trials x max(sets, 1) working set is capped before anything is
+    allocated."""
+    check_cap(trials * max(len(masks), 1), cap, DEFAULT_MC_CAP,
+              "trials x sets entries")
     roots = np.arange(1, trials + 1, dtype=np.uint64)
     roots ^= np.uint64(splitmix64(seed & _MASK))
     scratch = np.empty_like(roots)
     _splitmix64_np(roots, scratch)  # trial_seed(seed, t)
     _splitmix64_np(roots, scratch)  # the root node's state
-    states = np.repeat(roots, m)
-    ones = np.zeros_like(states)
-    labels, step, scratch = (np.empty_like(states) for _ in range(3))
-    for _ in range(height):
-        _guide_lookup(table, states, labels, scratch)
-        np.add(labels, offsets, out=labels)
-        np.take(steps, labels, out=step, mode="clip")
-        np.add(ones, step, out=ones)
-        np.bitwise_xor(states, step, out=states)
-        _splitmix64_np(states, scratch)
+    ones, _ = _walk(space, masks, roots, height)
+    # each step added bit + 1
     ones -= np.uint64(height)
-    return ones.view(np.int64).reshape(trials, m)
+    return ones.view(np.int64).reshape(trials, len(masks))
 
 
-def _report_rows(height, eps, values, hits, index):
-    """Trial t's row reads deviation ``values[index[t]]``."""
-    text = [f"{v.numerator}/{v.denominator}" for v in values]
-    flags = hits.astype(int).tolist()
+def _ranked_deviations(ones, masses, height):
+    """The deviations |c/height - masses[i]| of the (set i, count c) pairs
+    in ``ones`` (trials x sets) as exact integer numerators over one
+    denominator, height * D with D the lcm of the mass denominators: set i
+    at count c has the numerator |c*D - a_i*height|, a_i = masses[i] * D.
+
+    Returns the sorted distinct numerators, with 0 among them, the
+    denominator, and each trial's supremum as a rank into the numerators
+    (rank 0 when there are no sets)."""
+    scale = math.lcm(*(w.denominator for w in masses))
+    centers = [w.numerator * (scale // w.denominator) * height for w in masses]
+    keys, inverse = np.unique(
+        (ones + np.arange(len(masses)) * (height + 1)).ravel(),
+        return_inverse=True)
+    numerators = [abs(c * scale - centers[i])
+                  for i, c in (divmod(k, height + 1) for k in keys.tolist())]
+    values = sorted(set(numerators) | {0})
+    rank = {v: r for r, v in enumerate(values)}
+    ranks = np.array([rank[v] for v in numerators], dtype=np.intp)
+    best = ranks[inverse].reshape(ones.shape).max(axis=1, initial=0)
+    return values, height * scale, best
+
+
+def _report_rows(height, eps, values, denominator, hit_from, best):
+    """Trial t's row reads deviation ``values[best[t]] / denominator``,
+    exceeded when that rank is at least ``hit_from``."""
+    text = [f"{f.numerator}/{f.denominator}"
+            for f in (Fraction(v, denominator) for v in values)]
     epsilon = str(eps)
     return [{"trial": t, "n": height, "epsilon": epsilon,
-             "deviation": text[k], "exceeded": flags[k]}
-            for t, k in enumerate(index.tolist())]
+             "deviation": text[k], "exceeded": int(k >= hit_from)}
+            for t, k in enumerate(best.tolist())]
 
 
 def _binomial_slack(exceedances, trials):
@@ -354,8 +409,9 @@ def _binomial_slack(exceedances, trials):
 
 
 def run_weak_law(space: ProbSpace, members, height, epsilon, trials, seed,
-                 keep_rows=True) -> ExperimentReport:
-    """Monte Carlo check of the 1/(4 n eps^2) tail bound for a single set."""
+                 keep_rows=True, cap=None) -> ExperimentReport:
+    """Monte Carlo check of the 1/(4 n eps^2) tail bound for a single set;
+    ``cap`` bounds the number of trials."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     if height < 1:
@@ -365,12 +421,13 @@ def run_weak_law(space: ProbSpace, members, height, epsilon, trials, seed,
         raise InputError("epsilon must be > 0")
     mask = _as_mask(members, space.size)
     mu = space.mass(mask)
-    ones = _simulate_ones(space, [mask], height, trials, seed)[:, 0]
-    # The deviation of a trial depends only on its count c of 1s.
-    devs = [abs(Fraction(c, height) - mu) for c in range(height + 1)]
-    hits = np.array([d >= eps for d in devs], dtype=bool)
-    exceed = int(np.count_nonzero(hits[ones]))
-    rows = _report_rows(height, eps, devs, hits, ones) if keep_rows else []
+    ones = _simulate_ones(space, [mask], height, trials, seed, cap)
+    values, denominator, best = _ranked_deviations(ones, [mu], height)
+    # a deviation v / denominator is at least eps iff v >= ceil(eps * denominator)
+    hit_from = bisect_left(values, -(-eps.numerator * denominator // eps.denominator))
+    exceed = int(np.count_nonzero(best >= hit_from))
+    rows = (_report_rows(height, eps, values, denominator, hit_from, best)
+            if keep_rows else [])
     bound = Fraction(1, 4 * height) / (eps * eps)
     slack = _binomial_slack(exceed, trials)
     empirical = Fraction(exceed, trials)
@@ -396,8 +453,9 @@ def _thicket_shatter_estimate(system: SetSystem, height):
 
 
 def run_vc_theorem(space: ProbSpace, system: SetSystem, height, epsilon,
-                   trials, seed, keep_rows=True) -> ExperimentReport:
-    """Monte Carlo audit of the 8 rho(n) exp(-n eps^2 / 32) uniform bound."""
+                   trials, seed, keep_rows=True, cap=None) -> ExperimentReport:
+    """Monte Carlo audit of the 8 rho(n) exp(-n eps^2 / 32) uniform bound;
+    ``cap`` bounds trials x max(sets, 1)."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     if height < 1:
@@ -407,25 +465,14 @@ def run_vc_theorem(space: ProbSpace, system: SetSystem, height, epsilon,
     eps = Fraction(epsilon)
     if eps < 0:
         raise InputError("epsilon must be >= 0")
+    ones = _simulate_ones(space, list(system.sets), height, trials, seed, cap)
     masses = [space.mass(m) for m in system.sets]
-    ones = _simulate_ones(space, list(system.sets), height, trials, seed)
-    # One exact deviation per distinct (set i, count c) pair, keyed
-    # i*(height+1) + c; a trial's supremum is the max of their ranks among
-    # the distinct values, with 0 (rank 0) for an empty family.
-    keys, inverse = np.unique(
-        (ones + np.arange(len(masses)) * (height + 1)).ravel(),
-        return_inverse=True)
-    devs = []
-    for key in keys.tolist():
-        i, c = divmod(key, height + 1)
-        devs.append(abs(Fraction(c, height) - masses[i]))
-    values = sorted(set(devs) | {Fraction(0)})
-    rank = {v: r for r, v in enumerate(values)}
-    ranks = np.array([rank[d] for d in devs], dtype=np.intp)
-    best = ranks[inverse].reshape(ones.shape).max(axis=1, initial=0)
-    hits = np.array([v > eps for v in values], dtype=bool)
-    exceed = int(np.count_nonzero(hits[best]))
-    rows = _report_rows(height, eps, values, hits, best) if keep_rows else []
+    values, denominator, best = _ranked_deviations(ones, masses, height)
+    # a deviation v / denominator exceeds eps iff v > floor(eps * denominator)
+    hit_from = bisect_right(values, eps.numerator * denominator // eps.denominator)
+    exceed = int(np.count_nonzero(best >= hit_from))
+    rows = (_report_rows(height, eps, values, denominator, hit_from, best)
+            if keep_rows else [])
     rho, rho_source = _thicket_shatter_estimate(system, height)
     bound = min(1.0, 8.0 * rho * math.exp(-height * float(eps) ** 2 / 32.0))
     slack = _binomial_slack(exceed, trials)

@@ -2,12 +2,15 @@
 limit passes, one above it raises ResourceCapError carrying the limit,
 whether the limit is an explicit ``cap`` or the module default."""
 
+from fractions import Fraction
+
 import pytest
 
 from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banseq, dims,
                         exact_expectation, generate, min_subcube_hitting, op_rank,
-                        op_shatter, parity_problem, setsystem, solutions, thicketvc,
-                        vc_dimension, vc_shatter_function)
+                        op_shatter, parity_problem, run_vc_theorem, run_weak_law,
+                        setsystem, solutions, thicketvc, vc_dimension,
+                        vc_shatter_function)
 
 ONE_SET = SetSystem(5, (1,))
 
@@ -35,6 +38,20 @@ SITES = {
     "exact_expectation": (thicketvc, "DEFAULT_EXPECTATION_CAP",
                           lambda cap: exact_expectation(ProbSpace.uniform(3), {0}, 2,
                                                         cap=cap), 9),
+    # 7 trials of one set
+    "run_weak_law": (thicketvc, "DEFAULT_MC_CAP",
+                     lambda cap: run_weak_law(ProbSpace.uniform(2), {0}, 3, Fraction(1, 2),
+                                              7, 0, cap=cap), 7),
+    # 5 trials x the 4 sets of thresholds:3
+    "run_vc_theorem": (thicketvc, "DEFAULT_MC_CAP",
+                       lambda cap: run_vc_theorem(ProbSpace.uniform(3),
+                                                  generate("thresholds", 3), 3,
+                                                  Fraction(1, 4), 5, 0, cap=cap), 20),
+    # an empty family still holds one entry per trial
+    "run_vc_theorem_no_sets": (thicketvc, "DEFAULT_MC_CAP",
+                               lambda cap: run_vc_theorem(ProbSpace.uniform(3),
+                                                          SetSystem(3, ()), 3,
+                                                          Fraction(1, 4), 5, 0, cap=cap), 5),
     "powerset": (setsystem, "DEFAULT_GENERATOR_CAP",
                  lambda cap: generate("powerset", 4, cap=cap), 4),
     "all_subsets_of_size_at_most": (

@@ -268,6 +268,31 @@ def test_exponential_shorthands_refused_before_building(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+MC_HUGE = [
+    ["mc", "weaklaw", "--uniform", "4", "--set", "0", "--n", "5", "--epsilon", "1/4",
+     "--trials", str(10 ** 15)],
+    ["mc", "vcthm", "--uniform", "8", "--n", "5", "--epsilon", "1/4",
+     "--trials", str(10 ** 15), "thresholds:8"],
+]
+
+
+@pytest.mark.parametrize("argv", MC_HUGE, ids=["weaklaw", "vcthm"])
+def test_mc_trials_refused_before_allocating(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "resource cap" in err and out == ""
+    assert "Traceback" not in err
+
+
+def test_mc_trials_cap_flag(capsys):
+    # thresholds:3 has 4 sets, so 5 trials make 20 (trial, set) entries
+    argv = ["mc", "vcthm", "--uniform", "3", "--n", "5", "--epsilon", "1/4",
+            "--trials", "5", "thresholds:3"]
+    code, out, err = run(capsys, *argv, "--cap", "19")
+    assert code == 3 and "resource cap" in err and out == ""
+    code, out, _ = run(capsys, *argv, "--cap", "20")
+    assert code == 0 and json.loads(out)["trials"] == 5
+
+
 def test_quiet_suppresses_stdout(capsys):
     code, out, _ = run(capsys, "ban", "maxsol", "--n", "3", "--k", "2",
                        "--quiet")

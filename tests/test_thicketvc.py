@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shatterlab import (InputError, ProbSpace, ResourceCapError, SetSystem,
                         characteristic_path, exact_expectation, generate,
@@ -13,10 +15,10 @@ from shatterlab import (InputError, ProbSpace, ResourceCapError, SetSystem,
                         uniform_deviation)
 from shatterlab import TestTree as SamplingTree
 from shatterlab import test_estimate as estimate_along_path
-from shatterlab.thicketvc import (_guide_lookup, _guide_table, _simulate_ones,
+from shatterlab.thicketvc import (_guide_table, _simulate_ones, _walk,
                                   splitmix64, trial_seed)
 
-from oracles import scalar_vc_theorem, scalar_weak_law
+from oracles import scalar_counts, scalar_vc_theorem, scalar_weak_law
 
 
 def test_prob_space_validation():
@@ -104,6 +106,30 @@ def test_simulate_ones_matches_scalar_trees():
             assert sum(characteristic_path(tree, mask)) == ones[t, i]
 
 
+# raw weights: zeros, and 2^20 next to small ones, which puts several
+# thresholds in one guide bucket
+RAW_WEIGHTS = st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 1 << 20]),
+                       min_size=1, max_size=7).filter(any)
+
+
+@st.composite
+def walks(draw):
+    raw = draw(RAW_WEIGHTS)
+    space = ProbSpace(tuple(Fraction(w, sum(raw)) for w in raw))
+    masks = draw(st.lists(st.integers(0, (1 << space.size) - 1), max_size=4))
+    return (space, masks, draw(st.integers(1, 40)), draw(st.integers(1, 4)),
+            draw(st.integers(0, (1 << 64) - 1)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(walks())
+def test_simulate_ones_matches_scalar_walks(walk):
+    space, masks, height, trials, seed = walk
+    ones = _simulate_ones(space, masks, height, trials, seed)
+    assert ones.shape == (trials, len(masks))
+    assert ones.tolist() == scalar_counts(space, masks, height, trials, seed)
+
+
 def test_splitmix64_reference_value():
     # first output of the reference sequence seeded at 0
     assert splitmix64(0) == 0xE220A8397B1DCDAF
@@ -165,6 +191,8 @@ def test_trials_guard():
 
 
 F = Fraction
+HUGE_A = F((1 << 29) - 1, (1 << 31) - 1)
+HUGE_B = F((1 << 59) - 1, (1 << 61) - 1)
 MC_SPACES = {
     "uniform": ProbSpace.uniform(6),
     # every threshold starts a bucket of the guide table: no correction pass
@@ -176,6 +204,10 @@ MC_SPACES = {
     # three thresholds inside the first bucket of the guide table
     "clustered": ProbSpace((F(1, 1 << 14), F(1, 1 << 14), F(1, 1 << 14),
                             1 - F(3, 1 << 14))),
+    # denominators the Mersenne primes 2^31-1 and 2^61-1 and their product
+    # times 4: the lcm is above 2^64, so c * lcm overflows int64 at every
+    # count c >= 1
+    "huge-lcm": ProbSpace((HUGE_A, HUGE_B, F(1, 4), F(3, 4) - HUGE_A - HUGE_B)),
 }
 MC_RUNS = [(1, 30), (7, 1), (9, 40)]
 
@@ -216,14 +248,20 @@ def test_vc_theorem_matches_scalar_oracle(name, height, trials):
 
 @pytest.mark.parametrize("name", sorted(MC_SPACES))
 def test_guide_lookup_matches_bisect(name):
-    thresholds = MC_SPACES[name].sampling_thresholds()
+    # one step of the kernel from each state: its label, and the step it
+    # takes for a set, which reads the label's membership bit
+    space = MC_SPACES[name]
+    thresholds = space.sampling_thresholds()
     top = (1 << 64) - 1
     xs = sorted({0, top} | {t + d for t in thresholds for d in (-1, 0, 1)
                             if 0 <= t + d <= top})
     x = np.array(xs, dtype=np.uint64)
-    labels = _guide_lookup(_guide_table(thresholds), x, np.empty_like(x),
-                           np.empty_like(x))
-    assert labels.tolist() == [bisect_right(thresholds, v) for v in xs]
+    full = (1 << space.size) - 1
+    for mask in (0, full, 1 << (space.size - 1), full >> 1, 0b0101010101 & full):
+        steps, labels = _walk(space, [mask], x, 1)
+        assert labels.tolist() == [bisect_right(thresholds, v) for v in xs]
+        assert steps.tolist() == [(mask >> bisect_right(thresholds, v) & 1) + 1
+                                  for v in xs]
 
 
 def test_guide_table_passes():
