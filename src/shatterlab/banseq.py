@@ -11,12 +11,17 @@ f-hat / f-prime reductions) may have empty ban sets and only the counting
 operations accept it.
 
 Storage.  A problem's table is one numpy bool array of shape (C(n,k),
-j^(n-k), j^k): index subset x context x pattern.  It is filled once, by one
-``ban_set`` call per entry, when a whole-table operation first needs it;
-the fill collects each index subset's hits and writes them in one numpy
-assignment.  ``ban_set`` checks an index subset in full once and then finds
-its row in a per-problem memo, so a key check costs a dict lookup plus a
-length and alphabet test of the context.
+j^(n-k), j^k): index subset x context x pattern.  Constructors that know
+the whole table up front build it as that array: ``from_vc`` as one row per
+index subset broadcast over the contexts, ``random_problem`` by drawing into
+it, and the reductions by reducing their source's array.  A problem behind a
+per-entry rule (parity, element trees, type trees, user functions and
+``from_table``) is filled once, by one ``ban_set`` call per entry, when a
+whole-table operation first needs it and after the table cap allows its
+C(n,k) * j^n entries; the fill collects each index subset's hits and writes
+them in one numpy assignment.  ``ban_set`` checks an index subset in full
+once and then finds its row in a per-problem memo, so a key check costs a
+dict lookup plus a length and alphabet test of the context.
 """
 
 from __future__ import annotations
@@ -59,14 +64,17 @@ DEFAULT_HITTING_CAP = 8
 
 
 class RelaxedBanProblem:
-    """Ban table behind a (possibly lazy) function; empty ban sets allowed.
+    """Ban table behind a (possibly lazy) function or a finished array;
+    empty ban sets allowed.
 
     ``_bans[r, c, z]``: pattern z is banned at the r-th index subset and the
-    c-th context, all three in ``itertools`` order.  ``_table`` fills it
-    once, by one ``ban_set`` call per entry, and drops the function:
-    ``from_table`` at construction, lazy problems after the caller's
-    enumeration cap or, in ``to_json_dict`` and ``==``, after the table cap
-    of ``_capped_table``.  The fill walks the contexts of each index subset,
+    c-th context, all three in ``itertools`` order.  A problem is in one of
+    two states.  Built by ``_from_array``, it holds the finished array from
+    the start (possibly a read-only broadcast view) and has no function.
+    Built on a function, it is lazy until ``_table`` fills the array once,
+    by one ``ban_set`` call per entry, and drops the function: ``from_table``
+    at construction, whole-table operations after the table cap of
+    ``_capped_table``.  The fill walks the contexts of each index subset,
     collects that subset's flat hit indices and sets them with one write.
     Until then ``ban_set`` calls the function.
 
@@ -88,6 +96,13 @@ class RelaxedBanProblem:
         self._rows = {}
         self._alphabet = frozenset(range(j))
         self._context_shape = (j,) * (n - k) + (-1,)
+
+    @classmethod
+    def _from_array(cls, n, k, j, bans, name):
+        """A problem whose ``_bans`` array its constructor has built."""
+        problem = cls(n, k, j, None, name=name)
+        problem._bans = bans
+        return problem
 
     @classmethod
     def from_table(cls, n, k, j, table, name=None):
@@ -181,8 +196,7 @@ class RelaxedBanProblem:
     def to_json_dict(self, cap=None):
         if self.j > 10:
             raise InputError("string serialization supports alphabets up to 10")
-        patterns = ["".join(map(str, Z)) for Z in
-                    itertools.product(range(self.j), repeat=self.k)]
+        patterns = ["".join(map(str, Z)) for Z in self._patterns]
         bans = []
         for S, rows in zip(self.index_subsets(), self._capped_table(cap)):
             for X, flags in zip(self.contexts(), rows.tolist()):
@@ -265,7 +279,7 @@ def _banned_marks(problem, cap=None):
     n, j = problem.n, problem.j
     marks = np.zeros(total, dtype=bool)
     cube = marks.reshape((j,) * n)
-    for S, rows in zip(problem.index_subsets(), problem._table()):
+    for S, rows in zip(problem.index_subsets(), problem._capped_table(cap)):
         view = _subset_view(cube, S)
         view |= rows.reshape(view.shape)
     return marks
@@ -303,7 +317,7 @@ def trivial_upper_bound(problem):
 def is_independent(problem, cap=None):
     """True iff every ban set depends on S alone."""
     _check_enum_cap(problem, cap)
-    bans = problem._table()
+    bans = problem._capped_table(cap)
     return bool((bans == bans[:, :1]).all())
 
 
@@ -357,7 +371,7 @@ def witness_is_valid(problem, witness):
     """Direct check of the non-hereditariness definition."""
     S = witness.S
     n = problem.n
-    patterns = list(itertools.product(range(problem.j), repeat=problem.k))
+    patterns = problem._patterns
     if set(witness.assignments) != set(patterns):
         return False
     full = {}
@@ -383,10 +397,9 @@ def reduce_hat(problem, cap=None):
     n, k, j = problem.n, problem.k, problem.j
     rows = [S[-1] == n - 1 for S in problem.index_subsets()]
     # n-1 is the largest element of S, so it is the last pattern digit.
-    bans = problem._table()[rows].reshape(-1, j ** (n - k), j ** (k - 1), j)
-    hat = RelaxedBanProblem(n - 1, k - 1, j, None, name="hat")
-    hat._bans = bans.any(axis=3)
-    return hat
+    bans = problem._capped_table(cap)[rows].reshape(
+        -1, j ** (n - k), j ** (k - 1), j)
+    return RelaxedBanProblem._from_array(n - 1, k - 1, j, bans.any(axis=3), "hat")
 
 
 def reduce_prime(problem, cap=None):
@@ -398,10 +411,9 @@ def reduce_prime(problem, cap=None):
     n, k, j = problem.n, problem.k, problem.j
     rows = [S[-1] != n - 1 for S in problem.index_subsets()]
     # Outside S, n-1 is the last context digit.
-    bans = problem._table()[rows].reshape(-1, j ** (n - 1 - k), j, j ** k)
-    prime = RelaxedBanProblem(n - 1, k, j, None, name="prime")
-    prime._bans = bans.all(axis=2)
-    return prime
+    bans = problem._capped_table(cap)[rows].reshape(
+        -1, j ** (n - 1 - k), j, j ** k)
+    return RelaxedBanProblem._from_array(n - 1, k, j, bans.all(axis=2), "prime")
 
 
 def check_counting_inequality(problem, cap=None):
@@ -512,21 +524,18 @@ def from_vc(system: SetSystem, m):
     n = system.universe_size
     if not 1 <= m <= n:
         raise InputError(f"need 1 <= m <= universe size, got m={m}, n={n}")
-    per_s = {}
-    full = 1 << m
-    for S in itertools.combinations(range(n), m):
+    # One row per S, broadcast over the 2^(n-m) contexts it does not read.
+    rows = np.ones((comb(n, m), 1, 1 << m), dtype=bool)
+    for S, row in zip(itertools.combinations(range(n), m), rows):
         # Traces on the reversed tuple read S[0] as the high bit, so they
         # are the indices of the realized patterns in product order.
-        realized = traces(system.sets, S[::-1])
-        if len(realized) == full:
+        realized = list(traces(system.sets, S[::-1]))
+        if len(realized) == 1 << m:
             raise InputError(f"VC dimension >= {m}: the family shatters {S}")
-        patterns = enumerate(itertools.product((0, 1), repeat=m))
-        per_s[S] = frozenset(Z for i, Z in patterns if i not in realized)
-
-    def fn(S, X):
-        return per_s[S]
-
-    return BanProblem(n, m, 2, fn, name=f"from_vc({system.name or 'F'},{m})")
+        row[0, realized] = False
+    bans = np.broadcast_to(rows, (len(rows), 1 << (n - m), 1 << m))
+    return BanProblem._from_array(n, m, 2, bans,
+                                  f"from_vc({system.name or 'F'},{m})")
 
 
 def from_element_tree(tree, system: SetSystem, m, cap=None):
@@ -605,12 +614,8 @@ def random_problem(n, k, j, seed, density=0.5):
 
     _check_shape(n, k, j)
     rng = _random.Random(seed)
-    patterns = list(itertools.product(range(j), repeat=k))
-    table = {}
-    for S in itertools.combinations(range(n), k):
-        for X in itertools.product(range(j), repeat=n - k):
-            chosen = [Z for Z in patterns if rng.random() < density]
-            if not chosen:
-                chosen = [rng.choice(patterns)]
-            table[(S, X)] = frozenset(chosen)
-    return BanProblem.from_table(n, k, j, table, name=f"random({n},{k},{j},{seed})")
+    bans = np.zeros((comb(n, k), j ** (n - k), j ** k), dtype=bool)
+    for entry in bans.reshape(-1, j ** k):
+        chosen = [i for i in range(j ** k) if rng.random() < density]
+        entry[chosen or rng.choice(range(j ** k))] = True
+    return BanProblem._from_array(n, k, j, bans, f"random({n},{k},{j},{seed})")

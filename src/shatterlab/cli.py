@@ -60,8 +60,9 @@ def _load_problem(spec, cap=None):
 
 def _generated_problem(data, cap):
     """The problem a generator object names.  The random table is built
-    eagerly, so its size is checked against ``cap`` first; parity and
-    from_vc stay lazy."""
+    eagerly, so its size is checked against ``cap`` first; parity stays
+    lazy until a whole-table verb fills it under the same cap, and from_vc
+    stores one row per index subset."""
     make, params, shape = _generator_call(data)
     if make is banseq.random_problem:
         banseq.check_table_cap(*shape, cap=cap)

@@ -9,6 +9,7 @@ the Monte Carlo audits by walking one scalar test tree per trial.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from shatterlab.banseq import assemble
@@ -157,6 +158,38 @@ def brute_element_tree_bans(tree, system, m):
                            for member in members):
                     bans.add(Z)
             table[(S, X)] = frozenset(bans)
+    return table
+
+
+def brute_random_table(n, k, j, seed, density=0.5):
+    """{(S, X): banned patterns} of ``random_problem``, drawn entry by entry
+    in (S, X, Z) order from one ``random.Random(seed)``: a pattern is banned
+    when its draw falls below the density, and an entry that bans none bans
+    one pattern picked by ``rng.choice``."""
+    rng = random.Random(seed)
+    patterns = list(itertools.product(range(j), repeat=k))
+    table = {}
+    for S in itertools.combinations(range(n), k):
+        for X in itertools.product(range(j), repeat=n - k):
+            chosen = [Z for Z in patterns if rng.random() < density]
+            if not chosen:
+                chosen = [rng.choice(patterns)]
+            table[(S, X)] = frozenset(chosen)
+    return table
+
+
+def brute_vc_bans(system, m):
+    """{(S, X): banned patterns} of ``from_vc``: Z is banned at S, whatever
+    X, iff no member has bit S[i] equal to Z[i] for every i."""
+    n = system.universe_size
+    table = {}
+    for S in itertools.combinations(range(n), m):
+        bans = frozenset(
+            Z for Z in itertools.product((0, 1), repeat=m)
+            if not any(all(member >> s & 1 == z for s, z in zip(S, Z))
+                       for member in system.sets))
+        for X in itertools.product((0, 1), repeat=n - m):
+            table[(S, X)] = bans
     return table
 
 

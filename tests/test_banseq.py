@@ -3,6 +3,8 @@ extremal counts, with a pairwise brute-force oracle for hereditariness."""
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,8 @@ from shatterlab.dims import ElementTree, random_element_tree
 
 from families import random_system
 from oracles import (brute_banned, brute_element_tree_bans, brute_is_hereditary,
-                     brute_is_independent, brute_min_hitting, brute_reduce_hat,
-                     brute_reduce_prime)
+                     brute_is_independent, brute_min_hitting, brute_random_table,
+                     brute_reduce_hat, brute_reduce_prime, brute_vc_bans)
 
 
 def const_problem(n, k, j, banned):
@@ -423,6 +425,43 @@ def test_from_vc_is_hereditary_and_within_bound():
         assert verify_main_theorem(problem)["within_bound"]
 
 
+def ban_table(problem):
+    return {(S, X): problem.ban_set(S, X)
+            for S in problem.index_subsets() for X in problem.contexts()}
+
+
+def assert_table_and_round_trip(problem, expected):
+    """``ban_set`` reads ``expected``, and so does the problem rebuilt from
+    its JSON form, whose table is filled entry by entry."""
+    assert ban_table(problem) == expected
+    again = RelaxedBanProblem.from_json_dict(problem.to_json_dict())
+    assert ban_table(again) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_from_vc_matches_member_walk(m):
+    rng = random.Random(m)
+    for n in range(m, m + 3):
+        # fewer than 2^m members cannot shatter an m-subset
+        for size in (0, 1, (1 << m) - 1):
+            system = SetSystem(n, tuple(rng.sample(range(1 << n), size)))
+            assert_table_and_round_trip(from_vc(system, m), brute_vc_bans(system, m))
+
+
+def test_from_vc_builds_one_row_per_index_subset():
+    start = time.process_time()
+    assert banned_count(from_vc(generate("thresholds", 18), 2)) == 2 ** 18 - 19
+    assert time.process_time() - start < 1
+    tracemalloc.start()
+    try:
+        # a filled table would hold C(30,2) * 2^30 flags
+        from_vc(generate("thresholds", 30), 2).ban_set((3, 7), (0,) * 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_from_element_tree():
     chain = generate("thresholds", 4)
     tree = random_element_tree(4, 1, 4, seed=2)
@@ -476,3 +515,14 @@ def test_from_element_tree_tests_each_leaf_once(monkeypatch):
 def test_random_problem_is_seeded():
     assert random_problem(4, 2, 2, seed=1) == random_problem(4, 2, 2, seed=1)
     assert random_problem(4, 2, 2, seed=1) != random_problem(4, 2, 2, seed=2)
+
+
+@pytest.mark.parametrize("density", [0, 0.5, 1])
+@pytest.mark.parametrize("j,max_n", [(2, 4), (3, 3)])
+def test_random_problem_matches_entry_by_entry_draws(j, max_n, density):
+    # density 0 bans by the forced draw alone
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            seed = 100 * n + 10 * k + j
+            assert_table_and_round_trip(random_problem(n, k, j, seed, density),
+                                        brute_random_table(n, k, j, seed, density))

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banseq, dims,
-                        exact_expectation, generate, min_subcube_hitting, op_rank,
-                        op_shatter, parity_problem, run_vc_theorem, run_weak_law,
-                        setsystem, solutions, thicketvc, vc_dimension,
-                        vc_shatter_function)
+from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banned_count,
+                        banseq, dims, exact_expectation, generate,
+                        min_subcube_hitting, op_rank, op_shatter, parity_problem,
+                        random_problem, run_vc_theorem, run_weak_law, setsystem,
+                        solutions, thicketvc, vc_dimension, vc_shatter_function)
 
 ONE_SET = SetSystem(5, (1,))
 
@@ -23,9 +23,12 @@ SITES = {
     "op_rank": (dims, "DEFAULT_OP_CAP", lambda cap: op_rank(ONE_SET, 1, cap=cap), 5),
     "op_shatter": (dims, "DEFAULT_OP_CAP",
                    lambda cap: op_shatter(ONE_SET, 1, 2, cap=cap), 5),
-    # j^n = 2^5 sequences
+    # j^n = 2^5 sequences of a filled table
     "solutions": (banseq, "DEFAULT_ENUM_CAP",
-                  lambda cap: solutions(parity_problem(5), cap=cap), 32),
+                  lambda cap: solutions(random_problem(5, 1, 2, 0), cap=cap), 32),
+    # C(5,1) * 2^5 entries of an unfilled table, filled to count
+    "fill": (banseq, "DEFAULT_ENUM_CAP",
+             lambda cap: banned_count(parity_problem(5), cap=cap), 160),
     # C(5,2) * 2^5 table entries
     "check_table_cap": (banseq, "DEFAULT_ENUM_CAP",
                         lambda cap: banseq.check_table_cap(5, 2, 2, cap=cap), 320),

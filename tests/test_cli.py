@@ -385,6 +385,16 @@ def test_large_random_generator_file_refused_before_building(capsys, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+def test_lazy_generator_file_refused_before_filling(capsys, tmp_path):
+    # 2^22 sequences pass the default enumeration cap; solving would fill
+    # the table's C(22,1) * 2^22 entries, which do not
+    path = write_json(tmp_path, "parity.json", {"generator": "parity", "n": 22})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ban", "solve", path)
+    assert code == 3 and "resource cap" in err and out == ""
+    assert time.perf_counter() - start < 1
+
+
 def test_lazy_generator_files_load_uncapped(capsys, tmp_path):
     # 2^22 sequences are within the default enumeration cap, the table's
     # C(22,1) * 2^22 entries are not; the witness search reads a few
