@@ -14,14 +14,16 @@ Storage.  A problem's table is one numpy bool array of shape (C(n,k),
 j^(n-k), j^k): index subset x context x pattern.  Constructors that know
 the whole table up front build it as that array: ``from_vc`` as one row per
 index subset broadcast over the contexts, ``random_problem`` by drawing into
-it, and the reductions by reducing their source's array.  A problem behind a
-per-entry rule (parity, element trees, type trees, user functions and
-``from_table``) is filled once, by one ``ban_set`` call per entry, when a
-whole-table operation first needs it and after the table cap allows its
-C(n,k) * j^n entries; the fill collects each index subset's hits and writes
-them in one numpy assignment.  ``ban_set`` checks an index subset in full
-once and then finds its row in a per-problem memo, so a key check costs a
-dict lookup plus a length and alphabet test of the context.
+it, ``from_element_tree`` and ``from_type_tree`` by flagging each leaf or
+prefix once and reading the flags through each index subset's view, and the
+reductions by reducing their source's array.  A problem behind a per-entry
+rule (parity, user functions and ``from_table``) is filled once, by one
+``ban_set`` call per entry, when a whole-table operation first needs it and
+after the table cap allows its C(n,k) * j^n entries; the fill collects each
+index subset's hits and writes them in one numpy assignment.  ``ban_set``
+checks an index subset in full once and then finds its row in a per-problem
+memo, so a key check costs a dict lookup plus a length and alphabet test of
+the context.
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ class RelaxedBanProblem:
 
     ``_bans[r, c, z]``: pattern z is banned at the r-th index subset and the
     c-th context, all three in ``itertools`` order.  A problem is in one of
-    two states.  Built by ``_from_array``, it holds the finished array from
-    the start (possibly a read-only broadcast view) and has no function.
-    Built on a function, it is lazy until ``_table`` fills the array once,
+    two states.  Built by ``_from_array`` (``from_vc``, ``random_problem``,
+    the element-tree and type-tree constructors, the reductions), it holds
+    the finished array from the start (possibly a read-only broadcast view)
+    and has no function.  Built on a function (parity, user functions,
+    ``from_table``), it is lazy until ``_table`` fills the array once,
     by one ``ban_set`` call per entry, and drops the function: ``from_table``
     at construction, whole-table operations after the table cap of
     ``_capped_table``.  The fill walks the contexts of each index subset,
@@ -395,6 +399,7 @@ def reduce_hat(problem, cap=None):
         raise InputError("reduce_hat requires k >= 2 and n >= 2")
     _check_enum_cap(problem, cap)
     n, k, j = problem.n, problem.k, problem.j
+    check_table_cap(n - 1, k - 1, j, cap)
     rows = [S[-1] == n - 1 for S in problem.index_subsets()]
     # n-1 is the largest element of S, so it is the last pattern digit.
     bans = problem._capped_table(cap)[rows].reshape(
@@ -409,6 +414,7 @@ def reduce_prime(problem, cap=None):
         raise InputError("reduce_prime requires n >= 2 and k <= n-1")
     _check_enum_cap(problem, cap)
     n, k, j = problem.n, problem.k, problem.j
+    check_table_cap(n - 1, k, j, cap)
     rows = [S[-1] != n - 1 for S in problem.index_subsets()]
     # Outside S, n-1 is the last context digit.
     bans = problem._capped_table(cap)[rows].reshape(
@@ -516,14 +522,16 @@ def parity_problem(n):
     return BanProblem(n, 1, 2, fn, name=f"parity({n})")
 
 
-def from_vc(system: SetSystem, m):
+def from_vc(system: SetSystem, m, cap=None):
     """Independent m-fold binary problem of length n banning, at each S,
     the membership patterns realized by no member of the family.
 
-    Requires VC dimension < m so that every ban set is nonempty."""
+    Requires VC dimension < m so that every ban set is nonempty.  ``cap``
+    bounds the C(n,m) * 2^m row entries, which also bound the trace walk."""
     n = system.universe_size
     if not 1 <= m <= n:
         raise InputError(f"need 1 <= m <= universe size, got m={m}, n={n}")
+    check_cap(comb(n, m) << m, cap, DEFAULT_ENUM_CAP, "C(n,m) * 2^m from_vc row entries")
     # One row per S, broadcast over the 2^(n-m) contexts it does not read.
     rows = np.ones((comb(n, m), 1, 1 << m), dtype=bool)
     for S, row in zip(itertools.combinations(range(n), m), rows):
@@ -552,26 +560,15 @@ def from_element_tree(tree, system: SetSystem, m, cap=None):
     if rank != NEG_INF and rank >= m:
         raise InputError(f"op_{s}-rank {rank} >= fold {m}")
     j = 1 << s
-    sets = system.sets
-
-    labelable = {}  # leaf -> whether some member labels it properly
-
-    def fn(S, X):
-        # X is placed once; each pattern overwrites the S positions.
-        path = list(assemble(n, S, (0,) * m, X))
-        bans = []
-        for Z in itertools.product(range(j), repeat=m):
-            for p, z in zip(S, Z):
-                path[p] = z
-            leaf = tuple(path)
-            ok = labelable.get(leaf)
-            if ok is None:
-                ok = labelable[leaf] = tree.properly_labelable(leaf, sets)
-            if not ok:
-                bans.append(Z)
-        return frozenset(bans)
-
-    return BanProblem(n, m, j, fn, name=f"from_element_tree(s={s},m={m})")
+    check_table_cap(n, m, j, cap)
+    # One test per leaf.  leaves() puts position p on axis p; reversing the
+    # axes gives the layout of ``_subset_view``.
+    unlabeled = ~np.fromiter((tree.properly_labelable(leaf, system.sets)
+                              for leaf in tree.leaves()), bool, j ** n)
+    cube = unlabeled.reshape((j,) * n).T
+    bans = np.stack([_subset_view(cube, S).reshape(j ** (n - m), j ** m)
+                     for S in itertools.combinations(range(n), m)])
+    return BanProblem._from_array(n, m, j, bans, f"from_element_tree(s={s},m={m})")
 
 
 def from_type_tree(graph, type_tree, t):
@@ -588,23 +585,28 @@ def from_type_tree(graph, type_tree, t):
     n = h - 1
     if n < t:
         raise InputError(f"degenerate size: length h-1 = {n} < fold {t}")
+    check_table_cap(n, t, 2)
     index_set = set(type_tree.labels)
-
-    def fn(S, X):
-        prefix_len = S[-1] + 1
-        bans = set()
-        for Z in itertools.product((0, 1), repeat=t):
-            seq = assemble(n, S, Z, X)
-            key = "".join(str(b) for b in seq[:prefix_len])
-            if key not in index_set:
-                bans.add(Z)
-        if not bans:
-            raise VerificationError(
-                "empty ban set: tree rank exceeds "
-                f"{t} (full type tree of height {t + 1} at S={S}, X={X})")
-        return frozenset(bans)
-
-    return BanProblem(n, t, 2, fn, name=f"from_type_tree(t={t})")
+    # cubes[q] flags the sequences whose prefix through position q is no
+    # key: one flag per prefix, broadcast over the later positions.
+    cubes = {}
+    for q in range(t - 1, n):
+        left = np.fromiter(("".join(key) not in index_set
+                            for key in itertools.product("01", repeat=q + 1)),
+                           bool, 2 ** (q + 1))
+        cubes[q] = np.broadcast_to(
+            left.reshape((2,) * (q + 1) + (1,) * (n - 1 - q)), (2,) * n).T
+    subsets = list(itertools.combinations(range(n), t))
+    bans = np.stack([_subset_view(cubes[S[-1]], S).reshape(2 ** (n - t), 2 ** t)
+                     for S in subsets])
+    empty = np.argwhere(~bans.any(axis=2))
+    if len(empty):
+        r, c = empty[0].tolist()
+        S, X = subsets[r], list(itertools.product((0, 1), repeat=n - t))[c]
+        raise VerificationError(
+            "empty ban set: tree rank exceeds "
+            f"{t} (full type tree of height {t + 1} at S={S}, X={X})")
+    return BanProblem._from_array(n, t, 2, bans, f"from_type_tree(t={t})")
 
 
 def random_problem(n, k, j, seed, density=0.5):

@@ -62,10 +62,12 @@ def _generated_problem(data, cap):
     """The problem a generator object names.  The random table is built
     eagerly, so its size is checked against ``cap`` first; parity stays
     lazy until a whole-table verb fills it under the same cap, and from_vc
-    stores one row per index subset."""
+    checks its one row per index subset against the same cap."""
     make, params, shape = _generator_call(data)
     if make is banseq.random_problem:
         banseq.check_table_cap(*shape, cap=cap)
+    elif make is banseq.from_vc:
+        return make(*params, cap=cap)
     return make(*params)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from shatterlab.banseq import assemble
 from shatterlab.dims import ElementTree, NEG_INF
+from shatterlab.errors import VerificationError
 from shatterlab.setsystem import project, traces
 from shatterlab.thicketvc import (FLOAT_GUARD, ExperimentReport, TestTree,
                                   _binomial_slack, _thicket_shatter_estimate,
@@ -226,6 +227,32 @@ def brute_reduce_prime(problem):
             bans = set(problem.ban_set(S, X))
             table[key] = table[key] & bans if key in table else bans
     return table
+
+
+def brute_type_tree_bans(type_tree, t):
+    """{(S, X): banned patterns} of ``from_type_tree``, entry by entry in
+    (S, X) order: Z is banned when the completed sequence's prefix through
+    S[-1] is no key of the tree; the first entry that bans nothing raises
+    VerificationError."""
+    n = type_tree.height - 1
+    index_set = set(type_tree.labels)
+
+    def fn(S, X):
+        prefix_len = S[-1] + 1
+        bans = set()
+        for Z in itertools.product((0, 1), repeat=t):
+            seq = assemble(n, S, Z, X)
+            key = "".join(str(b) for b in seq[:prefix_len])
+            if key not in index_set:
+                bans.add(Z)
+        if not bans:
+            raise VerificationError(
+                "empty ban set: tree rank exceeds "
+                f"{t} (full type tree of height {t + 1} at S={S}, X={X})")
+        return frozenset(bans)
+
+    return {(S, X): fn(S, X) for S in itertools.combinations(range(n), t)
+            for X in itertools.product((0, 1), repeat=n - t)}
 
 
 def brute_type_tree_violation(graph, labels):

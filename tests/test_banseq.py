@@ -505,11 +505,10 @@ def test_from_element_tree_tests_each_leaf_once(monkeypatch):
     monkeypatch.setattr(ElementTree, "path_requirements", counting)
     s, height, m = 1, 7, 2
     tree, system = tree_and_family(s, height, m, seed=11)
-    problem = from_element_tree(tree, system, m)
-    is_hereditary(problem)  # lazy reads first, then the fill
+    problem = from_element_tree(tree, system, m)  # tests every leaf
+    is_hereditary(problem)  # the reads test none
     solutions(problem)
-    assert 0 < len(leaves) <= (1 << s) ** height
-    assert len(set(leaves)) == len(leaves)
+    assert leaves == list(tree.leaves())
 
 
 def test_random_problem_is_seeded():

@@ -11,6 +11,7 @@ from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banned_count,
                         min_subcube_hitting, op_rank, op_shatter, parity_problem,
                         random_problem, run_vc_theorem, run_weak_law, setsystem,
                         solutions, thicketvc, vc_dimension, vc_shatter_function)
+from shatterlab.dims import random_element_tree
 
 ONE_SET = SetSystem(5, (1,))
 
@@ -35,6 +36,20 @@ SITES = {
     # C(4,1) * 2^4 entries of an unfilled table
     "to_json_dict": (banseq, "DEFAULT_ENUM_CAP",
                      lambda cap: parity_problem(4).to_json_dict(cap=cap), 64),
+    # C(5,2) * 2^2 rows of one flag per pattern
+    "from_vc": (banseq, "DEFAULT_ENUM_CAP",
+                lambda cap: banseq.from_vc(generate("thresholds", 5), 2, cap=cap), 40),
+    # C(3,1) * 2^3 entries of the leaf table
+    "from_element_tree": (banseq, "DEFAULT_ENUM_CAP",
+                          lambda cap: banseq.from_element_tree(
+                              random_element_tree(3, 1, 3, 0), SetSystem(3, (1,)), 1,
+                              cap=cap), 24),
+    # output tables C(3,1) * 2^3 and C(3,2) * 2^3; the source holds 2^4 sequences
+    "reduce_hat": (banseq, "DEFAULT_ENUM_CAP",
+                   lambda cap: banseq.reduce_hat(random_problem(4, 2, 2, 0), cap=cap), 24),
+    "reduce_prime": (banseq, "DEFAULT_ENUM_CAP",
+                     lambda cap: banseq.reduce_prime(random_problem(4, 2, 2, 0), cap=cap),
+                     24),
     "min_subcube_hitting": (banseq, "DEFAULT_HITTING_CAP",
                             lambda cap: min_subcube_hitting(4, 2, cap=cap), 4),
     # 3^2 label patterns

@@ -395,6 +395,31 @@ def test_lazy_generator_file_refused_before_filling(capsys, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+def test_large_from_vc_file_refused_before_building(capsys, tmp_path):
+    # C(30,15) * 2^15 row entries, far above the default cap
+    path = write_json(tmp_path, "vc.json", {
+        "generator": "from_vc", "m": 15,
+        "system": {"universe": 30, "sets": ["0" * 30]}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ban", "hereditary", path)
+    assert code == 3 and "resource cap" in err and out == ""
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("which,entries", [("hat", 896), ("prime", 2688)])
+def test_ban_reduce_output_cap(capsys, tmp_path, which, entries):
+    # 2^8 = 256 source sequences pass --cap 512; the reduced tables hold
+    # C(7,1) * 2^7 = 896 (hat) and C(7,2) * 2^7 = 2688 (prime) entries
+    path = write_json(tmp_path, "vc.json", {
+        "generator": "from_vc", "m": 2,
+        "system": {"universe": 8, "sets": ["00000000", "10000000", "01000000"]}})
+    code, out, err = run(capsys, "ban", "reduce", "--which", which, "--cap", "512", path)
+    assert code == 3 and "resource cap" in err and out == ""
+    code, out, _ = run(capsys, "ban", "reduce", "--which", which, "--cap", str(entries), path)
+    reduced = json.loads(out)
+    assert code == 0 and len(reduced["bans"]) * 2 ** reduced["k"] == entries
+
+
 def test_lazy_generator_files_load_uncapped(capsys, tmp_path):
     # 2^22 sequences are within the default enumeration cap, the table's
     # C(22,1) * 2^22 entries are not; the witness search reads a few

@@ -11,7 +11,7 @@ from shatterlab import (Graph, InputError, TypeTree, VerificationError,
                         random_graph, solutions, tree_rank,
                         validate_type_tree)
 
-from oracles import brute_type_tree_violation
+from oracles import brute_type_tree_bans, brute_type_tree_violation
 
 
 def path_graph(n):
@@ -283,3 +283,39 @@ def test_from_type_tree_guards():
     tall = build_type_tree(path_graph(2))
     with pytest.raises(InputError):
         from_type_tree(path_graph(2), tall, 2)
+
+
+def ban_table_or_error(build, *args):
+    """The {(S, X): banned patterns} table ``build(*args)`` returns, or the
+    message of the VerificationError it raises."""
+    try:
+        return build(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def array_table(graph, tree, t):
+    problem = from_type_tree(graph, tree, t)
+    return {(S, X): problem.ban_set(S, X)
+            for S in problem.index_subsets() for X in problem.contexts()}
+
+
+def test_from_type_tree_matches_entry_by_entry_rule():
+    outcomes = set()
+    for vertices, p in itertools.product(range(6, 11), (0.25, 0.5, 0.75)):
+        g = random_graph(vertices, p, seed=vertices)
+        order = list(range(vertices))
+        random.Random(vertices).shuffle(order)
+        for tree in (build_type_tree(g), build_type_tree(g, order)):
+            for t in range(2, tree.height):
+                got = ban_table_or_error(array_table, g, tree, t)
+                assert got == ban_table_or_error(brute_type_tree_bans, tree, t)
+                outcomes.add(type(got))
+    assert outcomes == {dict, str}  # both branches are exercised
+
+
+def test_from_type_tree_full_subtree_raises_at_construction():
+    # the root and all four depth-2 keys: a full binary type tree of height 3
+    tree = TypeTree({"": 0, "0": 1, "1": 2, "00": 3, "01": 4, "10": 5, "11": 6})
+    with pytest.raises(VerificationError, match=r"S=\(0, 1\), X=\(\)"):
+        from_type_tree(empty_graph(7), tree, 2)
