@@ -315,7 +315,7 @@ def test_from_type_tree_matches_entry_by_entry_rule():
 
 
 def test_from_type_tree_full_subtree_raises_at_construction():
-    # the root and all four depth-2 keys: a full binary type tree of height 3
+    # every key of length <= 2: no pattern on S = (0, 1) leaves the index set
     tree = TypeTree({"": 0, "0": 1, "1": 2, "00": 3, "01": 4, "10": 5, "11": 6})
     with pytest.raises(VerificationError, match=r"S=\(0, 1\), X=\(\)"):
         from_type_tree(empty_graph(7), tree, 2)
