@@ -33,6 +33,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, ceil
+from numbers import Real
 
 import numpy as np
 
@@ -575,9 +576,10 @@ def from_type_tree(graph, type_tree, t):
     """t-fold binary problem of length h-1 banning the branch patterns that
     leave the type tree's index set.
 
-    An empty ban set would certify a full binary type tree of height t+1;
-    it is raised as a verification error carrying that counterexample."""
-    from .typetree import TypeTree  # noqa: F401  (type of ``type_tree``)
+    A labeling that is no type tree of ``graph`` is an input error.  An
+    empty ban set would certify a full binary type tree of height t+1; it
+    is raised as a verification error carrying that counterexample."""
+    from .typetree import validate_type_tree
 
     h = type_tree.height
     if t < 2:
@@ -585,6 +587,9 @@ def from_type_tree(graph, type_tree, t):
     n = h - 1
     if n < t:
         raise InputError(f"degenerate size: length h-1 = {n} < fold {t}")
+    valid, violation = validate_type_tree(graph, type_tree)
+    if not valid:
+        raise InputError(f"not a type tree of the graph: {violation}")
     check_table_cap(n, t, 2)
     index_set = set(type_tree.labels)
     # cubes[q] flags the sequences whose prefix through position q is no
@@ -609,12 +614,16 @@ def from_type_tree(graph, type_tree, t):
     return BanProblem._from_array(n, t, 2, bans, f"from_type_tree(t={t})")
 
 
-def random_problem(n, k, j, seed, density=0.5):
+def random_problem(n, k, j, seed, density=0.5, cap=None):
     """Seeded explicit problem; each pattern is banned independently with
-    the given probability, with one forced ban to keep sets nonempty."""
+    the given probability, with one forced ban to keep sets nonempty.
+    ``cap`` bounds the C(n,k) * j^n table entries drawn at once."""
     import random as _random
 
     _check_shape(n, k, j)
+    if isinstance(density, bool) or not isinstance(density, Real) or not 0 <= density <= 1:
+        raise InputError(f"density must be a number in [0, 1], got {density!r}")
+    check_table_cap(n, k, j, cap)
     rng = _random.Random(seed)
     bans = np.zeros((comb(n, k), j ** (n - k), j ** k), dtype=bool)
     for entry in bans.reshape(-1, j ** k):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -24,14 +25,27 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
+def _finite_float(text):
+    """A JSON number or constant (``NaN``, ``Infinity``) as a float,
+    refused unless finite: 1e400 overflows to infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # non-finite numbers, bytes that are not UTF-8, integers longer
+        # than int() converts, and nesting deeper than the decoder recurses
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_system(spec, cap):
@@ -42,9 +56,6 @@ def _load_system(spec, cap):
         return setsystem.SetSystem.from_json_dict(_load_json(spec))
     if ":" in spec:
         kind, *params = spec.split(":")
-        if kind in ("halfspace_incidence", "halfspace_dual"):
-            raise InputError(f"generator {kind!r} needs an arrangement, "
-                             "which a shorthand cannot give")
         return setsystem.generate(kind, *params, cap=cap)
     raise InputError(f"no such file or generator shorthand: {spec!r}")
 
@@ -59,45 +70,25 @@ def _load_problem(spec, cap=None):
 
 
 def _generated_problem(data, cap):
-    """The problem a generator object names.  The random table is built
-    eagerly, so its size is checked against ``cap`` first; parity stays
-    lazy until a whole-table verb fills it under the same cap, and from_vc
-    checks its one row per index subset against the same cap."""
-    make, params, shape = _generator_call(data)
-    if make is banseq.random_problem:
-        banseq.check_table_cap(*shape, cap=cap)
-    elif make is banseq.from_vc:
-        return make(*params, cap=cap)
-    return make(*params)
-
-
-def _generator_call(data):
-    """The constructor and arguments a generator object names, and the
-    (n, k, j) shape of the problem it builds."""
+    """The problem a generator object names.  ``random_problem`` and
+    ``from_vc`` check the tables they build at once against ``cap``;
+    parity stays lazy until a whole-table verb fills it under the same
+    cap."""
     try:
         gen = data["generator"]
         if gen == "parity":
-            n = require_int(data["n"], "n")
-            make, params, shape = banseq.parity_problem, (n,), (n, 1, 2)
-        elif gen == "random":
-            n, k = require_int(data["n"], "n"), require_int(data["k"], "k")
-            j = require_int(data.get("j", 2), "j")
-            density = data.get("density", 0.5)
-            if (isinstance(density, bool) or not isinstance(density, (int, float))
-                    or not 0 <= density <= 1):
-                raise InputError(f"density must be a number in [0, 1], got {density!r}")
-            make, params, shape = banseq.random_problem, (
-                n, k, j, require_int(data.get("seed", 0), "seed"), density), (n, k, j)
-        elif gen == "from_vc":
-            system = setsystem.SetSystem.from_json_dict(data["system"])
-            m = require_int(data["m"], "m")
-            make, params, shape = (banseq.from_vc, (system, m),
-                                   (system.universe_size, m, 2))
-        else:
-            raise InputError(f"unknown problem generator {gen!r}")
+            return banseq.parity_problem(require_int(data["n"], "n"))
+        if gen == "random":
+            return banseq.random_problem(
+                require_int(data["n"], "n"), require_int(data["k"], "k"),
+                require_int(data.get("j", 2), "j"), require_int(data.get("seed", 0), "seed"),
+                data.get("density", 0.5), cap=cap)
+        if gen == "from_vc":
+            return banseq.from_vc(setsystem.SetSystem.from_json_dict(data["system"]),
+                                  require_int(data["m"], "m"), cap=cap)
     except KeyError as exc:
         raise InputError(f"malformed problem generator object: {exc}") from exc
-    return make, params, shape
+    raise InputError(f"unknown problem generator {gen!r}")
 
 
 def _emit(args, payload, csv_lines=None):
@@ -361,18 +352,8 @@ def cmd_geom_cells(args):
                if isinstance(data, dict) else None)
     if entries is None:
         raise InputError("expected an object with a 'lines' or 'halfspaces' array")
-    try:
-        lines = []
-        for e in entries:
-            normal = e["normal"]
-            if not isinstance(normal, list) or len(normal) != 2:
-                raise ValueError(f"normal {normal!r} is not a list of two entries")
-            lines.append(((Fraction(normal[0]), Fraction(normal[1])),
-                          Fraction(e["offset"])))
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed line entry: {exc}") from exc
-    cells = geometry.line_arrangement_cells(lines)
-    _emit(args, {"lines": len(lines), "cells": cells})
+    lines = geometry.PointArrangement.from_json_dict({"r": 2, "halfspaces": entries}).halfspaces
+    _emit(args, {"lines": len(lines), "cells": geometry.line_arrangement_cells(lines)})
     return EXIT_OK
 
 

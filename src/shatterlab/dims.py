@@ -397,22 +397,21 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
 
     # (c) psi_F^s(n) <= sum_{i<=k} (2^s-1)^{n-i} C(n,i)
     ks = op_rank(system, s, cap=cap)
-    lhs = op_shatter(system, s, n, cap=cap)
+    psi = op_shatter(system, s, n, cap=cap)
     if ks == NEG_INF:
         rhs = 0
     else:
         rhs = sum((((1 << s) - 1) ** (n - i)) * comb(n, i)
                   for i in range(int(ks) + 1))
     report.add("op_shatter_vs_rank", {"n": n, "s": s, "rank": rank_to_str(ks)},
-               lhs, rhs, lhs <= rhs)
+               psi, rhs, psi <= rhs)
 
     # (d) op_r-rank 0 implies psi_F^s(n) <= (sum_{i<r} C(s,i))^n
     kr = NEG_INF if empty else op_rank(system, r, cap=cap)
     if kr == 0:
         base = sum(comb(s, i) for i in range(r))
-        lhs = op_shatter(system, s, n, cap=cap)
         report.add("rank_zero_power", {"n": n, "s": s, "r": r},
-                   lhs, base ** n, lhs <= base ** n)
+                   psi, base ** n, psi <= base ** n)
     else:
         report.add("rank_zero_power", {"n": n, "s": s, "r": r,
                                        "note": "hypothesis op_r-rank = 0 not met"},
@@ -438,7 +437,6 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     a0 = sum(comb(s, i) for i in range(r))
     a1 = (1 << s) - a0
     b = kr
-    lhs = op_shatter(system, s, n, cap=cap)
     if b == NEG_INF:
         rhs = 0
     else:
@@ -446,7 +444,7 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
                   for i in range(int(b) + 1))
     report.add("two_parameter_recurrence",
                {"n": n, "s": s, "r": r, "b": rank_to_str(b), "a0": a0, "a1": a1},
-               lhs, rhs, lhs <= rhs)
+               psi, rhs, psi <= rhs)
     return report
 
 

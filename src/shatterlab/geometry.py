@@ -21,10 +21,9 @@ __all__ = [
 
 
 def _as_fraction_vector(vec, r):
-    out = tuple(Fraction(v) for v in vec)
-    if len(out) != r:
-        raise InputError(f"vector {vec!r} does not have length {r}")
-    return out
+    if not isinstance(vec, (list, tuple)) or len(vec) != r:
+        raise InputError(f"vector {vec!r} is not a list of length {r}")
+    return tuple(Fraction(v) for v in vec)
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,10 @@ class PointArrangement:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            r = require_int(data["r"], "r")
-            points = [tuple(Fraction(c) for c in p) for p in data.get("points", [])]
-            halfspaces = [(tuple(Fraction(c) for c in h["normal"]),
-                           Fraction(h["offset"]))
-                          for h in data.get("halfspaces", [])]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            return cls(require_int(data["r"], "r"), tuple(data.get("points", [])),
+                       tuple((h["normal"], h["offset"]) for h in data.get("halfspaces", [])))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"malformed arrangement object: {exc}") from exc
-        return cls(r, tuple(points), tuple(halfspaces))
 
     def in_general_position(self):
         """True when every m <= r normals are independent and no point lies

@@ -201,14 +201,14 @@ GENERATOR_KINDS = (
     "thresholds",
     "intervals",
     "all_subsets_of_size_at_most",
-    "halfspace_incidence",
-    "halfspace_dual",
 )
 
 
 def generate(kind, *params, cap=None) -> SetSystem:
-    """Named fixture systems; see ``GENERATOR_KINDS``.  ``cap`` bounds the
-    universe of the generators that walk all 2^n masks."""
+    """Named fixture systems of integer parameters; see ``GENERATOR_KINDS``.
+    ``cap`` bounds the universe of the generators that walk all 2^n masks.
+    The half-space systems take an arrangement: call ``halfspace_incidence``
+    or ``halfspace_dual`` directly."""
     try:
         if kind == "powerset":
             (n,) = params
@@ -228,12 +228,6 @@ def generate(kind, *params, cap=None) -> SetSystem:
             return _bounded_size(check_cap(int(n), cap, DEFAULT_GENERATOR_CAP,
                                            "all_subsets_of_size_at_most universe"),
                                  int(d))
-        if kind == "halfspace_incidence":
-            (arr,) = params
-            return halfspace_incidence(arr)
-        if kind == "halfspace_dual":
-            (arr,) = params
-            return halfspace_dual(arr)
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad parameters for generator {kind!r}: {exc}") from exc
     raise InputError(f"unknown generator kind {kind!r}")

@@ -136,7 +136,7 @@ class ProbSpace:
         try:
             n = require_int(data["points"], "points")
             ws = tuple(Fraction(w) for w in data["weights"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"malformed probability space: {exc}") from exc
         if len(ws) != n:
             raise InputError("weight count does not match point count")

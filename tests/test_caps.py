@@ -14,6 +14,10 @@ from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banned_count,
 from shatterlab.dims import random_element_tree
 
 ONE_SET = SetSystem(5, (1,))
+# Built here, under the module default, so that a lowered default trips
+# the capped call and not random_problem's own table cap.
+RANDOM_5_1 = random_problem(5, 1, 2, 0)
+RANDOM_4_2 = random_problem(4, 2, 2, 0)
 
 # (module, name of its default limit, call(cap), size the call is capped on)
 SITES = {
@@ -26,7 +30,7 @@ SITES = {
                    lambda cap: op_shatter(ONE_SET, 1, 2, cap=cap), 5),
     # j^n = 2^5 sequences of a filled table
     "solutions": (banseq, "DEFAULT_ENUM_CAP",
-                  lambda cap: solutions(random_problem(5, 1, 2, 0), cap=cap), 32),
+                  lambda cap: solutions(RANDOM_5_1, cap=cap), 32),
     # C(5,1) * 2^5 entries of an unfilled table, filled to count
     "fill": (banseq, "DEFAULT_ENUM_CAP",
              lambda cap: banned_count(parity_problem(5), cap=cap), 160),
@@ -46,10 +50,12 @@ SITES = {
                               cap=cap), 24),
     # output tables C(3,1) * 2^3 and C(3,2) * 2^3; the source holds 2^4 sequences
     "reduce_hat": (banseq, "DEFAULT_ENUM_CAP",
-                   lambda cap: banseq.reduce_hat(random_problem(4, 2, 2, 0), cap=cap), 24),
+                   lambda cap: banseq.reduce_hat(RANDOM_4_2, cap=cap), 24),
     "reduce_prime": (banseq, "DEFAULT_ENUM_CAP",
-                     lambda cap: banseq.reduce_prime(random_problem(4, 2, 2, 0), cap=cap),
-                     24),
+                     lambda cap: banseq.reduce_prime(RANDOM_4_2, cap=cap), 24),
+    # C(5,2) * 2^5 entries drawn at once
+    "random_problem": (banseq, "DEFAULT_ENUM_CAP",
+                       lambda cap: random_problem(5, 2, 2, 0, cap=cap), 320),
     "min_subcube_hitting": (banseq, "DEFAULT_HITTING_CAP",
                             lambda cap: min_subcube_hitting(4, 2, cap=cap), 4),
     # 3^2 label patterns

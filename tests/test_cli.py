@@ -15,8 +15,12 @@ def run(capsys, *argv):
 
 
 def write_json(tmp_path, name, data):
+    """``data`` as JSON in ``tmp_path / name``; bytes are written as is."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -340,6 +344,10 @@ def test_mc_vcthm_epsilon_zero_is_vacuous(capsys):
     [{"normal": [1, 3], "offset": 0}],
     {"lines": [{"normal": [1, 0]}]},
     {"lines": 5},
+    {"halfspaces": [{"normal": [[1], 2], "offset": 0}]},
+    b'{"lines": [{"normal": [1e400, 1], "offset": 0}]}',
+    b'{"lines": [{"normal": [1, 2], "offset": -Infinity}]}',
+    b'{"lines": [{"normal": [NaN, 2], "offset": 0}]}',
 ])
 def test_geom_cells_malformed(capsys, tmp_path, data):
     path = write_json(tmp_path, "lines.json", data)
@@ -454,6 +462,10 @@ def test_graph_negative_size_or_non_int_endpoint(capsys, tmp_path, verb, data):
     assert "Traceback" not in err
 
 
+SPACE_ARGV = ["mc", "weaklaw", "--n", "4", "--epsilon", "1/4", "--trials", "5",
+              "--space"]
+
+
 @pytest.mark.parametrize("argv, data", [
     (["sys", "dim", "--kind", "vc", "{file}"], {"universe": 2, "sets": [1]}),
     (["sys", "dim", "--kind", "vc", "{file}"], {"universe": 1, "sets": "01"}),
@@ -465,6 +477,15 @@ def test_graph_negative_size_or_non_int_endpoint(capsys, tmp_path, verb, data):
     (["ban", "gen", "--generator", "random", "--n", "0", "--k", "-1"], None),
     (["ban", "solve", "{file}"], {"generator": "random", "n": -1, "k": 1}),
     (["ban", "solve", "{file}"], {"n": -1, "k": 1, "j": 2, "bans": []}),
+    (SPACE_ARGV + ["{file}"], b'{"points": 2, "weights": [1e400, 0]}'),
+    (SPACE_ARGV + ["{file}"], b'{"points": 2, "weights": [Infinity, 0]}'),
+    (SPACE_ARGV + ["{file}"], {"points": 2, "weights": ["1/0", "1"]}),
+    pytest.param(["sys", "dim", "--kind", "vc", "{file}"],
+                 b'\xff{"universe": 1, "sets": []}', id="not-utf8"),
+    pytest.param(["sys", "dim", "--kind", "vc", "{file}"], b"[" * 100_000,
+                 id="deep-nesting"),
+    pytest.param(["sys", "dim", "--kind", "vc", "{file}"],
+                 b'{"universe": 1' + b"0" * 5000 + b"}", id="5001-digit-integer"),
 ])
 def test_inputs_that_raised_exit_2(capsys, tmp_path, argv, data):
     if data is not None:
@@ -480,10 +501,6 @@ def _table_with_S(first):
             for S in ([0], [1]) for X in ("0", "1")]
     bans[0]["S"] = bans[1]["S"] = first
     return {"n": 2, "k": 1, "j": 2, "bans": bans}
-
-
-SPACE_ARGV = ["mc", "weaklaw", "--n", "4", "--epsilon", "1/4", "--trials", "5",
-              "--space"]
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -31,10 +31,13 @@ VERIFICATION_MESSAGES = (
     "empirical exceedance rate above the theoretical bound",
 )
 
+# The string OVERFLOW is written into the file as the bare number 1e400,
+# which overflows a float; json.dumps writes inf and nan as Infinity and NaN.
+OVERFLOW = "1e400"
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
-                 st.floats(-2, 7), st.just(float("nan")),
-                 st.text("01a-", max_size=4), st.lists(st.integers(0, 3), max_size=2),
-                 st.just({}))
+                 st.floats(-2, 7), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                 st.just(OVERFLOW), st.text("01a-", max_size=4),
+                 st.lists(st.integers(0, 3), max_size=2), st.just({}))
 
 
 def pick(draw, junk, good, bad=JUNK):
@@ -190,7 +193,8 @@ def mc_call(draw):
         argv += ["--uniform", str(points)]
     else:
         argv += ["--space", FILE]
-        weights = st.lists(st.sampled_from(["1/2", "1/4", "0", "1/3"]),
+        weight = st.sampled_from(["1/2", "1/4", "0", "1/3"])
+        weights = st.lists(st.one_of(weight, JUNK) if junk else weight,
                            min_size=max(points, 0), max_size=max(points, 0))
         data = obj(draw, junk, points=st.just(points), weights=weights)
         if junk and not draw(st.integers(0, 5)):
@@ -221,8 +225,10 @@ def geom_call(draw):
     normal = st.tuples(coord, coord).filter(any).map(list)
     line = st.fixed_dictionaries({"normal": normal, "offset": coord})
     if junk:
+        bad_normal = st.one_of(JUNK, st.lists(st.one_of(coord, JUNK), min_size=2, max_size=2))
         line = st.one_of(line, st.builds(lambda d: d, st.fixed_dictionaries(
-            {}, optional={"normal": st.one_of(normal, JUNK), "offset": st.one_of(coord, JUNK)})))
+            {}, optional={"normal": st.one_of(normal, bad_normal),
+                          "offset": st.one_of(coord, JUNK)})))
     data = {"lines": draw(st.lists(line, max_size=4))}
     if junk and not draw(st.integers(0, 5)):
         data = draw(st.one_of(JUNK, st.lists(line, max_size=2)))
@@ -246,7 +252,7 @@ def input_path(tmp_path_factory):
 def test_cli_exit_codes_and_messages(input_path, call, env_cap):
     argv, data = call
     if FILE in argv:
-        input_path.write_text(json.dumps(data))
+        input_path.write_text(json.dumps(data).replace(f'"{OVERFLOW}"', OVERFLOW))
     argv = [str(input_path) if a == FILE else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     saved = os.environ.pop("SHATTERLAB_CAP", None)

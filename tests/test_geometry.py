@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from shatterlab import (InputError, PointArrangement,
+from shatterlab import (InputError, PointArrangement, generate,
                         line_arrangement_cells, region_count_general_position)
 from shatterlab.setsystem import halfspace_dual, halfspace_incidence
 
@@ -72,6 +72,18 @@ def test_point_arrangement_dimension_must_be_an_integer(r):
         PointArrangement.from_json_dict({"r": r, "points": [], "halfspaces": []})
 
 
+@pytest.mark.parametrize("data", [
+    # a string vector is refused, not read as one entry per character
+    {"r": 2, "points": ["12"]},
+    {"r": 2, "halfspaces": [{"normal": "12", "offset": 0}]},
+    {"r": 2, "points": [[1, 2]], "halfspaces": [{"normal": [1, 2], "offset": float("inf")}]},
+    {"r": 2, "points": [[float("inf"), 2]]},
+])
+def test_point_arrangement_refuses_strings_and_infinities(data):
+    with pytest.raises(InputError):
+        PointArrangement.from_json_dict(data)
+
+
 def test_general_position_detects_degeneracy():
     on_boundary = PointArrangement(
         2, ((Fraction(1), Fraction(0)),),
@@ -95,3 +107,7 @@ def test_halfspace_systems():
     dual = halfspace_dual(arr)
     assert dual.universe_size == 2
     assert set(dual.sets) == {0b10, 0b11, 0b01}
+    # generate takes integer parameters only; it has no half-space kinds
+    for kind in ("halfspace_incidence", "halfspace_dual"):
+        with pytest.raises(InputError, match="unknown generator kind"):
+            generate(kind, arr)

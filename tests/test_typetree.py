@@ -314,8 +314,18 @@ def test_from_type_tree_matches_entry_by_entry_rule():
     assert outcomes == {dict, str}  # both branches are exercised
 
 
+FULL_TREE = TypeTree({"": 0, "0": 1, "1": 2, "00": 3, "01": 4, "10": 5, "11": 6})
+
+
 def test_from_type_tree_full_subtree_raises_at_construction():
     # every key of length <= 2: no pattern on S = (0, 1) leaves the index set
-    tree = TypeTree({"": 0, "0": 1, "1": 2, "00": 3, "01": 4, "10": 5, "11": 6})
+    g = Graph.from_edge_list(7, [(0, 2), (0, 5), (0, 6), (1, 4), (2, 6)])
+    assert validate_type_tree(g, FULL_TREE) == (True, None)
     with pytest.raises(VerificationError, match=r"S=\(0, 1\), X=\(\)"):
-        from_type_tree(empty_graph(7), tree, 2)
+        from_type_tree(g, FULL_TREE, 2)
+
+
+def test_from_type_tree_refuses_a_labeling_of_another_graph():
+    # key "1" is marked adjacent to its parent, but the graph has no edges
+    with pytest.raises(InputError, match="condition 1: '1' marked adjacent"):
+        from_type_tree(empty_graph(7), FULL_TREE, 2)
