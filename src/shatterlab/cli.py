@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import banseq, dims, geometry, setsystem, thicketvc, typetree
 from .errors import InputError, ResourceCapError, VerificationError, require_int
@@ -309,18 +308,11 @@ def _report_exit(args, report):
     return EXIT_OK
 
 
-def _parse_epsilon(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad --epsilon {text!r}: {exc}") from exc
-
-
 def cmd_mc_weaklaw(args):
     space = _load_space(args)
     members = _parse_members(args.set)
     report = thicketvc.run_weak_law(space, members, args.n,
-                                    _parse_epsilon(args.epsilon), args.trials,
+                                    args.epsilon, args.trials,
                                     args.seed, keep_rows=args.format == "csv",
                                     cap=args.cap)
     return _report_exit(args, report)
@@ -330,7 +322,7 @@ def cmd_mc_vcthm(args):
     space = _load_space(args)
     system = _load_system(args.system, args.cap)
     report = thicketvc.run_vc_theorem(space, system, args.n,
-                                      _parse_epsilon(args.epsilon), args.trials,
+                                      args.epsilon, args.trials,
                                       args.seed, keep_rows=args.format == "csv",
                                       cap=args.cap)
     return _report_exit(args, report)
@@ -427,21 +419,17 @@ def build_parser():
         p.add_argument("graph")
         p.set_defaults(func=func)
 
+    mc_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    mc_common.add_argument("--space")
+    mc_common.add_argument("--uniform", type=int)
+    mc_common.add_argument("--n", type=int, required=True)
+    mc_common.add_argument("--epsilon", required=True)
+    mc_common.add_argument("--trials", type=int, required=True)
     mc_p = top.add_parser("mc").add_subparsers(dest="verb", required=True)
-    p = mc_p.add_parser("weaklaw", parents=[common])
-    p.add_argument("--space")
-    p.add_argument("--uniform", type=int)
+    p = mc_p.add_parser("weaklaw", parents=[mc_common])
     p.add_argument("--set", default="", help="comma-separated point indices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=cmd_mc_weaklaw)
-    p = mc_p.add_parser("vcthm", parents=[common])
-    p.add_argument("--space")
-    p.add_argument("--uniform", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p = mc_p.add_parser("vcthm", parents=[mc_common])
     p.add_argument("system")
     p.set_defaults(func=cmd_mc_vcthm)
 

@@ -406,12 +406,12 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     report.add("op_shatter_vs_rank", {"n": n, "s": s, "rank": rank_to_str(ks)},
                psi, rhs, psi <= rhs)
 
-    # (d) op_r-rank 0 implies psi_F^s(n) <= (sum_{i<r} C(s,i))^n
+    # (d) op_r-rank 0 implies psi_F^s(n) <= a0^n
+    a0 = sum(comb(s, i) for i in range(r))
     kr = NEG_INF if empty else op_rank(system, r, cap=cap)
     if kr == 0:
-        base = sum(comb(s, i) for i in range(r))
         report.add("rank_zero_power", {"n": n, "s": s, "r": r},
-                   psi, base ** n, psi <= base ** n)
+                   psi, a0 ** n, psi <= a0 ** n)
     else:
         report.add("rank_zero_power", {"n": n, "s": s, "r": r,
                                        "note": "hypothesis op_r-rank = 0 not met"},
@@ -434,7 +434,6 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
                    rank_to_str(rsub), rank_to_str(rfull), rsub <= rfull)
 
     # (g) psi_F^s(n) <= sum_{i<=b} C(n,i) a0^{n-i} a1^i with b = op_r-rank
-    a0 = sum(comb(s, i) for i in range(r))
     a1 = (1 << s) - a0
     b = kr
     if b == NEG_INF:

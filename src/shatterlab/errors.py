@@ -1,11 +1,12 @@
-"""Exception hierarchy shared by all modules, the integer-field check
-shared by the JSON loaders, and the cap check shared by every exponential
-path.
+"""Exception hierarchy shared by all modules, the integer- and
+rational-field checks shared by the loaders, and the cap check shared by
+every exponential path.
 
 Exit-code mapping used by the CLI:
   VerificationError -> 1, InputError -> 2, ResourceCapError -> 3.
 """
 
+from fractions import Fraction
 from numbers import Integral
 
 
@@ -36,6 +37,17 @@ def require_int(value, what):
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_rational(value, what):
+    """``value`` as a Fraction when ``Fraction`` reads it and it is not a
+    bool; ``true``, ``"abc"``, ``"1/0"`` or an infinity is an InputError."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise InputError(f"{what} must be a rational number, got {value!r}")
 
 
 def check_cap(size, cap, default, what):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InputError, require_int
+from .errors import InputError, require_int, require_rational
 
 __all__ = [
     "PointArrangement",
@@ -23,7 +23,7 @@ __all__ = [
 def _as_fraction_vector(vec, r):
     if not isinstance(vec, (list, tuple)) or len(vec) != r:
         raise InputError(f"vector {vec!r} is not a list of length {r}")
-    return tuple(Fraction(v) for v in vec)
+    return tuple(require_rational(v, "coordinate") for v in vec)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ class PointArrangement:
         object.__setattr__(self, "points",
                            tuple(_as_fraction_vector(p, r) for p in self.points))
         object.__setattr__(self, "halfspaces",
-                           tuple((_as_fraction_vector(n, r), Fraction(c))
+                           tuple((_as_fraction_vector(n, r),
+                                  require_rational(c, "offset"))
                                  for n, c in self.halfspaces))
 
     def to_json_dict(self):
@@ -63,7 +64,7 @@ class PointArrangement:
         try:
             return cls(require_int(data["r"], "r"), tuple(data.get("points", [])),
                        tuple((h["normal"], h["offset"]) for h in data.get("halfspaces", [])))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed arrangement object: {exc}") from exc
 
     def in_general_position(self):

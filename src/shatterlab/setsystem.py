@@ -169,30 +169,26 @@ def _bounded_size(n, d):
     return SetSystem(n, tuple(masks), name=f"all_subsets_of_size_at_most({n},{d})")
 
 
+def _halfspace_masks(arrangement):
+    """Per half-space, the mask of the points p with <normal, p> >= offset."""
+    return [sum(1 << i for i, p in enumerate(arrangement.points)
+                if sum(a * b for a, b in zip(normal, p)) >= offset)
+            for normal, offset in arrangement.halfspaces]
+
+
 def halfspace_incidence(arrangement) -> SetSystem:
     """Base = points; one set per half-space, containing the points it covers."""
-    pts = arrangement.points
-    masks = set()
-    for normal, offset in arrangement.halfspaces:
-        m = 0
-        for i, p in enumerate(pts):
-            if sum(a * b for a, b in zip(normal, p)) >= offset:
-                m |= 1 << i
-        masks.add(m)
-    return SetSystem(len(pts), tuple(masks), name="halfspace_incidence")
+    return SetSystem(len(arrangement.points), tuple(_halfspace_masks(arrangement)),
+                     name="halfspace_incidence")
 
 
 def halfspace_dual(arrangement) -> SetSystem:
     """Base = half-spaces; one set per point, the half-spaces covering it."""
-    hs = arrangement.halfspaces
-    masks = set()
-    for p in arrangement.points:
-        m = 0
-        for i, (normal, offset) in enumerate(hs):
-            if sum(a * b for a, b in zip(normal, p)) >= offset:
-                m |= 1 << i
-        masks.add(m)
-    return SetSystem(len(hs), tuple(masks), name="halfspace_dual")
+    masks = _halfspace_masks(arrangement)
+    return SetSystem(len(masks),
+                     tuple(sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                           for i in range(len(arrangement.points))),
+                     name="halfspace_dual")
 
 
 GENERATOR_KINDS = (

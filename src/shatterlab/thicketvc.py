@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InputError, check_cap, require_int
+from .errors import InputError, check_cap, require_int, require_rational
 from .setsystem import SetSystem
 from .dims import thicket_dimension, thicket_shatter, NEG_INF
 from math import comb
@@ -96,7 +96,7 @@ class ProbSpace:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(require_rational(w, "weight") for w in self.weights)
         if any(w < 0 for w in ws):
             raise InputError("weights must be nonnegative")
         if sum(ws) != 1:
@@ -135,12 +135,12 @@ class ProbSpace:
     def from_json_dict(cls, data):
         try:
             n = require_int(data["points"], "points")
-            ws = tuple(Fraction(w) for w in data["weights"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            ws = tuple(data["weights"])
+            if len(ws) != n:
+                raise InputError("weight count does not match point count")
+            return cls(ws)
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"malformed probability space: {exc}") from exc
-        if len(ws) != n:
-            raise InputError("weight count does not match point count")
-        return cls(ws)
 
 
 def _as_mask(members, size):
@@ -408,38 +408,60 @@ def _binomial_slack(exceedances, trials):
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def run_weak_law(space: ProbSpace, members, height, epsilon, trials, seed,
-                 keep_rows=True, cap=None) -> ExperimentReport:
-    """Monte Carlo check of the 1/(4 n eps^2) tail bound for a single set;
-    ``cap`` bounds the number of trials."""
+def _tail_audit(kind, space, masks, height, epsilon, trials, seed, keep_rows,
+                cap, tail_bound, at_least, config):
+    """The Monte Carlo audit behind ``run_weak_law`` and ``run_vc_theorem``:
+    the share of ``trials`` test trees in which the supremum over ``masks``
+    of |estimate - measure| is at least ``epsilon`` (``at_least``, which
+    needs epsilon > 0) or exceeds it.  ``tail_bound(eps)`` returns the
+    float bound that share is held to and the report's notes; ``config``
+    holds the caller's extra config fields."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     if height < 1:
         raise InputError("height must be >= 1")
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be > 0")
-    mask = _as_mask(members, space.size)
-    mu = space.mass(mask)
-    ones = _simulate_ones(space, [mask], height, trials, seed, cap)
-    values, denominator, best = _ranked_deviations(ones, [mu], height)
-    # a deviation v / denominator is at least eps iff v >= ceil(eps * denominator)
-    hit_from = bisect_left(values, -(-eps.numerator * denominator // eps.denominator))
+    eps = require_rational(epsilon, "epsilon")
+    if eps < 0 or (at_least and eps == 0):
+        raise InputError("epsilon must be > 0" if at_least else "epsilon must be >= 0")
+    ones = _simulate_ones(space, masks, height, trials, seed, cap)
+    masses = [space.mass(m) for m in masks]
+    values, denominator, best = _ranked_deviations(ones, masses, height)
+    if at_least:
+        # v / denominator is at least eps iff v >= ceil(eps * denominator)
+        hit_from = bisect_left(values, -(-eps.numerator * denominator // eps.denominator))
+    else:
+        # v / denominator exceeds eps iff v > floor(eps * denominator)
+        hit_from = bisect_right(values, eps.numerator * denominator // eps.denominator)
     exceed = int(np.count_nonzero(best >= hit_from))
     rows = (_report_rows(height, eps, values, denominator, hit_from, best)
             if keep_rows else [])
-    bound = Fraction(1, 4 * height) / (eps * eps)
+    bound, notes = tail_bound(eps)
     slack = _binomial_slack(exceed, trials)
     empirical = Fraction(exceed, trials)
-    passed = float(empirical) <= float(bound) + slack + FLOAT_GUARD
     return ExperimentReport(
-        kind="weak_law",
+        kind=kind,
         config={"n": height, "epsilon": str(eps), "trials": trials,
-                "seed": seed, "mu": f"{mu.numerator}/{mu.denominator}"},
+                "seed": seed, **config},
         trials=trials, exceedances=exceed, empirical=empirical,
-        bound=float(bound), slack=slack, passed=passed,
-        notes={"bound_exact": f"{bound.numerator}/{bound.denominator}"},
-        rows=rows)
+        bound=bound, slack=slack,
+        passed=float(empirical) <= bound + slack + FLOAT_GUARD,
+        notes=notes, rows=rows)
+
+
+def run_weak_law(space: ProbSpace, members, height, epsilon, trials, seed,
+                 keep_rows=True, cap=None) -> ExperimentReport:
+    """Monte Carlo check of the 1/(4 n eps^2) tail bound for a single set;
+    ``cap`` bounds the number of trials."""
+    mask = _as_mask(members, space.size)
+    mu = space.mass(mask)
+
+    def tail_bound(eps):
+        bound = Fraction(1, 4 * height) / (eps * eps)
+        return float(bound), {"bound_exact": f"{bound.numerator}/{bound.denominator}"}
+
+    return _tail_audit("weak_law", space, [mask], height, epsilon, trials, seed,
+                       keep_rows, cap, tail_bound, at_least=True,
+                       config={"mu": f"{mu.numerator}/{mu.denominator}"})
 
 
 def _thicket_shatter_estimate(system: SetSystem, height):
@@ -456,34 +478,15 @@ def run_vc_theorem(space: ProbSpace, system: SetSystem, height, epsilon,
                    trials, seed, keep_rows=True, cap=None) -> ExperimentReport:
     """Monte Carlo audit of the 8 rho(n) exp(-n eps^2 / 32) uniform bound;
     ``cap`` bounds trials x max(sets, 1)."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if height < 1:
-        raise InputError("height must be >= 1")
     if system.universe_size != space.size:
         raise InputError("family universe must equal the space's points")
-    eps = Fraction(epsilon)
-    if eps < 0:
-        raise InputError("epsilon must be >= 0")
-    ones = _simulate_ones(space, list(system.sets), height, trials, seed, cap)
-    masses = [space.mass(m) for m in system.sets]
-    values, denominator, best = _ranked_deviations(ones, masses, height)
-    # a deviation v / denominator exceeds eps iff v > floor(eps * denominator)
-    hit_from = bisect_right(values, eps.numerator * denominator // eps.denominator)
-    exceed = int(np.count_nonzero(best >= hit_from))
-    rows = (_report_rows(height, eps, values, denominator, hit_from, best)
-            if keep_rows else [])
-    rho, rho_source = _thicket_shatter_estimate(system, height)
-    bound = min(1.0, 8.0 * rho * math.exp(-height * float(eps) ** 2 / 32.0))
-    slack = _binomial_slack(exceed, trials)
-    empirical = Fraction(exceed, trials)
-    passed = float(empirical) <= bound + slack + FLOAT_GUARD
-    return ExperimentReport(
-        kind="vc_theorem",
-        config={"n": height, "epsilon": str(eps), "trials": trials,
-                "seed": seed, "sets": len(system.sets)},
-        trials=trials, exceedances=exceed, empirical=empirical,
-        bound=bound, slack=slack, passed=passed,
-        notes={"rho": rho, "rho_source": rho_source,
-               "bound_vacuous": bound >= 1.0},
-        rows=rows)
+
+    def tail_bound(eps):
+        rho, rho_source = _thicket_shatter_estimate(system, height)
+        bound = min(1.0, 8.0 * rho * math.exp(-height * float(eps) ** 2 / 32.0))
+        return bound, {"rho": rho, "rho_source": rho_source,
+                       "bound_vacuous": bound >= 1.0}
+
+    return _tail_audit("vc_theorem", space, list(system.sets), height, epsilon,
+                       trials, seed, keep_rows, cap, tail_bound, at_least=False,
+                       config={"sets": len(system.sets)})

@@ -348,6 +348,7 @@ def test_mc_vcthm_epsilon_zero_is_vacuous(capsys):
     b'{"lines": [{"normal": [1e400, 1], "offset": 0}]}',
     b'{"lines": [{"normal": [1, 2], "offset": -Infinity}]}',
     b'{"lines": [{"normal": [NaN, 2], "offset": 0}]}',
+    {"lines": [{"normal": [True, False], "offset": True}, {"normal": [0, 1], "offset": 1}]},
 ])
 def test_geom_cells_malformed(capsys, tmp_path, data):
     path = write_json(tmp_path, "lines.json", data)
@@ -480,6 +481,7 @@ SPACE_ARGV = ["mc", "weaklaw", "--n", "4", "--epsilon", "1/4", "--trials", "5",
     (SPACE_ARGV + ["{file}"], b'{"points": 2, "weights": [1e400, 0]}'),
     (SPACE_ARGV + ["{file}"], b'{"points": 2, "weights": [Infinity, 0]}'),
     (SPACE_ARGV + ["{file}"], {"points": 2, "weights": ["1/0", "1"]}),
+    (SPACE_ARGV + ["{file}"], {"points": 2, "weights": [True, False]}),
     pytest.param(["sys", "dim", "--kind", "vc", "{file}"],
                  b'\xff{"universe": 1, "sets": []}', id="not-utf8"),
     pytest.param(["sys", "dim", "--kind", "vc", "{file}"], b"[" * 100_000,

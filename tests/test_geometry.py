@@ -78,6 +78,10 @@ def test_point_arrangement_dimension_must_be_an_integer(r):
     {"r": 2, "halfspaces": [{"normal": "12", "offset": 0}]},
     {"r": 2, "points": [[1, 2]], "halfspaces": [{"normal": [1, 2], "offset": float("inf")}]},
     {"r": 2, "points": [[float("inf"), 2]]},
+    # booleans are not read as 1 and 0
+    {"r": 2, "halfspaces": [{"normal": [True, False], "offset": 1}]},
+    {"r": 2, "halfspaces": [{"normal": [1, 0], "offset": True}]},
+    {"r": 2, "points": [[False, 2]]},
 ])
 def test_point_arrangement_refuses_strings_and_infinities(data):
     with pytest.raises(InputError):
@@ -111,3 +115,28 @@ def test_halfspace_systems():
     for kind in ("halfspace_incidence", "halfspace_dual"):
         with pytest.raises(InputError, match="unknown generator kind"):
             generate(kind, arr)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_halfspace_dual_is_the_transpose_of_the_incidence(seed):
+    """Both systems against one direct incidence matrix, on arrangements
+    with points on boundaries and a repeated half-space."""
+    rng = random.Random(seed)
+    r = rng.randint(1, 3)
+    points = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(r))
+              for _ in range(rng.randint(1, 6))]
+    halfspaces = []
+    for _ in range(rng.randint(1, 5)):
+        normal = tuple(Fraction(rng.randint(-2, 2)) for _ in range(r))
+        # the half-space's boundary passes through a chosen point
+        through = rng.choice(points)
+        halfspaces.append((normal, sum(a * b for a, b in zip(normal, through))))
+    halfspaces.append(rng.choice(halfspaces))
+    arr = PointArrangement(r, tuple(points), tuple(halfspaces))
+    covers = [[sum(a * b for a, b in zip(normal, p)) >= offset for p in points]
+              for normal, offset in halfspaces]
+    inc, dual = halfspace_incidence(arr), halfspace_dual(arr)
+    assert (inc.universe_size, dual.universe_size) == (len(points), len(halfspaces))
+    assert set(inc.sets) == {sum(b << i for i, b in enumerate(row)) for row in covers}
+    assert set(dual.sets) == {sum(row[i] << j for j, row in enumerate(covers))
+                              for i in range(len(points))}

@@ -30,9 +30,12 @@ def test_prob_space_validation():
     assert space.mass({0, 1}) == Fraction(1, 2)
     assert space.mass(0b1111) == 1
     assert ProbSpace.from_json_dict(space.to_json_dict()) == space
-    for weights in ([float("inf"), 0], [float("nan"), 0], ["1/0", 1]):
+    for weights in ([float("inf"), 0], [float("nan"), 0], ["1/0", 1],
+                    [True, False]):
         with pytest.raises(InputError, match="malformed probability space"):
             ProbSpace.from_json_dict({"points": 2, "weights": weights})
+    with pytest.raises(InputError, match="weight must be a rational"):
+        ProbSpace((True, False))
 
 
 def test_sampling_thresholds_partition_the_64_bit_range():
@@ -275,14 +278,16 @@ def test_guide_table_passes():
 
 
 @pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(0)),
-                                            (5, F(-1, 4))])
+                                            (5, F(-1, 4)), (5, "abc"),
+                                            (5, "1/0"), (5, True)])
 def test_weak_law_rejects_bad_height_or_epsilon(height, epsilon):
     with pytest.raises(InputError):
         run_weak_law(ProbSpace.uniform(2), {0}, height=height, epsilon=epsilon,
                      trials=3, seed=0)
 
 
-@pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(-1, 4))])
+@pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(-1, 4)),
+                                            (5, "abc"), (5, "1/0"), (5, True)])
 def test_vc_theorem_rejects_bad_height_or_epsilon(height, epsilon):
     with pytest.raises(InputError):
         run_vc_theorem(ProbSpace.uniform(3), generate("thresholds", 3),
