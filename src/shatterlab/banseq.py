@@ -625,8 +625,16 @@ def random_problem(n, k, j, seed, density=0.5, cap=None):
         raise InputError(f"density must be a number in [0, 1], got {density!r}")
     check_table_cap(n, k, j, cap)
     rng = _random.Random(seed)
-    bans = np.zeros((comb(n, k), j ** (n - k), j ** k), dtype=bool)
-    for entry in bans.reshape(-1, j ** k):
-        chosen = [i for i in range(j ** k) if rng.random() < density]
-        entry[chosen or rng.choice(range(j ** k))] = True
+    width = j ** k
+    # One flat byte per flag, entry by entry in (S, X, Z) order; numpy views
+    # the finished buffer.
+    flat = bytearray(comb(n, k) * j ** (n - k) * width)
+    for start in range(0, len(flat), width):
+        hit = False
+        for i in range(start, start + width):
+            if rng.random() < density:
+                flat[i] = hit = True
+        if not hit:
+            flat[start + rng.choice(range(width))] = True
+    bans = np.frombuffer(flat, dtype=bool).reshape(comb(n, k), j ** (n - k), width)
     return BanProblem._from_array(n, k, j, bans, f"random({n},{k},{j},{seed})")

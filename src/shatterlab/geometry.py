@@ -131,7 +131,8 @@ def line_arrangement_cells(lines):
     norm = []
     for line in lines:
         (a, b), c = line
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        a, b = require_rational(a, "coefficient"), require_rational(b, "coefficient")
+        c = require_rational(c, "offset")
         if a == 0 and b == 0:
             raise InputError(f"degenerate line {line!r}: zero normal")
         norm.append(((a, b), c))

@@ -4,7 +4,10 @@ Everything here favors obviousness over speed: op_s-ranks and their shatter
 functions are computed by enumerating every complete element tree, the VC
 dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment, and
-the Monte Carlo audits by walking one scalar test tree per trial.
+the Monte Carlo audits by walking one scalar test tree per trial.  The
+``tuple_*`` functions at the end are dims' earlier searches over mask
+tuples, against which the member-index bitset kernels are checked at sizes
+the tree enumeration cannot reach.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from fractions import Fraction
 from shatterlab.banseq import assemble
 from shatterlab.dims import ElementTree, NEG_INF
 from shatterlab.errors import VerificationError
-from shatterlab.setsystem import project, traces
+from shatterlab.setsystem import child_masks, project, traces
 from shatterlab.thicketvc import (FLOAT_GUARD, ExperimentReport, TestTree,
                                   _binomial_slack, _thicket_shatter_estimate,
                                   characteristic_path, trial_seed)
@@ -373,3 +376,131 @@ def scalar_vc_theorem(space, system, height, epsilon, trials, seed,
         notes={"rho": rho, "rho_source": rho_source,
                "bound_vacuous": bound >= 1.0},
         rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# The tuple-filter recursions that dims ran before it carried families as
+# member-index bitsets: the same searches over canonical mask tuples, each
+# child built by ``child_masks``, each trace count a set of codes m & Y.
+# ---------------------------------------------------------------------------
+
+def tuple_vc_dimension(system):
+    if not system.sets:
+        return NEG_INF
+    sets, n = system.sets, system.universe_size
+    # Shattering k elements takes 2^k sets.
+    limit = min(n, len(sets).bit_length() - 1)
+    return _shattered_search(sets, n, 0, 0, 0, 0, limit)
+
+
+def _shattered_search(sets, n, chosen, start, k, best, limit):
+    """Largest size, at least ``best`` and at most ``limit``, of a shattered
+    set extending the shattered k-set ``chosen`` by elements >= start."""
+    for y in range(start, n):
+        # Below y's subtree no set is larger than k + (n - y).
+        if best == limit or k + n - y <= best:
+            break
+        kid = chosen | 1 << y
+        if len({m & kid for m in sets}) == 2 << k:
+            best = _shattered_search(sets, n, kid, y + 1, k + 1,
+                                     max(best, k + 1), limit)
+    return best
+
+
+def tuple_vc_shatter_function(system, size):
+    if not system.sets:
+        return 0
+    if size == 0:
+        return 1
+    sets = system.sets
+    return _trace_count_search(sets, system.universe_size, size, 0, 0, 0, 0,
+                               min(1 << size, len(sets)))
+
+
+def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
+    """Largest trace count, at least ``best`` and at most ``stop``, over the
+    size-sets extending the k-set ``chosen`` by elements >= start."""
+    for y in range(start, n - size + k + 1):
+        kid = chosen | 1 << y
+        # Each of the kid's classes splits into at most 2^(size-k-1) traces.
+        reach = len({m & kid for m in sets}) << (size - k - 1)
+        if reach > best:
+            best = reach if k + 1 == size else _trace_count_search(
+                sets, n, size, kid, y + 1, k + 1, best, stop)
+            if best == stop:
+                break
+    return best
+
+
+def tuple_op_rank(sets, n, s):
+    """op_s-rank of a nonempty family, found by deepening a memoized
+    feasibility test."""
+    # Distinct tuples only: a repeated element forces an empty child, and
+    # the min over children is invariant under permuting the tuple.
+    tuples = list(itertools.combinations(range(n), s))
+    sigmas = list(itertools.product((0, 1), repeat=s))
+    memo = {}
+    k = 0
+    while _op_rank_at_least(sets, tuples, sigmas, k + 1, memo):
+        k += 1
+    return k
+
+
+def _op_rank_at_least(sets, tuples, sigmas, t, memo):
+    """Rank >= t needs 2^(st) = len(sigmas)^t sets in the family and
+    2^(s(t-1)) in each child; the children are checked one by one before
+    any recursion, which prunes the search hard."""
+    if t <= 0:
+        return True
+    if len(sets) < len(sigmas) ** t:
+        return False
+    key = (sets, t)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    need = len(sigmas) ** (t - 1)
+    out = False
+    for xs in tuples:
+        children = []
+        for sigma in sigmas:
+            kid = child_masks(sets, xs, sigma)
+            if len(kid) < need:
+                break
+            children.append(kid)
+        else:
+            if all(_op_rank_at_least(kid, tuples, sigmas, t - 1, memo)
+                   for kid in children):
+                out = True
+                break
+    memo[key] = out
+    return out
+
+
+def tuple_op_shatter(sets, n, s, height):
+    tuples = list(itertools.combinations_with_replacement(range(n), s))
+    sigmas = list(itertools.product((0, 1), repeat=s))
+    return _op_shatter_leaves(sets, tuples, sigmas, height, {})
+
+
+def _op_shatter_leaves(sets, tuples, sigmas, height, memo):
+    if not sets:
+        return 0
+    if height == 0 or len(sets) == 1:
+        return 1
+    key = (sets, height)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    cap = min(len(sigmas) ** height, len(sets))
+    best = 1
+    for xs in tuples:
+        total = 0
+        for sigma in sigmas:
+            total += _op_shatter_leaves(child_masks(sets, xs, sigma), tuples,
+                                        sigmas, height - 1, memo)
+        if total > best:
+            best = total
+            if best == cap:
+                break
+    memo[key] = best
+    return best

@@ -17,7 +17,9 @@ from shatterlab.dims import rank_from_str, rank_to_str
 
 from families import fixture_zoo, random_system
 from oracles import (brute_rank, brute_shatter, brute_shatters,
-                     brute_vc_dimension, brute_vc_shatter_function)
+                     brute_vc_dimension, brute_vc_shatter_function,
+                     tuple_op_rank, tuple_op_shatter, tuple_vc_dimension,
+                     tuple_vc_shatter_function)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +216,83 @@ def test_vc_worst_cases_within_a_second(call, generator, expected):
     start = time.process_time()
     assert call(system) == expected
     assert time.process_time() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# bitset kernels against the tuple-filter recursions they replaced
+# ---------------------------------------------------------------------------
+
+def _distinct_system(rng, universes, counts):
+    n = rng.randint(*universes)
+    return SetSystem(n, tuple(rng.sample(range(1 << n), rng.randint(*counts))))
+
+
+def _assert_op_matches_tuple_recursions(system, arities, max_height):
+    sets, n = system.sets, system.universe_size
+    for s in arities:
+        rank = tuple_op_rank(sets, n, s) if sets else NEG_INF
+        assert op_rank(system, s) == rank, (system, s)
+        for height in range(max_height + 1):
+            assert (op_shatter(system, s, height)
+                    == tuple_op_shatter(sets, n, s, height)), (system, s, height)
+        if s == 1:
+            assert thicket_dimension(system) == rank
+            assert thicket_shatter(system, max_height) == tuple_op_shatter(
+                sets, n, 1, max_height)
+
+
+def _assert_vc_matches_tuple_searches(system):
+    assert vc_dimension(system) == tuple_vc_dimension(system), system
+    for size in range(system.universe_size + 1):
+        assert (vc_shatter_function(system, size)
+                == tuple_vc_shatter_function(system, size)), (system, size)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_op_bitsets_match_tuple_recursions_at_audit_sizes(seed):
+    rng = random.Random(1400 + seed)
+    _assert_op_matches_tuple_recursions(_distinct_system(rng, (7, 8), (16, 24)),
+                                        (1, 2), 3)
+    _assert_op_matches_tuple_recursions(_distinct_system(rng, (5, 6), (10, 16)),
+                                        (3,), 2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vc_bitsets_match_tuple_searches_at_audit_sizes(seed):
+    rng = random.Random(1500 + seed)
+    n = rng.randint(14, 16)
+    masks = tuple(sum(1 << x for x in range(n) if rng.random() < 0.3)
+                  for _ in range(rng.randint(20, 28)))
+    _assert_vc_matches_tuple_searches(SetSystem(n, masks))
+
+
+@pytest.mark.parametrize("system", [
+    SetSystem(4, ()), SetSystem(4, (0b1010,)), SetSystem(2, (0b01, 0b10, 0b11)),
+    SetSystem(1, (0, 1)), generate("powerset", 4),
+], ids=["empty", "one-member", "universe-2", "universe-1", "powerset-4"])
+def test_bitset_edge_cases_match_tuple_recursions(system):
+    # universes 1 and 2 lie below s = 3, where op_shatter's tuples repeat
+    # elements and conflicting bits must give the empty child
+    _assert_op_matches_tuple_recursions(system, (1, 2, 3), 3)
+    _assert_vc_matches_tuple_searches(system)
+
+
+def test_vc_bitsets_match_tuple_searches_past_the_class_limit():
+    # more than 2^10 trace classes: the searches count traces there
+    rng = random.Random(1600)
+    # every pattern on [11], each with random bits at 11 and 12, plus 3,000
+    # random sets: the search counts traces below the shattered [11], whose
+    # extensions it must find unshattered
+    cube = {m | rng.getrandbits(2) << 11 for m in range(1 << 11)}
+    cube.update(rng.sample(range(1 << 13), 3000))
+    for system in (generate("powerset", 12), SetSystem(13, tuple(cube)),
+                   SetSystem(12, tuple(rng.sample(range(1 << 12), 2500)))):
+        _assert_vc_matches_tuple_searches(system)
+
+
+def test_vc_bitsets_match_tuple_searches_on_seeded_corpus():
+    for n, masks in VC_CORPUS:
+        _assert_vc_matches_tuple_searches(SetSystem(n, masks))
 
 
 # ---------------------------------------------------------------------------

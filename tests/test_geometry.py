@@ -36,6 +36,16 @@ def test_cells_reports_parallel_and_concurrent():
         line_arrangement_cells([((0, 0), 1)])
 
 
+@pytest.mark.parametrize("line", [
+    ((True, False), True), ((1, 0), True), (("abc", 1), 0), ((0, 1), "abc"),
+    ((float("inf"), 1), 0), ((1, 0), "inf"), (("1/0", 1), 0),
+], ids=["booleans", "boolean-offset", "text", "text-offset", "infinity",
+        "infinity-offset", "zero-denominator"])
+def test_cells_refuse_coefficients_that_are_not_rational(line):
+    with pytest.raises(InputError, match="rational"):
+        line_arrangement_cells([line, ((0, 1), "1/2")])
+
+
 def random_general_lines(s, seed):
     rng = random.Random(seed)
     while True:

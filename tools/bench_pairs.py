@@ -1,0 +1,216 @@
+"""Run the benchmark on a parent and a change checkout in alternating pairs
+and write the runs and their summary as one BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \\
+        --label my-change --what "what the change does" \\
+        --pairs set-audit=10 --pairs mc-tail=5 --traced set-audit --aa mc-tail
+
+Both checkouts are git clones of their commit.  Each run is
+``python3 bench/run.py --workload W --seed 0 --seconds T --trace 0|1`` from
+the root of one checkout, one process at a time, with T the change's
+``BENCHMARK.json`` ``run_seconds``.  Pair p runs the parent first when p is
+even and the change first when p is odd.  ``--traced`` adds one
+``--trace 1`` pair per named workload.  ``--aa`` adds one pair per named
+workload of the parent against a fresh ``git clone`` of it, made beside it
+as ``<parent>-aa`` and removed afterwards: the A/A control, which shows the
+spread two identical sides read.  The metric bounds come from the same
+``BENCHMARK.json``.  The file is written to the current directory and
+rewritten after every run, so an interrupted run keeps the runs it made.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# The seed whose results bench/reference.json digests, so every run also
+# checks that no result changed.
+SEED = 0
+
+
+def _spread(values):
+    if not values:
+        return {"median": None, "q1": None, "q3": None, "values": values}
+    q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def _better(a, b, better):
+    return b > a if better == "higher" else b < a
+
+
+def summarize(runs, spec, sides):
+    """One row per (workload, seed, trace) of ``runs``, in order of first
+    appearance.  Per end-to-end metric of ``spec`` (BENCHMARK.json's
+    ``end_to_end`` entries): each side's median and quartiles (numpy linear
+    percentiles) over its per-pair values, the pairs in which side b =
+    ``sides[1]`` read better than side a = ``sides[0]``, b's median relative
+    worsening against a's, and whether it lies within the metric's bound.
+    A run without a result counts in neither side's values and makes the
+    row incorrect."""
+    a, b = sides
+    groups = {}
+    for run in runs:
+        groups.setdefault((run["workload"], run["seed"], run["trace"]), []).append(run)
+    rows = []
+    for (workload, seed, trace), group in groups.items():
+        by_pair = {}
+        for run in group:
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
+        results = [r for r in (run["result"] for run in group) if r is not None]
+        row = {"workload": workload, "seed": seed, "trace": trace,
+               "pairs": len(by_pair), "sides": [a, b],
+               "correct": len(results) == len(group) and all(r["correct"] for r in results),
+               "failed": sum(r["failed"] for r in results), "metrics": {}}
+        for metric in spec:
+            name, better = metric["name"], metric["better"]
+            values = {side: [pair[side]["metrics"][name]["value"]
+                             for _, pair in sorted(by_pair.items())
+                             if pair.get(side) is not None]
+                      for side in sides}
+            entry = {side: _spread(values[side]) for side in sides}
+            entry["b_better_pairs"] = sum(
+                1 for pair in by_pair.values()
+                if pair.get(a) is not None and pair.get(b) is not None
+                and _better(pair[a]["metrics"][name]["value"],
+                            pair[b]["metrics"][name]["value"], better))
+            ma, mb = entry[a]["median"], entry[b]["median"]
+            if ma is None or mb is None:
+                entry["relative_worsening"], entry["within_bound"] = None, False
+            else:
+                worse = (ma - mb if better == "higher" else mb - ma)
+                entry["relative_worsening"] = worse / ma if ma else 0.0
+                entry["within_bound"] = entry["relative_worsening"] <= metric["bound"]
+            row["metrics"][name] = entry
+        rows.append(row)
+    return rows
+
+
+def run_once(root, workload, seconds, trace):
+    """One bench/run.py process in checkout ``root``: its return code, the
+    report (the line before the last) and the result (the last line)."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    report = result = None
+    try:
+        report, result = json.loads(lines[-2]), json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr)
+    return proc.returncode, report, result
+
+
+def run_pairs(checkouts, workload, seconds, trace, pairs, sink):
+    """``pairs`` alternating pairs of the two (side, root) ``checkouts``;
+    each run record goes to ``sink`` as soon as it exists."""
+    for pair in range(pairs):
+        order = checkouts if pair % 2 == 0 else checkouts[::-1]
+        for position, (side, root) in enumerate(order):
+            code, report, result = run_once(root, workload, seconds, trace)
+            sink({"workload": workload, "seed": SEED, "trace": trace, "pair": pair,
+                  "side": side, "position": position, "returncode": code,
+                  "report": report, "result": result})
+            state = "ok" if result and result["correct"] else "FAILED"
+            print(f"{workload} trace {trace} pair {pair} {side}: {state}", file=sys.stderr)
+
+
+def _side_id(runs, side):
+    for run in runs:
+        if run["side"] == side and run["report"]:
+            machine = run["report"]["machine"]
+            return {"git_commit": machine.get("git_commit"),
+                    "source_sha256": machine.get("source_sha256")}
+    return None
+
+
+def _machine(runs):
+    for run in runs:
+        if run["report"]:
+            machine = run["report"]["machine"]
+            return {key: machine[key] for key in ("cpu", "nproc", "numpy", "python")}
+    return None
+
+
+def _workload_counts(text):
+    name, _, count = text.partition("=")
+    return name, int(count or 1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--what", required=True)
+    parser.add_argument("--pairs", action="append", default=[], type=_workload_counts,
+                        metavar="WORKLOAD=N", help="N alternating --trace 0 pairs")
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
+    parser.add_argument("--aa", action="append", default=[], metavar="WORKLOAD")
+    args = parser.parse_args(argv)
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    sides = [("parent", args.parent.resolve()), ("change", args.change.resolve())]
+    runs, traced, aa_runs = [], [], []
+    doc = {
+        "label": args.label, "what": args.what,
+        "command": f"python3 bench/run.py --workload W --seed {SEED} --seconds {seconds} "
+                   "--trace T, run from the root of each checkout",
+        "procedure": (
+            "parent and change are each a git clone of their commit; each pair runs "
+            "both sides back to back, parent first in even pairs and change first in "
+            "odd pairs; one process at a time; "
+            + ", ".join(f"{n} pairs of {w}" for w, n in args.pairs)
+            + " at --trace 0 (runs); one --trace 1 pair of each of "
+            + (", ".join(args.traced) or "no workload")
+            + " (traced); aa_control holds one pair of the parent against a second "
+            "git clone of the parent commit (parent2) on each of "
+            + (", ".join(args.aa) or "no workload")
+            + ". Quartiles are numpy linear percentiles over the pairs."),
+    }
+    out = Path(f"BENCH_{args.label}.json")
+
+    def write():
+        everything = runs + traced + aa_runs
+        doc.update({"machine": _machine(everything),
+                    "parent": _side_id(everything, "parent"),
+                    "change": _side_id(everything, "change"),
+                    "summary": summarize(runs, spec, ["parent", "change"]),
+                    "runs": runs, "traced": traced,
+                    "aa_control": {"summary": summarize(aa_runs, spec, ["parent", "parent2"]),
+                                   "runs": aa_runs}})
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    def sink_into(records):
+        def sink(record):
+            records.append(record)
+            write()
+        return sink
+
+    for workload, count in args.pairs:
+        run_pairs(sides, workload, seconds, 0, count, sink_into(runs))
+    for workload in args.traced:
+        run_pairs(sides, workload, seconds, 1, 1, sink_into(traced))
+    if args.aa:
+        twin = sides[0][1].with_name(sides[0][1].name + "-aa")
+        subprocess.run(["git", "clone", "--quiet", str(sides[0][1]), str(twin)],
+                       check=True)
+        try:
+            for workload in args.aa:
+                run_pairs([sides[0], ("parent2", twin)], workload, seconds, 0, 1,
+                          sink_into(aa_runs))
+        finally:
+            shutil.rmtree(twin)
+    write()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
