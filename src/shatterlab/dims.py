@@ -2,35 +2,29 @@
 
 Implements VC dimension, thicket dimension, op_s-rank and their shatter
 functions, plus an auditor that machine-checks the Sauer-Shelah style bounds
-relating them.
-
-Inside one top-level call the searches carry a subfamily as an int over the
-canonical ``sets`` tuple: bit i is set when it contains ``sets[i]``.  Each
-element x's "with x" column is the member-index mask of
-``setsystem.child_masks(sets, (x,), (1,))``, built on first use; "without
-x" is its complement in the whole family.
-
-The VC quantities come from one depth-first search over tuples y_1 < y_2 <
-... of the universe.  It carries the partition of the family by trace on
-the chosen tuple as a list of class masks; extending the tuple by y splits
-each class by y's column, so the extension is shattered when every class
-splits into two nonempty halves, and its trace count is the number of
-nonempty halves.  Past 2^10 classes, where splitting each |F|-bit class
-mask costs more than a pass over F, the search counts the distinct traces
-m & Y (Y the tuple's mask) instead.  VC dimension extends only shattered tuples (a subset of a
-shattered set is shattered, so every shattered set is reached through its
-shattered prefixes) and stops at min(n, floor(log2 |F|)); the shatter
-function walks tuples of the asked size and prunes a node whose count times
-2^(elements still to add) cannot beat the best count, stopping at
-min(2^size, |F|).
+relating them.  The VC quantities come from one depth-first search over
+tuples y_1 < y_2 < ... of the universe.  The trace of a mask m on a tuple is
+m & Y, Y the tuple's mask, so extending the tuple by y sets one bit of Y and
+a node's trace count is the number of distinct codes m & Y, O(|F|) per node.
+VC dimension extends only shattered tuples (a subset of a shattered set is
+shattered, so every shattered set is reached through its shattered
+prefixes) and stops at min(n, floor(log2 |F|)); the shatter function walks
+tuples of the asked size and prunes a node whose count times 2^(elements
+still to add) cannot beat the best count, stopping at min(2^size, |F|).
 
 op_s-rank and psi^s come from one memoized rank recursion and one memoized
-shatter recursion over member-index masks.  The child on an s-tuple and a
+shatter recursion.  Inside one top-level call they carry a subfamily as an
+int over the canonical ``sets`` tuple: bit i is set when it contains
+``sets[i]``.  Each element x's "with x" column is the member-index mask of
+``setsystem.child_masks(sets, (x,), (1,))``, built on first use; "without
+x" is its complement in the whole family.  The child on an s-tuple and a
 pattern sigma is the family ANDed with each element's column (sigma bit 1)
 or its complement (bit 0); a repeated element with conflicting bits ANDs
 to 0, the empty child.  Sizes are bit counts, and the memo keys are
-(mask, height) pairs.  Thicket dimension and the thicket shatter function
-are the s = 1 calls of those recursions, without the universe cap.
+(mask, height) pairs.  A family of fewer than 2^(2s) members has op_s-rank
+at most 1, which the rank reads off the traces without building a column.
+Thicket dimension and the thicket shatter function are the s = 1 calls of
+those recursions, without the universe cap.
 
 The empty family has rank ``NEG_INF`` (serialized as the string "-inf").
 """
@@ -156,12 +150,6 @@ def random_element_tree(universe_size, arity_exponent, height, seed):
 
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-# Splitting a trace class costs one AND of |F|-bit masks, so past about a
-# thousand classes one pass over the family's masks, counting the traces
-# m & Y, is cheaper; the VC searches switch to it there (only families of
-# more than 2^10 members get that far).
-_MAX_CLASSES = 1 << 10
-
 
 class _Columns(dict):
     """Element x -> its "with x" column: the member-index mask of the members
@@ -171,15 +159,11 @@ class _Columns(dict):
     It is parsed from one binary digit string, in time linear in |F|."""
 
     def __init__(self, sets):
-        self.sets, self.digit = sets, None
+        self.sets = sets
 
     def __missing__(self, x):
-        if self.digit is None:
-            last = len(self.sets) - 1
-            self.digit = {m: last - i for i, m in enumerate(self.sets)}
-        flags = bytearray(len(self.sets))
-        for m in child_masks(self.sets, (x,), (1,)):
-            flags[self.digit[m]] = 1
+        kid = set(child_masks(self.sets, (x,), (1,)))
+        flags = bytes([m in kid for m in reversed(self.sets)])
         self[x] = column = int(flags.translate(_BINARY_DIGITS), 2)
         return column
 
@@ -225,37 +209,19 @@ def vc_dimension(system: SetSystem, cap=None):
     sets, n = system.sets, system.universe_size
     # Shattering k elements takes 2^k sets.
     limit = min(n, len(sets).bit_length() - 1)
-    return _shattered_search(_Columns(sets), [(1 << len(sets)) - 1],
-                             n, 0, 0, 0, 0, limit)
+    return _shattered_search(sets, n, 0, 0, 0, 0, limit)
 
 
-def _shattered_search(columns, classes, n, chosen, start, k, best, limit):
+def _shattered_search(sets, n, chosen, start, k, best, limit):
     """Largest size, at least ``best`` and at most ``limit``, of a shattered
-    set extending the shattered k-set ``chosen`` by elements >= start.
-    ``classes`` are the member-index masks of the family's 2^k traces on
-    ``chosen``, or None past ``_MAX_CLASSES``, where the traces are counted."""
+    set extending the shattered k-set ``chosen`` by elements >= start."""
     for y in range(start, n):
         # Below y's subtree no set is larger than k + (n - y).
         if best == limit or k + n - y <= best:
             break
         kid = chosen | 1 << y
-        if classes is None:
-            kids = None
-            shattered = len({m & kid for m in columns.sets}) == 2 << k
-        else:
-            column = columns[y]
-            kids = []
-            for c in classes:
-                half = c & column
-                if not half or half == c:
-                    break
-                kids.append(half)
-                kids.append(c ^ half)
-            shattered = len(kids) == 2 << k
-            if len(kids) > _MAX_CLASSES:
-                kids = None
-        if shattered:
-            best = _shattered_search(columns, kids, n, kid, y + 1, k + 1,
+        if len({m & kid for m in sets}) == 2 << k:
+            best = _shattered_search(sets, n, kid, y + 1, k + 1,
                                      max(best, k + 1), limit)
     return best
 
@@ -269,37 +235,21 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     if size == 0:
         return 1
-    sets, n = system.sets, system.universe_size
-    return _trace_count_search(_Columns(sets), [(1 << len(sets)) - 1],
-                               n, size, 0, 0, 0, 0, min(1 << size, len(sets)))
+    sets = system.sets
+    return _trace_count_search(sets, system.universe_size, size, 0, 0, 0, 0,
+                               min(1 << size, len(sets)))
 
 
-def _trace_count_search(columns, classes, n, size, chosen, start, k, best, stop):
+def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
     """Largest trace count, at least ``best`` and at most ``stop``, over the
-    size-sets extending the k-set ``chosen`` by elements >= start.
-    ``classes`` are the member-index masks of the family's traces on
-    ``chosen``, or None past ``_MAX_CLASSES``, where the traces are counted."""
+    size-sets extending the k-set ``chosen`` by elements >= start."""
     for y in range(start, n - size + k + 1):
         kid = chosen | 1 << y
-        if classes is None:
-            kids, count = None, len({m & kid for m in columns.sets})
-        else:
-            column = columns[y]
-            kids = []
-            for c in classes:
-                half = c & column
-                if half:
-                    kids.append(half)
-                if half != c:
-                    kids.append(c ^ half)
-            count = len(kids)
-            if count > _MAX_CLASSES:
-                kids = None
         # Each of the kid's classes splits into at most 2^(size-k-1) traces.
-        reach = count << (size - k - 1)
+        reach = len({m & kid for m in sets}) << (size - k - 1)
         if reach > best:
             best = reach if k + 1 == size else _trace_count_search(
-                columns, kids, n, size, kid, y + 1, k + 1, best, stop)
+                sets, n, size, kid, y + 1, k + 1, best, stop)
             if best == stop:
                 break
     return best
@@ -343,11 +293,17 @@ def _op_rank(sets, n, s):
     # Distinct tuples only: a repeated element forces an empty child, and
     # the min over children is invariant under permuting the tuple.
     tuples = list(itertools.combinations(range(n), s))
+    arity = 1 << s
+    if len(sets) < arity * arity:
+        # Rank 2 needs arity^2 members.  Rank 1 needs a tuple whose children
+        # are all nonempty, that is one on which all arity traces occur.
+        return int(any(len({m & chosen for m in sets}) == arity
+                       for chosen in (sum(1 << x for x in xs) for xs in tuples)))
     selectors = _Selectors(sets)
     full = (1 << len(sets)) - 1
     memo = {}
     k = 0
-    while _op_rank_at_least(full, tuples, selectors, 1 << s, k + 1, memo):
+    while _op_rank_at_least(full, tuples, selectors, arity, k + 1, memo):
         k += 1
     return k
 

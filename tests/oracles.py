@@ -5,9 +5,9 @@ functions are computed by enumerating every complete element tree, the VC
 dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment, and
 the Monte Carlo audits by walking one scalar test tree per trial.  The
-``tuple_*`` functions at the end are dims' earlier searches over mask
-tuples, against which the member-index bitset kernels are checked at sizes
-the tree enumeration cannot reach.
+``tuple_*`` functions at the end are dims' earlier op_s-rank and shatter
+recursions over mask tuples, against which the member-index bitset kernels
+are checked at sizes the tree enumeration cannot reach.
 """
 
 import itertools
@@ -381,56 +381,8 @@ def scalar_vc_theorem(space, system, height, epsilon, trials, seed,
 # ---------------------------------------------------------------------------
 # The tuple-filter recursions that dims ran before it carried families as
 # member-index bitsets: the same searches over canonical mask tuples, each
-# child built by ``child_masks``, each trace count a set of codes m & Y.
+# child built by ``child_masks``.
 # ---------------------------------------------------------------------------
-
-def tuple_vc_dimension(system):
-    if not system.sets:
-        return NEG_INF
-    sets, n = system.sets, system.universe_size
-    # Shattering k elements takes 2^k sets.
-    limit = min(n, len(sets).bit_length() - 1)
-    return _shattered_search(sets, n, 0, 0, 0, 0, limit)
-
-
-def _shattered_search(sets, n, chosen, start, k, best, limit):
-    """Largest size, at least ``best`` and at most ``limit``, of a shattered
-    set extending the shattered k-set ``chosen`` by elements >= start."""
-    for y in range(start, n):
-        # Below y's subtree no set is larger than k + (n - y).
-        if best == limit or k + n - y <= best:
-            break
-        kid = chosen | 1 << y
-        if len({m & kid for m in sets}) == 2 << k:
-            best = _shattered_search(sets, n, kid, y + 1, k + 1,
-                                     max(best, k + 1), limit)
-    return best
-
-
-def tuple_vc_shatter_function(system, size):
-    if not system.sets:
-        return 0
-    if size == 0:
-        return 1
-    sets = system.sets
-    return _trace_count_search(sets, system.universe_size, size, 0, 0, 0, 0,
-                               min(1 << size, len(sets)))
-
-
-def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
-    """Largest trace count, at least ``best`` and at most ``stop``, over the
-    size-sets extending the k-set ``chosen`` by elements >= start."""
-    for y in range(start, n - size + k + 1):
-        kid = chosen | 1 << y
-        # Each of the kid's classes splits into at most 2^(size-k-1) traces.
-        reach = len({m & kid for m in sets}) << (size - k - 1)
-        if reach > best:
-            best = reach if k + 1 == size else _trace_count_search(
-                sets, n, size, kid, y + 1, k + 1, best, stop)
-            if best == stop:
-                break
-    return best
-
 
 def tuple_op_rank(sets, n, s):
     """op_s-rank of a nonempty family, found by deepening a memoized

@@ -18,8 +18,7 @@ from shatterlab.dims import rank_from_str, rank_to_str
 from families import fixture_zoo, random_system
 from oracles import (brute_rank, brute_shatter, brute_shatters,
                      brute_vc_dimension, brute_vc_shatter_function,
-                     tuple_op_rank, tuple_op_shatter, tuple_vc_dimension,
-                     tuple_vc_shatter_function)
+                     tuple_op_rank, tuple_op_shatter)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +240,6 @@ def _assert_op_matches_tuple_recursions(system, arities, max_height):
                 sets, n, 1, max_height)
 
 
-def _assert_vc_matches_tuple_searches(system):
-    assert vc_dimension(system) == tuple_vc_dimension(system), system
-    for size in range(system.universe_size + 1):
-        assert (vc_shatter_function(system, size)
-                == tuple_vc_shatter_function(system, size)), (system, size)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_op_bitsets_match_tuple_recursions_at_audit_sizes(seed):
     rng = random.Random(1400 + seed)
@@ -255,15 +247,6 @@ def test_op_bitsets_match_tuple_recursions_at_audit_sizes(seed):
                                         (1, 2), 3)
     _assert_op_matches_tuple_recursions(_distinct_system(rng, (5, 6), (10, 16)),
                                         (3,), 2)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_vc_bitsets_match_tuple_searches_at_audit_sizes(seed):
-    rng = random.Random(1500 + seed)
-    n = rng.randint(14, 16)
-    masks = tuple(sum(1 << x for x in range(n) if rng.random() < 0.3)
-                  for _ in range(rng.randint(20, 28)))
-    _assert_vc_matches_tuple_searches(SetSystem(n, masks))
 
 
 @pytest.mark.parametrize("system", [
@@ -274,25 +257,6 @@ def test_bitset_edge_cases_match_tuple_recursions(system):
     # universes 1 and 2 lie below s = 3, where op_shatter's tuples repeat
     # elements and conflicting bits must give the empty child
     _assert_op_matches_tuple_recursions(system, (1, 2, 3), 3)
-    _assert_vc_matches_tuple_searches(system)
-
-
-def test_vc_bitsets_match_tuple_searches_past_the_class_limit():
-    # more than 2^10 trace classes: the searches count traces there
-    rng = random.Random(1600)
-    # every pattern on [11], each with random bits at 11 and 12, plus 3,000
-    # random sets: the search counts traces below the shattered [11], whose
-    # extensions it must find unshattered
-    cube = {m | rng.getrandbits(2) << 11 for m in range(1 << 11)}
-    cube.update(rng.sample(range(1 << 13), 3000))
-    for system in (generate("powerset", 12), SetSystem(13, tuple(cube)),
-                   SetSystem(12, tuple(rng.sample(range(1 << 12), 2500)))):
-        _assert_vc_matches_tuple_searches(system)
-
-
-def test_vc_bitsets_match_tuple_searches_on_seeded_corpus():
-    for n, masks in VC_CORPUS:
-        _assert_vc_matches_tuple_searches(SetSystem(n, masks))
 
 
 # ---------------------------------------------------------------------------
