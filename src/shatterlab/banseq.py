@@ -8,22 +8,8 @@ ascending index order -- a set of banned patterns Z: S -> [j], serialized in
 ascending S order.  A sequence is banned when any S catches it.  True
 problems have every ban set nonempty; the relaxed variant (produced by the
 f-hat / f-prime reductions) may have empty ban sets and only the counting
-operations accept it.
-
-Storage.  A problem's table is one numpy bool array of shape (C(n,k),
-j^(n-k), j^k): index subset x context x pattern.  Constructors that know
-the whole table up front build it as that array: ``from_vc`` as one row per
-index subset broadcast over the contexts, ``random_problem`` by drawing into
-it, ``from_element_tree`` and ``from_type_tree`` by flagging each leaf or
-prefix once and reading the flags through each index subset's view, and the
-reductions by reducing their source's array.  A problem behind a per-entry
-rule (parity, user functions and ``from_table``) is filled once, by one
-``ban_set`` call per entry, when a whole-table operation first needs it and
-after the table cap allows its C(n,k) * j^n entries; the fill collects each
-index subset's hits and writes them in one numpy assignment.  ``ban_set``
-checks an index subset in full once and then finds its row in a per-problem
-memo, so a key check costs a dict lookup plus a length and alphabet test of
-the context.
+operations accept it.  ``RelaxedBanProblem`` describes how a problem
+stores its table.
 """
 
 from __future__ import annotations
@@ -38,7 +24,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError, VerificationError, check_cap, require_int
-from .setsystem import SetSystem, traces
+from .setsystem import SetSystem, mask_of, traces
 
 __all__ = [
     "RelaxedBanProblem",
@@ -70,18 +56,19 @@ class RelaxedBanProblem:
     """Ban table behind a (possibly lazy) function or a finished array;
     empty ban sets allowed.
 
-    ``_bans[r, c, z]``: pattern z is banned at the r-th index subset and the
-    c-th context, all three in ``itertools`` order.  A problem is in one of
-    two states.  Built by ``_from_array`` (``from_vc``, ``random_problem``,
-    the element-tree and type-tree constructors, the reductions), it holds
-    the finished array from the start (possibly a read-only broadcast view)
-    and has no function.  Built on a function (parity, user functions,
-    ``from_table``), it is lazy until ``_table`` fills the array once,
-    by one ``ban_set`` call per entry, and drops the function: ``from_table``
-    at construction, whole-table operations after the table cap of
-    ``_capped_table``.  The fill walks the contexts of each index subset,
-    collects that subset's flat hit indices and sets them with one write.
-    Until then ``ban_set`` calls the function.
+    ``_bans``, a numpy bool array of shape (C(n,k), j^(n-k), j^k), is the
+    table: ``_bans[r, c, z]`` says pattern z is banned at the r-th index
+    subset and the c-th context, all three in ``itertools`` order.  A
+    problem is in one of two states.  Built by ``_from_array`` (``from_vc``,
+    ``random_problem``, the element-tree and type-tree constructors, the
+    reductions), it holds the finished array from the start (possibly a
+    read-only broadcast view) and has no function.  Built on a function
+    (parity, user functions, ``from_table``), it is lazy until ``_table``
+    fills the array once, by one ``ban_set`` call per entry, and drops the
+    function: ``from_table`` at construction, whole-table operations after
+    the table cap of ``_capped_table``.  The fill walks the contexts of each
+    index subset, collects that subset's flat hit indices and sets them with
+    one write.  Until then ``ban_set`` calls the function.
 
     ``_rows`` maps each index subset ``ban_set`` has accepted to its row r.
     A subset is checked in full and ranked only on its first visit, and
@@ -550,13 +537,15 @@ def from_vc(system: SetSystem, m, cap=None):
 def from_element_tree(tree, system: SetSystem, m, cap=None):
     """m-fold problem over alphabet 2^s whose banned patterns are the
     leaves of the (S, X)-restricted tree that no family member properly
-    labels.  Requires op_s-rank(F) < m."""
+    labels.  Requires op_s-rank(F) < m and every label an element of the
+    family's universe."""
     from .dims import op_rank, NEG_INF
 
     s = tree.arity_exponent
     n = tree.height
     if not 1 <= m <= n:
         raise InputError(f"need 1 <= m <= tree height, got m={m}, height={n}")
+    mask_of(itertools.chain.from_iterable(tree.labels.values()), system.universe_size)
     rank = op_rank(system, s, cap=cap)
     if rank != NEG_INF and rank >= m:
         raise InputError(f"op_{s}-rank {rank} >= fold {m}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InputError, check_cap
-from .setsystem import SetSystem, child_masks
+from .setsystem import SetSystem, child, child_masks, mask_of
 
 __all__ = [
     "NEG_INF",
@@ -193,11 +193,7 @@ class _Selectors(dict):
 # ---------------------------------------------------------------------------
 
 def shatters(system: SetSystem, targets) -> bool:
-    chosen = 0
-    for y in set(targets):
-        if not 0 <= y < system.universe_size:
-            raise InputError(f"target {y} out of range for universe [{system.universe_size}]")
-        chosen |= 1 << y
+    chosen = mask_of(targets, system.universe_size)
     return len({m & chosen for m in system.sets}) == 1 << chosen.bit_count()
 
 
@@ -391,13 +387,8 @@ def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
     if r < 1 or l < 1:
         raise InputError("need r >= 1 and l >= 1")
     a = op_rank(system, r, cap=cap)
-    s = len(xs)
-    count = 0
-    for sigma in itertools.product((0, 1), repeat=s):
-        kid = SetSystem(system.universe_size, child_masks(system.sets, xs, sigma))
-        if op_rank(kid, r, cap=cap) <= a - l:
-            count += 1
-    return count
+    return sum(op_rank(child(system, xs, sigma), r, cap=cap) <= a - l
+               for sigma in itertools.product((0, 1), repeat=len(xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,13 @@ def _as_fraction_vector(vec, r):
     return tuple(require_rational(v, "coordinate") for v in vec)
 
 
+def _as_halfspace(halfspace, r):
+    if not isinstance(halfspace, (list, tuple)) or len(halfspace) != 2:
+        raise InputError(f"half-space {halfspace!r} is not a (normal, offset) pair")
+    normal, offset = halfspace
+    return _as_fraction_vector(normal, r), require_rational(offset, "offset")
+
+
 @dataclass(frozen=True)
 class PointArrangement:
     """Rational points and half-spaces in Q^r.
@@ -44,9 +51,7 @@ class PointArrangement:
         object.__setattr__(self, "points",
                            tuple(_as_fraction_vector(p, r) for p in self.points))
         object.__setattr__(self, "halfspaces",
-                           tuple((_as_fraction_vector(n, r),
-                                  require_rational(c, "offset"))
-                                 for n, c in self.halfspaces))
+                           tuple(_as_halfspace(h, r) for h in self.halfspaces))
 
     def to_json_dict(self):
         def frac(x):
@@ -128,14 +133,10 @@ def line_arrangement_cells(lines):
     1 + s^2 - V.  The general-position preconditions (pairwise non-parallel,
     no three concurrent) are checked exactly and violations are reported.
     """
-    norm = []
-    for line in lines:
-        (a, b), c = line
-        a, b = require_rational(a, "coefficient"), require_rational(b, "coefficient")
-        c = require_rational(c, "offset")
+    norm = PointArrangement(2, (), lines).halfspaces
+    for i, ((a, b), _) in enumerate(norm):
         if a == 0 and b == 0:
-            raise InputError(f"degenerate line {line!r}: zero normal")
-        norm.append(((a, b), c))
+            raise InputError(f"degenerate line {i}: zero normal")
     s = len(norm)
     points = {}
     for i, j in itertools.combinations(range(s), 2):

@@ -3,6 +3,11 @@
 Sets are integers whose bit i records membership of element i.  The family
 is kept sorted and deduplicated so that a system's ``sets`` tuple doubles as
 a canonical memoization key for the recursive dimension computations.
+
+This module owns the element and mask rules that every entry point of the
+library applies: an element of [n] is an integer (not a bool) in [0, n),
+read by ``mask_of``, and a mask over [n] is an integer (not a bool) in
+[0, 2^n), read by ``require_mask``; anything else is an InputError.
 """
 
 from __future__ import annotations
@@ -32,29 +37,18 @@ class SetSystem:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        n = self.universe_size
+        n = require_int(self.universe_size, "universe_size")
         if n < 0:
             raise InputError("universe_size must be non-negative")
-        limit = 1 << n
-        for m in self.sets:
-            if not 0 <= m < limit:
-                raise InputError(f"set {m:#x} out of range for universe [{n}]")
-        canonical = tuple(sorted(set(self.sets)))
+        canonical = tuple(sorted({require_mask(m, n) for m in self.sets}))
         if canonical != self.sets:
             object.__setattr__(self, "sets", canonical)
 
     @classmethod
     def from_iterables(cls, universe_size, families, name=None):
         """Build from an iterable of element collections."""
-        masks = []
-        for fam in families:
-            m = 0
-            for x in fam:
-                if not 0 <= x < universe_size:
-                    raise InputError(f"element {x} out of range for universe [{universe_size}]")
-                m |= 1 << x
-            masks.append(m)
-        return cls(universe_size, tuple(masks), name)
+        return cls(universe_size, tuple(mask_of(fam, universe_size) for fam in families),
+                   name)
 
     def members(self, mask):
         return [i for i in range(self.universe_size) if mask >> i & 1]
@@ -87,15 +81,38 @@ class SetSystem:
         return cls(n, tuple(masks), data.get("name"))
 
 
+def mask_of(elements, n):
+    """The mask of ``elements``, each an integer in [0, n); a bool, a float,
+    a string or an element out of range is an InputError, and so is an
+    argument that is not a collection."""
+    try:
+        items = iter(elements)
+    except TypeError:
+        raise InputError(f"expected a collection of elements, got {elements!r}") from None
+    mask = 0
+    for x in items:
+        x = require_int(x, "element")
+        if not 0 <= x < n:
+            raise InputError(f"element {x} out of range for universe [{n}]")
+        mask |= 1 << x
+    return mask
+
+
+def require_mask(mask, n):
+    """``mask`` as an int when it is an integer in [0, 2^n); a bool, a
+    float, a string or a mask out of range is an InputError."""
+    m = require_int(mask, "set")
+    if not 0 <= m < 1 << n:
+        raise InputError(f"set {m:#x} out of range for universe [{n}]")
+    return m
+
+
 def project(system: SetSystem, targets) -> SetSystem:
     """Trace the family onto ``targets``, re-indexed to a dense universe.
 
     Element j of the result is the j-th smallest member of ``targets``.
     """
-    ys = sorted(set(targets))
-    for y in ys:
-        if not 0 <= y < system.universe_size:
-            raise InputError(f"projection target {y} out of range")
+    ys = system.members(mask_of(targets, system.universe_size))
     return SetSystem(len(ys), tuple(traces(system.sets, ys)))
 
 
@@ -116,9 +133,7 @@ def child(system: SetSystem, xs, sigma) -> SetSystem:
     """Subfamily consistent with membership pattern ``sigma`` on tuple ``xs``."""
     if len(xs) != len(sigma):
         raise InputError("xs and sigma must have equal length")
-    for x in xs:
-        if not 0 <= x < system.universe_size:
-            raise InputError(f"element {x} out of range")
+    mask_of(xs, system.universe_size)
     return SetSystem(system.universe_size, child_masks(system.sets, xs, sigma))
 
 

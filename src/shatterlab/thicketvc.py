@@ -31,9 +31,8 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError, check_cap, require_int, require_rational
-from .setsystem import SetSystem
-from .dims import thicket_dimension, thicket_shatter, NEG_INF
-from math import comb
+from .setsystem import SetSystem, mask_of, require_mask
+from .dims import _sauer_sum, thicket_dimension, thicket_shatter
 
 __all__ = [
     "ProbSpace",
@@ -144,16 +143,11 @@ class ProbSpace:
 
 
 def _as_mask(members, size):
+    """``members`` as a mask over [size]: an integer is read as a mask, and
+    anything else as a collection of points."""
     if isinstance(members, int):
-        if not 0 <= members < 1 << size:
-            raise InputError("membership mask out of range")
-        return members
-    mask = 0
-    for x in members:
-        if not 0 <= x < size:
-            raise InputError(f"point {x} out of range")
-        mask |= 1 << x
-    return mask
+        return require_mask(members, size)
+    return mask_of(members, size)
 
 
 class TestTree:
@@ -468,10 +462,7 @@ def _thicket_shatter_estimate(system: SetSystem, height):
     """Exact rho when small enough, else the Sauer-style polynomial bound."""
     if system.universe_size <= 12 and height <= 12:
         return thicket_shatter(system, height), "exact"
-    k = thicket_dimension(system)
-    if k == NEG_INF:
-        return 0, "bounded"
-    return sum(comb(height, i) for i in range(int(k) + 1)), "bounded"
+    return _sauer_sum(height, thicket_dimension(system)), "bounded"
 
 
 def run_vc_theorem(space: ProbSpace, system: SetSystem, height, epsilon,

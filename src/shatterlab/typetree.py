@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import InputError, VerificationError, require_int
-from .setsystem import SetSystem
+from .setsystem import SetSystem, mask_of
 from .dims import thicket_dimension, NEG_INF
 
 __all__ = [
@@ -117,10 +117,9 @@ def build_type_tree(graph: Graph, order=None) -> TypeTree:
     """Insert vertices BST-style: descend right on adjacency, left otherwise,
     occupying the first empty slot.  Both type-tree conditions hold by
     construction; the result is revalidated anyway."""
-    if order is None:
-        order = range(graph.vertex_count)
-    order = list(order)
-    if sorted(order) != list(range(graph.vertex_count)):
+    n = graph.vertex_count
+    order = list(range(n) if order is None else order)
+    if len(order) != n or mask_of(order, n) != (1 << n) - 1:
         raise InputError("order must be a permutation of the vertices")
     labels = {}
     for v in order:

@@ -247,10 +247,10 @@ def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(call=CALLS, env_cap=ENV_CAP)
-def test_cli_exit_codes_and_messages(input_path, call, env_cap):
-    argv, data = call
+def run_cli(input_path, argv, data, env_cap=None):
+    """(exit code, stderr) of ``main(argv)`` with FILE in ``argv`` standing
+    for a file holding ``data`` as JSON, under ``SHATTERLAB_CAP`` set to
+    ``env_cap`` (None leaves it unset)."""
     if FILE in argv:
         input_path.write_text(json.dumps(data).replace(f'"{OVERFLOW}"', OVERFLOW))
     argv = [str(input_path) if a == FILE else a for a in argv]
@@ -265,8 +265,45 @@ def test_cli_exit_codes_and_messages(input_path, call, env_cap):
         os.environ.pop("SHATTERLAB_CAP", None)
         if saved is not None:
             os.environ["SHATTERLAB_CAP"] = saved
-    stderr = err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(call=CALLS, env_cap=ENV_CAP)
+def test_cli_exit_codes_and_messages(input_path, call, env_cap):
+    argv, data = call
+    code, stderr = run_cli(input_path, argv, data, env_cap)
     assert code in (0, 1, 2, 3), (argv, data, code)
     assert "Traceback" not in stderr
     if code == 1:
         assert any(m in stderr for m in VERIFICATION_MESSAGES), (argv, data, stderr)
+
+
+def _line(normal=(1, 2), offset=0):
+    return {"lines": [{"normal": list(normal), "offset": offset},
+                      {"normal": [0, 1], "offset": 1}]}
+
+
+# Each field the CLI reads as a float, as (argv, data of the non-finite value).
+FLOAT_FIELDS = {
+    "weight": (["mc", "weaklaw", "--space", FILE, "--set", "0", "--n", "4",
+                "--epsilon", "1/4", "--trials", "5"],
+               lambda v: {"points": 2, "weights": [v, "1/2"]}),
+    "normal": (["geom", "cells", FILE], lambda v: _line(normal=(1, v))),
+    "offset": (["geom", "cells", FILE], lambda v: _line(offset=v)),
+    "density": (["ban", "solve", FILE],
+                lambda v: {"generator": "random", "n": 3, "k": 1, "density": v}),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), OVERFLOW],
+                         ids=["NaN", "Infinity", OVERFLOW])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_cli_refuses_non_finite_numbers(input_path, field, value):
+    """The fixed companion of the fuzz: it seldom draws a non-finite number
+    into a field read as a float, so each such field gets NaN, Infinity and
+    1e400 here."""
+    argv, data_of = FLOAT_FIELDS[field]
+    code, stderr = run_cli(input_path, argv, data_of(value))
+    assert code == 2, (field, value, stderr)
+    assert "Traceback" not in stderr

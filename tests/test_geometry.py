@@ -36,13 +36,21 @@ def test_cells_reports_parallel_and_concurrent():
         line_arrangement_cells([((0, 0), 1)])
 
 
-@pytest.mark.parametrize("line", [
-    ((True, False), True), ((1, 0), True), (("abc", 1), 0), ((0, 1), "abc"),
-    ((float("inf"), 1), 0), ((1, 0), "inf"), (("1/0", 1), 0),
+@pytest.mark.parametrize("line, message", [
+    (((True, False), True), "rational"), (((1, 0), True), "rational"),
+    ((("abc", 1), 0), "rational"), (((0, 1), "abc"), "rational"),
+    (((float("inf"), 1), 0), "rational"), (((1, 0), "inf"), "rational"),
+    ((("1/0", 1), 0), "rational"),
+    # a line that is not a (normal, offset) pair with a two-entry normal
+    ((1, 2), "not a list of length 2"), (((1, 2, 3), 0), "not a list of length 2"),
+    (5, "not a \\(normal, offset\\) pair"),
 ], ids=["booleans", "boolean-offset", "text", "text-offset", "infinity",
-        "infinity-offset", "zero-denominator"])
-def test_cells_refuse_coefficients_that_are_not_rational(line):
-    with pytest.raises(InputError, match="rational"):
+        "infinity-offset", "zero-denominator", "bare-pair", "three-entry-normal",
+        "bare-number"])
+def test_cells_refuse_coefficients_that_are_not_rational(line, message):
+    """Also refused: a line that is not a (normal, offset) pair of a
+    two-entry normal and an offset."""
+    with pytest.raises(InputError, match=message):
         line_arrangement_cells([line, ((0, 1), "1/2")])
 
 

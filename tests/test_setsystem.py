@@ -1,9 +1,15 @@
 """Set-system construction, canonicalization, projections, and generators."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from shatterlab import InputError, SetSystem, child, dual, generate, project
+from shatterlab import (ElementTree, Graph, InputError, ProbSpace, SetSystem,
+                        build_type_tree, characteristic_path, child,
+                        count_children_dropping, dual, from_element_tree,
+                        generate, project, run_weak_law, sample_test_tree,
+                        shatters)
 from shatterlab.setsystem import GENERATOR_KINDS, child_masks
 
 
@@ -108,3 +114,42 @@ def test_generators():
     with pytest.raises(InputError):
         generate("powerset", "x")
     assert "powerset" in GENERATOR_KINDS
+
+
+N = 3
+POWER = generate("powerset", N)
+SPACE = ProbSpace.uniform(N)
+
+# Every entry point that takes an element of [N] ("element") or a mask over
+# [N] ("mask"), called with one value in that place.
+ENTRY_POINTS = {
+    "SetSystem": ("mask", lambda m: SetSystem(N, (m,))),
+    "from_iterables": ("element", lambda x: SetSystem.from_iterables(N, [[x]])),
+    "project": ("element", lambda x: project(POWER, [x])),
+    "child": ("element", lambda x: child(POWER, (x,), (1,))),
+    "shatters": ("element", lambda x: shatters(POWER, [x])),
+    "count_children_dropping": ("element",
+                                lambda x: count_children_dropping(POWER, (x,), 1, 1)),
+    "mass-elements": ("element", lambda x: SPACE.mass([x])),
+    "mass-mask": ("mask", lambda m: SPACE.mass(m)),
+    "characteristic_path": ("element", lambda x: characteristic_path(
+        sample_test_tree(SPACE, 2, 0), [x])),
+    "run_weak_law": ("element", lambda x: run_weak_law(
+        SPACE, [x], 2, Fraction(1, 4), 3, 0)),
+    "from_element_tree": ("element", lambda x: from_element_tree(
+        ElementTree(1, 1, {(): (x,)}), SetSystem(N, (0,)), 1)),
+    "build_type_tree": ("element", lambda x: build_type_tree(
+        Graph.from_edge_list(N, []), [0, x, 2])),
+}
+
+
+@pytest.mark.parametrize("bad", ["a", 1.5, True, -1, "top"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_junk_elements_and_masks(entry, bad):
+    """A bool, a float, a string, a negative value or one past the top (N
+    for an element, 2^N for a mask) is an InputError everywhere."""
+    kind, call = ENTRY_POINTS[entry]
+    if bad == "top":
+        bad = N if kind == "element" else 1 << N
+    with pytest.raises(InputError):
+        call(bad)
