@@ -1,19 +1,14 @@
 """tools/code_lines.py: which lines of a Python source count as code."""
 
 import importlib.util
-import textwrap
 from pathlib import Path
 
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines_module = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines_module)
-
-
-def count(source):
-    return code_lines_module.code_lines(textwrap.dedent(source))
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -27,7 +22,7 @@ def count(source):
 ], ids=["blank", "comments", "module-docstring", "class-docstring",
         "function-docstring", "async-docstring", "nested-docstring"])
 def test_blank_comment_and_docstring_lines_do_not_count(source, expected):
-    assert count(source) == expected
+    assert code_lines.code_lines(source) == expected
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -38,4 +33,4 @@ def test_blank_comment_and_docstring_lines_do_not_count(source, expected):
     ("items = [\n    1,\n\n    # a comment\n    2,\n]\n", 4),
 ], ids=["string-value", "string-statement", "bracketed", "backslash", "bracket-gaps"])
 def test_strings_that_are_not_docstrings_and_continued_lines_count(source, expected):
-    assert count(source) == expected
+    assert code_lines.code_lines(source) == expected
