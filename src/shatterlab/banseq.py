@@ -78,7 +78,7 @@ class RelaxedBanProblem:
     allow_empty = True
 
     def __init__(self, n, k, j, fn, name=None):
-        _check_shape(n, k, j)
+        n, k, j = _check_shape(n, k, j)
         self.n = n
         self.k = k
         self.j = j
@@ -151,11 +151,12 @@ class RelaxedBanProblem:
         return list(itertools.product(range(self.j), repeat=self.k))
 
     def _row(self, S):
-        """Check the index subset S and memoize its row: its rank among the
-        k-subsets of [n] in lexicographic order."""
+        """Check the index subset S, k ascending positions of [n], and
+        memoize its row: its rank among the k-subsets of [n] in
+        lexicographic order."""
         n, k = self.n, self.k
-        if (len(S) != k or any(not 0 <= s < n for s in S)
-                or list(S) != sorted(set(S))):
+        mask_of(S, n)
+        if len(S) != k or list(S) != sorted(set(S)):
             raise InputError(f"bad index subset {S}")
         row = self._rows[S] = comb(n, k) - 1 - sum(
             comb(n - 1 - s, k - i) for i, s in enumerate(S))
@@ -200,7 +201,7 @@ class RelaxedBanProblem:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n, k, j = (require_int(data[f], f) for f in ("n", "k", "j"))
+            n, k, j = data["n"], data["k"], data["j"]
             table = {(tuple(require_int(s, "S entry") for s in entry["S"]),
                       _digits(entry["X"])):
                      frozenset(_digits(z) for z in entry["banned"])
@@ -218,10 +219,9 @@ def _digits(text):
 
 
 def _check_shape(n, k, j):
-    if not (1 <= k <= n):
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if j < 2:
-        raise InputError("alphabet size must be at least 2")
+    """(n, k, j) read as integers with 1 <= k <= n and j >= 2."""
+    n = require_int(n, "n", 1)
+    return n, require_int(k, "k", 1, n), require_int(j, "j", 2)
 
 
 class BanProblem(RelaxedBanProblem):
@@ -455,8 +455,8 @@ def min_subcube_hitting(n, k, cap=None):
     """Minimum size of B in 2^n meeting every k-dimensional subcube, by
     branch and bound.  Cube c is the c-th (index subset, context) row of
     the table layout; bit c of ``cover[p]`` is set when cube c holds p."""
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n = require_int(n, "n", 1)
+    k = require_int(k, "k", 1, n)
     check_cap(n, cap, DEFAULT_HITTING_CAP, "hitting-search length n")
     points = np.arange(1 << n).reshape((2,) * n)
     cubes = np.concatenate([_subset_view(points, S).reshape(-1, 1 << k)
@@ -493,15 +493,13 @@ def _hitting_search(cubes, cover, max_cover, uncovered, chosen, best):
 def max_solutions(n, k, cap=None):
     """Largest solution count over all binary k-fold problems of length n;
     equals 2^n minus the minimum subcube-hitting size."""
-    return (1 << n) - min_subcube_hitting(n, k, cap)
+    hitting = min_subcube_hitting(n, k, cap)  # reads n and k before 1 << n
+    return (1 << n) - hitting
 
 
 def parity_problem(n):
     """1-fold binary problem banning the entry that would even out the
     count of 1s; its solutions are exactly the even-weight sequences."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-
     bans = (frozenset({(1,)}), frozenset({(0,)}))
 
     def fn(S, X):
@@ -517,8 +515,7 @@ def from_vc(system: SetSystem, m, cap=None):
     Requires VC dimension < m so that every ban set is nonempty.  ``cap``
     bounds the C(n,m) * 2^m row entries, which also bound the trace walk."""
     n = system.universe_size
-    if not 1 <= m <= n:
-        raise InputError(f"need 1 <= m <= universe size, got m={m}, n={n}")
+    m = require_int(m, "m", 1, n)
     check_cap(comb(n, m) << m, cap, DEFAULT_ENUM_CAP, "C(n,m) * 2^m from_vc row entries")
     # One row per S, broadcast over the 2^(n-m) contexts it does not read.
     rows = np.ones((comb(n, m), 1, 1 << m), dtype=bool)
@@ -543,8 +540,7 @@ def from_element_tree(tree, system: SetSystem, m, cap=None):
 
     s = tree.arity_exponent
     n = tree.height
-    if not 1 <= m <= n:
-        raise InputError(f"need 1 <= m <= tree height, got m={m}, height={n}")
+    m = require_int(m, "m", 1, n)
     mask_of(itertools.chain.from_iterable(tree.labels.values()), system.universe_size)
     rank = op_rank(system, s, cap=cap)
     if rank != NEG_INF and rank >= m:
@@ -570,10 +566,8 @@ def from_type_tree(graph, type_tree, t):
     is raised as a verification error carrying that counterexample."""
     from .typetree import validate_type_tree
 
-    h = type_tree.height
-    if t < 2:
-        raise InputError("fold t must be >= 2")
-    n = h - 1
+    t = require_int(t, "t", 2)
+    n = type_tree.height - 1
     if n < t:
         raise InputError(f"degenerate size: length h-1 = {n} < fold {t}")
     valid, violation = validate_type_tree(graph, type_tree)
@@ -609,7 +603,8 @@ def random_problem(n, k, j, seed, density=0.5, cap=None):
     ``cap`` bounds the C(n,k) * j^n table entries drawn at once."""
     import random as _random
 
-    _check_shape(n, k, j)
+    n, k, j = _check_shape(n, k, j)
+    seed = require_int(seed, "seed")
     if isinstance(density, bool) or not isinstance(density, Real) or not 0 <= density <= 1:
         raise InputError(f"density must be a number in [0, 1], got {density!r}")
     check_table_cap(n, k, j, cap)

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import banseq, dims, geometry, setsystem, thicketvc, typetree
-from .errors import InputError, ResourceCapError, VerificationError, require_int
+from .errors import InputError, ResourceCapError, VerificationError
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -54,7 +54,11 @@ def _load_system(spec, cap):
     if os.path.exists(spec):
         return setsystem.SetSystem.from_json_dict(_load_json(spec))
     if ":" in spec:
-        kind, *params = spec.split(":")
+        kind, *fields = spec.split(":")
+        try:
+            params = [int(field) for field in fields]
+        except ValueError as exc:
+            raise InputError(f"bad generator shorthand {spec!r}: {exc}") from exc
         return setsystem.generate(kind, *params, cap=cap)
     raise InputError(f"no such file or generator shorthand: {spec!r}")
 
@@ -76,15 +80,14 @@ def _generated_problem(data, cap):
     try:
         gen = data["generator"]
         if gen == "parity":
-            return banseq.parity_problem(require_int(data["n"], "n"))
+            return banseq.parity_problem(data["n"])
         if gen == "random":
-            return banseq.random_problem(
-                require_int(data["n"], "n"), require_int(data["k"], "k"),
-                require_int(data.get("j", 2), "j"), require_int(data.get("seed", 0), "seed"),
-                data.get("density", 0.5), cap=cap)
+            return banseq.random_problem(data["n"], data["k"], data.get("j", 2),
+                                         data.get("seed", 0), data.get("density", 0.5),
+                                         cap=cap)
         if gen == "from_vc":
             return banseq.from_vc(setsystem.SetSystem.from_json_dict(data["system"]),
-                                  require_int(data["m"], "m"), cap=cap)
+                                  data["m"], cap=cap)
     except KeyError as exc:
         raise InputError(f"malformed problem generator object: {exc}") from exc
     raise InputError(f"unknown problem generator {gen!r}")

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import InputError, check_cap
+from .errors import InputError, check_cap, require_int
 from .setsystem import SetSystem, child, child_masks, mask_of
 
 __all__ = [
@@ -83,9 +83,8 @@ class ElementTree:
     labels: dict[tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
-        s, n = self.arity_exponent, self.height
-        if s < 1 or n < 0:
-            raise InputError("need arity_exponent >= 1 and height >= 0")
+        s = require_int(self.arity_exponent, "arity_exponent", 1)
+        n = require_int(self.height, "height", 0)
         arity = 1 << s
         expected = sum(arity ** d for d in range(n))
         if len(self.labels) != expected:
@@ -132,9 +131,10 @@ class ElementTree:
 
 def random_element_tree(universe_size, arity_exponent, height, seed):
     """Seeded complete element tree with uniformly random labels."""
-    if universe_size < 1:
-        raise InputError("need a nonempty universe")
-    rng = random.Random(seed)
+    universe_size = require_int(universe_size, "universe_size", 1)
+    arity_exponent = require_int(arity_exponent, "arity_exponent", 1)
+    height = require_int(height, "height", 0)
+    rng = random.Random(require_int(seed, "seed"))
     arity = 1 << arity_exponent
     labels = {}
     for depth in range(height):
@@ -224,8 +224,7 @@ def _shattered_search(sets, n, chosen, start, k, best, limit):
 
 def vc_shatter_function(system: SetSystem, size, cap=None):
     """pi_F(size): the largest trace count over subsets of the given size."""
-    if not 0 <= size <= system.universe_size:
-        raise InputError(f"size {size} out of range for universe [{system.universe_size}]")
+    size = require_int(size, "size", 0, system.universe_size)
     if not system.sets:
         return 0
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
@@ -266,17 +265,15 @@ def thicket_dimension(system: SetSystem):
 def thicket_shatter(system: SetSystem, height):
     """rho_F(height): maximum number of properly labeled leaves, that is
     psi_F^1(height), without the universe cap."""
-    if height < 0:
-        raise InputError("height must be non-negative")
-    return _op_shatter(system.sets, system.universe_size, 1, height)
+    return _op_shatter(system.sets, system.universe_size, 1,
+                       require_int(height, "height", 0))
 
 
 def op_rank(system: SetSystem, s, cap=None):
     """Largest height of a 2^s-ary element tree with all leaves properly
     labeled.  NEG_INF for the empty family; 0 for nonempty systems whose
     universe is smaller than s."""
-    if s < 1:
-        raise InputError("s must be >= 1")
+    s = require_int(s, "s", 1)
     if not system.sets:
         return NEG_INF
     check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
@@ -339,10 +336,7 @@ def op_shatter(system: SetSystem, s, height, cap=None):
 
     The tuple search permits repeated elements so that universes smaller
     than s are still covered."""
-    if s < 1:
-        raise InputError("s must be >= 1")
-    if height < 0:
-        raise InputError("height must be non-negative")
+    s, height = require_int(s, "s", 1), require_int(height, "height", 0)
     if not system.sets:
         return 0
     check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
@@ -384,8 +378,7 @@ def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
     at least ``l`` below op_r-rank(F)."""
     if not system.sets:
         raise InputError("requires a nonempty family (finite op-rank)")
-    if r < 1 or l < 1:
-        raise InputError("need r >= 1 and l >= 1")
+    r, l = require_int(r, "r", 1), require_int(l, "l", 1)
     a = op_rank(system, r, cap=cap)
     return sum(op_rank(child(system, xs, sigma), r, cap=cap) <= a - l
                for sigma in itertools.product((0, 1), repeat=len(xs)))
@@ -428,8 +421,8 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     arities, (f) rank monotonicity under subfamilies, (g) the two-parameter
     recurrence bound with a0 = sum_{i<r} C(s,i), a1 = 2^s - a0.
     """
-    if s < 1 or r < 1 or n < 0:
-        raise InputError("need s >= 1, r >= 1, n >= 0")
+    s, r = require_int(s, "s", 1), require_int(r, "r", 1)
+    n = require_int(n, "n", 0)
     report = BoundAuditReport()
     empty = not system.sets
 

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all modules, the integer- and
-rational-field checks shared by the loaders, and the cap check shared by
-every exponential path.
+"""Exception hierarchy shared by all modules, the integer rule that reads
+every integer parameter and field, the rational-field check shared by the
+loaders, and the cap check shared by every exponential path.
 
 Exit-code mapping used by the CLI:
   VerificationError -> 1, InputError -> 2, ResourceCapError -> 3.
@@ -30,18 +30,24 @@ class VerificationError(ShatterLabError):
     """A checked bound or validator failed."""
 
 
-def require_int(value, what):
-    """``value`` as an int when it is an integer and not a bool; an integer
-    field given as a string, a float or ``true`` is an InputError, not
-    coerced."""
-    # An int returns at once: the element and mask rules call this once per
-    # element, and isinstance(value, Integral) costs about twenty times the
-    # type test (0.7 against 0.03 us, Python 3.11 on a 2-vCPU Xeon).
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def require_int(value, what, low=None, high=None):
+    """``value`` as an int when it is an integer, not a bool, in the
+    inclusive bounds ``low`` and ``high`` (None for no bound); an integer
+    given as a string, a float or ``true``, or one out of bounds, is an
+    InputError, not coerced or clamped.  Every integer parameter of the
+    library is read here."""
+    # An int skips the Integral test: the element and mask rules call this
+    # once per element, and isinstance(value, Integral) costs about twenty
+    # times the type test (0.7 against 0.03 us, Python 3.11 on a 2-vCPU Xeon).
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InputError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise InputError(f"{what} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{what} must be at most {high}, got {value}")
+    return value
 
 
 def require_rational(value, what):
@@ -57,8 +63,10 @@ def require_rational(value, what):
 
 def check_cap(size, cap, default, what):
     """``size`` when it is at most the limit, ``cap`` or ``default`` when
-    ``cap`` is None; above it a ResourceCapError carrying the limit."""
-    limit = default if cap is None else cap
+    ``cap`` is None; above it a ResourceCapError carrying the limit.  A
+    ``cap`` that is not an integer is an InputError; a negative one refuses
+    every size."""
+    limit = default if cap is None else require_int(cap, "cap")
     if size > limit:
         raise ResourceCapError(f"{what} = {size} exceeds cap {limit}", cap=limit)
     return size

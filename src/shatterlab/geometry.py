@@ -45,9 +45,7 @@ class PointArrangement:
     halfspaces: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
-        r = self.dimension
-        if r < 1:
-            raise InputError("dimension must be positive")
+        r = require_int(self.dimension, "dimension r", 1)
         object.__setattr__(self, "points",
                            tuple(_as_fraction_vector(p, r) for p in self.points))
         object.__setattr__(self, "halfspaces",
@@ -67,7 +65,7 @@ class PointArrangement:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            return cls(require_int(data["r"], "r"), tuple(data.get("points", [])),
+            return cls(data["r"], tuple(data.get("points", [])),
                        tuple((h["normal"], h["offset"]) for h in data.get("halfspaces", [])))
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed arrangement object: {exc}") from exc
@@ -108,8 +106,7 @@ def _rank(rows):
 
 def region_count_general_position(r, s):
     """Closed-form piece count for s general-position hyperplanes in R^r."""
-    if r < 1 or s < 0:
-        raise InputError("need r >= 1 and s >= 0")
+    r, s = require_int(r, "r", 1), require_int(s, "s", 0)
     return sum(comb(s, i) for i in range(r + 1))
 
 

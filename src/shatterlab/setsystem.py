@@ -7,7 +7,8 @@ a canonical memoization key for the recursive dimension computations.
 This module owns the element and mask rules that every entry point of the
 library applies: an element of [n] is an integer (not a bool) in [0, n),
 read by ``mask_of``, and a mask over [n] is an integer (not a bool) in
-[0, 2^n), read by ``require_mask``; anything else is an InputError.
+[0, 2^n), read by ``require_mask``; both test through the bounds of
+``errors.require_int``, and anything else is an InputError.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ class SetSystem:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        n = require_int(self.universe_size, "universe_size")
-        if n < 0:
-            raise InputError("universe_size must be non-negative")
+        n = require_int(self.universe_size, "universe_size", 0)
         canonical = tuple(sorted({require_mask(m, n) for m in self.sets}))
         if canonical != self.sets:
             object.__setattr__(self, "sets", canonical)
@@ -91,20 +90,14 @@ def mask_of(elements, n):
         raise InputError(f"expected a collection of elements, got {elements!r}") from None
     mask = 0
     for x in items:
-        x = require_int(x, "element")
-        if not 0 <= x < n:
-            raise InputError(f"element {x} out of range for universe [{n}]")
-        mask |= 1 << x
+        mask |= 1 << require_int(x, "element", 0, n - 1)
     return mask
 
 
 def require_mask(mask, n):
     """``mask`` as an int when it is an integer in [0, 2^n); a bool, a
     float, a string or a mask out of range is an InputError."""
-    m = require_int(mask, "set")
-    if not 0 <= m < 1 << n:
-        raise InputError(f"set {m:#x} out of range for universe [{n}]")
-    return m
+    return require_int(mask, "set", 0, (1 << n) - 1)
 
 
 def project(system: SetSystem, targets) -> SetSystem:
@@ -206,40 +199,29 @@ def halfspace_dual(arrangement) -> SetSystem:
                      name="halfspace_dual")
 
 
-GENERATOR_KINDS = (
-    "powerset",
-    "singletons_with_empty",
-    "thresholds",
-    "intervals",
-    "all_subsets_of_size_at_most",
-)
+_GENERATORS = {
+    "powerset": _powerset,
+    "singletons_with_empty": _singletons_with_empty,
+    "thresholds": _thresholds,
+    "intervals": _intervals,
+    "all_subsets_of_size_at_most": _bounded_size,
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind, *params, cap=None) -> SetSystem:
-    """Named fixture systems of integer parameters; see ``GENERATOR_KINDS``.
+    """Named fixture systems of non-negative integer parameters (the
+    universe size n, then the size bound d); see ``GENERATOR_KINDS``.
     ``cap`` bounds the universe of the generators that walk all 2^n masks.
     The half-space systems take an arrangement: call ``halfspace_incidence``
     or ``halfspace_dual`` directly."""
-    try:
-        if kind == "powerset":
-            (n,) = params
-            return _powerset(check_cap(int(n), cap, DEFAULT_GENERATOR_CAP,
-                                       "powerset universe"))
-        if kind == "singletons_with_empty":
-            (n,) = params
-            return _singletons_with_empty(int(n))
-        if kind == "thresholds":
-            (n,) = params
-            return _thresholds(int(n))
-        if kind == "intervals":
-            (n,) = params
-            return _intervals(int(n))
-        if kind == "all_subsets_of_size_at_most":
-            n, d = params
-            return _bounded_size(check_cap(int(n), cap, DEFAULT_GENERATOR_CAP,
-                                           "all_subsets_of_size_at_most universe"),
-                                 int(d))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad parameters for generator {kind!r}: {exc}") from exc
-    raise InputError(f"unknown generator kind {kind!r}")
+    if kind not in GENERATOR_KINDS:
+        raise InputError(f"unknown generator kind {kind!r}")
+    arity = 2 if kind == "all_subsets_of_size_at_most" else 1
+    if len(params) != arity:
+        raise InputError(f"generator {kind!r} takes {arity} parameters, got {len(params)}")
+    n, *rest = (require_int(p, name, 0) for p, name in zip(params, ("n", "d")))
+    if kind in ("powerset", "all_subsets_of_size_at_most"):
+        check_cap(n, cap, DEFAULT_GENERATOR_CAP, f"{kind} universe")
+    return _GENERATORS[kind](n, *rest)
 

@@ -108,6 +108,7 @@ class ProbSpace:
 
     @classmethod
     def uniform(cls, size):
+        size = require_int(size, "size", 1)
         return cls(tuple(Fraction(1, size) for _ in range(size)))
 
     def mass(self, members):
@@ -159,11 +160,9 @@ class TestTree:
     """
 
     def __init__(self, space: ProbSpace, height, seed):
-        if height < 1:
-            raise InputError("height must be >= 1")
         self.space = space
-        self.height = height
-        self.seed = seed & _MASK
+        self.height = require_int(height, "height", 1)
+        self.seed = require_int(seed, "seed") & _MASK
         self._thresholds = space.sampling_thresholds()
         self._nodes = {(): splitmix64(self.seed)}
 
@@ -208,6 +207,7 @@ def test_estimate(tree: TestTree, members) -> Fraction:
 def exact_expectation(space: ProbSpace, members, height, cap=None):
     """Exact expectation of the test estimate by enumerating the labels of
     the path-relevant nodes; equals the measure of the queried set."""
+    height = require_int(height, "height", 1)
     check_cap(space.size ** height, cap, DEFAULT_EXPECTATION_CAP,
               f"{space.size}^{height} label patterns")
     mask = _as_mask(members, space.size)
@@ -410,10 +410,8 @@ def _tail_audit(kind, space, masks, height, epsilon, trials, seed, keep_rows,
     needs epsilon > 0) or exceeds it.  ``tail_bound(eps)`` returns the
     float bound that share is held to and the report's notes; ``config``
     holds the caller's extra config fields."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if height < 1:
-        raise InputError("height must be >= 1")
+    trials, height = require_int(trials, "trials", 1), require_int(height, "height", 1)
+    seed = require_int(seed, "seed")
     eps = require_rational(epsilon, "epsilon")
     if eps < 0 or (at_least and eps == 0):
         raise InputError("epsilon must be > 0" if at_least else "epsilon must be >= 0")

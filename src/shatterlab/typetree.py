@@ -40,7 +40,7 @@ class Graph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        masks = [0] * self.vertex_count
+        masks = [0] * require_int(self.vertex_count, "vertex_count", 0)
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
@@ -48,13 +48,10 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, vertex_count, edge_list):
-        if vertex_count < 0:
-            raise InputError(f"negative vertex count {vertex_count}")
+        top = require_int(vertex_count, "vertex_count", 0) - 1
         edges = set()
         for u, v in edge_list:
-            u, v = require_int(u, "edge endpoint"), require_int(v, "edge endpoint")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise InputError(f"edge ({u},{v}) out of range")
+            u, v = (require_int(x, "edge endpoint", 0, top) for x in (u, v))
             if u == v:
                 raise InputError(f"self-loop at {u}")
             edges.add(frozenset((u, v)))
@@ -77,14 +74,14 @@ class Graph:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            return cls.from_edge_list(require_int(data["vertices"], "vertices"),
-                                      data["edges"])
+            return cls.from_edge_list(data["vertices"], data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed graph object: {exc}") from exc
 
 
 def random_graph(vertex_count, edge_probability, seed):
-    rng = random.Random(seed)
+    vertex_count = require_int(vertex_count, "vertex_count", 0)
+    rng = random.Random(require_int(seed, "seed"))
     edges = [(u, v) for u, v in itertools.combinations(range(vertex_count), 2)
              if rng.random() < edge_probability]
     return Graph.from_edge_list(vertex_count, edges)
@@ -163,7 +160,7 @@ def tree_rank(graph: Graph, cap=None):
     n = graph.vertex_count
     if n == 0:
         raise InputError("tree rank needs at least one vertex")
-    limit = DEFAULT_RANK_CAP if cap is None else cap
+    limit = DEFAULT_RANK_CAP if cap is None else require_int(cap, "cap")
     if n > limit:
         return _tree_rank_bounds(graph)
     memo = {}

@@ -498,6 +498,19 @@ def test_inputs_that_raised_exit_2(capsys, tmp_path, argv, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["powerset:2.7", "powerset:x", "powerset:",
+                                  "powerset:3:1", "all_subsets_of_size_at_most:4:-1"])
+def test_generator_shorthand_fields_must_be_integers(capsys, spec):
+    code, _, err = run(capsys, "sys", "dim", "--kind", "vc", spec)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
+def test_negative_cap_refuses_every_size(capsys):
+    code, out, err = run(capsys, "sys", "dim", "--kind", "vc", "--cap", "-1", "powerset:1")
+    assert code == 3 and "resource cap" in err and out == ""
+
+
 def _table_with_S(first):
     bans = [{"S": S, "X": X, "banned": ["1"]}
             for S in ([0], [1]) for X in ("0", "1")]

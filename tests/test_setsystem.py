@@ -1,15 +1,30 @@
 """Set-system construction, canonicalization, projections, and generators."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from shatterlab import (ElementTree, Graph, InputError, ProbSpace, SetSystem,
-                        build_type_tree, characteristic_path, child,
-                        count_children_dropping, dual, from_element_tree,
-                        generate, project, run_weak_law, sample_test_tree,
-                        shatters)
+import shatterlab
+from shatterlab import (BanProblem, ElementTree, Graph, InputError,
+                        PointArrangement, ProbSpace, RelaxedBanProblem,
+                        SetSystem, audit_bounds, banned_count,
+                        build_type_tree, characteristic_path,
+                        check_counting_inequality, check_height_bound, child,
+                        count_children_dropping, dual, exact_expectation,
+                        from_element_tree, from_type_tree, from_vc, generate,
+                        is_hereditary, is_independent, max_solutions,
+                        min_subcube_hitting, op_rank, op_shatter,
+                        parity_problem, project, random_element_tree,
+                        random_graph, random_problem, reduce_hat,
+                        reduce_prime, region_count_general_position,
+                        run_vc_theorem, run_weak_law, sample_test_tree,
+                        shatters, solutions, thicket_shatter, tree_rank,
+                        verify_main_theorem, vc_dimension,
+                        vc_shatter_function)
 from shatterlab.setsystem import GENERATOR_KINDS, child_masks
 
 
@@ -140,6 +155,7 @@ ENTRY_POINTS = {
         ElementTree(1, 1, {(): (x,)}), SetSystem(N, (0,)), 1)),
     "build_type_tree": ("element", lambda x: build_type_tree(
         Graph.from_edge_list(N, []), [0, x, 2])),
+    "ban_set": ("element", lambda x: parity_problem(N).ban_set((x,), (0, 0))),
 }
 
 
@@ -153,3 +169,179 @@ def test_every_entry_point_refuses_junk_elements_and_masks(entry, bad):
         bad = N if kind == "element" else 1 << N
     with pytest.raises(InputError):
         call(bad)
+
+
+PARITY = parity_problem(N)
+PAIRS = random_problem(N, 2, 2, 0)
+EMPTY_GRAPH = Graph.from_edge_list(N, [])
+CHAIN = build_type_tree(EMPTY_GRAPH)  # height N, one left turn per level
+TREE = ElementTree(1, 2, {(): (0,), (0,): (1,), (1,): (2,)})
+QUARTER = Fraction(1, 4)
+
+# Every integer parameter of the library: (entry point, parameter) ->
+# (call taking the value, a value the call accepts, the lowest and highest
+# accepted values, None where unbounded).
+INT_PARAMS = {
+    ("SetSystem", "universe_size"): (lambda v: SetSystem(v, ()), N, 0, None),
+    ("generate", "n"): (lambda v: generate("powerset", v), N, 0, None),
+    ("generate", "d"): (lambda v: generate("all_subsets_of_size_at_most", N, v),
+                        1, 0, None),
+    ("generate", "cap"): (lambda v: generate("powerset", N, cap=v), N, None, None),
+    ("ElementTree", "arity_exponent"): (lambda v: ElementTree(v, 0, {}), 1, 1, None),
+    ("ElementTree", "height"): (lambda v: ElementTree(1, v, {}), 0, 0, None),
+    ("random_element_tree", "universe_size"): (
+        lambda v: random_element_tree(v, 1, 2, 0), N, 1, None),
+    ("random_element_tree", "arity_exponent"): (
+        lambda v: random_element_tree(N, v, 2, 0), 1, 1, None),
+    ("random_element_tree", "height"): (
+        lambda v: random_element_tree(N, 1, v, 0), 2, 0, None),
+    ("random_element_tree", "seed"): (
+        lambda v: random_element_tree(N, 1, 2, v), 0, None, None),
+    ("vc_dimension", "cap"): (lambda v: vc_dimension(POWER, cap=v), N, None, None),
+    ("vc_shatter_function", "size"): (lambda v: vc_shatter_function(POWER, v), 1, 0, N),
+    ("vc_shatter_function", "cap"): (
+        lambda v: vc_shatter_function(POWER, 1, cap=v), N, None, None),
+    ("thicket_shatter", "height"): (lambda v: thicket_shatter(POWER, v), 1, 0, None),
+    ("op_rank", "s"): (lambda v: op_rank(POWER, v), 1, 1, None),
+    ("op_rank", "cap"): (lambda v: op_rank(POWER, 1, cap=v), N, None, None),
+    ("op_shatter", "s"): (lambda v: op_shatter(POWER, v, 1), 1, 1, None),
+    ("op_shatter", "height"): (lambda v: op_shatter(POWER, 1, v), 1, 0, None),
+    ("op_shatter", "cap"): (lambda v: op_shatter(POWER, 1, 1, cap=v), N, None, None),
+    ("count_children_dropping", "r"): (
+        lambda v: count_children_dropping(POWER, (0,), v, 1), 1, 1, None),
+    ("count_children_dropping", "l"): (
+        lambda v: count_children_dropping(POWER, (0,), 1, v), 1, 1, None),
+    ("count_children_dropping", "cap"): (
+        lambda v: count_children_dropping(POWER, (0,), 1, 1, cap=v), N, None, None),
+    ("audit_bounds", "s"): (lambda v: audit_bounds(POWER, v, 1, 1), 1, 1, None),
+    ("audit_bounds", "r"): (lambda v: audit_bounds(POWER, 1, v, 1), 1, 1, None),
+    ("audit_bounds", "n"): (lambda v: audit_bounds(POWER, 1, 1, v), 1, 0, None),
+    ("audit_bounds", "cap"): (lambda v: audit_bounds(POWER, 1, 1, 1, cap=v), N, None, None),
+    ("RelaxedBanProblem", "n"): (lambda v: RelaxedBanProblem(v, 1, 2, None), N, 1, None),
+    ("RelaxedBanProblem", "k"): (lambda v: RelaxedBanProblem(N, v, 2, None), 1, 1, N),
+    ("RelaxedBanProblem", "j"): (lambda v: RelaxedBanProblem(N, 1, v, None), 2, 2, None),
+    ("BanProblem", "n"): (lambda v: BanProblem(v, 1, 2, None), N, 1, None),
+    ("BanProblem", "k"): (lambda v: BanProblem(N, v, 2, None), 1, 1, N),
+    ("BanProblem", "j"): (lambda v: BanProblem(N, 1, v, None), 2, 2, None),
+    ("solutions", "cap"): (lambda v: solutions(PARITY, cap=v), 24, None, None),
+    ("banned_count", "cap"): (lambda v: banned_count(PARITY, cap=v), 24, None, None),
+    ("is_hereditary", "cap"): (lambda v: is_hereditary(PARITY, cap=v), 24, None, None),
+    ("is_independent", "cap"): (lambda v: is_independent(PARITY, cap=v), 24, None, None),
+    ("reduce_hat", "cap"): (lambda v: reduce_hat(PAIRS, cap=v), 24, None, None),
+    ("reduce_prime", "cap"): (lambda v: reduce_prime(PARITY, cap=v), 24, None, None),
+    ("check_counting_inequality", "cap"): (
+        lambda v: check_counting_inequality(PAIRS, cap=v), 24, None, None),
+    ("verify_main_theorem", "cap"): (
+        lambda v: verify_main_theorem(PARITY, cap=v), 24, None, None),
+    ("min_subcube_hitting", "n"): (lambda v: min_subcube_hitting(v, 1), N, 1, None),
+    ("min_subcube_hitting", "k"): (lambda v: min_subcube_hitting(N, v), 1, 1, N),
+    ("min_subcube_hitting", "cap"): (
+        lambda v: min_subcube_hitting(N, 1, cap=v), N, None, None),
+    ("max_solutions", "n"): (lambda v: max_solutions(v, 1), N, 1, None),
+    ("max_solutions", "k"): (lambda v: max_solutions(N, v), 1, 1, N),
+    ("max_solutions", "cap"): (lambda v: max_solutions(N, 1, cap=v), N, None, None),
+    ("parity_problem", "n"): (lambda v: parity_problem(v), N, 1, None),
+    ("from_vc", "m"): (lambda v: from_vc(SetSystem(N, (0,)), v), 1, 1, N),
+    ("from_vc", "cap"): (lambda v: from_vc(SetSystem(N, (0,)), 1, cap=v), 6, None, None),
+    ("from_element_tree", "m"): (
+        lambda v: from_element_tree(TREE, SetSystem(N, (0,)), v), 1, 1, 2),
+    ("from_element_tree", "cap"): (
+        lambda v: from_element_tree(TREE, SetSystem(N, (0,)), 1, cap=v), 8, None, None),
+    ("from_type_tree", "t"): (lambda v: from_type_tree(EMPTY_GRAPH, CHAIN, v), 2, 2, None),
+    ("random_problem", "n"): (lambda v: random_problem(v, 1, 2, 0), N, 1, None),
+    ("random_problem", "k"): (lambda v: random_problem(N, v, 2, 0), 1, 1, N),
+    ("random_problem", "j"): (lambda v: random_problem(N, 1, v, 0), 2, 2, None),
+    ("random_problem", "seed"): (lambda v: random_problem(N, 1, 2, v), 0, None, None),
+    ("random_problem", "cap"): (lambda v: random_problem(N, 1, 2, 0, cap=v), 24, None, None),
+    ("Graph", "vertex_count"): (lambda v: Graph(v, frozenset()), N, 0, None),
+    ("Graph.from_edge_list", "vertex_count"): (
+        lambda v: Graph.from_edge_list(v, []), N, 0, None),
+    ("Graph.from_edge_list", "edge endpoint"): (
+        lambda v: Graph.from_edge_list(N, [(0, v)]), 1, 0, N - 1),
+    ("tree_rank", "cap"): (lambda v: tree_rank(EMPTY_GRAPH, cap=v), N, None, None),
+    ("check_height_bound", "cap"): (
+        lambda v: check_height_bound(EMPTY_GRAPH, CHAIN, cap=v), N, None, None),
+    ("random_graph", "vertex_count"): (lambda v: random_graph(v, 0.5, 0), N, 0, None),
+    ("random_graph", "seed"): (lambda v: random_graph(N, 0.5, v), 0, None, None),
+    ("ProbSpace.uniform", "size"): (lambda v: ProbSpace.uniform(v), N, 1, None),
+    ("TestTree", "height"): (lambda v: shatterlab.TestTree(SPACE, v, 0), 2, 1, None),
+    ("TestTree", "seed"): (lambda v: shatterlab.TestTree(SPACE, 2, v), 0, None, None),
+    ("sample_test_tree", "height"): (lambda v: sample_test_tree(SPACE, v, 0), 2, 1, None),
+    ("sample_test_tree", "seed"): (lambda v: sample_test_tree(SPACE, 2, v), 0, None, None),
+    ("exact_expectation", "height"): (
+        lambda v: exact_expectation(SPACE, [0], v), 2, 1, None),
+    ("exact_expectation", "cap"): (
+        lambda v: exact_expectation(SPACE, [0], 2, cap=v), 9, None, None),
+    ("run_weak_law", "height"): (
+        lambda v: run_weak_law(SPACE, [0], v, QUARTER, 3, 0), 2, 1, None),
+    ("run_weak_law", "trials"): (
+        lambda v: run_weak_law(SPACE, [0], 2, QUARTER, v, 0), 3, 1, None),
+    ("run_weak_law", "seed"): (
+        lambda v: run_weak_law(SPACE, [0], 2, QUARTER, 3, v), 0, None, None),
+    ("run_weak_law", "cap"): (
+        lambda v: run_weak_law(SPACE, [0], 2, QUARTER, 3, 0, cap=v), 3, None, None),
+    ("run_vc_theorem", "height"): (
+        lambda v: run_vc_theorem(SPACE, POWER, v, QUARTER, 3, 0), 2, 1, None),
+    ("run_vc_theorem", "trials"): (
+        lambda v: run_vc_theorem(SPACE, POWER, 2, QUARTER, v, 0), 3, 1, None),
+    ("run_vc_theorem", "seed"): (
+        lambda v: run_vc_theorem(SPACE, POWER, 2, QUARTER, 3, v), 0, None, None),
+    ("run_vc_theorem", "cap"): (
+        lambda v: run_vc_theorem(SPACE, POWER, 2, QUARTER, 3, 0, cap=v), 24, None, None),
+    ("PointArrangement", "dimension"): (lambda v: PointArrangement(v, (), ()), 2, 1, None),
+    ("region_count_general_position", "r"): (
+        lambda v: region_count_general_position(v, 2), 2, 1, None),
+    ("region_count_general_position", "s"): (
+        lambda v: region_count_general_position(2, v), 2, 0, None),
+}
+
+
+def _bad_integers():
+    """1.5, True and "3" for every row; one below its lowest and one above
+    its highest accepted value where it has them."""
+    for row, (call, _, low, high) in INT_PARAMS.items():
+        values = [1.5, True, "3"]
+        values += [] if low is None else [low - 1]
+        values += [] if high is None else [high + 1]
+        for value in values:
+            yield pytest.param(call, value, id=f"{'-'.join(row)}-{value!r}")
+
+
+@pytest.mark.parametrize("call, bad", _bad_integers())
+def test_every_integer_parameter_refuses_junk(call, bad):
+    """A float, a bool, a string or a value out of bounds is an InputError,
+    never read as an integer, clamped, or left to fail deeper down."""
+    with pytest.raises(InputError):
+        call(bad)
+
+
+@pytest.mark.parametrize("row", INT_PARAMS, ids="-".join)
+def test_integer_table_rows_accept_their_value(row):
+    """Each row's call succeeds on its accepted value, so a refusal above
+    comes from the parameter under test."""
+    call, good, _, _ = INT_PARAMS[row]
+    call(good)
+
+
+INTEGER_NAMES = {"s", "r", "n", "k", "j", "m", "t", "l", "size", "height", "trials",
+                 "seed", "universe_size", "arity_exponent", "vertex_count",
+                 "dimension", "cap"}
+# A result record, filled from a checked call: not an input.
+NOT_INPUTS = {("ExperimentReport", "trials")}
+
+
+def test_every_integer_parameter_has_a_row():
+    """Every parameter of an integer name of each function and class in a
+    module's ``__all__`` has a row in INT_PARAMS, so a new entry point
+    cannot skip the rule."""
+    missing = []
+    for info in pkgutil.iter_modules(shatterlab.__path__):
+        module = importlib.import_module(f"shatterlab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            missing += [(name, param) for param in inspect.signature(obj).parameters
+                        if param in INTEGER_NAMES
+                        and (name, param) not in INT_PARAMS.keys() | NOT_INPUTS]
+    assert not missing
