@@ -1,4 +1,5 @@
-"""Set-system construction, canonicalization, projections, and generators."""
+"""Set-system construction, canonicalization, projections, and generators,
+plus the library-wide tables of the element, mask and integer rules."""
 
 import importlib
 import inspect
