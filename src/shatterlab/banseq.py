@@ -172,18 +172,24 @@ class RelaxedBanProblem:
         if not isinstance(other, RelaxedBanProblem):
             return NotImplemented
         return ((self.n, self.k, self.j) == (other.n, other.k, other.j)
-                and np.array_equal(self._capped_table(), other._capped_table()))
+                and np.array_equal(self._capped_table(walk=True),
+                                   other._capped_table(walk=True)))
 
     def __repr__(self):
         tag = self.name or "lazy"
         return (f"{type(self).__name__}(n={self.n}, k={self.k}, j={self.j}, "
                 f"{tag})")
 
-    def _capped_table(self, cap=None):
+    def _capped_table(self, cap=None, walk=False):
         """``_table``, refused before allocation while unfilled if it would
-        hold more than ``cap`` entries (``check_table_cap``)."""
-        if self._bans is None:
+        hold more than ``cap`` entries (``check_table_cap``).  A ``walk`` over
+        every entry (``==``, ``to_json_dict``) is refused the same way on a
+        zero-stride broadcast view (``from_vc``), which stores one context
+        per row but holds them all.  A non-None ``cap`` is read either way."""
+        if self._bans is None or walk and 0 in self._bans.strides:
             check_table_cap(self.n, self.k, self.j, cap)
+        elif cap is not None:
+            require_int(cap, "cap")
         return self._table()
 
     def to_json_dict(self, cap=None):
@@ -191,7 +197,7 @@ class RelaxedBanProblem:
             raise InputError("string serialization supports alphabets up to 10")
         patterns = ["".join(map(str, Z)) for Z in self._patterns]
         bans = []
-        for S, rows in zip(self.index_subsets(), self._capped_table(cap)):
+        for S, rows in zip(self.index_subsets(), self._capped_table(cap, walk=True)):
             for X, flags in zip(self.contexts(), rows.tolist()):
                 bans.append({"S": list(S),
                              "X": "".join(map(str, X)),

@@ -2,15 +2,18 @@
 
 Implements VC dimension, thicket dimension, op_s-rank and their shatter
 functions, plus an auditor that machine-checks the Sauer-Shelah style bounds
-relating them.  The VC quantities come from one depth-first search over
-tuples y_1 < y_2 < ... of the universe.  The trace of a mask m on a tuple is
-m & Y, Y the tuple's mask, so extending the tuple by y sets one bit of Y and
-a node's trace count is the number of distinct codes m & Y, O(|F|) per node.
-VC dimension extends only shattered tuples (a subset of a shattered set is
-shattered, so every shattered set is reached through its shattered
-prefixes) and stops at min(n, floor(log2 |F|)); the shatter function walks
-tuples of the asked size and prunes a node whose count times 2^(elements
-still to add) cannot beat the best count, stopping at min(2^size, |F|).
+relating them.  Every VC quantity comes from one depth-first search over
+tuples y_1 < y_2 < ... of the universe, ``_trace_count_search``.  The trace
+of a mask m on a tuple is m & Y, Y the tuple's mask, so extending the tuple
+by y sets one bit of Y and a node's trace count is the number of distinct
+codes m & Y, O(|F|) per node.  The search walks tuples of the asked size k
+and prunes a node whose count times 2^(elements still to add) cannot beat
+the best count, stopping at min(2^k, |F|).  Seeded with the best count
+2^k - 1, it extends only shattered prefixes (a subset of a shattered set is
+shattered, so every shattered set is reached through them), and it returns
+2^k exactly when some k-set is shattered.  That one question gives the VC
+dimension, the largest such k up to min(n, floor(log2 |F|)), and the
+op_s-rank of a family too small for rank 2.
 
 op_s-rank and psi^s come from one memoized rank recursion and one memoized
 shatter recursion.  Inside one top-level call they carry a subfamily as an
@@ -22,7 +25,8 @@ pattern sigma is the family ANDed with each element's column (sigma bit 1)
 or its complement (bit 0); a repeated element with conflicting bits ANDs
 to 0, the empty child.  Sizes are bit counts, and the memo keys are
 (mask, height) pairs.  A family of fewer than 2^(2s) members has op_s-rank
-at most 1, which the rank reads off the traces without building a column.
+at most 1, and 1 exactly when it shatters some s-set, which the rank asks
+the VC search without building a column.
 Thicket dimension and the thicket shatter function are the s = 1 calls of
 those recursions, without the universe cap.
 
@@ -63,10 +67,6 @@ DEFAULT_OP_CAP = 12
 
 def rank_to_str(value):
     return "-inf" if value == NEG_INF else str(int(value))
-
-
-def rank_from_str(text):
-    return NEG_INF if text == "-inf" else int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +203,12 @@ def vc_dimension(system: SetSystem, cap=None):
         return NEG_INF
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     sets, n = system.sets, system.universe_size
-    # Shattering k elements takes 2^k sets.
+    # Shattering d elements takes 2^d sets.
     limit = min(n, len(sets).bit_length() - 1)
-    return _shattered_search(sets, n, 0, 0, 0, 0, limit)
-
-
-def _shattered_search(sets, n, chosen, start, k, best, limit):
-    """Largest size, at least ``best`` and at most ``limit``, of a shattered
-    set extending the shattered k-set ``chosen`` by elements >= start."""
-    for y in range(start, n):
-        # Below y's subtree no set is larger than k + (n - y).
-        if best == limit or k + n - y <= best:
-            break
-        kid = chosen | 1 << y
-        if len({m & kid for m in sets}) == 2 << k:
-            best = _shattered_search(sets, n, kid, y + 1, k + 1,
-                                     max(best, k + 1), limit)
-    return best
+    d = 0
+    while d < limit and _shatters_some(sets, n, d + 1):
+        d += 1
+    return d
 
 
 def vc_shatter_function(system: SetSystem, size, cap=None):
@@ -248,6 +237,13 @@ def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
             if best == stop:
                 break
     return best
+
+
+def _shatters_some(sets, n, k):
+    """Whether some k-set of [n], k >= 1, is shattered: the trace-count
+    search seeded at 2^k - 1, so it extends only shattered prefixes."""
+    full = 1 << k
+    return _trace_count_search(sets, n, k, 0, 0, 0, full - 1, full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +279,14 @@ def op_rank(system: SetSystem, s, cap=None):
 def _op_rank(sets, n, s):
     """op_s-rank of a nonempty family, found by deepening a memoized
     feasibility test over member-index masks."""
-    # Distinct tuples only: a repeated element forces an empty child, and
-    # the min over children is invariant under permuting the tuple.
-    tuples = list(itertools.combinations(range(n), s))
     arity = 1 << s
     if len(sets) < arity * arity:
         # Rank 2 needs arity^2 members.  Rank 1 needs a tuple whose children
-        # are all nonempty, that is one on which all arity traces occur.
-        return int(any(len({m & chosen for m in sets}) == arity
-                       for chosen in (sum(1 << x for x in xs) for xs in tuples)))
+        # are all nonempty, that is a shattered s-set.
+        return int(_shatters_some(sets, n, s))
+    # Distinct tuples only: a repeated element forces an empty child, and
+    # the min over children is invariant under permuting the tuple.
+    tuples = list(itertools.combinations(range(n), s))
     selectors = _Selectors(sets)
     full = (1 << len(sets)) - 1
     memo = {}

@@ -175,9 +175,10 @@ class TestTree:
 
     def label(self, path):
         """Point index at the node; populates exactly the path's ancestors."""
-        if len(path) >= self.height or any(b not in (0, 1) for b in path):
+        if len(path) >= self.height:
             raise InputError(f"bad node {path!r} for height {self.height}")
-        return bisect_right(self._thresholds, self._state(tuple(path)))
+        path = tuple(require_int(b, "branch bit", 0, 1) for b in path)
+        return bisect_right(self._thresholds, self._state(path))
 
     @property
     def populated_nodes(self):

@@ -33,29 +33,27 @@ DEFAULT_RANK_CAP = 18
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertices 0..vertex_count-1; ``_neighbors[v]`` is v's
-    neighbour bitmask, built once, so adjacency is a bit test (on vertices
-    in range only)."""
+    """Simple graph on vertices 0..vertex_count-1; each edge is checked to
+    be two distinct vertices.  ``_neighbors[v]`` is v's neighbour bitmask,
+    built once, so adjacency is a bit test (on vertices in range only)."""
     vertex_count: int
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        masks = [0] * require_int(self.vertex_count, "vertex_count", 0)
-        for u, v in self.edges:
+        top = require_int(self.vertex_count, "vertex_count", 0) - 1
+        masks = [0] * (top + 1)
+        for edge in self.edges:
+            ends = [require_int(x, "edge endpoint", 0, top) for x in edge]
+            if len(ends) != 2 or ends[0] == ends[1]:
+                raise InputError(f"edge {ends} is not two distinct vertices")
+            u, v = ends
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         object.__setattr__(self, "_neighbors", tuple(masks))
 
     @classmethod
     def from_edge_list(cls, vertex_count, edge_list):
-        top = require_int(vertex_count, "vertex_count", 0) - 1
-        edges = set()
-        for u, v in edge_list:
-            u, v = (require_int(x, "edge endpoint", 0, top) for x in (u, v))
-            if u == v:
-                raise InputError(f"self-loop at {u}")
-            edges.add(frozenset((u, v)))
-        return cls(vertex_count, frozenset(edges))
+        return cls(vertex_count, frozenset(frozenset((u, v)) for u, v in edge_list))
 
     def adjacent(self, u, v):
         return bool(self._neighbors[u] >> v & 1)

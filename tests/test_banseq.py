@@ -273,6 +273,30 @@ def test_filled_table_serializes_and_compares_uncapped(monkeypatch):
     assert filled == problem
 
 
+def test_filled_table_still_reads_its_cap():
+    problem = parity_problem(3)
+    solutions(problem)
+    assert problem._bans is not None
+    with pytest.raises(InputError):
+        problem.to_json_dict(cap=1.5)
+
+
+def test_broadcast_table_capped_before_serializing_or_comparing():
+    # from_vc stores C(30,2) rows of 4 flags, broadcast over 2^28 contexts:
+    # a walk over every entry would visit C(30,2) * 2^30 of them
+    big = from_vc(generate("thresholds", 30), 2)
+    with pytest.raises(ResourceCapError):
+        big == from_vc(generate("thresholds", 30), 2)
+    with pytest.raises(ResourceCapError):
+        big.to_json_dict()
+    small = from_vc(generate("thresholds", 5), 2)
+    assert small == from_vc(generate("thresholds", 5), 2)
+    assert small.to_json_dict(cap=320) == BanProblem.from_json_dict(
+        small.to_json_dict()).to_json_dict()
+    with pytest.raises(ResourceCapError):
+        small.to_json_dict(cap=319)
+
+
 def test_is_independent():
     assert is_independent(const_problem(3, 1, 2, {(0,)}))
     assert not is_independent(parity_problem(3))

@@ -13,7 +13,7 @@ from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
                         generate, op_rank, op_shatter, random_element_tree,
                         shatters, thicket_dimension, thicket_shatter,
                         vc_dimension, vc_shatter_function)
-from shatterlab.dims import rank_from_str, rank_to_str
+from shatterlab.dims import rank_to_str
 
 from families import fixture_zoo, random_system
 from oracles import (brute_rank, brute_shatter, brute_shatters,
@@ -97,8 +97,6 @@ def test_caps_raise():
 def test_rank_serialization():
     assert rank_to_str(NEG_INF) == "-inf"
     assert rank_to_str(3) == "3"
-    assert rank_from_str("-inf") == NEG_INF
-    assert rank_from_str("2") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,13 @@ VC_CORPUS = _vc_corpus()
 
 
 def _assert_vc_matches_oracles(system, rng):
-    assert vc_dimension(system) == brute_vc_dimension(system), system
+    vc = brute_vc_dimension(system)
+    assert vc_dimension(system) == vc, system
+    # Below 4^s members the op_s-rank is 1 exactly when an s-set is shattered.
+    for s in (1, 2, 3):
+        if system.sets and len(system.sets) < 1 << 2 * s:
+            assert op_rank(system, s, cap=system.universe_size) == int(vc >= s), \
+                (system, s)
     for size in range(system.universe_size + 1):
         assert (vc_shatter_function(system, size)
                 == brute_vc_shatter_function(system, size)), (system, size)

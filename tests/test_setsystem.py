@@ -255,6 +255,8 @@ INT_PARAMS = {
     ("random_problem", "seed"): (lambda v: random_problem(N, 1, 2, v), 0, None, None),
     ("random_problem", "cap"): (lambda v: random_problem(N, 1, 2, 0, cap=v), 24, None, None),
     ("Graph", "vertex_count"): (lambda v: Graph(v, frozenset()), N, 0, None),
+    ("Graph", "edge endpoint"): (
+        lambda v: Graph(N, frozenset({frozenset((0, v))})), 1, 0, N - 1),
     ("Graph.from_edge_list", "vertex_count"): (
         lambda v: Graph.from_edge_list(v, []), N, 0, None),
     ("Graph.from_edge_list", "edge endpoint"): (

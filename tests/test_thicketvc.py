@@ -63,6 +63,10 @@ def test_label_bounds():
         tree.label((0, 1))
     with pytest.raises(InputError):
         tree.label((2,))
+    # a bool or a float is not a branch bit, even when it equals one
+    for bad in (True, 1.0, -1):
+        with pytest.raises(InputError):
+            tree.label((bad,))
 
 
 def test_characteristic_path_follows_membership():

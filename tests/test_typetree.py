@@ -39,6 +39,10 @@ def test_graph_basics():
         Graph.from_edge_list(3, [(0, 0)])
     with pytest.raises(InputError):
         Graph.from_edge_list(3, [(0, 3)])
+    # the constructor checks its own edges
+    for edge in ((0, 5), (1,), (0, 1, 2), (0, True)):
+        with pytest.raises(InputError):
+            Graph(3, frozenset({frozenset(edge)}))
 
 
 def test_neighborhood_system():
