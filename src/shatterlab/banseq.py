@@ -315,8 +315,11 @@ def trivial_upper_bound(problem):
 def is_independent(problem, cap=None):
     """True iff every ban set depends on S alone."""
     _check_enum_cap(problem, cap)
+    # Every context agrees iff "any" equals "all" per (subset, pattern).
+    # Comparing with one context would allocate the whole table, which
+    # for a broadcast table (``from_vc``) is far larger than its storage.
     bans = problem._capped_table(cap)
-    return bool((bans == bans[:, :1]).all())
+    return bool((bans.any(axis=1) == bans.all(axis=1)).all())
 
 
 def _search_witness(problem, S):

@@ -16,19 +16,28 @@ dimension, the largest such k up to min(n, floor(log2 |F|)), and the
 op_s-rank of a family too small for rank 2.
 
 op_s-rank and psi^s come from one memoized rank recursion and one memoized
-shatter recursion.  Inside one top-level call they carry a subfamily as an
-int over the canonical ``sets`` tuple: bit i is set when it contains
+shatter recursion, which split a family on the same tuples: the
+min(n, s)-subsets of [n].  Inside one top-level call they carry a subfamily
+as an int over the canonical ``sets`` tuple: bit i is set when it contains
 ``sets[i]``.  Each element x's "with x" column is the member-index mask of
 ``setsystem.child_masks(sets, (x,), (1,))``, built on first use; "without
-x" is its complement in the whole family.  The child on an s-tuple and a
+x" is its complement in the whole family.  The child on a tuple and a
 pattern sigma is the family ANDed with each element's column (sigma bit 1)
-or its complement (bit 0); a repeated element with conflicting bits ANDs
-to 0, the empty child.  Sizes are bit counts, and the memo keys are
+or its complement (bit 0).  Sizes are bit counts, and the memo keys are
 (mask, height) pairs.  A family of fewer than 2^(2s) members has op_s-rank
 at most 1, and 1 exactly when it shatters some s-set, which the rank asks
 the VC search without building a column.
 Thicket dimension and the thicket shatter function are the s = 1 calls of
 those recursions, without the universe cap.
+
+Distinct tuples lose nothing.  A tuple with a repeated element splits F
+only on its d distinct elements, and its other children are empty.  Put
+unused elements in place of the repeats: each nonempty child F_tau then
+splits into children F_(tau,rho), and a leaf that a member of F_tau labels
+is labeled by a member of one of them, so psi(F_tau, h - 1) <= the sum over
+rho of psi(F_(tau,rho), h - 1).  When n < s the one n-set splits F into
+singletons, as the repeated tuples did.  The rank recursion runs only when
+|F| >= 4^s, so n >= 2s there and its tuples are the s-sets.
 
 The empty family has rank ``NEG_INF`` (serialized as the string "-inf").
 """
@@ -90,8 +99,10 @@ class ElementTree:
         if len(self.labels) != expected:
             raise InputError(f"expected {expected} labeled nodes, got {len(self.labels)}")
         for node, lab in self.labels.items():
-            if len(node) >= n or any(not 0 <= v < arity for v in node):
+            if len(node) >= n:
                 raise InputError(f"bad node {node!r}")
+            for v in node:
+                require_int(v, "node entry", 0, arity - 1)
             if len(lab) != s:
                 raise InputError(f"label {lab!r} at {node!r} is not an {s}-tuple")
 
@@ -168,15 +179,21 @@ class _Columns(dict):
         return column
 
 
-class _Selectors(dict):
-    """Tuple xs -> the member-index masks of its 2^s children, one per sigma
-    in ``itertools.product((0, 1), repeat=s)`` order: the AND over the tuple
-    of x's column (bit 1) or its complement (bit 0).  A repeated element
-    with conflicting bits ANDs to 0, the empty child.  Built on a tuple's
-    first use, so a family that never splits builds none."""
+class _Search(dict):
+    """One top-level op_s search of a family.  ``tuples`` are the
+    min(n, s)-subsets of [n] in ``itertools.combinations`` order, ``arity``
+    is 2^s, ``full`` the whole family's member-index mask and ``memo`` the
+    call's (mask, height) table.  As a dict it maps a tuple xs to the
+    member-index masks of its children, one per sigma in
+    ``itertools.product((0, 1), repeat=len(xs))`` order: the AND over the
+    tuple of x's column (bit 1) or its complement (bit 0).  A tuple's
+    children are built on its first use, so a family that never splits
+    builds none."""
 
-    def __init__(self, sets):
+    def __init__(self, sets, n, s):
         self.full, self.columns = (1 << len(sets)) - 1, _Columns(sets)
+        self.tuples = list(itertools.combinations(range(n), min(n, s)))
+        self.arity, self.memo = 1 << s, {}
 
     def __missing__(self, xs):
         selectors = [self.full]
@@ -279,58 +296,48 @@ def op_rank(system: SetSystem, s, cap=None):
 def _op_rank(sets, n, s):
     """op_s-rank of a nonempty family, found by deepening a memoized
     feasibility test over member-index masks."""
-    arity = 1 << s
-    if len(sets) < arity * arity:
-        # Rank 2 needs arity^2 members.  Rank 1 needs a tuple whose children
+    if len(sets) < 1 << 2 * s:
+        # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose children
         # are all nonempty, that is a shattered s-set.
         return int(_shatters_some(sets, n, s))
-    # Distinct tuples only: a repeated element forces an empty child, and
-    # the min over children is invariant under permuting the tuple.
-    tuples = list(itertools.combinations(range(n), s))
-    selectors = _Selectors(sets)
-    full = (1 << len(sets)) - 1
-    memo = {}
+    search = _Search(sets, n, s)
     k = 0
-    while _op_rank_at_least(full, tuples, selectors, arity, k + 1, memo):
+    while _op_rank_at_least(search.full, search, k + 1):
         k += 1
     return k
 
 
-def _op_rank_at_least(fam, tuples, selectors, arity, t, memo):
+def _op_rank_at_least(fam, search, t):
     """Rank >= t needs arity^t members in the family and arity^(t-1) in
     each child; the children are checked one by one before any recursion,
     which prunes the search hard."""
     if t <= 0:
         return True
-    if fam.bit_count() < arity ** t:
+    if fam.bit_count() < search.arity ** t:
         return False
     key = (fam, t)
-    cached = memo.get(key)
+    cached = search.memo.get(key)
     if cached is not None:
         return cached
-    need = arity ** (t - 1)
+    need = search.arity ** (t - 1)
     out = False
-    for xs in tuples:
+    for xs in search.tuples:
         children = []
-        for sel in selectors[xs]:
+        for sel in search[xs]:
             kid = fam & sel
             if kid.bit_count() < need:
                 break
             children.append(kid)
         else:
-            if all(_op_rank_at_least(kid, tuples, selectors, arity, t - 1, memo)
-                   for kid in children):
+            if all(_op_rank_at_least(kid, search, t - 1) for kid in children):
                 out = True
                 break
-    memo[key] = out
+    search.memo[key] = out
     return out
 
 
 def op_shatter(system: SetSystem, s, height, cap=None):
-    """psi_F^s(height): maximum properly labeled leaves of a 2^s-ary tree.
-
-    The tuple search permits repeated elements so that universes smaller
-    than s are still covered."""
+    """psi_F^s(height): maximum properly labeled leaves of a 2^s-ary tree."""
     s, height = require_int(s, "s", 1), require_int(height, "height", 0)
     if not system.sets:
         return 0
@@ -339,32 +346,30 @@ def op_shatter(system: SetSystem, s, height, cap=None):
 
 
 def _op_shatter(sets, n, s, height):
-    tuples = list(itertools.combinations_with_replacement(range(n), s))
-    return _op_shatter_leaves((1 << len(sets)) - 1, tuples, _Selectors(sets),
-                              1 << s, height, {})
+    search = _Search(sets, n, s)
+    return _op_shatter_leaves(search.full, search, height)
 
 
-def _op_shatter_leaves(fam, tuples, selectors, arity, height, memo):
+def _op_shatter_leaves(fam, search, height):
     if not fam:
         return 0
     if height == 0 or not fam & (fam - 1):
         return 1
     key = (fam, height)
-    cached = memo.get(key)
+    cached = search.memo.get(key)
     if cached is not None:
         return cached
-    cap = min(arity ** height, fam.bit_count())
+    cap = min(search.arity ** height, fam.bit_count())
     best = 1
-    for xs in tuples:
+    for xs in search.tuples:
         total = 0
-        for sel in selectors[xs]:
-            total += _op_shatter_leaves(fam & sel, tuples, selectors, arity,
-                                        height - 1, memo)
+        for sel in search[xs]:
+            total += _op_shatter_leaves(fam & sel, search, height - 1)
         if total > best:
             best = total
             if best == cap:
                 break
-    memo[key] = best
+    search.memo[key] = best
     return best
 
 

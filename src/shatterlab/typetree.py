@@ -33,27 +33,30 @@ DEFAULT_RANK_CAP = 18
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertices 0..vertex_count-1; each edge is checked to
-    be two distinct vertices.  ``_neighbors[v]`` is v's neighbour bitmask,
-    built once, so adjacency is a bit test (on vertices in range only)."""
+    """Simple graph on vertices 0..vertex_count-1.  ``edges`` may be any
+    collection of edges, each checked to be a collection of two distinct
+    vertices by the element rule (``mask_of``), and is kept as a frozenset
+    of frozensets.  ``_neighbors[v]`` is v's neighbour bitmask, built once,
+    so adjacency is a bit test (on vertices in range only)."""
     vertex_count: int
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        top = require_int(self.vertex_count, "vertex_count", 0) - 1
-        masks = [0] * (top + 1)
+        n = require_int(self.vertex_count, "vertex_count", 0)
+        masks, edges = [0] * n, set()
         for edge in self.edges:
-            ends = [require_int(x, "edge endpoint", 0, top) for x in edge]
-            if len(ends) != 2 or ends[0] == ends[1]:
-                raise InputError(f"edge {ends} is not two distinct vertices")
-            u, v = ends
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            pair = mask_of(edge, n)
+            if pair.bit_count() != 2 or len(edge) != 2:
+                raise InputError(f"edge {edge!r} is not two distinct vertices")
+            for x in edge:
+                masks[x] |= pair ^ 1 << x
+            edges.add(frozenset(edge))
+        object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "_neighbors", tuple(masks))
 
     @classmethod
     def from_edge_list(cls, vertex_count, edge_list):
-        return cls(vertex_count, frozenset(frozenset((u, v)) for u, v in edge_list))
+        return cls(vertex_count, edge_list)
 
     def adjacent(self, u, v):
         return bool(self._neighbors[u] >> v & 1)

@@ -301,6 +301,19 @@ def test_is_independent():
     assert not is_independent(parity_problem(3))
 
 
+def test_is_independent_makes_no_full_size_temporary():
+    # from_vc's table is C(16,2) rows broadcast over 2^14 contexts: a
+    # comparison of every entry would allocate about 7.9 MB
+    problem = from_vc(generate("thresholds", 16), 2)
+    tracemalloc.start()
+    try:
+        assert is_independent(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # hereditariness
 # ---------------------------------------------------------------------------

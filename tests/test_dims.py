@@ -120,7 +120,7 @@ def test_op2_matches_brute_force(seed):
     assert min(op_rank(system, 2), 2) == brute
     for height in range(3):
         assert op_shatter(system, 2, height) == brute_shatter(system, 2, height)
-    # s = 3: universe 2 < s needs repeated tuples and has rank 0; the
+    # s = 3: universe 2 < s splits on its one 2-set and has rank 0; the
     # powerset of 3 has rank 1
     for system in (random_system(2, 4, seed=50 + seed),
                    random_system(3, 8, seed=50 + seed), generate("powerset", 3)):
@@ -258,8 +258,8 @@ def test_op_bitsets_match_tuple_recursions_at_audit_sizes(seed):
     SetSystem(1, (0, 1)), generate("powerset", 4),
 ], ids=["empty", "one-member", "universe-2", "universe-1", "powerset-4"])
 def test_bitset_edge_cases_match_tuple_recursions(system):
-    # universes 1 and 2 lie below s = 3, where op_shatter's tuples repeat
-    # elements and conflicting bits must give the empty child
+    # universes 1 and 2 lie below s = 3, where op_shatter splits on the one
+    # n-set and the oracle on tuples with repeated elements
     _assert_op_matches_tuple_recursions(system, (1, 2, 3), 3)
 
 

@@ -190,6 +190,8 @@ INT_PARAMS = {
     ("generate", "cap"): (lambda v: generate("powerset", N, cap=v), N, None, None),
     ("ElementTree", "arity_exponent"): (lambda v: ElementTree(v, 0, {}), 1, 1, None),
     ("ElementTree", "height"): (lambda v: ElementTree(1, v, {}), 0, 0, None),
+    ("ElementTree", "node entry"): (
+        lambda v: ElementTree(1, 2, {(): (0,), (0,): (0,), (v,): (0,)}), 1, 0, 1),
     ("random_element_tree", "universe_size"): (
         lambda v: random_element_tree(v, 1, 2, 0), N, 1, None),
     ("random_element_tree", "arity_exponent"): (

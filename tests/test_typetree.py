@@ -37,8 +37,9 @@ def test_graph_basics():
     assert Graph.from_json_dict(g.to_json_dict()) == g
     with pytest.raises(InputError):
         Graph.from_edge_list(3, [(0, 0)])
-    with pytest.raises(InputError):
-        Graph.from_edge_list(3, [(0, 3)])
+    for edges in ([(0, 3)], [([0], 1)], [3], [(0, 1, 2)]):
+        with pytest.raises(InputError):
+            Graph.from_edge_list(3, edges)
     # the constructor checks its own edges
     for edge in ((0, 5), (1,), (0, 1, 2), (0, True)):
         with pytest.raises(InputError):
