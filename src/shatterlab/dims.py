@@ -5,15 +5,35 @@ functions, plus an auditor that machine-checks the Sauer-Shelah style bounds
 relating them.  Every VC quantity comes from one depth-first search over
 tuples y_1 < y_2 < ... of the universe, ``_trace_count_search``.  The trace
 of a mask m on a tuple is m & Y, Y the tuple's mask, so extending the tuple
-by y sets one bit of Y and a node's trace count is the number of distinct
-codes m & Y, O(|F|) per node.  The search walks tuples of the asked size k
-and prunes a node whose count times 2^(elements still to add) cannot beat
-the best count, stopping at min(2^k, |F|).  Seeded with the best count
-2^k - 1, it extends only shattered prefixes (a subset of a shattered set is
-shattered, so every shattered set is reached through them), and it returns
-2^k exactly when some k-set is shattered.  That one question gives the VC
-dimension, the largest such k up to min(n, floor(log2 |F|)), and the
-op_s-rank of a family too small for rank 2.
+by y sets one bit of Y, O(|F|) per node.  The search walks tuples of the
+asked size k, and a node of j elements, r = k - j still to add, bounds what
+it can reach.  Its members fall into classes by their trace, and r more
+elements split a class of c members into at most min(c, 2^r) traces.  The
+node is pruned when the sum of these bounds over its classes cannot beat
+the best count; at r = 0 the sum is the trace count itself.  The search
+stops at min(2^k, |F|).  Seeded with the best count 2^k - 1, it extends
+only shattered prefixes whose classes all hold 2^r members.  Every
+shattered k-set's prefixes are such, so it returns 2^k exactly when some
+k-set is shattered.  That one question gives the VC dimension, the largest
+such k up to min(n, floor(log2 |F|)), and the op_s-rank of a family too
+small for rank 2.
+
+Counting class sizes costs two to three times a set of traces, so the search
+counts them only where a class can be expected to fall short of 2^r, when
+|F| < 4 * 2^k and 2|F| <= 2^n; elsewhere it bounds a node by its number of
+classes times 2^r.  Both are upper bounds, so they give the same result;
+they differ only in what they prune, and not at all when no class falls
+short.
+- A node's classes average at least |F| / 2^j members, which is |F| / 2^k
+  times the 2^r each needs.  At |F| >= 4 * 2^k a class must hold under a
+  quarter of the average to fall short.
+- The members of one class lie in one subcube of 2^(n - j) points.  If F
+  holds a fraction p of the cube at random, a class size has variance at
+  most its mean times (1 - p), so a family holding more than half of the
+  cube has even classes.  In powerset(16) minus 100 members no class falls
+  short, and counting would only add to the cost of its search.
+Both tests read only |F|, k and n, so every node of one search takes the
+same branch.
 
 op_s-rank and psi^s come from one memoized rank recursion and one memoized
 shatter recursion, which split a family on the same tuples: the
@@ -96,14 +116,16 @@ class ElementTree:
         n = require_int(self.height, "height", 0)
         arity = 1 << s
         expected = sum(arity ** d for d in range(n))
+        if not isinstance(self.labels, dict):
+            raise InputError(f"labels must be a dict, got {self.labels!r}")
         if len(self.labels) != expected:
             raise InputError(f"expected {expected} labeled nodes, got {len(self.labels)}")
         for node, lab in self.labels.items():
-            if len(node) >= n:
+            if not isinstance(node, tuple) or len(node) >= n:
                 raise InputError(f"bad node {node!r}")
             for v in node:
                 require_int(v, "node entry", 0, arity - 1)
-            if len(lab) != s:
+            if not isinstance(lab, tuple) or len(lab) != s:
                 raise InputError(f"label {lab!r} at {node!r} is not an {s}-tuple")
 
     @property
@@ -244,12 +266,24 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
 def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
     """Largest trace count, at least ``best`` and at most ``stop``, over the
     size-sets extending the k-set ``chosen`` by elements >= start."""
-    for y in range(start, n - size + k + 1):
+    rest = size - k - 1
+    # Count class sizes where the input lets the count pay (module docstring).
+    counted = rest and len(sets) < 4 << size and 2 * len(sets) <= 1 << n
+    full = 1 << rest
+    for y in range(start, n - rest):
         kid = chosen | 1 << y
-        # Each of the kid's classes splits into at most 2^(size-k-1) traces.
-        reach = len({m & kid for m in sets}) << (size - k - 1)
+        if counted:
+            # A class of c members splits into at most min(c, 2^rest) traces.
+            classes = {}
+            for m in sets:
+                trace = m & kid
+                classes[trace] = classes.get(trace, 0) + 1
+            reach = sum(c if c < full else full for c in classes.values())
+        else:
+            # Each of the kid's classes splits into at most 2^rest traces.
+            reach = len({m & kid for m in sets}) << rest
         if reach > best:
-            best = reach if k + 1 == size else _trace_count_search(
+            best = reach if not rest else _trace_count_search(
                 sets, n, size, kid, y + 1, k + 1, best, stop)
             if best == stop:
                 break

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 from math import factorial
 
@@ -43,6 +44,8 @@ class Graph:
 
     def __post_init__(self):
         n = require_int(self.vertex_count, "vertex_count", 0)
+        if not isinstance(self.edges, Collection):
+            raise InputError(f"edges must be a collection, got {self.edges!r}")
         masks, edges = [0] * n, set()
         for edge in self.edges:
             pair = mask_of(edge, n)

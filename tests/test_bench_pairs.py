@@ -74,3 +74,57 @@ def test_summary_marks_failed_and_missing_runs():
                                      SPEC, ["parent", "change"])
     assert empty["metrics"]["items_per_s"]["relative_worsening"] is None
     assert not empty["metrics"]["items_per_s"]["within_bound"]
+
+
+def kind_record(workload, rnd, side, kinds):
+    return {"workload": workload, "round": rnd, "side": side, "position": 0,
+            "returncode": 0 if kinds is not None else 1, "kinds": kinds}
+
+
+SIDES = ["parent", "change", "parent2"]
+
+
+def test_kind_summary_reads_best_times_and_ratios_per_kind():
+    records = []
+    # two rounds; kind "vc" 3x faster at the change, "tree" unchanged
+    for rnd, (p, c, p2) in enumerate([((3.0, 1.0), (1.1, 1.0), (3.3, 1.1)),
+                                      ((3.3, 1.2), (1.0, 0.9), (3.0, 1.0))]):
+        for side, (vc, tree) in zip(SIDES, (p, c, p2)):
+            records.append(kind_record("w", rnd, side, {"vc": vc, "tree": tree}))
+    (row,) = bench_pairs.summarize_kinds(records, SIDES)
+    assert (row["workload"], row["rounds"], row["sides"], row["complete"]) == (
+        "w", 2, SIDES, True)
+    assert list(row["kinds"]) == ["vc", "tree", "total"]
+    vc = row["kinds"]["vc"]
+    assert vc["parent"] == {"best": 3.0, "values": [3.0, 3.3]}
+    assert vc["change"]["best"] == 1.0 and vc["parent2"]["best"] == 3.0
+    assert vc["change/parent"] == pytest.approx(1 / 3)
+    assert vc["parent2/parent"] == pytest.approx(1.0)
+    tree = row["kinds"]["tree"]
+    assert tree["change/parent"] == pytest.approx(0.9)
+    assert tree["parent2/parent"] == pytest.approx(1.0)
+    total = row["kinds"]["total"]
+    assert total["parent"]["values"] == pytest.approx([4.0, 4.5])
+    assert total["change"]["best"] == pytest.approx(1.9)
+    assert total["change/parent"] == pytest.approx(1.9 / 4.0)
+
+
+def test_kind_summary_groups_by_workload_and_marks_missing_times():
+    records = [kind_record("a", 0, "parent", {"x": 2.0}),
+               kind_record("a", 0, "change", None),
+               kind_record("a", 0, "parent2", {"x": 2.2}),
+               kind_record("b", 0, "parent2", {"y": 1.0}),
+               kind_record("b", 0, "change", {"y": 0.5}),
+               kind_record("b", 0, "parent", {"y": 1.0})]
+    a, b = bench_pairs.summarize_kinds(records, SIDES)
+    assert (a["workload"], a["complete"], b["workload"], b["complete"]) == (
+        "a", False, "b", True)
+    x = a["kinds"]["x"]
+    assert x["change"] == {"best": None, "values": []}
+    assert x["change/parent"] is None
+    assert x["parent2/parent"] == pytest.approx(1.1)
+    assert b["kinds"]["y"]["change/parent"] == pytest.approx(0.5)
+
+    (none,) = bench_pairs.summarize_kinds([kind_record("c", 0, "parent", None)], SIDES)
+    assert not none["complete"]
+    assert none["kinds"]["total"]["change/parent"] is None

@@ -208,14 +208,59 @@ def test_vc_search_matches_oracles_at_benchmark_sizes(seed):
     _assert_vc_matches_oracles(SetSystem(n, masks), rng)
 
 
+def _powerset_minus(n, count, seed):
+    """powerset(n) without ``count`` seeded random members."""
+    dropped = set(random.Random(seed).sample(range(1 << n), count))
+    return SetSystem(n, tuple(m for m in range(1 << n) if m not in dropped))
+
+
+def _class_bound_families():
+    """Seeded families at the VC search's class-size bound:
+    - one large trace class (members that agree on a low part) plus
+      singletons;
+    - |F| just below, at and just above 4 * 2^k, where the search starts
+      or stops counting classes at size k, and 2|F| at 2^n, where the
+      density rule starts or stops it;
+    - powerset(n) minus a few members, too dense to count, and half of a
+      cube, which counts near its top sizes."""
+    rng = random.Random(19)
+    systems = []
+    for n in range(4, 11):
+        for _ in range(3):
+            low = rng.randint(1, n - 2)
+            pattern = rng.randrange(1 << low)
+            big = {pattern | rng.randrange(1 << (n - low)) << low
+                   for _ in range(rng.randint(8, 40))}
+            singletons = {1 << x for x in rng.sample(range(n), rng.randint(1, n))}
+            systems.append(SetSystem(n, tuple(big | singletons)))
+    for n, k in ((7, 2), (8, 3), (9, 2), (8, 4), (10, 5)):
+        for count in ((4 << k) - 1, 4 << k, (4 << k) + 1):
+            systems.append(SetSystem(n, tuple(rng.sample(range(1 << n), count))))
+    for n in (6, 7):
+        for count in ((1 << n - 1) - 1, 1 << n - 1, (1 << n - 1) + 1):
+            systems.append(SetSystem(n, tuple(rng.sample(range(1 << n), count))))
+    for n in range(3, 11):
+        systems.append(_powerset_minus(n, rng.randint(1, 5), rng.randrange(1 << 30)))
+        systems.append(SetSystem(n, tuple(rng.sample(range(1 << n), 1 << n - 1))))
+    return systems
+
+
+def test_vc_search_matches_oracles_at_the_class_bound():
+    rng = random.Random(20)
+    for system in _class_bound_families():
+        _assert_vc_matches_oracles(system, rng)
+
+
 @pytest.mark.parametrize("call, generator, expected", [
     (vc_dimension, ("powerset", 16), 16),
     (vc_dimension, ("all_subsets_of_size_at_most", 20, 3), 3),
     (lambda system: vc_shatter_function(system, 12),
      ("all_subsets_of_size_at_most", 12, 2), 79),
-], ids=["vc-powerset-16", "vc-at-most-3-of-20", "pi12-at-most-2-of-12"])
+    (vc_dimension, lambda: _powerset_minus(16, 100, seed=16), 15),
+], ids=["vc-powerset-16", "vc-at-most-3-of-20", "pi12-at-most-2-of-12",
+        "vc-powerset-16-minus-100"])
 def test_vc_worst_cases_within_a_second(call, generator, expected):
-    system = generate(*generator)
+    system = generator() if callable(generator) else generate(*generator)
     start = time.process_time()
     assert call(system) == expected
     assert time.process_time() - start < 1
@@ -275,6 +320,11 @@ def test_element_tree_validation():
         ElementTree(1, 2, {(): (0,)})
     with pytest.raises(InputError):
         ElementTree(1, 1, {(): (0, 1)})
+    # containers of the wrong kind: a node or a label that is not a tuple,
+    # labels that are not a dict
+    for labels in ({0: (0,)}, {(): 0}, 5):
+        with pytest.raises(InputError):
+            ElementTree(1, 1, labels)
 
 
 def test_path_requirements_and_labeling():

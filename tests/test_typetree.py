@@ -37,7 +37,7 @@ def test_graph_basics():
     assert Graph.from_json_dict(g.to_json_dict()) == g
     with pytest.raises(InputError):
         Graph.from_edge_list(3, [(0, 0)])
-    for edges in ([(0, 3)], [([0], 1)], [3], [(0, 1, 2)]):
+    for edges in ([(0, 3)], [([0], 1)], [3], [(0, 1, 2)], 5):
         with pytest.raises(InputError):
             Graph.from_edge_list(3, edges)
     # the constructor checks its own edges

@@ -16,15 +16,29 @@ as ``<parent>-aa`` and removed afterwards: the A/A control, which shows the
 spread two identical sides read.  The metric bounds come from the same
 ``BENCHMARK.json``.  The file is written to the current directory and
 rewritten after every run, so an interrupted run keeps the runs it made.
+
+``--kinds WORKLOAD=R`` times each item kind of the workload in-process, in
+R rounds.  A round starts one timing process per side: the parent, the
+change, and the parent again as "parent2", the A/A control.  Round r starts
+with side r mod 3.  Each process imports the library from its checkout's
+``src`` and builds the first KIND_CYCLES cycles of seed-0 items from its
+checkout's ``bench/workloads.py``, writing no file there.  It times every
+item best of KIND_REPEATS passes with ``time.perf_counter``, and a kind's
+time is the sum over its items.  The summary gives each side's
+best time per kind over the rounds, with change/parent and parent2/parent
+ratios beside each other.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +46,9 @@ import numpy as np
 # The seed whose results bench/reference.json digests, so every run also
 # checks that no result changed.
 SEED = 0
+# Per-kind timing: cycles of items per process, and passes over them.
+KIND_CYCLES = 8
+KIND_REPEATS = 3
 
 
 def _spread(values):
@@ -90,6 +107,87 @@ def summarize(runs, spec, sides):
             row["metrics"][name] = entry
         rows.append(row)
     return rows
+
+
+def summarize_kinds(records, sides):
+    """One row per workload of ``records``, in order of first appearance.
+    Per item kind, and for the sum of all kinds ("total"), each side's
+    per-process times over the rounds and their best, and the ratio of each
+    later side's best to the best of ``sides[0]``.  A record without times
+    counts in no side's values and makes the row incomplete."""
+    base = sides[0]
+    groups = {}
+    for record in records:
+        groups.setdefault(record["workload"], []).append(record)
+    rows = []
+    for workload, group in groups.items():
+        timed = [(r["side"], {**r["kinds"], "total": sum(r["kinds"].values())})
+                 for r in group if r["kinds"] is not None]
+        labels = dict.fromkeys(label for _, kinds in timed for label in kinds)
+        labels.pop("total", None)
+        row = {"workload": workload, "rounds": len({r["round"] for r in group}),
+               "sides": list(sides), "complete": len(timed) == len(group), "kinds": {}}
+        for label in [*labels, "total"]:
+            entry = {}
+            for side in sides:
+                values = [kinds[label] for who, kinds in timed
+                          if who == side and label in kinds]
+                entry[side] = {"best": min(values, default=None), "values": values}
+            for side in sides[1:]:
+                a, b = entry[base]["best"], entry[side]["best"]
+                entry[f"{side}/{base}"] = b / a if a and b is not None else None
+            row["kinds"][label] = entry
+        rows.append(row)
+    return rows
+
+
+def time_kinds(root, workload):
+    """Seconds per item kind of ``workload``'s first KIND_CYCLES seed-0
+    cycles, built from checkout ``root``: each item best of KIND_REPEATS
+    passes, summed per kind.  Runs in its own process."""
+    sys.dont_write_bytecode = True
+    src = Path(root).resolve() / "src"
+    sys.path[:0] = [str(src), str(src.parent / "bench")]
+    import shatterlab
+    if Path(shatterlab.__file__).resolve().parent != src / "shatterlab":
+        raise ImportError(f"imported shatterlab from {shatterlab.__file__}")
+    from workloads import WORKLOADS
+
+    spec = WORKLOADS[workload]
+    with tempfile.TemporaryDirectory() as workdir:
+        items = spec.build(SEED, KIND_CYCLES * len(spec.cycle), workdir)
+        best = [float("inf")] * len(items)
+        for _ in range(KIND_REPEATS):
+            for index, item in enumerate(items):
+                start = time.perf_counter()
+                item.call()
+                best[index] = min(best[index], time.perf_counter() - start)
+    kinds = {}
+    for item, seconds in zip(items, best):
+        kinds[item.label] = kinds.get(item.label, 0.0) + seconds
+    return kinds
+
+
+def run_kind_rounds(sides, workload, rounds, sink):
+    """``rounds`` rounds of one ``time_kinds`` process per (side, root) of
+    ``sides``, the starting side rotating by one each round."""
+    for rnd in range(rounds):
+        shift = rnd % len(sides)
+        for position, (side, root) in enumerate(sides[shift:] + sides[:shift]):
+            proc = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--time-kinds", str(root),
+                 workload],
+                cwd=tempfile.gettempdir(), capture_output=True, text=True, check=False,
+                env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+            kinds = None
+            try:
+                kinds = json.loads(proc.stdout.strip().splitlines()[-1])
+            except (IndexError, json.JSONDecodeError):
+                sys.stderr.write(proc.stderr)
+            sink({"workload": workload, "round": rnd, "side": side, "position": position,
+                  "returncode": proc.returncode, "kinds": kinds})
+            state = "ok" if kinds else "FAILED"
+            print(f"{workload} kinds round {rnd} {side}: {state}", file=sys.stderr)
 
 
 def run_once(root, workload, seconds, trace):
@@ -154,11 +252,14 @@ def main(argv=None):
                         metavar="WORKLOAD=N", help="N alternating --trace 0 pairs")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
     parser.add_argument("--aa", action="append", default=[], metavar="WORKLOAD")
+    parser.add_argument("--kinds", action="append", default=[], type=_workload_counts,
+                        metavar="WORKLOAD=R", help="R rounds of per-kind timing")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     sides = [("parent", args.parent.resolve()), ("change", args.change.resolve())]
-    runs, traced, aa_runs = [], [], []
+    runs, traced, aa_runs, kind_runs = [], [], [], []
+    kind_sides = sides + [("parent2", sides[0][1])]
     doc = {
         "label": args.label, "what": args.what,
         "command": f"python3 bench/run.py --workload W --seed {SEED} --seconds {seconds} "
@@ -174,6 +275,13 @@ def main(argv=None):
             "git clone of the parent commit (parent2) on each of "
             + (", ".join(args.aa) or "no workload")
             + ". Quartiles are numpy linear percentiles over the pairs."),
+        "kinds_procedure": (
+            ", ".join(f"{n} rounds of {w}" for w, n in args.kinds)
+            + f" of per-kind timing: the first {KIND_CYCLES} seed-0 cycles, each "
+            f"item best of {KIND_REPEATS} passes in one process per side and round "
+            "(parent, change, and the parent again as parent2, the starting side "
+            "rotating); best over the rounds; ratios to the parent's best")
+        if args.kinds else None,
     }
     out = Path(f"BENCH_{args.label}.json")
 
@@ -185,7 +293,9 @@ def main(argv=None):
                     "summary": summarize(runs, spec, ["parent", "change"]),
                     "runs": runs, "traced": traced,
                     "aa_control": {"summary": summarize(aa_runs, spec, ["parent", "parent2"]),
-                                   "runs": aa_runs}})
+                                   "runs": aa_runs},
+                   "kinds": {"summary": summarize_kinds(
+                       kind_runs, [side for side, _ in kind_sides]), "runs": kind_runs}})
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
     def sink_into(records):
@@ -198,6 +308,8 @@ def main(argv=None):
         run_pairs(sides, workload, seconds, 0, count, sink_into(runs))
     for workload in args.traced:
         run_pairs(sides, workload, seconds, 1, 1, sink_into(traced))
+    for workload, count in args.kinds:
+        run_kind_rounds(kind_sides, workload, count, sink_into(kind_runs))
     if args.aa:
         twin = sides[0][1].with_name(sides[0][1].name + "-aa")
         subprocess.run(["git", "clone", "--quiet", str(sides[0][1]), str(twin)],
@@ -213,4 +325,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--time-kinds"]:
+        print(json.dumps(time_kinds(*sys.argv[2:4])))
+        sys.exit(0)
     sys.exit(main())
