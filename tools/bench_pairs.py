@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -177,8 +176,7 @@ def run_kind_rounds(sides, workload, rounds, sink):
             proc = subprocess.run(
                 [sys.executable, str(Path(__file__).resolve()), "--time-kinds", str(root),
                  workload],
-                cwd=tempfile.gettempdir(), capture_output=True, text=True, check=False,
-                env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+                capture_output=True, text=True, check=False)
             kinds = None
             try:
                 kinds = json.loads(proc.stdout.strip().splitlines()[-1])
