@@ -106,6 +106,14 @@ class RelaxedBanProblem:
             problem._table()
         except KeyError as exc:
             raise InputError(f"missing ban-table entry {exc}") from exc
+        # The fill finds keys and patterns by hash-equal integers, which a
+        # bool or a float also is.  With every key found, each is a pair of
+        # tuples.  Without bounds require_int reads a value by its type
+        # alone, so one symbol of each type is checked.
+        flat = itertools.chain.from_iterable
+        symbols = flat(itertools.chain(flat(table), flat(table.values())))
+        for symbol in {type(s): s for s in symbols}.values():
+            require_int(symbol, "ban-table entry")
         return problem
 
     def _table(self):
@@ -142,6 +150,12 @@ class RelaxedBanProblem:
             if not out and not self.allow_empty:
                 raise InputError(f"empty ban set at S={S}, X={X}")
             return out
+        # numpy reads a bool in an index tuple as a mask and fails on a
+        # float, so a context with an entry that is not an int goes through
+        # require_int.  Gathering the types runs in C, cheaper than a
+        # require_int call per entry on the witness search's reads.
+        if set(map(type, X)) != {int}:
+            X = tuple(require_int(x, "context entry") for x in X)
         flags = self._bans[row].reshape(self._context_shape)[X]
         return frozenset(itertools.compress(self._patterns, flags.tolist()))
 

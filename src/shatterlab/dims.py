@@ -39,14 +39,14 @@ op_s-rank and psi^s come from one memoized rank recursion and one memoized
 shatter recursion, which split a family on the same tuples: the
 min(n, s)-subsets of [n].  Inside one top-level call they carry a subfamily
 as an int over the canonical ``sets`` tuple: bit i is set when it contains
-``sets[i]``.  Each element x's "with x" column is the member-index mask of
-``setsystem.child_masks(sets, (x,), (1,))``, built on first use; "without
-x" is its complement in the whole family.  The child on a tuple and a
-pattern sigma is the family ANDed with each element's column (sigma bit 1)
-or its complement (bit 0).  Sizes are bit counts, and the memo keys are
-(mask, height) pairs.  A family of fewer than 2^(2s) members has op_s-rank
-at most 1, and 1 exactly when it shatters some s-set, which the rank asks
-the VC search without building a column.
+``sets[i]``.  A subfamily's child on a tuple and a pattern sigma is the
+subfamily ANDed with the whole family's child there, which one
+``setsystem.ChildTable`` builds on first use: the AND over the tuple of
+each element's column (sigma bit 1) or its complement (bit 0).  Sizes are
+bit counts, and the memo keys are (mask, height) pairs.  A family of fewer
+than 2^(2s) members has op_s-rank at most 1, and 1 exactly when it
+shatters some s-set, which the rank asks the VC search without building a
+column.
 Thicket dimension and the thicket shatter function are the s = 1 calls of
 those recursions, without the universe cap.
 
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InputError, check_cap, require_int
-from .setsystem import SetSystem, child, child_masks, mask_of
+from .setsystem import ChildTable, SetSystem, child, mask_of
 
 __all__ = [
     "NEG_INF",
@@ -181,50 +181,17 @@ def random_element_tree(universe_size, arity_exponent, height, seed):
 # member-index bitsets
 # ---------------------------------------------------------------------------
 
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-class _Columns(dict):
-    """Element x -> its "with x" column: the member-index mask of the members
-    of the canonical tuple ``sets`` that contain x, bit i standing for
-    ``sets[i]``.  A column is read from ``child_masks``, the one definition
-    of a child, on its first use, so a search that stops early builds few.
-    It is parsed from one binary digit string, in time linear in |F|."""
-
-    def __init__(self, sets):
-        self.sets = sets
-
-    def __missing__(self, x):
-        kid = set(child_masks(self.sets, (x,), (1,)))
-        flags = bytes([m in kid for m in reversed(self.sets)])
-        self[x] = column = int(flags.translate(_BINARY_DIGITS), 2)
-        return column
-
-
-class _Search(dict):
-    """One top-level op_s search of a family.  ``tuples`` are the
-    min(n, s)-subsets of [n] in ``itertools.combinations`` order, ``arity``
-    is 2^s, ``full`` the whole family's member-index mask and ``memo`` the
-    call's (mask, height) table.  As a dict it maps a tuple xs to the
-    member-index masks of its children, one per sigma in
-    ``itertools.product((0, 1), repeat=len(xs))`` order: the AND over the
-    tuple of x's column (bit 1) or its complement (bit 0).  A tuple's
-    children are built on its first use, so a family that never splits
-    builds none."""
+class _Search(ChildTable):
+    """One top-level op_s search of a family: its ``ChildTable``, whose
+    children the recursions AND into a subfamily's mask, plus the
+    min(n, s)-subsets of [n] in ``itertools.combinations`` order as
+    ``tuples``, ``arity`` 2^s and ``memo``, the call's (mask, height)
+    table."""
 
     def __init__(self, sets, n, s):
-        self.full, self.columns = (1 << len(sets)) - 1, _Columns(sets)
+        super().__init__(sets)
         self.tuples = list(itertools.combinations(range(n), min(n, s)))
         self.arity, self.memo = 1 << s, {}
-
-    def __missing__(self, xs):
-        selectors = [self.full]
-        for x in xs:
-            with_x = self.columns[x]
-            without = self.full ^ with_x
-            selectors = [sel & col for sel in selectors for col in (without, with_x)]
-        self[xs] = selectors
-        return selectors
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +414,16 @@ def _sauer_sum(n, k):
     return sum(comb(n, i) for i in range(int(k) + 1))
 
 
+def _leaf_bound(n, rank, a0, a1):
+    """sum_{i<=rank} C(n,i) a0^{n-i} a1^i, the leaf bound of rows (c) and
+    (g); 0 for the empty family's rank.  A rank above n runs i past n, where
+    a0^{n-i} is a float, and so is the sum; ``bench/reference.json``
+    digests that float."""
+    if rank == NEG_INF:
+        return 0
+    return sum(comb(n, i) * (a0 ** (n - i)) * (a1 ** i) for i in range(int(rank) + 1))
+
+
 def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     """Evaluate every shatter-function bound at the given parameters.
 
@@ -477,11 +454,7 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     # (c) psi_F^s(n) <= sum_{i<=k} (2^s-1)^{n-i} C(n,i)
     ks = op_rank(system, s, cap=cap)
     psi = op_shatter(system, s, n, cap=cap)
-    if ks == NEG_INF:
-        rhs = 0
-    else:
-        rhs = sum((((1 << s) - 1) ** (n - i)) * comb(n, i)
-                  for i in range(int(ks) + 1))
+    rhs = _leaf_bound(n, ks, (1 << s) - 1, 1)
     report.add("op_shatter_vs_rank", {"n": n, "s": s, "rank": rank_to_str(ks)},
                psi, rhs, psi <= rhs)
 
@@ -514,14 +487,9 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
 
     # (g) psi_F^s(n) <= sum_{i<=b} C(n,i) a0^{n-i} a1^i with b = op_r-rank
     a1 = (1 << s) - a0
-    b = kr
-    if b == NEG_INF:
-        rhs = 0
-    else:
-        rhs = sum(comb(n, i) * (a0 ** (n - i)) * (a1 ** i)
-                  for i in range(int(b) + 1))
+    rhs = _leaf_bound(n, kr, a0, a1)
     report.add("two_parameter_recurrence",
-               {"n": n, "s": s, "r": r, "b": rank_to_str(b), "a0": a0, "a1": a1},
+               {"n": n, "s": s, "r": r, "b": rank_to_str(kr), "a0": a0, "a1": a1},
                psi, rhs, psi <= rhs)
     return report
 

@@ -115,11 +115,9 @@ def dual(system: SetSystem) -> SetSystem:
     The new base indexes the (canonically sorted) family; element x of the
     original contributes the set of families containing x.
     """
-    m = len(system.sets)
-    duals = set()
-    for x in range(system.universe_size):
-        duals.add(sum(1 << i for i, s in enumerate(system.sets) if s >> x & 1))
-    return SetSystem(m, tuple(duals))
+    table = ChildTable(system.sets)
+    return SetSystem(len(system.sets),
+                     tuple(table[(x,)][1] for x in range(system.universe_size)))
 
 
 def child(system: SetSystem, xs, sigma) -> SetSystem:
@@ -142,6 +140,39 @@ def child_masks(sets, xs, sigma):
         if b:
             want |= bit
     return tuple(m for m in sets if m & care == want)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class ChildTable(dict):
+    """The children of the family ``sets`` on tuples of elements, as
+    member-index masks: bit i of a mask stands for ``sets[i]``, so ``sets``
+    may repeat a mask.  ``table[xs]`` lists one mask per sigma in
+    ``itertools.product((0, 1), repeat=len(xs))`` order, each filled on
+    first use, so a search that stops early builds few.  ``table[(x,)][1]``
+    is x's column, the members that contain x, read from ``child_masks``
+    and parsed from one binary digit string in time linear in |F|;
+    ``table[(x,)][0]`` is its complement in the whole family ``full``.  A
+    longer tuple's children are its prefix's children ANDed with its last
+    element's, so a repeated element's conflicting children are empty."""
+
+    def __init__(self, sets):
+        self.sets, self.full = sets, (1 << len(sets)) - 1
+        self[()] = [self.full]
+
+    def __missing__(self, xs):
+        if len(xs) == 1:
+            kid = set(child_masks(self.sets, xs, (1,)))
+            flags = bytes([m in kid for m in reversed(self.sets)])
+            # The leading 0 reads the empty family as 0.
+            column = int(b"0" + flags.translate(_BINARY_DIGITS), 2)
+            children = [self.full ^ column, column]
+        else:
+            last = self[xs[-1:]]
+            children = [sel & col for sel in self[xs[:-1]] for col in last]
+        self[xs] = children
+        return children
 
 
 def traces(sets, ys):
@@ -192,10 +223,9 @@ def halfspace_incidence(arrangement) -> SetSystem:
 
 def halfspace_dual(arrangement) -> SetSystem:
     """Base = half-spaces; one set per point, the half-spaces covering it."""
-    masks = _halfspace_masks(arrangement)
-    return SetSystem(len(masks),
-                     tuple(sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
-                           for i in range(len(arrangement.points))),
+    table = ChildTable(_halfspace_masks(arrangement))
+    return SetSystem(len(table.sets),
+                     tuple(table[(i,)][1] for i in range(len(arrangement.points))),
                      name="halfspace_dual")
 
 

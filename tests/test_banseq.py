@@ -105,6 +105,17 @@ def test_ban_set_raises_exactly_on_invalid_keys(key, filled, other):
         KEY_SUBSETS[-1], KEY_CONTEXTS[-1])
 
 
+@pytest.mark.parametrize("seed", [1, 3, 4])
+@pytest.mark.parametrize("context", [(True, 0), (1.0, 0)])
+def test_filled_table_refuses_a_context_that_is_not_integers(seed, context):
+    """numpy would read a bool in the index tuple as a mask (a ban set other
+    than (1, 0)'s at these seeds) and fail on a float."""
+    problem = random_problem(3, 1, 2, seed)
+    assert problem.ban_set((0,), (1, 0))
+    with pytest.raises(InputError):
+        problem.ban_set((0,), context)
+
+
 def test_json_round_trip():
     problem = random_problem(4, 2, 3, seed=5)
     again = BanProblem.from_json_dict(problem.to_json_dict())
@@ -140,8 +151,13 @@ BASE = full_table(3, 2, 2, {(0, 1)})
     with_entry(BASE, ((0, 1), (0,)), {(0,)}),
     with_entry(BASE, ((1, 2), (1,)), {(2, 0)}),
     with_entry(BASE, ((0, 2), (1,)), set()),
+    with_entry(BASE, ((0, True), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
+    with_entry(BASE, ((0, 1), (False,)), {(0, 1)}, drop=((0, 1), (0,))),
+    with_entry(BASE, ((0, 1), (0,)), {(0, True)}),
+    with_entry(BASE, ((0, 1), (0,)), {(0, 1.0)}),
 ], ids=["extra-entry", "foreign-subset", "unsorted-subset", "long-pattern",
-        "short-pattern", "digit-too-large", "empty-set"])
+        "short-pattern", "digit-too-large", "empty-set", "bool-subset",
+        "bool-context", "bool-pattern", "float-pattern"])
 def test_from_table_validates_at_construction(table):
     with pytest.raises(InputError):
         BanProblem.from_table(3, 2, 2, table)

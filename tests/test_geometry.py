@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from shatterlab import (InputError, PointArrangement, generate,
+from shatterlab import (InputError, PointArrangement, SetSystem, generate,
                         line_arrangement_cells, region_count_general_position)
 from shatterlab.setsystem import halfspace_dual, halfspace_incidence
 
@@ -133,6 +133,12 @@ def test_halfspace_systems():
     for kind in ("halfspace_incidence", "halfspace_dual"):
         with pytest.raises(InputError, match="unknown generator kind"):
             generate(kind, arr)
+
+
+def test_halfspace_systems_without_halfspaces():
+    arr = PointArrangement(2, ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))), ())
+    assert halfspace_incidence(arr) == SetSystem(2, ())
+    assert halfspace_dual(arr) == SetSystem(0, (0,))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -3,6 +3,7 @@ plus the library-wide tables of the element, mask and integer rules."""
 
 import importlib
 import inspect
+import itertools
 import pkgutil
 from fractions import Fraction
 
@@ -26,7 +27,9 @@ from shatterlab import (BanProblem, ElementTree, Graph, InputError,
                         shatters, solutions, thicket_shatter, tree_rank,
                         verify_main_theorem, vc_dimension,
                         vc_shatter_function)
-from shatterlab.setsystem import GENERATOR_KINDS, child_masks
+from shatterlab.setsystem import GENERATOR_KINDS, ChildTable, child_masks
+
+from families import random_system
 
 
 def test_canonicalization_sorts_and_dedups():
@@ -117,6 +120,37 @@ def test_child_masks_conflicting_repeat_is_empty():
     assert child_masks(sets, (1, 1, 1), (1, 0, 1)) == ()
     assert child_masks(sets, (1, 1), (1, 1)) == tuple(
         m for m in sets if m & 2)
+
+
+def member_index_mask(sets, kept):
+    kept = set(kept)
+    return sum(1 << i for i, m in enumerate(sets) if m in kept)
+
+
+# Mask sequences over [4]: the empty family, repeated masks (half-space
+# incidences can repeat) and seeded random families.
+TABLE_FAMILIES = [(), (0b0101,) * 3, (0, 0b0011, 0b0011, 0b0001, 0b0110)] + [
+    random_system(4, 20, seed).sets for seed in range(6)]
+
+
+@pytest.mark.parametrize("sets", TABLE_FAMILIES)
+def test_child_table_matches_child_masks(sets):
+    """Every tuple of up to three elements of [4], repeats included, asked
+    longest first so that prefixes fill on demand: one member-index mask per
+    sigma in product order, as ``child_masks`` filters."""
+    table = ChildTable(sets)
+    tuples = [xs for size in (3, 2, 1, 0)
+              for xs in itertools.product(range(4), repeat=size)]
+    for xs in tuples:
+        assert table[xs] == [member_index_mask(sets, child_masks(sets, xs, sigma))
+                             for sigma in itertools.product((0, 1), repeat=len(xs))]
+    for x in range(4):
+        assert table[(x, x)][1] == table[(x, x)][2] == 0
+
+
+def test_dual_of_the_empty_family():
+    assert dual(SetSystem(3, ())) == SetSystem(0, (0,))
+    assert dual(SetSystem(0, ())) == SetSystem(0, ())
 
 
 def test_generators():
@@ -244,6 +278,10 @@ INT_PARAMS = {
     ("max_solutions", "k"): (lambda v: max_solutions(N, v), 1, 1, N),
     ("max_solutions", "cap"): (lambda v: max_solutions(N, 1, cap=v), N, None, None),
     ("parity_problem", "n"): (lambda v: parity_problem(v), N, 1, None),
+    ("ban_set", "context entry"): (lambda v: PAIRS.ban_set((0, 1), (v,)), 1, 0, 1),
+    ("from_table", "ban-table entry"): (lambda v: BanProblem.from_table(
+        2, 1, 2, {((0,), (0,)): {(v,)}, ((0,), (1,)): {(0,)},
+                  ((1,), (0,)): {(0,)}, ((1,), (1,)): {(0,)}}), 1, 0, 1),
     ("from_vc", "m"): (lambda v: from_vc(SetSystem(N, (0,)), v), 1, 1, N),
     ("from_vc", "cap"): (lambda v: from_vc(SetSystem(N, (0,)), 1, cap=v), 6, None, None),
     ("from_element_tree", "m"): (
