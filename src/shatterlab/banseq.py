@@ -66,9 +66,11 @@ class RelaxedBanProblem:
     (parity, user functions, ``from_table``), it is lazy until ``_table``
     fills the array once, by one ``ban_set`` call per entry, and drops the
     function: ``from_table`` at construction, whole-table operations after
-    the table cap of ``_capped_table``.  The fill walks the contexts of each
-    index subset, collects that subset's flat hit indices and sets them with
-    one write.  Until then ``ban_set`` calls the function.
+    the table cap of ``_capped_table``.  The fill writes each index
+    subset's row in place through ``_fill_row``, which walks that subset's
+    contexts, collects its flat hit indices and sets them with one write;
+    ``is_hereditary`` builds one row at a time through the same method and
+    leaves the table unfilled.  Until the fill ``ban_set`` calls the function.
 
     ``_rows`` maps each index subset ``ban_set`` has accepted to its row r.
     A subset is checked in full and ranked only on its first visit, and
@@ -120,23 +122,29 @@ class RelaxedBanProblem:
         """The ``_bans`` array, filled on first use."""
         if self._bans is None:
             n, k, j = self.n, self.k, self.j
-            patterns = {Z: i for i, Z in enumerate(self._patterns)}
-            width = len(patterns)
-            bans = np.zeros((comb(n, k), j ** (n - k), width), dtype=bool)
-            ban_set = self.ban_set
+            bans = np.zeros((comb(n, k), j ** (n - k), j ** k), dtype=bool)
             for S, row in zip(self.index_subsets(), bans.reshape(len(bans), -1)):
-                # Flat hit indices in the S row, 8 bytes each: a list of
-                # ints or of the contexts would outweigh the table itself.
-                hits = array("q")
-                for base, X in zip(itertools.count(0, width), self.contexts()):
-                    for Z in ban_set(S, X):
-                        i = patterns.get(Z)
-                        if i is None:
-                            raise InputError(f"bad banned pattern {Z} for S={S}")
-                        hits.append(base + i)
-                row[hits] = True
+                self._fill_row(S, row)
             self._bans, self._fn = bans, None
         return self._bans
+
+    def _fill_row(self, S, row):
+        """Set the banned flags of the index subset S in ``row``, a zeroed
+        flat array of its j^n entries, by one ``ban_set`` call per context;
+        return ``row``."""
+        patterns = {Z: i for i, Z in enumerate(self._patterns)}
+        width = len(patterns)
+        # Flat hit indices in the S row, 8 bytes each: a list of ints or of
+        # the contexts would outweigh the table itself.
+        hits = array("q")
+        for base, X in zip(itertools.count(0, width), self.contexts()):
+            for Z in self.ban_set(S, X):
+                i = patterns.get(Z)
+                if i is None:
+                    raise InputError(f"bad banned pattern {Z} for S={S}")
+                hits.append(base + i)
+        row[hits] = True
+        return row
 
     def ban_set(self, S, X):
         S, X = tuple(S), tuple(X)
@@ -151,11 +159,8 @@ class RelaxedBanProblem:
                 raise InputError(f"empty ban set at S={S}, X={X}")
             return out
         # numpy reads a bool in an index tuple as a mask and fails on a
-        # float, so a context with an entry that is not an int goes through
-        # require_int.  Gathering the types runs in C, cheaper than a
-        # require_int call per entry on the witness search's reads.
-        if set(map(type, X)) != {int}:
-            X = tuple(require_int(x, "context entry") for x in X)
+        # float, so each entry goes through require_int.
+        X = tuple(require_int(x, "context entry") for x in X)
         flags = self._bans[row].reshape(self._context_shape)[X]
         return frozenset(itertools.compress(self._patterns, flags.tolist()))
 
@@ -336,44 +341,47 @@ def is_independent(problem, cap=None):
     return bool((bans.any(axis=1) == bans.all(axis=1)).all())
 
 
-def _search_witness(problem, S):
-    """Backtracking over the j-ary decision tree branching exactly at S.
+def _search_witness(problem, S, row):
+    """The j-ary decision tree branching exactly at S, as one reduction of
+    S's row of j^n banned flags.
 
     Values at non-S positions are chosen per Z-prefix, which is equivalent
     to the pairwise first-difference condition: two completed sequences
     first differ exactly at the S position where their branches split.
-    Returns {Z: X_Z} on success, None when S is not a witness.
+    ``levels[p]``, over the prefixes of length p, says the subtree below
+    succeeds: at the leaves the sequence is not banned, at a position in S
+    every value succeeds and elsewhere some value does.  The descent takes
+    the first value that succeeds outside S.  Returns {Z: X_Z} on success,
+    None when S is not a witness.
     """
     n, j = problem.n, problem.j
-    in_s = [p in S for p in range(n)]
-
-    def rec(p, z, xs):
-        if p == n:
-            X = tuple(xs)
-            return {z: X} if z not in problem.ban_set(S, X) else None
-        if in_s[p]:
-            out = {}
-            for v in range(j):
-                sub = rec(p + 1, z + (v,), xs)
-                if sub is None:
-                    return None
-                out.update(sub)
-            return out
-        for v in range(j):
-            sub = rec(p + 1, z, xs + (v,))
-            if sub is not None:
-                return sub
+    outside = [p for p in range(n) if p not in S]
+    # The row's axes are the context positions, then S.
+    levels = [~row.reshape((j,) * n).transpose(np.argsort(outside + list(S)))]
+    for p in reversed(range(n)):
+        levels.append(levels[-1].all(-1) if p in S else levels[-1].any(-1))
+    levels.reverse()
+    if not levels[0]:
         return None
-
-    return rec(0, (), ())
+    prefixes = [()]
+    for p in range(n):
+        if p in S:
+            prefixes = [t + (v,) for t in prefixes for v in range(j)]
+        else:
+            prefixes = [t + (int(levels[p + 1][t].argmax()),) for t in prefixes]
+    return {tuple(t[p] for p in S): tuple(t[p] for p in outside) for t in prefixes}
 
 
 def is_hereditary(problem, cap=None):
-    """(True, None) or (False, witness).  The witness is revalidated
+    """(True, None) or (False, witness).  Each index subset's row is the
+    filled table's, or on a lazy problem one row of j^n flags built through
+    its rule, so the table stays unfilled.  The witness is revalidated
     against the pairwise definition before being returned."""
     _check_enum_cap(problem, cap)
-    for S in problem.index_subsets():
-        assignments = _search_witness(problem, S)
+    n, j, bans = problem.n, problem.j, problem._bans
+    for r, S in enumerate(problem.index_subsets()):
+        row = bans[r] if bans is not None else problem._fill_row(S, np.zeros(j ** n, dtype=bool))
+        assignments = _search_witness(problem, S, row)
         if assignments is not None:
             witness = HereditaryWitness(tuple(S), assignments)
             if not witness_is_valid(problem, witness):
@@ -456,7 +464,8 @@ def solution_bound(n, k, j):
 def verify_main_theorem(problem, cap=None):
     """Check the hereditary solution bound; a violation is only legal for
     non-hereditary problems and is reported as such."""
-    # Solving first fills the table, so the witness search reads the array.
+    # Solving first fills the table, so the witness search reduces its rows
+    # rather than building each through the rule.
     sols, banned = solutions(problem, cap)
     hereditary, witness = is_hereditary(problem, cap)
     bound = solution_bound(problem.n, problem.k, problem.j)

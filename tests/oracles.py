@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed: op_s-ranks and their shatter
 functions are computed by enumerating every complete element tree, the VC
 dimension and shatter function by counting traces on every tuple, the
-hereditary check by enumerating every candidate context assignment, and
-the Monte Carlo audits by walking one scalar test tree per trial.  The
+hereditary check by enumerating every candidate context assignment (and
+its witness by banseq's earlier backtracking over the public ``ban_set``),
+and the Monte Carlo audits by walking one scalar test tree per trial.  The
 ``tuple_*`` functions at the end are dims' earlier op_s-rank and shatter
 recursions over mask tuples, against which the member-index bitset kernels
 are checked at sizes the tree enumeration cannot reach.
@@ -125,6 +126,48 @@ def brute_is_hereditary(problem):
             if ok:
                 return False
     return True
+
+
+def backtrack_witness(problem, S):
+    """Backtracking over the j-ary decision tree branching exactly at S.
+
+    Values at non-S positions are chosen per Z-prefix, which is equivalent
+    to the pairwise first-difference condition: two completed sequences
+    first differ exactly at the S position where their branches split.
+    Returns {Z: X_Z} on success, None when S is not a witness.
+    """
+    n, j = problem.n, problem.j
+    in_s = [p in S for p in range(n)]
+
+    def rec(p, z, xs):
+        if p == n:
+            X = tuple(xs)
+            return {z: X} if z not in problem.ban_set(S, X) else None
+        if in_s[p]:
+            out = {}
+            for v in range(j):
+                sub = rec(p + 1, z + (v,), xs)
+                if sub is None:
+                    return None
+                out.update(sub)
+            return out
+        for v in range(j):
+            sub = rec(p + 1, z, xs + (v,))
+            if sub is not None:
+                return sub
+        return None
+
+    return rec(0, (), ())
+
+
+def backtrack_is_hereditary(problem):
+    """(True, None) or (False, (S, assignments)) at the first S, in
+    ``itertools`` order, that ``backtrack_witness`` accepts."""
+    for S in problem.index_subsets():
+        assignments = backtrack_witness(problem, S)
+        if assignments is not None:
+            return False, (S, assignments)
+    return True, None
 
 
 def brute_banned(problem):

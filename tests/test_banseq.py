@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,8 @@ from shatterlab.banseq import (RelaxedBanProblem, assemble, solution_bound,
 from shatterlab.dims import ElementTree, random_element_tree
 
 from families import random_system
-from oracles import (brute_banned, brute_element_tree_bans, brute_is_hereditary,
-                     brute_is_independent, brute_min_hitting, brute_random_table,
+from oracles import (backtrack_is_hereditary, brute_banned, brute_element_tree_bans,
+                     brute_is_hereditary, brute_is_independent, brute_min_hitting, brute_random_table,
                      brute_reduce_hat, brute_reduce_prime, brute_vc_bans)
 
 
@@ -356,6 +357,115 @@ def test_hereditary_matches_pairwise_brute_force(n, k, j, seed):
     assert fast == brute_is_hereditary(problem)
     if witness is not None:
         assert witness_is_valid(problem, witness)
+
+
+def assert_backtracking_witness(problem, reference=None):
+    """``is_hereditary`` gives the verdict, S and assignments of the
+    backtracking search over ``reference`` (by default the problem
+    itself), whose witnesses the CLI printed before the reduction."""
+    hereditary, witness = is_hereditary(problem)
+    got = (hereditary, None if witness is None else (witness.S, witness.assignments))
+    assert got == backtrack_is_hereditary(reference or problem)
+    return hereditary
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+def test_hereditary_witness_matches_backtracking(density):
+    verdicts = []
+    for seed in range(200):
+        n = 1 + seed % 7
+        k = 1 + seed // 7 % n
+        j = 2 + seed // 49 % 2
+        problem = random_problem(n, k, j, seed, density)
+        hereditary = assert_backtracking_witness(problem)
+        # the pairwise enumeration tries up to (j^(n-k))^(j^k) assignments
+        if (j ** (n - k)) ** (j ** k) <= 256:
+            assert hereditary == brute_is_hereditary(problem)
+        verdicts.append(hereditary)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_parity_witness_matches_backtracking_lazy_and_filled(n):
+    problem = parity_problem(n)
+    assert not assert_backtracking_witness(problem, parity_problem(n))
+    assert problem._bans is None
+    solutions(problem)
+    assert not assert_backtracking_witness(problem, parity_problem(n))
+
+
+def test_broadcast_and_user_rule_witnesses_match_backtracking():
+    assert assert_backtracking_witness(from_vc(generate("thresholds", 6), 2))
+    family = SetSystem(5, (0b00011, 0b00101, 0b01110, 0b11000, 0b10001, 0b01011, 0b00000))
+    assert assert_backtracking_witness(from_vc(family, 3))
+
+    def fn(S, X):
+        # pattern ranks 0..8, banned when (3 sum(S) + 5 sum(X) + rank) % 4
+        # is 0, with the rank sum(X) % 9 always banned
+        key = 3 * sum(S) + 5 * sum(X)
+        return frozenset(Z for Z in itertools.product(range(3), repeat=2)
+                         if (key + 3 * Z[0] + Z[1]) % 4 == 0
+                         or 3 * Z[0] + Z[1] == sum(X) % 9)
+
+    assert not assert_backtracking_witness(BanProblem(5, 2, 3, fn), BanProblem(5, 2, 3, fn))
+
+
+def counting_rule(n, k, j, fn):
+    """A lazy problem on ``fn`` and the list its rule calls append to."""
+    calls = []
+
+    def rule(S, X):
+        calls.append((S, X))
+        return fn(S, X)
+
+    return BanProblem(n, k, j, rule), calls
+
+
+def test_lazy_hereditary_builds_one_row_per_visited_subset():
+    # parity has its witness at S = (0,): one row of 2^(n-1) contexts, then
+    # witness_is_valid's 2 reads
+    problem, calls = counting_rule(10, 1, 2, parity_problem(10)._fn)
+    assert not is_hereditary(problem)[0]
+    assert problem._bans is None
+    assert len(calls) == 2 ** 9 + 2
+    # no witness: every index subset is visited, each row once
+    problem, calls = counting_rule(5, 2, 3, lambda S, X: frozenset({(2, 1)}))
+    assert is_hereditary(problem)[0]
+    assert problem._bans is None
+    assert len(calls) == comb(5, 2) * 3 ** 3
+    assert len(set(calls)) == len(calls)
+
+
+def test_filled_hereditary_reads_no_ban_set_but_the_witness_check(monkeypatch):
+    calls = []
+    original = RelaxedBanProblem.ban_set
+
+    def counting(self, S, X):
+        calls.append((S, X))
+        return original(self, S, X)
+
+    monkeypatch.setattr(RelaxedBanProblem, "ban_set", counting)
+    filled = parity_problem(6)
+    solutions(filled)
+    for problem, hereditary in [(random_problem(5, 2, 3, 3, density=0.2), False),
+                                (filled, False),
+                                (from_vc(generate("thresholds", 6), 2), True)]:
+        calls.clear()
+        assert is_hereditary(problem)[0] == hereditary
+        assert len(calls) == (0 if hereditary else problem.j ** problem.k)
+
+
+def test_hereditary_makes_no_full_size_temporary():
+    # from_vc's table is C(16,2) rows broadcast over 2^14 contexts; each
+    # row reduced is 2^16 flags
+    problem = from_vc(generate("thresholds", 16), 2)
+    tracemalloc.start()
+    try:
+        assert is_hereditary(problem) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_witness_is_valid_rejects_garbage():
