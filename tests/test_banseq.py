@@ -23,8 +23,9 @@ from shatterlab.dims import ElementTree, random_element_tree
 
 from families import random_system
 from oracles import (backtrack_is_hereditary, brute_banned, brute_element_tree_bans,
-                     brute_is_hereditary, brute_is_independent, brute_min_hitting, brute_random_table,
-                     brute_reduce_hat, brute_reduce_prime, brute_vc_bans)
+                     brute_is_hereditary, brute_is_independent, brute_min_hitting,
+                     brute_random_table, brute_reduce_hat, brute_reduce_prime,
+                     brute_vc_bans)
 
 
 def const_problem(n, k, j, banned):
@@ -359,13 +360,13 @@ def test_hereditary_matches_pairwise_brute_force(n, k, j, seed):
         assert witness_is_valid(problem, witness)
 
 
-def assert_backtracking_witness(problem, reference=None):
+def assert_backtracking_witness(problem):
     """``is_hereditary`` gives the verdict, S and assignments of the
-    backtracking search over ``reference`` (by default the problem
-    itself), whose witnesses the CLI printed before the reduction."""
+    backtracking search, whose witnesses the CLI printed before the
+    reduction; returns the verdict."""
     hereditary, witness = is_hereditary(problem)
     got = (hereditary, None if witness is None else (witness.S, witness.assignments))
-    assert got == backtrack_is_hereditary(reference or problem)
+    assert got == backtrack_is_hereditary(problem)
     return hereditary
 
 
@@ -388,10 +389,10 @@ def test_hereditary_witness_matches_backtracking(density):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_parity_witness_matches_backtracking_lazy_and_filled(n):
     problem = parity_problem(n)
-    assert not assert_backtracking_witness(problem, parity_problem(n))
+    assert not assert_backtracking_witness(problem)
     assert problem._bans is None
     solutions(problem)
-    assert not assert_backtracking_witness(problem, parity_problem(n))
+    assert not assert_backtracking_witness(problem)
 
 
 def test_broadcast_and_user_rule_witnesses_match_backtracking():
@@ -407,7 +408,9 @@ def test_broadcast_and_user_rule_witnesses_match_backtracking():
                          if (key + 3 * Z[0] + Z[1]) % 4 == 0
                          or 3 * Z[0] + Z[1] == sum(X) % 9)
 
-    assert not assert_backtracking_witness(BanProblem(5, 2, 3, fn), BanProblem(5, 2, 3, fn))
+    problem = BanProblem(5, 2, 3, fn)
+    assert not assert_backtracking_witness(problem)
+    assert problem._bans is None
 
 
 def counting_rule(n, k, j, fn):
