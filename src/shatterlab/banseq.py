@@ -15,7 +15,6 @@ stores its table.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, ceil
@@ -61,16 +60,21 @@ class RelaxedBanProblem:
     subset and the c-th context, all three in ``itertools`` order.  A
     problem is in one of two states.  Built by ``_from_array`` (``from_vc``,
     ``random_problem``, the element-tree and type-tree constructors, the
-    reductions), it holds the finished array from the start (possibly a
-    read-only broadcast view) and has no function.  Built on a function
-    (parity, user functions, ``from_table``), it is lazy until ``_table``
+    reductions) or by ``from_table``, it holds the finished array from the
+    start (possibly a read-only broadcast view) and has no function.  Built
+    on a function (parity, user functions), it is lazy until ``_table``
     fills the array once, by one ``ban_set`` call per entry, and drops the
-    function: ``from_table`` at construction, whole-table operations after
-    the table cap of ``_capped_table``.  The fill writes each index
-    subset's row in place through ``_fill_row``, which walks that subset's
-    contexts, collects its flat hit indices and sets them with one write;
-    ``is_hereditary`` builds one row at a time through the same method and
-    leaves the table unfilled.  Until the fill ``ban_set`` calls the function.
+    function; whole-table operations fill it after the table cap of
+    ``_capped_table``.  Until the fill ``ban_set`` calls the function.
+
+    Every fill goes through ``_fill``, which writes an index subset's row
+    from an iterator of its ban sets in context order.  ``_Codes`` checks
+    each distinct ban set and gives it a code the first time it is seen,
+    ``np.fromiter`` collects the row's codes, and one take from the distinct
+    sets' flags writes the row, so no Python loop body runs per entry.  A
+    lazy fill reads the sets through ``ban_set``; ``from_table`` reads them
+    from its dict, with no ``ban_set`` call; ``is_hereditary`` fills one
+    row at a time on a lazy problem and leaves the table unfilled.
 
     ``_rows`` maps each index subset ``ban_set`` has accepted to its row r.
     A subset is checked in full and ranked only on its first visit, and
@@ -100,51 +104,57 @@ class RelaxedBanProblem:
 
     @classmethod
     def from_table(cls, n, k, j, table, name=None):
-        problem = cls(n, k, j, lambda S, X: table[(S, X)], name=name)
+        """The problem of ``table``, a dict (S, X) -> ban set with one entry
+        per pair, checked and written into its array at construction through
+        ``_fill``, with no ``ban_set`` call."""
+        problem = cls(n, k, j, None, name=name)
         expected = comb(n, k) * j ** (n - k)
         if len(table) != expected:
             raise InputError(f"ban table has {len(table)} entries, expected {expected}")
         try:
-            problem._table()
+            problem._bans = problem._fill(lambda S: map(frozenset, map(
+                table.__getitem__, zip(itertools.repeat(S), problem.contexts()))))
         except KeyError as exc:
             raise InputError(f"missing ban-table entry {exc}") from exc
+        except _EmptyBanSet:
+            # Every entry before the refused one was read and found nonempty.
+            keys = itertools.product(problem.index_subsets(), problem.contexts())
+            S, X = next(key for key in keys if not frozenset(table[key]))
+            raise InputError(f"empty ban set at S={S}, X={X}") from None
         # The fill finds keys and patterns by hash-equal integers, which a
         # bool or a float also is.  With every key found, each is a pair of
         # tuples.  Without bounds require_int reads a value by its type
-        # alone, so one symbol of each type is checked.
+        # alone, so one symbol of each type but int is checked.
         flat = itertools.chain.from_iterable
-        symbols = flat(itertools.chain(flat(table), flat(table.values())))
-        for symbol in {type(s): s for s in symbols}.values():
-            require_int(symbol, "ban-table entry")
+
+        def symbols():
+            return flat(itertools.chain(flat(table), flat(table.values())))
+
+        for kind in set(map(type, symbols())) - {int}:
+            require_int(next(s for s in symbols() if type(s) is kind), "ban-table entry")
         return problem
 
     def _table(self):
         """The ``_bans`` array, filled on first use."""
         if self._bans is None:
-            n, k, j = self.n, self.k, self.j
-            bans = np.zeros((comb(n, k), j ** (n - k), j ** k), dtype=bool)
-            for S, row in zip(self.index_subsets(), bans.reshape(len(bans), -1)):
-                self._fill_row(S, row)
-            self._bans, self._fn = bans, None
+            self._bans, self._fn = self._fill(self._ban_sets), None
         return self._bans
 
-    def _fill_row(self, S, row):
-        """Set the banned flags of the index subset S in ``row``, a zeroed
-        flat array of its j^n entries, by one ``ban_set`` call per context;
-        return ``row``."""
-        patterns = {Z: i for i, Z in enumerate(self._patterns)}
-        width = len(patterns)
-        # Flat hit indices in the S row, 8 bytes each: a list of ints or of
-        # the contexts would outweigh the table itself.
-        hits = array("q")
-        for base, X in zip(itertools.count(0, width), self.contexts()):
-            for Z in self.ban_set(S, X):
-                i = patterns.get(Z)
-                if i is None:
-                    raise InputError(f"bad banned pattern {Z} for S={S}")
-                hits.append(base + i)
-        row[hits] = True
-        return row
+    def _ban_sets(self, S):
+        """S's ban sets in context order, one ``ban_set`` call each."""
+        return map(self.ban_set, itertools.repeat(S), self.contexts())
+
+    def _fill(self, stream, subsets=None):
+        """The rows of ``subsets`` (default: every index subset), an array
+        of shape (len(subsets), j^(n-k), j^k): S's rows written from
+        ``stream(S)``, an iterator of its ban sets in context order, through
+        one ``_Codes`` for the whole fill."""
+        subsets = list(self.index_subsets()) if subsets is None else subsets
+        bans = np.zeros((len(subsets), self.j ** (self.n - self.k), self.j ** self.k), bool)
+        codes = _Codes(self)
+        for S, rows in zip(subsets, bans):
+            codes.write(S, rows, stream(S))
+        return bans
 
     def ban_set(self, S, X):
         S, X = tuple(S), tuple(X)
@@ -166,8 +176,9 @@ class RelaxedBanProblem:
 
     @cached_property
     def _patterns(self):
-        """The j^k patterns on an index subset, in ``itertools`` order."""
-        return list(itertools.product(range(self.j), repeat=self.k))
+        """The j^k patterns on an index subset, in ``itertools`` order, each
+        mapped to its index in that order."""
+        return {Z: i for i, Z in enumerate(itertools.product(range(self.j), repeat=self.k))}
 
     def _row(self, S):
         """Check the index subset S, k ascending positions of [n], and
@@ -200,11 +211,12 @@ class RelaxedBanProblem:
                 f"{tag})")
 
     def _capped_table(self, cap=None, walk=False):
-        """``_table``, refused before allocation while unfilled if it would
-        hold more than ``cap`` entries (``check_table_cap``).  A ``walk`` over
-        every entry (``==``, ``to_json_dict``) is refused the same way on a
-        zero-stride broadcast view (``from_vc``), which stores one context
-        per row but holds them all.  A non-None ``cap`` is read either way."""
+        """``_table``, refused before allocation while unfilled (a lazy
+        problem: parity or a user function) if it would hold more than
+        ``cap`` entries (``check_table_cap``).  A ``walk`` over every entry
+        (``==``, ``to_json_dict``) is refused the same way on a zero-stride
+        broadcast view (``from_vc``), which stores one context per row but
+        holds them all.  A non-None ``cap`` is read either way."""
         if self._bans is None or walk and 0 in self._bans.strides:
             check_table_cap(self.n, self.k, self.j, cap)
         elif cap is not None:
@@ -234,6 +246,42 @@ class RelaxedBanProblem:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed ban-problem object: {exc}") from exc
         return cls.from_table(n, k, j, table)
+
+
+class _EmptyBanSet(Exception):
+    """An empty ban set met by a fill that refuses one."""
+
+
+class _Codes(dict):
+    """Ban set -> its code, the index of its j^k banned flags in ``flags``.
+    A set is checked (not empty unless allowed, every pattern one of the
+    j^k), coded and its flags appended the first time it is seen; every
+    later lookup of it is a dict hit in C.  One per fill; ``S`` is the index
+    subset whose row is being written."""
+
+    def __init__(self, problem):
+        self.problem, self.flags = problem, bytearray()
+
+    def __missing__(self, ban_set):
+        if not ban_set and not self.problem.allow_empty:
+            raise _EmptyBanSet
+        for Z in ban_set:
+            if Z not in self.problem._patterns:
+                raise InputError(f"bad banned pattern {Z} for S={self.S}")
+        self.flags += bytes(Z in ban_set for Z in self.problem._patterns)
+        return self.setdefault(ban_set, len(self))
+
+    def write(self, S, rows, ban_sets):
+        """Write ``rows``, the (j^(n-k), j^k) flags of the index subset S,
+        from ``ban_sets``, an iterator of its ban sets in context order: one
+        code per entry, then one take from the distinct sets' flags.  The
+        codes and the view of ``flags`` end with the call, so a fill holds
+        one row's codes at a time and the next miss can grow ``flags``."""
+        self.S = S
+        index = np.fromiter(map(self.__getitem__, ban_sets), np.intp, len(rows))
+        flags = np.frombuffer(self.flags, bool).reshape(len(self), -1)
+        # Every code indexes ``flags``; mode="raise" would buffer ``out``.
+        np.take(flags, index, axis=0, out=rows, mode="clip")
 
 
 def _digits(text):
@@ -378,9 +426,9 @@ def is_hereditary(problem, cap=None):
     its rule, so the table stays unfilled.  The witness is revalidated
     against the pairwise definition before being returned."""
     _check_enum_cap(problem, cap)
-    n, j, bans = problem.n, problem.j, problem._bans
+    bans = problem._bans
     for r, S in enumerate(problem.index_subsets()):
-        row = bans[r] if bans is not None else problem._fill_row(S, np.zeros(j ** n, dtype=bool))
+        row = bans[r] if bans is not None else problem._fill(problem._ban_sets, [S])[0]
         assignments = _search_witness(problem, S, row)
         if assignments is not None:
             witness = HereditaryWitness(tuple(S), assignments)

@@ -5,7 +5,7 @@ functions are computed by enumerating every complete element tree, the VC
 dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment (and
 its witness by banseq's earlier backtracking over the public ``ban_set``),
-and the Monte Carlo audits by walking one scalar test tree per trial.  The
+a ban table by banseq's earlier per-entry fill, and the Monte Carlo audits by walking one scalar test tree per trial.  The
 ``tuple_*`` functions at the end are dims' earlier op_s-rank and shatter
 recursions over mask tuples, against which the member-index bitset kernels
 are checked at sizes the tree enumeration cannot reach.
@@ -14,11 +14,14 @@ are checked at sizes the tree enumeration cannot reach.
 import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
+
+import numpy as np
 
 from shatterlab.banseq import assemble
 from shatterlab.dims import ElementTree, NEG_INF
-from shatterlab.errors import VerificationError
+from shatterlab.errors import InputError, VerificationError
 from shatterlab.setsystem import child_masks, project, traces
 from shatterlab.thicketvc import (FLOAT_GUARD, ExperimentReport, TestTree,
                                   _binomial_slack, _thicket_shatter_estimate,
@@ -168,6 +171,28 @@ def backtrack_is_hereditary(problem):
         if assignments is not None:
             return False, (S, assignments)
     return True, None
+
+
+def per_entry_table(problem):
+    """The (C(n,k), j^(n-k), j^k) bool table of ``problem``, filled by
+    banseq's earlier per-entry loop: one public ``ban_set`` call per (S, X)
+    in ``index_subsets`` x ``contexts`` order, each returned pattern looked
+    up and refused with the same text as the library's fill when it is not
+    one of the j^k."""
+    n, k, j = problem.n, problem.k, problem.j
+    patterns = {Z: i for i, Z in enumerate(itertools.product(range(j), repeat=k))}
+    width = len(patterns)
+    bans = np.zeros((math.comb(n, k), j ** (n - k), width), dtype=bool)
+    for S, row in zip(problem.index_subsets(), bans.reshape(len(bans), -1)):
+        hits = array("q")
+        for base, X in zip(itertools.count(0, width), problem.contexts()):
+            for Z in problem.ban_set(S, X):
+                i = patterns.get(Z)
+                if i is None:
+                    raise InputError(f"bad banned pattern {Z} for S={S}")
+                hits.append(base + i)
+        row[hits] = True
+    return bans
 
 
 def brute_banned(problem):

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from families import random_system
 from oracles import (backtrack_is_hereditary, brute_banned, brute_element_tree_bans,
                      brute_is_hereditary, brute_is_independent, brute_min_hitting,
                      brute_random_table, brute_reduce_hat, brute_reduce_prime,
-                     brute_vc_bans)
+                     brute_vc_bans, per_entry_table)
 
 
 def const_problem(n, k, j, banned):
@@ -145,21 +146,22 @@ def with_entry(table, key, value, drop=None):
 BASE = full_table(3, 2, 2, {(0, 1)})
 
 
-@pytest.mark.parametrize("table", [
-    with_entry(BASE, ((0, 1), (0, 0)), {(0, 1)}),
-    with_entry(BASE, ((0, 3), (0,)), {(0, 1)}, drop=((0, 2), (1,))),
-    with_entry(BASE, ((1, 0), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
-    with_entry(BASE, ((0, 1), (0,)), {(0, 1, 1)}),
-    with_entry(BASE, ((0, 1), (0,)), {(0,)}),
-    with_entry(BASE, ((1, 2), (1,)), {(2, 0)}),
-    with_entry(BASE, ((0, 2), (1,)), set()),
-    with_entry(BASE, ((0, True), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
-    with_entry(BASE, ((0, 1), (False,)), {(0, 1)}, drop=((0, 1), (0,))),
-    with_entry(BASE, ((0, 1), (0,)), {(0, True)}),
-    with_entry(BASE, ((0, 1), (0,)), {(0, 1.0)}),
-], ids=["extra-entry", "foreign-subset", "unsorted-subset", "long-pattern",
-        "short-pattern", "digit-too-large", "empty-set", "bool-subset",
-        "bool-context", "bool-pattern", "float-pattern"])
+BAD_TABLES = {
+    "extra-entry": with_entry(BASE, ((0, 1), (0, 0)), {(0, 1)}),
+    "foreign-subset": with_entry(BASE, ((0, 3), (0,)), {(0, 1)}, drop=((0, 2), (1,))),
+    "unsorted-subset": with_entry(BASE, ((1, 0), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
+    "long-pattern": with_entry(BASE, ((0, 1), (0,)), {(0, 1, 1)}),
+    "short-pattern": with_entry(BASE, ((0, 1), (0,)), {(0,)}),
+    "digit-too-large": with_entry(BASE, ((1, 2), (1,)), {(2, 0)}),
+    "empty-set": with_entry(BASE, ((0, 2), (1,)), set()),
+    "bool-subset": with_entry(BASE, ((0, True), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
+    "bool-context": with_entry(BASE, ((0, 1), (False,)), {(0, 1)}, drop=((0, 1), (0,))),
+    "bool-pattern": with_entry(BASE, ((0, 1), (0,)), {(0, True)}),
+    "float-pattern": with_entry(BASE, ((0, 1), (0,)), {(0, 1.0)}),
+}
+
+
+@pytest.mark.parametrize("table", list(BAD_TABLES.values()), ids=list(BAD_TABLES))
 def test_from_table_validates_at_construction(table):
     with pytest.raises(InputError):
         BanProblem.from_table(3, 2, 2, table)
@@ -170,6 +172,210 @@ def test_relaxed_from_table_accepts_empty_sets():
     problem = RelaxedBanProblem.from_table(3, 2, 2, table)
     assert problem.ban_set((0, 2), (1,)) == frozenset()
     assert problem.ban_set((1, 2), (0,)) == {(0, 1)}
+
+
+BAD_TABLE_MESSAGES = {
+    "extra-entry": "ban table has 7 entries, expected 6",
+    "foreign-subset": "missing ban-table entry ((0, 2), (1,))",
+    "unsorted-subset": "missing ban-table entry ((0, 1), (0,))",
+    "long-pattern": "bad banned pattern (0, 1, 1) for S=(0, 1)",
+    "short-pattern": "bad banned pattern (0,) for S=(0, 1)",
+    "digit-too-large": "bad banned pattern (2, 0) for S=(1, 2)",
+    "empty-set": "empty ban set at S=(0, 2), X=(1,)",
+    "bool-subset": "ban-table entry must be an integer, got True",
+    "bool-context": "ban-table entry must be an integer, got False",
+    "bool-pattern": "ban-table entry must be an integer, got True",
+    "float-pattern": "ban-table entry must be an integer, got 1.0",
+}
+
+
+def per_entry_from_table_error(cls, n, k, j, table):
+    """The error text of the earlier ``from_table``, which read ``table``
+    through a lazy rule and filled it entry by entry, or None."""
+    try:
+        per_entry_table(cls(n, k, j, lambda S, X: table[(S, X)]))
+    except KeyError as exc:
+        return f"missing ban-table entry {exc}"
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", list(BAD_TABLES))
+def test_from_table_error_contract(case):
+    table = BAD_TABLES[case]
+    with pytest.raises(InputError) as exc:
+        BanProblem.from_table(3, 2, 2, table)
+    assert str(exc.value) == BAD_TABLE_MESSAGES[case]
+    # The earlier per-entry fill gave the same text; it checked no symbol
+    # types, and the entry count before it.
+    if case != "extra-entry" and not case.startswith(("bool", "float")):
+        assert per_entry_from_table_error(BanProblem, 3, 2, 2, table) == str(exc.value)
+
+
+def test_from_table_refuses_a_missing_key_and_an_empty_set():
+    keys = list(BASE)
+    table = dict(BASE)
+    del table[keys[0]]
+    with pytest.raises(InputError, match=r"^ban table has 5 entries, expected 6$"):
+        BanProblem.from_table(3, 2, 2, table)
+    table[((0, 1), (2,))] = {(0, 1)}
+    with pytest.raises(InputError, match=r"^missing ban-table entry \(\(0, 1\), \(0,\)\)$"):
+        BanProblem.from_table(3, 2, 2, table)
+    for key in keys:
+        table = with_entry(BASE, key, [])
+        with pytest.raises(InputError) as exc:
+            BanProblem.from_table(3, 2, 2, table)
+        assert str(exc.value) == f"empty ban set at S={key[0]}, X={key[1]}"
+        assert RelaxedBanProblem.from_table(3, 2, 2, table).ban_set(*key) == frozenset()
+
+
+def fault(table, key, kind, position):
+    """``table`` with one bad entry of ``kind`` at ``key``; a bad pattern
+    carries ``position`` so that the error text tells which entry it is."""
+    if kind == "missing":
+        table.pop(key)
+        table[((0, 3 + position), (0,))] = {(0, 1)}
+    elif kind == "empty":
+        table[key] = set()
+    else:
+        table[key] = {(0, 1), (position, 0, 0)}
+
+
+def fault_text(key, kind, position):
+    if kind == "missing":
+        return f"missing ban-table entry {key}"
+    if kind == "empty":
+        return f"empty ban set at S={key[0]}, X={key[1]}"
+    return f"bad banned pattern {(position, 0, 0)} for S={key[0]}"
+
+
+@pytest.mark.parametrize("cls", [BanProblem, RelaxedBanProblem])
+def test_from_table_reports_the_first_bad_entry_in_product_order(cls):
+    keys = list(itertools.product(itertools.combinations(range(3), 2),
+                                  itertools.product(range(2), repeat=1)))
+    assert keys == list(BASE)
+    kinds = ["missing", "empty", "pattern"]
+    for (p, first), (q, second) in itertools.combinations(enumerate(keys), 2):
+        for kind_p, kind_q in itertools.product(kinds, repeat=2):
+            table = dict(BASE)
+            fault(table, first, kind_p, p)
+            fault(table, second, kind_q, q)
+            if cls is RelaxedBanProblem and kind_p == "empty":
+                expected = (None if kind_q == "empty" else fault_text(second, kind_q, q))
+            else:
+                expected = fault_text(first, kind_p, p)
+            assert per_entry_from_table_error(cls, 3, 2, 2, table) == expected
+            if expected is None:
+                assert cls.from_table(3, 2, 2, table).ban_set(*first) == frozenset()
+                continue
+            with pytest.raises(InputError) as exc:
+                cls.from_table(3, 2, 2, table)
+            assert str(exc.value) == expected
+
+
+def test_from_table_checks_one_symbol_of_each_type():
+    as_numpy = {(tuple(map(np.int64, S)), tuple(map(np.int64, X))):
+                {tuple(map(np.int64, Z)) for Z in bans} for (S, X), bans in BASE.items()}
+    assert BanProblem.from_table(3, 2, 2, as_numpy) == BanProblem.from_table(3, 2, 2, BASE)
+    # a bool behind numpy integers, and one behind ints, is still refused
+    for table in (with_entry(as_numpy, ((1, 2), (1,)), {(0, True)}),
+                  with_entry(BASE, ((1, 2), (1,)), {(np.int64(0), 1), (True, 1)})):
+        with pytest.raises(InputError, match="got True$"):
+            BanProblem.from_table(3, 2, 2, table)
+
+
+def seeded_rule_tables(seed, n, k, j, allow_empty):
+    """A seeded (S, X) -> ban set dict whose values are a frozenset shared
+    by several entries, a fresh set or a list, possibly empty."""
+    rng = random.Random(seed)
+    patterns = list(itertools.product(range(j), repeat=k))
+    shared = [frozenset(rng.sample(patterns, 1 + rng.randrange(len(patterns))))
+              for _ in range(3)]
+    table = {}
+    for S in itertools.combinations(range(n), k):
+        for X in itertools.product(range(j), repeat=n - k):
+            size = rng.randrange(0 if allow_empty else 1, len(patterns) + 1)
+            bans = rng.sample(patterns, size)
+            table[(S, X)] = rng.choice([rng.choice(shared), set(bans), bans,
+                                        frozenset(bans)])
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_parity_fill_matches_the_per_entry_oracle(n):
+    got = parity_problem(n)._table()
+    want = per_entry_table(parity_problem(n))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_user_rule_fill_matches_the_per_entry_oracle(seed):
+    rng = random.Random(seed)
+    cls = (BanProblem, RelaxedBanProblem)[seed % 2]
+    k, j = 1 + rng.randrange(3), 2 + rng.randrange(2)
+    n = k + rng.randrange(4 if j == 2 else 3)
+    table = seeded_rule_tables(seed, n, k, j, cls.allow_empty)
+    got = cls(n, k, j, lambda S, X: table[(S, X)])._table()
+    want = per_entry_table(cls(n, k, j, lambda S, X: table[(S, X)]))
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("j,k", itertools.product((2, 3), (1, 2, 3)))
+@pytest.mark.parametrize("seed", range(4))
+def test_from_table_fill_matches_the_per_entry_oracle(j, k, seed):
+    n = k + seed % (4 if j == 2 else 3)
+    for cls in (BanProblem, RelaxedBanProblem):
+        table = seeded_rule_tables(seed, n, k, j, cls.allow_empty)
+        got = cls.from_table(n, k, j, table)
+        want = per_entry_table(cls(n, k, j, lambda S, X: table[(S, X)]))
+        assert got._fn is None and got._bans.shape == want.shape
+        assert np.array_equal(got._bans, want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_json_round_trip_fill_matches_the_per_entry_oracle(seed):
+    n, k, j = [(3, 1, 2), (4, 2, 2), (5, 3, 2), (4, 2, 3), (5, 1, 3), (3, 3, 3)][seed % 6]
+    problem = random_problem(n, k, j, seed, density=(0.2, 0.5, 0.8)[seed % 3])
+    again = BanProblem.from_json_dict(problem.to_json_dict())
+    assert np.array_equal(again._bans, per_entry_table(problem))
+    assert np.array_equal(again._bans, problem._bans)
+    lazy = parity_problem(n)
+    assert np.array_equal(BanProblem.from_json_dict(lazy.to_json_dict())._bans,
+                          per_entry_table(parity_problem(n)))
+
+
+def test_from_table_calls_no_ban_set(monkeypatch):
+    calls = []
+    original = RelaxedBanProblem.ban_set
+
+    def counting(self, S, X):
+        calls.append((S, X))
+        return original(self, S, X)
+
+    monkeypatch.setattr(RelaxedBanProblem, "ban_set", counting)
+    problem = BanProblem.from_table(3, 2, 2, BASE)
+    assert calls == [] and problem._fn is None
+    solutions(parity_problem(4))
+    assert len(calls) == 4 * 2 ** 3
+
+
+def test_fill_streams_each_row():
+    # A fresh frozenset per entry: a row's 2^13 ban sets or contexts held as
+    # a list would take about 1.3-1.7 MB.
+    n = 14
+    problem = BanProblem(n, 1, 2, lambda S, X: frozenset({(X[0],)}))
+    problem.ban_set((0,), (0,) * (n - 1))
+    table_bytes = n * 2 ** (n - 1) * 2
+    codes_bytes = 2 ** (n - 1) * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        problem._table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes + codes_bytes + (16 << 10)
 
 
 def test_source_called_once_per_entry():
