@@ -121,6 +121,13 @@ class RelaxedBanProblem:
             keys = itertools.product(problem.index_subsets(), problem.contexts())
             S, X = next(key for key in keys if not frozenset(table[key]))
             raise InputError(f"empty ban set at S={S}, X={X}") from None
+        except TypeError:
+            # Every entry before the refused one was read as a set; the lazy
+            # read of the table refuses the first that is not.
+            lazy = cls(n, k, j, lambda S, X: table[S, X])
+            for key in itertools.product(problem.index_subsets(), problem.contexts()):
+                lazy.ban_set(*key)
+            raise
         # The fill finds keys and patterns by hash-equal integers, which a
         # bool or a float also is.  With every key found, each is a pair of
         # tuples.  Without bounds require_int reads a value by its type
@@ -164,7 +171,12 @@ class RelaxedBanProblem:
         if len(X) != self.n - self.k or not self._alphabet.issuperset(X):
             raise InputError(f"bad context sequence {X} for S={S}")
         if self._bans is None:
-            out = frozenset(self._fn(S, X))
+            out = self._fn(S, X)
+            try:
+                out = frozenset(out)
+            except TypeError:
+                raise InputError(f"ban set at S={S}, X={X} is not a set of "
+                                 f"patterns: {out!r}") from None
             if not out and not self.allow_empty:
                 raise InputError(f"empty ban set at S={S}, X={X}")
             return out

@@ -59,6 +59,16 @@ rho of psi(F_(tau,rho), h - 1).  When n < s the one n-set splits F into
 singletons, as the repeated tuples did.  The rank recursion runs only when
 |F| >= 4^s, so n >= 2s there and its tuples are the s-sets.
 
+One ``audit_bounds`` call asks for the same ranks and shatter values many
+times: rows (b) to (g) read op_s-rank and psi^s of one family and its
+subfamilies at a few arities.  While it runs, every op_s call, thicket's
+included, reads one ``_Search`` per (sets, n, s), which keeps its columns,
+its rank and shatter memos and the rank once found.  So each rank is found
+once, each column is built once per (family, s), and a repeated call, after
+its own argument and cap checks, costs a dict hit.  The table is dropped
+when the audit returns or raises; outside an audit every call builds its
+own search, and nothing is kept on the ``SetSystem``.
+
 The empty family has rank ``NEG_INF`` (serialized as the string "-inf").
 """
 
@@ -182,16 +192,31 @@ def random_element_tree(universe_size, arity_exponent, height, seed):
 # ---------------------------------------------------------------------------
 
 class _Search(ChildTable):
-    """One top-level op_s search of a family: its ``ChildTable``, whose
-    children the recursions AND into a subfamily's mask, plus the
-    min(n, s)-subsets of [n] in ``itertools.combinations`` order as
-    ``tuples``, ``arity`` 2^s and ``memo``, the call's (mask, height)
-    table."""
+    """One op_s search of a family: its ``ChildTable``, whose children the
+    recursions AND into a subfamily's mask, plus the min(n, s)-subsets of
+    [n] in ``itertools.combinations`` order as ``tuples``, ``arity`` 2^s,
+    the rank recursion's (mask, height) table ``memo``, the shatter
+    recursion's ``leaves`` and ``rank``, the op_s-rank once found."""
 
     def __init__(self, sets, n, s):
         super().__init__(sets)
         self.tuples = list(itertools.combinations(range(n), min(n, s)))
-        self.arity, self.memo = 1 << s, {}
+        self.arity, self.memo, self.leaves, self.rank = 1 << s, {}, {}, None
+
+
+# The running audit_bounds call's searches by (sets, n, s); None outside one.
+_searches = None
+
+
+def _search(sets, n, s):
+    """The running audit's search of (sets, n, s), or a fresh one outside
+    an audit."""
+    if _searches is None:
+        return _Search(sets, n, s)
+    search = _searches.get((sets, n, s))
+    if search is None:
+        search = _searches[sets, n, s] = _Search(sets, n, s)
+    return search
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +320,20 @@ def op_rank(system: SetSystem, s, cap=None):
 
 
 def _op_rank(sets, n, s):
-    """op_s-rank of a nonempty family, found by deepening a memoized
-    feasibility test over member-index masks."""
-    if len(sets) < 1 << 2 * s:
-        # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose children
-        # are all nonempty, that is a shattered s-set.
-        return int(_shatters_some(sets, n, s))
-    search = _Search(sets, n, s)
-    k = 0
-    while _op_rank_at_least(search.full, search, k + 1):
-        k += 1
-    return k
+    """op_s-rank of a nonempty family, found once per search by deepening a
+    memoized feasibility test over member-index masks."""
+    search = _search(sets, n, s)
+    if search.rank is None:
+        if len(sets) < 1 << 2 * s:
+            # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose
+            # children are all nonempty, that is a shattered s-set.
+            search.rank = int(_shatters_some(sets, n, s))
+        else:
+            k = 0
+            while _op_rank_at_least(search.full, search, k + 1):
+                k += 1
+            search.rank = k
+    return search.rank
 
 
 def _op_rank_at_least(fam, search, t):
@@ -347,7 +375,7 @@ def op_shatter(system: SetSystem, s, height, cap=None):
 
 
 def _op_shatter(sets, n, s, height):
-    search = _Search(sets, n, s)
+    search = _search(sets, n, s)
     return _op_shatter_leaves(search.full, search, height)
 
 
@@ -357,7 +385,7 @@ def _op_shatter_leaves(fam, search, height):
     if height == 0 or not fam & (fam - 1):
         return 1
     key = (fam, height)
-    cached = search.memo.get(key)
+    cached = search.leaves.get(key)
     if cached is not None:
         return cached
     cap = min(search.arity ** height, fam.bit_count())
@@ -370,7 +398,7 @@ def _op_shatter_leaves(fam, search, height):
             best = total
             if best == cap:
                 break
-    search.memo[key] = best
+    search.leaves[key] = best
     return best
 
 
@@ -432,8 +460,17 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     arities, (f) rank monotonicity under subfamilies, (g) the two-parameter
     recurrence bound with a0 = sum_{i<r} C(s,i), a1 = 2^s - a0.
     """
+    global _searches
     s, r = require_int(s, "s", 1), require_int(r, "r", 1)
     n = require_int(n, "n", 0)
+    _searches = {}
+    try:
+        return _audit(system, s, r, n, cap)
+    finally:
+        _searches = None
+
+
+def _audit(system, s, r, n, cap):
     report = BoundAuditReport()
     empty = not system.sets
 

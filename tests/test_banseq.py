@@ -164,6 +164,10 @@ BAD_TABLES = {
                         "bad banned pattern (2, 0) for S=(1, 2)"),
     "empty-set": (with_entry(BASE, ((0, 2), (1,)), set()),
                   "empty ban set at S=(0, 2), X=(1,)"),
+    "int-entry": (with_entry(BASE, ((0, 2), (1,)), 5),
+                  "ban set at S=(0, 2), X=(1,) is not a set of patterns: 5"),
+    "none-entry": (with_entry(BASE, ((1, 2), (0,)), None),
+                   "ban set at S=(1, 2), X=(0,) is not a set of patterns: None"),
     "bool-subset": (with_entry(BASE, ((0, True), (0,)), {(0, 1)}, drop=((0, 1), (0,))),
                     "ban-table entry must be an integer, got True"),
     "bool-context": (with_entry(BASE, ((0, 1), (False,)), {(0, 1)}, drop=((0, 1), (0,))),
@@ -195,6 +199,18 @@ def test_from_table_validates_at_construction(case):
     assert str(exc.value) == text
     if case != "extra-entry" and not case.startswith(("bool", "float")):
         assert per_entry_from_table_error(BanProblem, 3, 2, 2, table) == text
+
+
+def test_lazy_rule_output_that_is_not_a_set_is_refused():
+    with pytest.raises(InputError, match=r"^ban set at S=\(0,\), X=\(\) is not a set"):
+        BanProblem(1, 1, 2, lambda S, X: 5).ban_set((0,), ())
+
+    def rule(S, X):
+        raise TypeError("inside the rule")
+
+    # a TypeError of the rule's own is not relabelled
+    with pytest.raises(TypeError, match="inside the rule"):
+        BanProblem(1, 1, 2, rule).ban_set((0,), ())
 
 
 def test_relaxed_from_table_accepts_empty_sets():

@@ -4,6 +4,8 @@ against exhaustive tree-enumeration and trace-counting oracles."""
 import itertools
 import random
 import time
+from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
                         generate, op_rank, op_shatter, random_element_tree,
                         shatters, thicket_dimension, thicket_shatter,
                         vc_dimension, vc_shatter_function)
+from shatterlab import dims, setsystem
 from shatterlab.dims import rank_to_str
 
 from families import fixture_zoo, random_system
@@ -426,6 +429,109 @@ def test_audit_bounds_empty_family():
 def test_audit_bounds_bad_params():
     with pytest.raises(InputError):
         audit_bounds(generate("powerset", 3), s=0, r=1, n=2)
+
+
+def audit_rows_from_separate_calls(system, s, r, n):
+    """``audit_bounds``' rows rebuilt from public calls made outside any
+    audit, so that each call builds its own search."""
+    assert dims._searches is None
+    empty = not system.sets
+    na = min(n, system.universe_size)
+    d = NEG_INF if empty else vc_dimension(system)
+    k, ks, psi = thicket_dimension(system), op_rank(system, s), op_shatter(system, s, n)
+    kr = NEG_INF if empty else op_rank(system, r)
+    a0 = sum(comb(s, i) for i in range(r))
+    rows = [("vc_sauer_shelah", {"n": na, "dim": rank_to_str(d)},
+             0 if empty else vc_shatter_function(system, na), dims._sauer_sum(na, d)),
+            ("thicket_sauer_shelah", {"n": n, "dim": rank_to_str(k)},
+             thicket_shatter(system, n), dims._sauer_sum(n, k)),
+            ("op_shatter_vs_rank", {"n": n, "s": s, "rank": rank_to_str(ks)},
+             psi, dims._leaf_bound(n, ks, (1 << s) - 1, 1))]
+    if kr == 0:
+        rows.append(("rank_zero_power", {"n": n, "s": s, "r": r}, psi, a0 ** n))
+    else:
+        rows.append(("rank_zero_power", {"n": n, "s": s, "r": r,
+                                         "note": "hypothesis op_r-rank = 0 not met"}, 0, 0))
+    rows = [(*row, row[2] <= row[3]) for row in rows]
+    for s1, s2 in itertools.combinations(range(1, s + 1), 2):
+        r1, r2 = op_rank(system, s1), op_rank(system, s2)
+        rhs = NEG_INF if r2 == NEG_INF else (s2 // s1) * r2
+        rows.append(("rank_arity_comparison", {"s1": s1, "s2": s2},
+                     rank_to_str(r1), rank_to_str(rhs), r1 >= rhs))
+    for label, sub in dims._subfamily_samples(system):
+        rsub = op_rank(sub, s)
+        rows.append(("rank_monotone_subfamily", {"s": s, "subfamily": label},
+                     rank_to_str(rsub), rank_to_str(ks), rsub <= ks))
+    rhs = dims._leaf_bound(n, kr, a0, (1 << s) - a0)
+    rows.append(("two_parameter_recurrence", {"n": n, "s": s, "r": r, "b": rank_to_str(kr),
+                                              "a0": a0, "a1": (1 << s) - a0}, psi, rhs, psi <= rhs))
+    return [dict(zip(("bound", "params", "lhs", "rhs", "pass"), row)) for row in rows]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_audit_rows_match_separate_calls_on_criterion_6_corpus(s):
+    """Criterion 6's seeded families at every r; s = 3 only up to universe
+    6, as in set-audit."""
+    for i in range(200):
+        system = random_system(2 + i % 7, 64, seed=1000 + i)
+        if s == 3 and system.universe_size > 6:
+            continue
+        n = 6 if s == 3 else 8
+        for r in (1, 2, 3):
+            expected = audit_rows_from_separate_calls(system, s, r, n)
+            assert audit_bounds(system, s, r, n).rows == expected, (i, s, r)
+
+
+def test_audit_rows_match_separate_calls_on_the_zoo_at_small_heights(zoo):
+    """Heights up to 4, where a rank reaches the height and the rank and
+    shatter recursions of one search meet the same (mask, height) keys."""
+    for system, s, r, n in itertools.product(zoo, (1, 2, 3), (1, 2, 3), range(5)):
+        expected = audit_rows_from_separate_calls(system, s, r, n)
+        assert audit_bounds(system, s, r, n).rows == expected, (system.name, s, r, n)
+
+
+def test_audit_searches_end_with_the_call(monkeypatch):
+    power = generate("powerset", 4)
+    audit_bounds(power, 2, 1, 3)
+    assert dims._searches is None
+    with pytest.raises(ResourceCapError):  # in row (a)'s vc_dimension
+        audit_bounds(power, 2, 1, 3, cap=3)
+    assert dims._searches is None
+    # Past the op cap: thicket, uncapped, opens a search before op_rank raises.
+    wide = SetSystem(13, (0, 1, 2, 4, 8))
+    opened = []
+    real_op_rank = dims.op_rank
+
+    def op_rank_spy(system, s, cap=None):
+        opened.append(len(dims._searches))
+        return real_op_rank(system, s, cap=cap)
+
+    monkeypatch.setattr(dims, "op_rank", op_rank_spy)
+    with pytest.raises(ResourceCapError):
+        audit_bounds(wide, 1, 1, 2)
+    assert opened == [1] and dims._searches is None
+    # A later call outside any audit reads its own family's search.
+    other = generate("thresholds", 6)
+    assert op_rank(other, 1) == tuple_op_rank(other.sets, 6, 1) != op_rank(power, 1)
+
+
+def test_audit_builds_each_column_once_per_family_and_arity(monkeypatch):
+    built = []
+    real_child_masks = setsystem.child_masks
+
+    def counted(sets, xs, sigma):
+        built.append((sets, xs))
+        return real_child_masks(sets, xs, sigma)
+
+    monkeypatch.setattr(setsystem, "child_masks", counted)
+    rng = random.Random(7)
+    system = SetSystem(7, tuple(sorted(rng.sample(range(128), 40))))
+    audit_bounds(system, 2, 1, 3)
+    # Five searches read all 7 columns: the family's at s = 1 (rows (b) and
+    # (e)) and at s = 2 (rows (c) and (e)), and its three subfamilies' at
+    # s = 2 (row (f)).  With one search per call the audit built 87.
+    assert len(built) == 35
+    assert Counter(Counter(built).values()) == {1: 3 * 7, 2: 7}
 
 
 @pytest.mark.xfail(strict=True, reason=(
