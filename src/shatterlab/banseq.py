@@ -69,16 +69,24 @@ class RelaxedBanProblem:
 
     Every fill goes through ``_fill``, which writes an index subset's row
     from an iterator of its ban sets in context order.  ``_Codes`` checks
-    each distinct ban set and gives it a code the first time it is seen,
-    ``np.fromiter`` collects the row's codes, and one take from the distinct
-    sets' flags writes the row, so no Python loop body runs per entry.  A
-    lazy fill reads the sets through ``ban_set``; ``from_table`` reads them
-    from its dict, with no ``ban_set`` call; ``is_hereditary`` fills one
-    row at a time on a lazy problem and leaves the table unfilled.
+    each distinct ban set's patterns and gives it a code the first time it
+    is seen, ``np.fromiter`` collects the row's codes, and one take from
+    the distinct sets' flags writes the row, so no Python loop body runs
+    per entry.  A lazy fill reads the sets through ``ban_set``, which
+    refuses an output that is not a set and, on a ``BanProblem``, an empty
+    one; ``is_hereditary`` fills one row at a time on a lazy problem and
+    leaves the table unfilled.
 
-    ``_rows`` maps each index subset ``ban_set`` has accepted to its row r.
-    A subset is checked in full and ranked only on its first visit, and
-    only a valid one is stored; the array reads use the same row.
+    ``from_table`` builds its problem on the rule that reads the table and
+    tries one fill straight from the dict, with no ``ban_set`` call, whose
+    empty sets one vectorized test finds.  A table that this fill or test
+    refuses is filled again through ``_table``, so the error is the per-entry
+    read's, for the first refused entry in (S, X) order: one refusal path.
+
+    ``_last_subset`` is the index subset ``ban_set`` accepted last, and
+    ``_last_row`` its row r.  The same tuple object, as a fill passes for
+    every context, is not checked again; any other, equal or not, is
+    checked in full and ranked.  The array reads use the same row.
     """
 
     allow_empty = True
@@ -91,7 +99,7 @@ class RelaxedBanProblem:
         self._fn = fn
         self.name = name
         self._bans = None
-        self._rows = {}
+        self._last_subset = self._last_row = None
         self._alphabet = frozenset(range(j))
         self._context_shape = (j,) * (n - k) + (-1,)
 
@@ -105,29 +113,26 @@ class RelaxedBanProblem:
     @classmethod
     def from_table(cls, n, k, j, table, name=None):
         """The problem of ``table``, a dict (S, X) -> ban set with one entry
-        per pair, checked and written into its array at construction through
-        ``_fill``, with no ``ban_set`` call."""
-        problem = cls(n, k, j, None, name=name)
+        per pair, checked and written into its array at construction.  A
+        valid table is filled with no ``ban_set`` call; a refused one is
+        named by the per-entry read of ``_table``."""
+        problem = cls(n, k, j, lambda S, X: table[S, X], name=name)
         expected = comb(n, k) * j ** (n - k)
         if len(table) != expected:
             raise InputError(f"ban table has {len(table)} entries, expected {expected}")
         try:
-            problem._bans = problem._fill(lambda S: map(frozenset, map(
+            bans = problem._fill(lambda S: map(frozenset, map(
                 table.__getitem__, zip(itertools.repeat(S), problem.contexts()))))
+            if problem.allow_empty or bans.any(axis=2).all():
+                problem._bans, problem._fn = bans, None
+        except (KeyError, TypeError, InputError):
+            pass
+        # A table refused above is still lazy: its per-entry fill raises the
+        # error of the first refused entry in (S, X) order.
+        try:
+            problem._table()
         except KeyError as exc:
             raise InputError(f"missing ban-table entry {exc}") from exc
-        except _EmptyBanSet:
-            # Every entry before the refused one was read and found nonempty.
-            keys = itertools.product(problem.index_subsets(), problem.contexts())
-            S, X = next(key for key in keys if not frozenset(table[key]))
-            raise InputError(f"empty ban set at S={S}, X={X}") from None
-        except TypeError:
-            # Every entry before the refused one was read as a set; the lazy
-            # read of the table refuses the first that is not.
-            lazy = cls(n, k, j, lambda S, X: table[S, X])
-            for key in itertools.product(problem.index_subsets(), problem.contexts()):
-                lazy.ban_set(*key)
-            raise
         # The fill finds keys and patterns by hash-equal integers, which a
         # bool or a float also is.  With every key found, each is a pair of
         # tuples.  Without bounds require_int reads a value by its type
@@ -165,9 +170,7 @@ class RelaxedBanProblem:
 
     def ban_set(self, S, X):
         S, X = tuple(S), tuple(X)
-        row = self._rows.get(S)
-        if row is None:
-            row = self._row(S)
+        row = self._last_row if S is self._last_subset else self._row(S)
         if len(X) != self.n - self.k or not self._alphabet.issuperset(X):
             raise InputError(f"bad context sequence {X} for S={S}")
         if self._bans is None:
@@ -193,15 +196,15 @@ class RelaxedBanProblem:
         return {Z: i for i, Z in enumerate(itertools.product(range(self.j), repeat=self.k))}
 
     def _row(self, S):
-        """Check the index subset S, k ascending positions of [n], and
-        memoize its row: its rank among the k-subsets of [n] in
-        lexicographic order."""
+        """Check the index subset S, k ascending positions of [n], and keep
+        it as the last accepted subset with its row: its rank among the
+        k-subsets of [n] in lexicographic order."""
         n, k = self.n, self.k
         mask_of(S, n)
         if len(S) != k or list(S) != sorted(set(S)):
             raise InputError(f"bad index subset {S}")
-        row = self._rows[S] = comb(n, k) - 1 - sum(
-            comb(n - 1 - s, k - i) for i, s in enumerate(S))
+        row = comb(n, k) - 1 - sum(comb(n - 1 - s, k - i) for i, s in enumerate(S))
+        self._last_subset, self._last_row = S, row
         return row
 
     def index_subsets(self):
@@ -260,23 +263,18 @@ class RelaxedBanProblem:
         return cls.from_table(n, k, j, table)
 
 
-class _EmptyBanSet(Exception):
-    """An empty ban set met by a fill that refuses one."""
-
-
 class _Codes(dict):
     """Ban set -> its code, the index of its j^k banned flags in ``flags``.
-    A set is checked (not empty unless allowed, every pattern one of the
-    j^k), coded and its flags appended the first time it is seen; every
-    later lookup of it is a dict hit in C.  One per fill; ``S`` is the index
-    subset whose row is being written."""
+    A set's patterns are checked (each one of the j^k), the set coded and
+    its flags appended the first time it is seen; every later lookup of it
+    is a dict hit in C.  Emptiness is left to ``ban_set`` and
+    ``from_table``.  One per fill; ``S`` is the index subset whose row is
+    being written."""
 
     def __init__(self, problem):
         self.problem, self.flags = problem, bytearray()
 
     def __missing__(self, ban_set):
-        if not ban_set and not self.problem.allow_empty:
-            raise _EmptyBanSet
         for Z in ban_set:
             if Z not in self.problem._patterns:
                 raise InputError(f"bad banned pattern {Z} for S={self.S}")

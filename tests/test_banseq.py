@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shatterlab import (BanProblem, InputError, ResourceCapError, SetSystem,
                         VerificationError, banned_count, banseq,
@@ -76,11 +76,18 @@ def key_source(S, X):
     return frozenset({(S[0] % 3, sum(X) % 3), (S[1] % 3, X[0])})
 
 
+def bool_twin(S):
+    """S with True for 1: equal and hash-equal to S, but no index subset."""
+    return [True if s == 1 else s for s in S]
+
+
 def any_key():
-    """(S, X) pairs, valid or not: lists of ints around the valid ranges."""
+    """(S, X) pairs, valid or not: lists of ints around the valid ranges,
+    and the bool twins of the valid subsets that hold a 1."""
     n, k, j = KEY_SHAPE
     subsets = st.one_of(st.sampled_from(KEY_SUBSETS).map(list),
-                        st.lists(st.integers(-1, n), max_size=k + 1))
+                        st.lists(st.integers(-1, n), max_size=k + 1),
+                        st.sampled_from([S for S in KEY_SUBSETS if 1 in S]).map(bool_twin))
     contexts = st.one_of(st.sampled_from(KEY_CONTEXTS).map(list),
                          st.lists(st.integers(-1, j), max_size=n - k + 1))
     return st.tuples(subsets, contexts)
@@ -89,9 +96,13 @@ def any_key():
 @settings(max_examples=300, deadline=None)
 @given(key=any_key(), filled=st.booleans(),
        other=st.one_of(st.none(), st.sampled_from(KEY_SUBSETS)))
+# The int twin asked first must not let the bool twin pass its check.
+@example(key=(bool_twin((0, 1)), [0, 0]), filled=False, other=(0, 1))
+@example(key=(bool_twin((0, 1)), [0, 0]), filled=True, other=(0, 1))
 def test_ban_set_raises_exactly_on_invalid_keys(key, filled, other):
     S, X = key
-    valid = tuple(S) in KEY_SUBSETS and tuple(X) in KEY_CONTEXTS
+    valid = (tuple(S) in KEY_SUBSETS and tuple(X) in KEY_CONTEXTS
+             and all(type(v) is int for v in S))
     problem = BanProblem(*KEY_SHAPE, key_source)
     if filled:
         solutions(problem)
@@ -226,6 +237,8 @@ def fault(table, key, kind, position):
         table[((0, 3 + position), (0,))] = {(0, 1)}
     elif kind == "empty":
         table[key] = set()
+    elif kind == "not-a-set":
+        table[key] = 5
     else:
         table[key] = {(0, 1), (position, 0, 0)}
 
@@ -235,13 +248,15 @@ def fault_text(key, kind, position):
         return f"missing ban-table entry {key}"
     if kind == "empty":
         return f"empty ban set at S={key[0]}, X={key[1]}"
+    if kind == "not-a-set":
+        return f"ban set at S={key[0]}, X={key[1]} is not a set of patterns: 5"
     return f"bad banned pattern {(position, 0, 0)} for S={key[0]}"
 
 
 @pytest.mark.parametrize("cls", [BanProblem, RelaxedBanProblem])
 def test_from_table_reports_the_first_bad_entry_in_product_order(cls):
     keys = list(BASE)  # full_table builds its keys in (S, X) order
-    kinds = ["missing", "empty", "pattern"]
+    kinds = ["missing", "empty", "not-a-set", "pattern"]
     for (p, first), (q, second) in itertools.combinations(enumerate(keys), 2):
         for kind_p, kind_q in itertools.product(kinds, repeat=2):
             table = dict(BASE)

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banned_count,
-                        banseq, dims, exact_expectation, generate,
-                        min_subcube_hitting, op_rank, op_shatter, parity_problem,
-                        random_problem, run_vc_theorem, run_weak_law, setsystem,
-                        solutions, thicketvc, vc_dimension, vc_shatter_function)
+                        banseq, dims, generate, min_subcube_hitting, op_rank,
+                        op_shatter, parity_problem, random_problem, run_vc_theorem,
+                        run_weak_law, setsystem, solutions, thicketvc, vc_dimension,
+                        vc_shatter_function)
 from shatterlab.dims import random_element_tree
 
 ONE_SET = SetSystem(5, (1,))
@@ -58,10 +58,6 @@ SITES = {
                        lambda cap: random_problem(5, 2, 2, 0, cap=cap), 320),
     "min_subcube_hitting": (banseq, "DEFAULT_HITTING_CAP",
                             lambda cap: min_subcube_hitting(4, 2, cap=cap), 4),
-    # 3^2 label patterns
-    "exact_expectation": (thicketvc, "DEFAULT_EXPECTATION_CAP",
-                          lambda cap: exact_expectation(ProbSpace.uniform(3), {0}, 2,
-                                                        cap=cap), 9),
     # 7 trials of one set
     "run_weak_law": (thicketvc, "DEFAULT_MC_CAP",
                      lambda cap: run_weak_law(ProbSpace.uniform(2), {0}, 3, Fraction(1, 2),

@@ -313,8 +313,6 @@ INT_PARAMS = {
     ("sample_test_tree", "seed"): (lambda v: sample_test_tree(SPACE, 2, v), 0, None, None),
     ("exact_expectation", "height"): (
         lambda v: exact_expectation(SPACE, [0], v), 2, 1, None),
-    ("exact_expectation", "cap"): (
-        lambda v: exact_expectation(SPACE, [0], 2, cap=v), 9, None, None),
     ("run_weak_law", "height"): (
         lambda v: run_weak_law(SPACE, [0], v, QUARTER, 3, 0), 2, 1, None),
     ("run_weak_law", "trials"): (

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shatterlab import (InputError, ProbSpace, ResourceCapError, SetSystem,
-                        characteristic_path, exact_expectation, generate,
-                        run_vc_theorem, run_weak_law, sample_test_tree,
-                        uniform_deviation)
+from shatterlab import (InputError, ProbSpace, SetSystem, characteristic_path,
+                        exact_expectation, generate, run_vc_theorem, run_weak_law,
+                        sample_test_tree, uniform_deviation)
 from shatterlab import TestTree as SamplingTree
 from shatterlab import test_estimate as estimate_along_path
 from shatterlab.thicketvc import (_guide_table, _simulate_ones, _walk,
@@ -90,9 +89,10 @@ def test_exact_expectation_equals_measure():
                 space.mass(members)
 
 
-def test_exact_expectation_cap():
-    with pytest.raises(ResourceCapError):
-        exact_expectation(ProbSpace.uniform(10), {0}, 20)
+def test_exact_expectation_reads_a_long_path_in_h_plus_one_terms():
+    """10^20 label patterns; the sum has 21 terms."""
+    assert exact_expectation(ProbSpace.uniform(10), {0}, 20) == Fraction(1, 10)
+    assert exact_expectation(ProbSpace.uniform(7), {1, 2, 5}, 400) == Fraction(3, 7)
 
 
 def test_uniform_deviation():
