@@ -77,7 +77,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
+from operator import or_
 
 from .errors import InputError, check_cap, require_int
 from .setsystem import ChildTable, SetSystem, child, mask_of
@@ -115,7 +117,13 @@ def rank_to_str(value):
 @dataclass(frozen=True)
 class ElementTree:
     """Complete 2^s-ary tree of height n; each internal node carries an
-    s-tuple of universe elements.  Nodes are tuples over [2^s]."""
+    s-tuple of universe elements.  Nodes are tuples over [2^s].
+
+    Every leaf's (must_contain, must_avoid) masks are built once, top down
+    one level at a time, at the first leaf read, and kept on the tree in
+    ``leaves()`` order: the leaf (v_1, ..., v_n) sits at the index whose
+    base-2^s digits are v_1 ... v_n.  So ``labels`` is read once, and
+    mutating it after the first leaf read is unsupported."""
 
     arity_exponent: int
     height: int
@@ -145,17 +153,49 @@ class ElementTree:
     def leaves(self):
         return itertools.product(range(self.arity), repeat=self.height)
 
+    @cached_property
+    def _leaf_masks(self):
+        """(must_contain, must_avoid) lists over the leaves in ``leaves()``
+        order, built one level at a time.  Node i of a level has children
+        arity * i + v, and child v adds the node's label x_t to
+        must_contain when bit t of v is set and to must_avoid when it is
+        clear.  Masks only grow down a path, so a conflicting node's leaves
+        conflict too."""
+        arity = self.arity
+        contain, avoid = [0], [0]
+        for depth in range(self.height):
+            nodes = itertools.product(range(arity), repeat=depth)
+            # columns[t][i]: the mask of label t of the level's node i
+            columns = [[1 << x for x in column]
+                       for column in zip(*map(self.labels.__getitem__, nodes))]
+            below_contain = [0] * (arity * len(contain))
+            below_avoid = below_contain[:]
+            for v in range(arity):
+                inside, outside = contain, avoid
+                for t, column in enumerate(columns):
+                    if v >> t & 1:
+                        inside = list(map(or_, inside, column))
+                    else:
+                        outside = list(map(or_, outside, column))
+                below_contain[v::arity] = inside
+                below_avoid[v::arity] = outside
+            contain, avoid = below_contain, below_avoid
+        return contain, avoid
+
     def path_requirements(self, leaf):
         """(must_contain, must_avoid) masks for the leaf; None if some
-        element is required both in and out (leaf unlabelable)."""
-        req1 = req0 = 0
-        for depth, symbol in enumerate(leaf):
-            lab = self.labels[tuple(leaf[:depth])]
-            for i, x in enumerate(lab):
-                if symbol >> i & 1:
-                    req1 |= 1 << x
-                else:
-                    req0 |= 1 << x
+        element is required both in and out (leaf unlabelable).  A leaf is
+        a tuple or list of ``height`` integers in [0, 2^s)."""
+        if not isinstance(leaf, (tuple, list)) or len(leaf) != self.height:
+            raise InputError(f"leaf {leaf!r} is not a tuple or list of {self.height} entries")
+        contain, avoid = self._leaf_masks
+        arity = 1 << self.arity_exponent
+        index = 0
+        for symbol in leaf:
+            if type(symbol) is not int or not 0 <= symbol < arity:
+                symbol = require_int(symbol, "leaf entry", 0, arity - 1)
+            index = index * arity + symbol
+        req1, req0 = contain[index], avoid[index]
         if req1 & req0:
             return None
         return req1, req0
@@ -168,8 +208,10 @@ class ElementTree:
         return any(m & req1 == req1 and m & req0 == 0 for m in sets)
 
     def count_properly_labeled(self, system: SetSystem):
-        return sum(1 for leaf in self.leaves()
-                   if self.properly_labelable(leaf, system.sets))
+        sets = system.sets
+        return sum(1 for req1, req0 in zip(*self._leaf_masks)
+                   if not req1 & req0
+                   and any(m & req1 == req1 and m & req0 == 0 for m in sets))
 
 
 def random_element_tree(universe_size, arity_exponent, height, seed):

@@ -206,11 +206,14 @@ def test_estimate(tree: TestTree, members) -> Fraction:
 def exact_expectation(space: ProbSpace, members, height):
     """Exact expectation of the test estimate; equals the measure of the
     queried set.  The path reads ``height`` independent labels, so its
-    count of 1s is Bin(h, mu), mu the set's measure: a sum of h + 1 terms."""
+    count of 1s is Bin(h, mu), mu the set's measure: a sum of h + 1 terms.
+    With mu = a/d the terms C(h,c) a^c (d-a)^(h-c) c are integers over the
+    one denominator h d^h, so one Fraction is built, at the end."""
     h = require_int(height, "height", 1)
     mu = space.mass(members)
-    return sum(math.comb(h, c) * mu ** c * (1 - mu) ** (h - c) * Fraction(c, h)
-               for c in range(h + 1))
+    a, d = mu.numerator, mu.denominator
+    total = sum(math.comb(h, c) * a ** c * (d - a) ** (h - c) * c for c in range(h + 1))
+    return Fraction(total, h * d ** h)
 
 
 def uniform_deviation(tree: TestTree, system: SetSystem, space: ProbSpace):

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check the fast recursions.
 
 Everything here favors obviousness over speed: op_s-ranks and their shatter
-functions are computed by enumerating every complete element tree, the VC
+functions are computed by enumerating every complete element tree (each
+tree's leaves counted by ``ElementTree.count_properly_labeled``, itself
+checked against a per-leaf walk from the labels), the VC
 dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment (and
 its witness by banseq's earlier backtracking over the public ``ban_set``),
@@ -38,6 +40,34 @@ def _all_trees(universe_size, arity_exponent, height):
     for assignment in itertools.product(tuples, repeat=len(nodes)):
         yield ElementTree(arity_exponent, height,
                           dict(zip(nodes, assignment)))
+
+
+def walk_path_requirements(labels, leaf):
+    """(must_contain, must_avoid) masks of a leaf, walked from the root
+    through ``labels`` one node at a time; None when they share an element.
+    A copy of ``ElementTree.path_requirements`` before its leaf table, so it
+    shares no code with that table."""
+    req1 = req0 = 0
+    for depth, symbol in enumerate(leaf):
+        for i, x in enumerate(labels[tuple(leaf[:depth])]):
+            if symbol >> i & 1:
+                req1 |= 1 << x
+            else:
+                req0 |= 1 << x
+    if req1 & req0:
+        return None
+    return req1, req0
+
+
+def walk_count_properly_labeled(labels, arity_exponent, height, sets):
+    """Leaves some member labels properly, each walked from the root."""
+    count = 0
+    for leaf in itertools.product(range(1 << arity_exponent), repeat=height):
+        req = walk_path_requirements(labels, leaf)
+        if req is not None and any(m & req[0] == req[0] and not m & req[1]
+                                   for m in sets):
+            count += 1
+    return count
 
 
 def brute_rank(system, arity_exponent, max_height):

@@ -21,7 +21,8 @@ from shatterlab.dims import rank_to_str
 from families import fixture_zoo, random_system
 from oracles import (brute_rank, brute_shatter, brute_shatters,
                      brute_vc_dimension, brute_vc_shatter_function,
-                     tuple_op_rank, tuple_op_shatter)
+                     tuple_op_rank, tuple_op_shatter, walk_count_properly_labeled,
+                     walk_path_requirements)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,24 @@ def test_path_requirements_and_labeling():
     chain = generate("thresholds", 3)
     assert not tree.properly_labelable((0, 1), chain.sets)
     assert tree.properly_labelable((1, 1), chain.sets)
+
+
+@pytest.mark.parametrize("s,height", [(s, h) for s in (1, 2, 3) for h in range(8)
+                                      if s * h <= 15])
+def test_leaf_table_matches_the_label_walk(s, height):
+    """Every leaf's masks and each family's labeled-leaf count, read from
+    the tree's leaf table, equal a walk from the root per leaf.  Labels
+    range over 10 points, so the masks are not CPython's cached small ints."""
+    universe = 10
+    tree = random_element_tree(universe, s, height, seed=100 * s + height)
+    leaves = list(tree.leaves())
+    assert [tree.path_requirements(leaf) for leaf in leaves] == \
+        [walk_path_requirements(tree.labels, leaf) for leaf in leaves]
+    rng = random.Random(height)
+    for size in (1, 30, 300):
+        system = SetSystem(universe, tuple(rng.sample(range(1 << universe), size)))
+        assert tree.count_properly_labeled(system) == \
+            walk_count_properly_labeled(tree.labels, s, height, system.sets)
 
 
 def test_random_element_tree_seeded():

@@ -7,6 +7,7 @@ import itertools
 import pkgutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -226,6 +227,10 @@ INT_PARAMS = {
     ("ElementTree", "height"): (lambda v: ElementTree(1, v, {}), 0, 0, None),
     ("ElementTree", "node entry"): (
         lambda v: ElementTree(1, 2, {(): (0,), (0,): (0,), (v,): (0,)}), 1, 0, 1),
+    ("path_requirements", "first leaf entry"): (
+        lambda v: TREE.path_requirements((v, 1)), 1, 0, 1),
+    ("path_requirements", "last leaf entry"): (
+        lambda v: TREE.path_requirements([1, v]), 1, 0, 1),
     ("random_element_tree", "universe_size"): (
         lambda v: random_element_tree(v, 1, 2, 0), N, 1, None),
     ("random_element_tree", "arity_exponent"): (
@@ -362,6 +367,21 @@ def test_integer_table_rows_accept_their_value(row):
     comes from the parameter under test."""
     call, good, _, _ = INT_PARAMS[row]
     call(good)
+
+
+@pytest.mark.parametrize("leaf", [(1,), (), (1, 1, 0), (1.0, 1), (1, 2), (1, -1),
+                                  (True, 0), (np.float64(1), 0), 5, {0, 1}, None],
+                         ids=repr)
+def test_path_requirements_refuses_a_malformed_leaf(leaf):
+    """A leaf of TREE (height 2, arity 2) is a tuple or list of two integers
+    in [0, 2); anything else is an InputError, never read as another leaf."""
+    with pytest.raises(InputError):
+        TREE.path_requirements(leaf)
+
+
+def test_path_requirements_reads_numpy_integers():
+    assert TREE.path_requirements((np.int64(1), np.uint8(0))) == \
+        TREE.path_requirements((1, 0)) == (0b001, 0b100)
 
 
 INTEGER_NAMES = {"s", "r", "n", "k", "j", "m", "t", "l", "size", "height", "trials",

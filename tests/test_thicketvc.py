@@ -93,6 +93,7 @@ def test_exact_expectation_reads_a_long_path_in_h_plus_one_terms():
     """10^20 label patterns; the sum has 21 terms."""
     assert exact_expectation(ProbSpace.uniform(10), {0}, 20) == Fraction(1, 10)
     assert exact_expectation(ProbSpace.uniform(7), {1, 2, 5}, 400) == Fraction(3, 7)
+    assert exact_expectation(ProbSpace.uniform(7), {1, 2, 5}, 1000) == Fraction(3, 7)
 
 
 def test_uniform_deviation():
