@@ -119,11 +119,10 @@ class ElementTree:
     """Complete 2^s-ary tree of height n; each internal node carries an
     s-tuple of universe elements.  Nodes are tuples over [2^s].
 
-    Every leaf's (must_contain, must_avoid) masks are built once, top down
-    one level at a time, at the first leaf read, and kept on the tree in
-    ``leaves()`` order: the leaf (v_1, ..., v_n) sits at the index whose
-    base-2^s digits are v_1 ... v_n.  So ``labels`` is read once, and
-    mutating it after the first leaf read is unsupported."""
+    Every leaf's (must_contain, must_avoid) masks are built once, at the
+    first leaf read, and kept on the tree; the leaf (v_1, ..., v_n) is read
+    at the index whose base-2^s digits are v_1 ... v_n.  So ``labels`` is
+    read once, and mutating it after the first leaf read is unsupported."""
 
     arity_exponent: int
     height: int
