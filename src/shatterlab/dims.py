@@ -421,20 +421,31 @@ def _op_shatter(sets, n, s, height):
 
 
 def _op_shatter_leaves(fam, search, height):
+    """Members are distinct, so a tree splits any group of two or more on
+    some element: from height |fam| - 1 on, every member gets its own leaf.
+    A tuple with a child equal to ``fam`` scores psi(fam, height - 1), no
+    more than a splitting tuple, so it is skipped; the depth stays below
+    |fam|."""
     if not fam:
         return 0
-    if height == 0 or not fam & (fam - 1):
+    size = fam.bit_count()
+    if height == 0 or size == 1:
         return 1
+    if height >= size - 1:
+        return size
     key = (fam, height)
     cached = search.leaves.get(key)
     if cached is not None:
         return cached
-    cap = min(search.arity ** height, fam.bit_count())
+    cap = min(search.arity ** height, size)
     best = 1
     for xs in search.tuples:
+        kids = [fam & sel for sel in search[xs]]
+        if fam in kids:
+            continue
         total = 0
-        for sel in search[xs]:
-            total += _op_shatter_leaves(fam & sel, search, height - 1)
+        for kid in kids:
+            total += _op_shatter_leaves(kid, search, height - 1)
         if total > best:
             best = total
             if best == cap:

@@ -15,15 +15,22 @@ each threshold minus 1 and ends on a 2^64-1 that no state passes, so a
 label never walks past the last point and needs no clip.  One step is a
 fixed sequence of ufunc and take calls with preallocated outputs, the
 splitmix64 step inlined.  A deviation depends only on a set and its count
-of 1s, so each distinct (set, count) pair gets one exact integer numerator
-over a common denominator, and a trial's supremum is a max over their
-ranks; a ``Fraction`` is built only for CSV rows.
+of 1s, so the counts at which set i stays within epsilon form one integer
+band [lo_i, hi_i], and a trial exceeds epsilon when some set's final count
+lies outside its band.  With rows off the walk checks every 64 levels, with
+r levels left, whether each trial is settled: some count c is outside for
+good (c > hi or c + r < lo), or every count is inside for good (c >= lo and
+c + r <= hi); it stops once every trial is.  CSV rows need each trial's
+deviation, so with rows on the walk covers every level, and each distinct
+(set, count) pair gets one exact integer numerator over a common
+denominator; a trial's supremum is a max over their ranks, and a
+``Fraction`` is built only for the rows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +64,8 @@ _GUIDE_LOW = np.uint64((1 << (64 - _GUIDE_BITS)) - 1)
 FLOAT_GUARD = 1e-12
 # (trial, set) entries of one Monte Carlo audit, about 64 bytes each
 DEFAULT_MC_CAP = 10 ** 6
+# levels between two checks of whether a rows-off walk may stop
+_SETTLE_STRIDE = 64
 
 
 def splitmix64(x):
@@ -204,16 +213,11 @@ def test_estimate(tree: TestTree, members) -> Fraction:
 
 
 def exact_expectation(space: ProbSpace, members, height):
-    """Exact expectation of the test estimate; equals the measure of the
-    queried set.  The path reads ``height`` independent labels, so its
-    count of 1s is Bin(h, mu), mu the set's measure: a sum of h + 1 terms.
-    With mu = a/d the terms C(h,c) a^c (d-a)^(h-c) c are integers over the
-    one denominator h d^h, so one Fraction is built, at the end."""
-    h = require_int(height, "height", 1)
-    mu = space.mass(members)
-    a, d = mu.numerator, mu.denominator
-    total = sum(math.comb(h, c) * a ** c * (d - a) ** (h - c) * c for c in range(h + 1))
-    return Fraction(total, h * d ** h)
+    """Exact expectation of the test estimate: the measure of the queried
+    set.  The path reads ``height`` independent labels, so its count of 1s
+    is Bin(h, mu), mu the set's measure, whose mean over h is mu."""
+    require_int(height, "height", 1)
+    return space.mass(members)
 
 
 def uniform_deviation(tree: TestTree, system: SetSystem, space: ProbSpace):
@@ -287,7 +291,7 @@ def _guide_table(thresholds):
     return guide, below, passes
 
 
-def _walk(space: ProbSpace, masks, roots, height):
+def _walk(space: ProbSpace, masks, roots, height, bands=None):
     """Walk ``height`` levels down the characteristic path of every set of
     ``masks`` in the test tree of every root state of the uint64 array
     ``roots``, all (root, set) pairs at once; entry t*m + i follows set i
@@ -299,7 +303,14 @@ def _walk(space: ProbSpace, masks, roots, height):
     array positionally and its constants as zero-stride views, and every
     take reads int64 indices with ``mode="clip"`` (all are in range): on
     arrays of a few hundred entries each of these spares a fixed cost of
-    about half a call."""
+    about half a call.
+
+    ``bands``, the int64 arrays (lo, hi) of each set's band of final counts
+    of 1s, lets the walk stop early: every _SETTLE_STRIDE levels it stops
+    if every root's verdict is settled (``_settled``).  The levels it did
+    not walk are then summed as steps of bit 0, so each count of 1s is the
+    count so far, which lies outside some band exactly when the full count
+    would."""
     m, size = len(masks), space.size
     guide, below, passes = _guide_table(space.sampling_thresholds())
     steps = np.array([(mask >> x & 1) + 1 for mask in masks for x in range(size)],
@@ -318,7 +329,12 @@ def _walk(space: ProbSpace, masks, roots, height):
     add, xor, rshift, mul, less = (np.add, np.bitwise_xor, np.right_shift,
                                    np.multiply, np.less)
     guide_take, below_take, steps_take = guide.take, below.take, steps.take
-    for _ in range(height):
+    for level in range(height):
+        if bands is not None and level and not level % _SETTLE_STRIDE:
+            counts = ones.view(np.int64).reshape(len(roots), m) - level
+            if _settled(counts, height - level, *bands):
+                add(ones, np.uint64(height - level), ones)
+                break
         rshift(states, shift, scratch)
         guide_take(bucket, out=labels, mode="clip")
         for _ in range(passes):
@@ -339,11 +355,13 @@ def _walk(space: ProbSpace, masks, roots, height):
     return ones, labels
 
 
-def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None):
+def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None,
+                   bands=None):
     """Vectorized per-trial, per-set counts of 1s along characteristic
     paths; bit-identical to walking scalar TestTree objects.  The
     trials x max(sets, 1) working set is capped before anything is
-    allocated."""
+    allocated.  With ``bands`` the walk may stop once every trial is
+    settled (``_walk``), and the counts are those so far."""
     check_cap(trials * max(len(masks), 1), cap, DEFAULT_MC_CAP,
               "trials x sets entries")
     roots = np.arange(1, trials + 1, dtype=np.uint64)
@@ -351,44 +369,79 @@ def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None):
     scratch = np.empty_like(roots)
     _splitmix64_np(roots, scratch)  # trial_seed(seed, t)
     _splitmix64_np(roots, scratch)  # the root node's state
-    ones, _ = _walk(space, masks, roots, height)
+    ones, _ = _walk(space, masks, roots, height, bands)
     # each step added bit + 1
     ones -= np.uint64(height)
     return ones.view(np.int64).reshape(trials, len(masks))
 
 
-def _ranked_deviations(ones, masses, height):
-    """The deviations |c/height - masses[i]| of the (set i, count c) pairs
-    in ``ones`` (trials x sets) as exact integer numerators over one
-    denominator, height * D with D the lcm of the mass denominators: set i
-    at count c has the numerator |c*D - a_i*height|, a_i = masses[i] * D.
-
-    Returns the sorted distinct numerators, with 0 among them, the
-    denominator, and each trial's supremum as a rank into the numerators
-    (rank 0 when there are no sets)."""
+def _numerators(masses, height):
+    """The deviations |c/height - masses[i]| as exact integer numerators
+    over one denominator, height * D with D the lcm of the mass
+    denominators: set i at count c has the numerator |c*D - centers[i]|,
+    centers[i] = masses[i] * D * height.  Returns (D, centers)."""
     scale = math.lcm(*(w.denominator for w in masses))
-    centers = [w.numerator * (scale // w.denominator) * height for w in masses]
+    return scale, [w.numerator * (scale // w.denominator) * height for w in masses]
+
+
+def _bands(masses, height, eps, at_least):
+    """Per set, the int64 arrays (lo, hi) of the band of counts c at which
+    |c/height - mass| is below ``eps`` (``at_least``) or at most ``eps``,
+    clamped to [-1, height + 1]; an empty band has lo > hi."""
+    scale, centers = _numerators(masses, height)
+    limit = eps * height * scale
+    if at_least:
+        # a numerator v is below limit iff v <= ceil(limit) - 1
+        reach = -(-limit.numerator // limit.denominator) - 1
+    else:
+        # a numerator v is at most limit iff v <= floor(limit)
+        reach = limit.numerator // limit.denominator
+    lo = [max(-((reach - a) // scale), -1) for a in centers]
+    hi = [min((a + reach) // scale, height + 1) for a in centers]
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+def _outside(counts, lo, hi):
+    """Per trial (row of ``counts``, trials x sets), whether some set's
+    count lies outside its band [lo, hi]."""
+    return ((counts < lo) | (counts > hi)).any(axis=1)
+
+
+def _settled(counts, r, lo, hi):
+    """Whether every trial's verdict is settled with ``r`` steps left:
+    some count c is outside its band for good (c > hi or c + r < lo), or
+    every count is inside for good (c >= lo and c + r <= hi)."""
+    return bool((_outside(counts, lo - r, hi) | ~_outside(counts, lo, hi - r)).all())
+
+
+def _ranked_deviations(counts, masses, height):
+    """The deviations of the (set i, count c) pairs in ``counts`` (trials x
+    sets) as ``_numerators``.  Returns the sorted distinct numerators, with
+    0 among them, the denominator, and each trial's supremum as a rank into
+    the numerators (rank 0 when there are no sets)."""
+    scale, centers = _numerators(masses, height)
     keys, inverse = np.unique(
-        (ones + np.arange(len(masses)) * (height + 1)).ravel(),
+        (counts + np.arange(len(masses)) * (height + 1)).ravel(),
         return_inverse=True)
     numerators = [abs(c * scale - centers[i])
                   for i, c in (divmod(k, height + 1) for k in keys.tolist())]
     values = sorted(set(numerators) | {0})
     rank = {v: r for r, v in enumerate(values)}
     ranks = np.array([rank[v] for v in numerators], dtype=np.intp)
-    best = ranks[inverse].reshape(ones.shape).max(axis=1, initial=0)
+    best = ranks[inverse].reshape(counts.shape).max(axis=1, initial=0)
     return values, height * scale, best
 
 
-def _report_rows(height, eps, values, denominator, hit_from, best):
-    """Trial t's row reads deviation ``values[best[t]] / denominator``,
-    exceeded when that rank is at least ``hit_from``."""
+def _report_rows(height, eps, counts, masses, exceeded):
+    """One CSV row per trial: its supremum deviation as a fraction, and its
+    verdict."""
+    values, denominator, best = _ranked_deviations(counts, masses, height)
     text = [f"{f.numerator}/{f.denominator}"
             for f in (Fraction(v, denominator) for v in values)]
     epsilon = str(eps)
     return [{"trial": t, "n": height, "epsilon": epsilon,
-             "deviation": text[k], "exceeded": int(k >= hit_from)}
-            for t, k in enumerate(best.tolist())]
+             "deviation": text[k], "exceeded": int(hit)}
+            for t, (k, hit) in enumerate(zip(best.tolist(), exceeded.tolist()))]
 
 
 def _binomial_slack(exceedances, trials):
@@ -409,18 +462,14 @@ def _tail_audit(kind, space, masks, height, epsilon, trials, seed, keep_rows,
     eps = require_rational(epsilon, "epsilon")
     if eps < 0 or (at_least and eps == 0):
         raise InputError("epsilon must be > 0" if at_least else "epsilon must be >= 0")
-    ones = _simulate_ones(space, masks, height, trials, seed, cap)
     masses = [space.mass(m) for m in masks]
-    values, denominator, best = _ranked_deviations(ones, masses, height)
-    if at_least:
-        # v / denominator is at least eps iff v >= ceil(eps * denominator)
-        hit_from = bisect_left(values, -(-eps.numerator * denominator // eps.denominator))
-    else:
-        # v / denominator exceeds eps iff v > floor(eps * denominator)
-        hit_from = bisect_right(values, eps.numerator * denominator // eps.denominator)
-    exceed = int(np.count_nonzero(best >= hit_from))
-    rows = (_report_rows(height, eps, values, denominator, hit_from, best)
-            if keep_rows else [])
+    lo, hi = _bands(masses, height, eps, at_least)
+    # CSV rows need every trial's full counts: no early stop
+    counts = _simulate_ones(space, masks, height, trials, seed, cap,
+                            None if keep_rows else (lo, hi))
+    exceeded = _outside(counts, lo, hi)
+    exceed = int(np.count_nonzero(exceeded))
+    rows = _report_rows(height, eps, counts, masses, exceeded) if keep_rows else []
     bound, notes = tail_bound(eps)
     slack = _binomial_slack(exceed, trials)
     empirical = Fraction(exceed, trials)

@@ -7,7 +7,9 @@ checked against a per-leaf walk from the labels), the VC
 dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment (and
 its witness by banseq's earlier backtracking over the public ``ban_set``),
-a ban table by banseq's earlier per-entry fill, and the Monte Carlo audits by walking one scalar test tree per trial.  The
+a ban table by banseq's earlier per-entry fill, a test estimate's
+expectation by summing the binomial law of its count of 1s, and the Monte
+Carlo audits by walking every level of one scalar test tree per trial.  The
 ``tuple_*`` functions at the end are dims' earlier op_s-rank and shatter
 recursions over mask tuples, against which the member-index bitset kernels
 are checked at sizes the tree enumeration cannot reach.
@@ -410,6 +412,17 @@ def scalar_counts(space, masks, height, trials, seed):
         tree = TestTree(space, height, trial_seed(seed, t))
         counts.append([sum(characteristic_path(tree, mask)) for mask in masks])
     return counts
+
+
+def binomial_expectation(space, members, height):
+    """Expectation of the test estimate from the law of a path's count of
+    1s, Bin(h, mu) with mu = a/d the set's measure: the h + 1 terms
+    C(h,c) a^c (d-a)^(h-c) c are integers over the one denominator h d^h."""
+    mu = space.mass(members)
+    a, d = mu.numerator, mu.denominator
+    total = sum(math.comb(height, c) * a ** c * (d - a) ** (height - c) * c
+                for c in range(height + 1))
+    return Fraction(total, height * d ** height)
 
 
 def _mc_row(t, height, eps, dev, hit):

@@ -1,6 +1,7 @@
-"""The summary step of tools/bench_pairs.py on synthetic run records."""
+"""The summary and timing steps of tools/bench_pairs.py on synthetic records."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -128,3 +129,32 @@ def test_kind_summary_groups_by_workload_and_marks_missing_times():
     (none,) = bench_pairs.summarize_kinds([kind_record("c", 0, "parent", None)], SIDES)
     assert not none["complete"]
     assert none["kinds"]["total"]["change/parent"] is None
+
+
+class CachingItem:
+    """An item whose first call fills a cache on its input and sleeps; later
+    calls on the same object return at once."""
+
+    def __init__(self, label):
+        self.label, self.calls = label, 0
+
+    def call(self):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(0.01)
+
+
+def test_best_item_times_builds_the_items_afresh_for_every_pass():
+    built = []
+
+    def build():
+        items = [CachingItem("a"), CachingItem("b"), CachingItem("a")]
+        built.append(items)
+        return items
+
+    labels, best = bench_pairs.best_item_times(build, 3)
+    assert labels == ["a", "b", "a"]
+    assert len(built) == 3
+    assert all(item.calls == 1 for items in built for item in items)
+    # every pass read a cold cache, so no best time is a warm read
+    assert len(best) == 3 and min(best) >= 0.01

@@ -48,6 +48,21 @@ def test_sys_shatter(capsys):
     assert json.loads(out) == {"kind": "thicket", "n": 2, "value": 4}
 
 
+@pytest.mark.parametrize("argv", [
+    ("sys", "shatter", "--kind", "thicket", "--n", "2000"),
+    ("sys", "shatter", "--kind", "op", "--n", "2000"),
+    ("sys", "audit", "--s", "1", "--r", "1", "--n", "2000"),
+])
+def test_sys_verbs_at_a_height_far_above_the_family_size(capsys, argv):
+    code, out, err = run(capsys, *argv, "thresholds:4")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    if argv[1] == "shatter":
+        assert payload["value"] == 5
+    else:
+        assert all(row["pass"] for row in payload)
+
+
 def test_sys_audit_pass_and_csv(capsys):
     code, out, _ = run(capsys, "sys", "audit", "--s", "2", "--r", "1",
                        "--n", "4", "thresholds:4")

@@ -133,6 +133,28 @@ def test_op2_matches_brute_force(seed):
             assert op_shatter(system, 3, height) == brute_shatter(system, 3, height)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_shatter_functions_stop_at_the_family_size(seed):
+    """psi^s(h) = |F| from h = |F| - 1 on, checked against the tuple
+    recursion, which recurses at every level; a tuple that leaves the
+    family whole is skipped, so no height recurses deeper than |F|."""
+    rng = random.Random(1700 + seed)
+    system = _distinct_system(rng, (3, 6), (2, 10))
+    sets, n = system.sets, system.universe_size
+    for s in (1, 2, 3):
+        for height in range(len(sets) + 2):
+            assert op_shatter(system, s, height) == tuple_op_shatter(sets, n, s, height)
+        assert op_shatter(system, s, 10 ** 5) == len(sets)
+    assert thicket_shatter(system, 10 ** 5) == len(sets)
+
+
+def test_deep_shatter_heights_do_not_recurse_per_level():
+    thresholds = generate("thresholds", 4)
+    assert thicket_shatter(thresholds, 1000) == 5
+    assert op_shatter(thresholds, 2, 2000) == 5
+    assert thicket_shatter(thresholds, 3) == brute_shatter(thresholds, 1, 3)
+
+
 def test_powerset4_universe4_brute_spot_check():
     system = generate("powerset", 4)
     assert brute_rank(system, 1, 3) == 3  # capped enumeration height

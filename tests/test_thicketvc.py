@@ -1,6 +1,7 @@
 """Test trees: counter-based determinism, exact expectations, and the two
 Monte Carlo audits."""
 
+import time
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -14,10 +15,12 @@ from shatterlab import (InputError, ProbSpace, SetSystem, characteristic_path,
                         sample_test_tree, uniform_deviation)
 from shatterlab import TestTree as SamplingTree
 from shatterlab import test_estimate as estimate_along_path
+from shatterlab import thicketvc
 from shatterlab.thicketvc import (_guide_table, _simulate_ones, _walk,
                                   splitmix64, trial_seed)
 
-from oracles import scalar_counts, scalar_vc_theorem, scalar_weak_law
+from oracles import (binomial_expectation, scalar_counts, scalar_vc_theorem,
+                     scalar_weak_law)
 
 
 def test_prob_space_validation():
@@ -84,16 +87,22 @@ def test_characteristic_path_follows_membership():
 def test_exact_expectation_equals_measure():
     space = ProbSpace((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
     for members in ({0}, {1}, {0, 2}, set(), {0, 1, 2}):
-        for height in (1, 2, 3):
+        for height in (1, 2, 3, 20):
             assert exact_expectation(space, members, height) == \
-                space.mass(members)
+                binomial_expectation(space, members, height) == space.mass(members)
+    for space, members, height in ((ProbSpace.uniform(10), {0}, 20),
+                                   (ProbSpace.uniform(7), {1, 2, 5}, 400)):
+        assert exact_expectation(space, members, height) == \
+            binomial_expectation(space, members, height)
 
 
-def test_exact_expectation_reads_a_long_path_in_h_plus_one_terms():
-    """10^20 label patterns; the sum has 21 terms."""
-    assert exact_expectation(ProbSpace.uniform(10), {0}, 20) == Fraction(1, 10)
-    assert exact_expectation(ProbSpace.uniform(7), {1, 2, 5}, 400) == Fraction(3, 7)
-    assert exact_expectation(ProbSpace.uniform(7), {1, 2, 5}, 1000) == Fraction(3, 7)
+def test_exact_expectation_does_no_work_per_level():
+    start = time.perf_counter()
+    assert exact_expectation(ProbSpace.uniform(7), {1, 2, 5}, 10 ** 6) == Fraction(3, 7)
+    assert time.perf_counter() - start < 0.1
+    for height in (0, -1, 1.5, True):
+        with pytest.raises(InputError):
+            exact_expectation(ProbSpace.uniform(7), {1}, height)
 
 
 def test_uniform_deviation():
@@ -255,6 +264,112 @@ def test_vc_theorem_matches_scalar_oracle(name, height, trials):
         for epsilon in (F(0), F(1, 6), F(1, 5), F(1, 2)):
             _same_reports(run_vc_theorem, scalar_vc_theorem,
                           space, system, height, epsilon, trials, 5)
+
+
+# heights about the settle stride (64): a check with one level left, a
+# height the checks end just before, and heights past three checks
+STRIDE_HEIGHTS = st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129, 192,
+                                            193, 200, 256, 257]),
+                           st.integers(1, 260))
+EPSILONS = [F(1, 20), F(1, 10), F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(1)]
+
+
+@st.composite
+def audits(draw, least_sets):
+    """An audit near the settle stride; epsilon is often the deviation of
+    some set at some count, which ties a band's end."""
+    raw = draw(RAW_WEIGHTS)
+    space = ProbSpace(tuple(F(w, sum(raw)) for w in raw))
+    masks = draw(st.lists(st.integers(0, (1 << space.size) - 1),
+                          min_size=least_sets, max_size=3))
+    height = draw(STRIDE_HEIGHTS)
+    epsilon = draw(st.sampled_from(EPSILONS))
+    if masks and draw(st.booleans()):
+        tie = abs(F(draw(st.integers(0, height)), height) - space.mass(draw(st.sampled_from(masks))))
+        epsilon = tie or epsilon
+    return (space, masks, height, epsilon, draw(st.integers(1, 5)),
+            draw(st.integers(0, (1 << 64) - 1)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(audits(least_sets=1))
+def test_weak_law_matches_scalar_oracle_about_the_stride(audit):
+    space, masks, height, epsilon, trials, seed = audit
+    _same_reports(run_weak_law, scalar_weak_law,
+                  space, masks[0], height, epsilon, trials, seed)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(audits(least_sets=0), st.booleans())
+def test_vc_theorem_matches_scalar_oracle_about_the_stride(audit, zero):
+    space, masks, height, epsilon, trials, seed = audit
+    _same_reports(run_vc_theorem, scalar_vc_theorem, space,
+                  SetSystem(space.size, tuple(masks)), height,
+                  F(0) if zero else epsilon, trials, seed)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(audits(least_sets=0))
+def test_rows_off_report_is_the_rows_on_report_without_rows(audit):
+    space, masks, height, epsilon, trials, seed = audit
+    system = SetSystem(space.size, tuple(masks))
+    for run, what in ((run_vc_theorem, system), (run_weak_law, masks[0] if masks else 0)):
+        on = run(space, what, height, epsilon, trials, seed, keep_rows=True)
+        off = run(space, what, height, epsilon, trials, seed, keep_rows=False)
+        assert off.rows == [] and len(on.rows) == trials
+        on.rows = []
+        assert off == on
+
+
+def _settled_by_deviation(counts, masses, height, remaining, epsilon, at_least):
+    """Every trial settled, read from the deviations: a set is outside for
+    good when its count is beyond epsilon above the centre, or its count
+    plus ``remaining`` is beyond it below; inside for good when both ends
+    are within epsilon."""
+    def within(c, mass):
+        dev = abs(F(c, height) - mass)
+        return dev < epsilon if at_least else dev <= epsilon
+
+    def settled(row):
+        pairs = list(zip(row, masses))
+        out = any((not within(c, mu) and F(c, height) >= mu)
+                  or (not within(c + remaining, mu) and F(c + remaining, height) <= mu)
+                  for c, mu in pairs)
+        return out or all(within(c, mu) and within(c + remaining, mu) for c, mu in pairs)
+    return all(settled(row) for row in counts.tolist())
+
+
+@pytest.mark.parametrize("kind", ["vc_theorem", "weak_law"])
+def test_rows_off_walk_stops_at_the_first_settled_check(kind, monkeypatch):
+    space = MC_SPACES["skewed"]
+    height, trials, seed, epsilon = 1000, 40, 11, F(1, 8)
+    masks = [0b0001, 0b0110, 0b1011] if kind == "vc_theorem" else [0b0110]
+    masses = [space.mass(m) for m in masks]
+    at_least = kind == "weak_law"
+    # the counts after level l are the counts of a walk of height l
+    expected = next(level for level in range(64, height, 64)
+                    if _settled_by_deviation(
+                        thicketvc._simulate_ones(space, masks, level, trials, seed),
+                        masses, height, height - level, epsilon, at_least))
+    checks = []
+    real = thicketvc._settled
+
+    def spy(counts, remaining, lo, hi):
+        checks.append(remaining)
+        return real(counts, remaining, lo, hi)
+
+    monkeypatch.setattr(thicketvc, "_settled", spy)
+    args = (space, SetSystem(4, tuple(masks)) if kind == "vc_theorem" else masks[0],
+            height, epsilon, trials, seed)
+    run = run_vc_theorem if kind == "vc_theorem" else run_weak_law
+    off = run(*args, keep_rows=False)
+    assert [height - r for r in checks] == list(range(64, expected + 1, 64))
+    assert expected < height
+    assert checks[-1] > 0
+    checks.clear()
+    on = run(*args, keep_rows=True)
+    assert checks == []  # rows on: every level walked
+    assert off.exceedances == on.exceedances
 
 
 @pytest.mark.parametrize("name", sorted(MC_SPACES))

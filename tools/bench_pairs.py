@@ -23,8 +23,8 @@ change, and the parent again as "parent2", the A/A control.  Round r starts
 with side r mod 3.  Each process imports the library from its checkout's
 ``src`` and builds the first KIND_CYCLES cycles of seed-0 items from its
 checkout's ``bench/workloads.py``, writing no file there.  It times every
-item best of KIND_REPEATS passes with ``time.perf_counter``, and a kind's
-time is the sum over its items.  The summary gives each side's
+item best of KIND_REPEATS passes with ``time.perf_counter``, building the
+items afresh for each pass, and a kind's time is the sum over its items.  The summary gives each side's
 best time per kind over the rounds, with change/parent and parent2/parent
 ratios beside each other.
 """
@@ -140,10 +140,27 @@ def summarize_kinds(records, sides):
     return rows
 
 
+def best_item_times(build, repeats):
+    """The labels of the items ``build()`` returns, and each item's best
+    time over ``repeats`` passes.  Every pass times items built afresh, so
+    a cache an item keeps on its inputs is never timed warm."""
+    best = None
+    for _ in range(repeats):
+        items = build()
+        times = []
+        for item in items:
+            start = time.perf_counter()
+            item.call()
+            times.append(time.perf_counter() - start)
+        best = times if best is None else list(map(min, best, times))
+    return [item.label for item in items], best
+
+
 def time_kinds(root, workload):
     """Seconds per item kind of ``workload``'s first KIND_CYCLES seed-0
     cycles, built from checkout ``root``: each item best of KIND_REPEATS
-    passes, summed per kind.  Runs in its own process."""
+    passes, each pass over items built afresh, summed per kind.  Runs in
+    its own process."""
     sys.dont_write_bytecode = True
     src = Path(root).resolve() / "src"
     sys.path[:0] = [str(src), str(src.parent / "bench")]
@@ -154,16 +171,11 @@ def time_kinds(root, workload):
 
     spec = WORKLOADS[workload]
     with tempfile.TemporaryDirectory() as workdir:
-        items = spec.build(SEED, KIND_CYCLES * len(spec.cycle), workdir)
-        best = [float("inf")] * len(items)
-        for _ in range(KIND_REPEATS):
-            for index, item in enumerate(items):
-                start = time.perf_counter()
-                item.call()
-                best[index] = min(best[index], time.perf_counter() - start)
+        labels, best = best_item_times(
+            lambda: spec.build(SEED, KIND_CYCLES * len(spec.cycle), workdir), KIND_REPEATS)
     kinds = {}
-    for item, seconds in zip(items, best):
-        kinds[item.label] = kinds.get(item.label, 0.0) + seconds
+    for label, seconds in zip(labels, best):
+        kinds[label] = kinds.get(label, 0.0) + seconds
     return kinds
 
 
@@ -276,7 +288,8 @@ def main(argv=None):
         "kinds_procedure": (
             ", ".join(f"{n} rounds of {w}" for w, n in args.kinds)
             + f" of per-kind timing: the first {KIND_CYCLES} seed-0 cycles, each "
-            f"item best of {KIND_REPEATS} passes in one process per side and round "
+            f"item best of {KIND_REPEATS} passes, each over items built afresh, in one "
+            "process per side and round "
             "(parent, change, and the parent again as parent2, the starting side "
             "rotating); best over the rounds; ratios to the parent's best")
         if args.kinds else None,
