@@ -428,23 +428,25 @@ def _op_shatter_leaves(fam, search, height):
     |fam|."""
     if not fam:
         return 0
-    size = fam.bit_count()
-    if height == 0 or size == 1:
+    if height == 0 or not fam & (fam - 1):
         return 1
-    if height >= size - 1:
-        return size
     key = (fam, height)
     cached = search.leaves.get(key)
     if cached is not None:
         return cached
+    size = fam.bit_count()
+    if height >= size - 1:
+        return size
     cap = min(search.arity ** height, size)
     best = 1
     for xs in search.tuples:
-        kids = [fam & sel for sel in search[xs]]
-        if fam in kids:
-            continue
         total = 0
-        for kid in kids:
+        for sel in search[xs]:
+            kid = fam & sel
+            if kid == fam:
+                # the children split fam, so the others are empty and
+                # total stays 0: the tuple is skipped
+                break
             total += _op_shatter_leaves(kid, search, height - 1)
         if total > best:
             best = total

@@ -24,9 +24,9 @@ with side r mod 3.  Each process imports the library from its checkout's
 ``src`` and builds the first KIND_CYCLES cycles of seed-0 items from its
 checkout's ``bench/workloads.py``, writing no file there.  It times every
 item best of KIND_REPEATS passes with ``time.perf_counter``, building the
-items afresh for each pass, and a kind's time is the sum over its items.  The summary gives each side's
-best time per kind over the rounds, with change/parent and parent2/parent
-ratios beside each other.
+items afresh for each pass, and a kind's time is the sum over its items.
+The summary gives each side's best time per kind over the rounds, with
+change/parent and parent2/parent ratios beside each other.
 """
 
 from __future__ import annotations
