@@ -4,24 +4,33 @@ Verb-noun subcommands over the library; JSON (default) or CSV payloads on
 stdout, diagnostics on stderr.  Exit codes: 0 success, 1 verification
 failure, 2 invalid input, 3 resource cap.  All randomness flows from
 --seed; the SHATTERLAB_CAP environment variable overrides default caps.
+
+A call ``NOUN VERB ARGS...`` is parsed by the verb's own parser on ARGS
+alone: the top and noun parsers only pick the next parser, and skipping
+them saves about two thirds of each parse.  Every other argv, and any
+whose ARGS the verb's parser leaves unrecognized, goes through the full
+parser tree, so help, usage and error messages read as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 
 from . import banseq, dims, geometry, setsystem, thicketvc, typetree
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import InputError, ResourceCapError, VerificationError, check_cap
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+
+_LOG10_2 = math.log10(2)
 
 
 def _finite_float(text):
@@ -93,13 +102,48 @@ def _generated_problem(data, cap):
     raise InputError(f"unknown problem generator {gen!r}")
 
 
+def _digits(value):
+    """Decimal digits of the int ``value``, from its bit length rather than
+    a conversion: b·log10(2) is the digit count or one more."""
+    magnitude = abs(value) or 1
+    estimate = int(magnitude.bit_length() * _LOG10_2)
+    return estimate + (magnitude >= 10 ** estimate)
+
+
+def _longest_int(value):
+    """The most decimal digits of an int in the JSON-like ``value``."""
+    if isinstance(value, int):
+        return _digits(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return 0
+    return max(map(_longest_int, value), default=0)
+
+
 def _emit(args, payload, csv_lines=None):
+    """Write ``payload`` as JSON, or in CSV mode ``csv_lines`` when given
+    (any iterable of lines, read here).  An int in ``payload`` with more
+    decimal digits than the cap (``--cap``, else the interpreter's limit on
+    int-to-str conversion) is a ResourceCapError, and nothing is written."""
     if args.quiet:
         return
-    if args.format == "csv" and csv_lines is not None:
-        sys.stdout.write("\n".join(csv_lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    default = sys.get_int_max_str_digits()
+    if args.cap is not None:
+        check_cap(_longest_int(payload), args.cap, default, "output integer digits")
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "csv" and csv_lines is not None:
+            text = "\n".join(csv_lines) + "\n"
+        else:
+            text = json.dumps(payload, sort_keys=True) + "\n"
+    except ValueError:
+        # the conversion refused an int longer than the interpreter's limit
+        check_cap(_longest_int(payload), None, default, "output integer digits")
+        raise
+    finally:
+        sys.set_int_max_str_digits(default)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +178,10 @@ def cmd_sys_audit(args):
     system = _load_system(args.system, args.cap)
     report = dims.audit_bounds(system, args.s, args.r, args.n, cap=args.cap)
     rows = report.to_json_list()
-    csv_lines = ["bound,params,lhs,rhs,pass"] + [
+    csv_lines = itertools.chain(["bound,params,lhs,rhs,pass"], (
         "{},{},{},{},{}".format(row["bound"], json.dumps(row["params"]).replace(",", ";"),
                                 row["lhs"], row["rhs"], int(row["pass"]))
-        for row in rows]
+        for row in rows))
     _emit(args, rows, csv_lines)
     if not report.all_pass:
         for row in report.failures():
@@ -359,7 +403,10 @@ def cmd_geom_cells(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared by every
-    ``main`` call; it reads nothing at run time."""
+    ``main`` call; it reads nothing at run time.  It nests three levels:
+    the top parser picks a noun parser, which picks a verb parser, the leaf
+    that holds the verb's options.  ``parser.leaves`` maps each (noun, verb)
+    to its leaf, so that ``main`` can hand an argv's tail straight to it."""
     parser = argparse.ArgumentParser(prog="shatterlab")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -368,8 +415,13 @@ def build_parser():
     common.add_argument("--quiet", action="store_true")
 
     top = parser.add_subparsers(dest="noun", required=True)
+    nouns = {}
 
-    sys_p = top.add_parser("sys").add_subparsers(dest="verb", required=True)
+    def verbs(noun):
+        nouns[noun] = top.add_parser(noun).add_subparsers(dest="verb", required=True)
+        return nouns[noun]
+
+    sys_p = verbs("sys")
     p = sys_p.add_parser("dim", parents=[common])
     p.add_argument("--kind", choices=("vc", "thicket", "op"), required=True)
     p.add_argument("--s", type=int, default=1)
@@ -388,7 +440,7 @@ def build_parser():
     p.add_argument("system")
     p.set_defaults(func=cmd_sys_audit)
 
-    ban_p = top.add_parser("ban").add_subparsers(dest="verb", required=True)
+    ban_p = verbs("ban")
     p = ban_p.add_parser("solve", parents=[common])
     p.add_argument("--list", action="store_true")
     p.add_argument("problem")
@@ -411,7 +463,7 @@ def build_parser():
     p.add_argument("--j", type=int)
     p.set_defaults(func=cmd_ban_gen)
 
-    graph_p = top.add_parser("graph").add_subparsers(dest="verb", required=True)
+    graph_p = verbs("graph")
     for verb, func in (("typetree", cmd_graph_typetree),
                        ("treerank", cmd_graph_treerank),
                        ("extract", cmd_graph_extract),
@@ -428,7 +480,7 @@ def build_parser():
     mc_common.add_argument("--n", type=int, required=True)
     mc_common.add_argument("--epsilon", required=True)
     mc_common.add_argument("--trials", type=int, required=True)
-    mc_p = top.add_parser("mc").add_subparsers(dest="verb", required=True)
+    mc_p = verbs("mc")
     p = mc_p.add_parser("weaklaw", parents=[mc_common])
     p.add_argument("--set", default="", help="comma-separated point indices")
     p.set_defaults(func=cmd_mc_weaklaw)
@@ -436,7 +488,7 @@ def build_parser():
     p.add_argument("system")
     p.set_defaults(func=cmd_mc_vcthm)
 
-    geom_p = top.add_parser("geom").add_subparsers(dest="verb", required=True)
+    geom_p = verbs("geom")
     p = geom_p.add_parser("regions", parents=[common])
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -445,6 +497,8 @@ def build_parser():
     p.add_argument("lines")
     p.set_defaults(func=cmd_geom_cells)
 
+    parser.leaves = {(noun, verb): leaf for noun, action in nouns.items()
+                     for verb, leaf in action.choices.items()}
     return parser
 
 
@@ -457,9 +511,24 @@ def _env_cap():
         raise InputError(f"SHATTERLAB_CAP must be an integer, got {text!r}") from None
 
 
+def _parse(argv):
+    """``argv`` parsed as the nested parser would.  An argv that starts
+    with a noun and one of its verbs is parsed by that verb's parser alone;
+    any other argv, or one that leaves arguments unrecognized, goes through
+    the nested parser, whose help, usage and error texts stay in force."""
+    parser = build_parser()
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, extra = leaf.parse_known_args(argv[2:])
+        if not extra:
+            args.noun, args.verb = argv[:2]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import InputError, require_int, require_rational
 
@@ -105,9 +104,15 @@ def _rank(rows):
 
 
 def region_count_general_position(r, s):
-    """Closed-form piece count for s general-position hyperplanes in R^r."""
+    """Closed-form piece count for s general-position hyperplanes in R^r:
+    the sum of C(s, i) for i <= r, whose terms past s are 0.  Each term is
+    the last one times (s - i)/(i + 1), so the work grows with min(r, s)."""
     r, s = require_int(r, "r", 1), require_int(s, "s", 0)
-    return sum(comb(s, i) for i in range(r + 1))
+    total = term = 1
+    for i in range(min(r, s)):
+        term = term * (s - i) // (i + 1)
+        total += term
+    return total
 
 
 def _intersect(l1, l2):

@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: output shape, exit codes, and determinism."""
 
 import json
+import sys
 import time
 
 import pytest
 
-from shatterlab.cli import main
+from shatterlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -560,3 +561,129 @@ def test_integer_fields_must_be_json_integers(capsys, tmp_path, argv, data):
     code, _, err = run(capsys, *argv, path)
     assert code == 2 and "input error" in err
     assert "Traceback" not in err
+
+
+# Long outputs: row (c)'s rhs is about 3^20000 (9,543 digits) and the region
+# count 2^20000 (6,021 digits), past the interpreter's 4,300-digit limit.
+LONG_OUTPUTS = [("sys", "audit", "--s", "2", "--r", "1", "--n", "20000", "thresholds:4"),
+                ("geom", "regions", "--r", "20000", "--s", "20000")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", LONG_OUTPUTS, ids=["audit", "regions"])
+def test_integers_past_the_digit_limit_are_a_resource_cap(capsys, monkeypatch, argv, fmt):
+    monkeypatch.delenv("SHATTERLAB_CAP", raising=False)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: ") and str(limit) in err
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, *argv, "--format", fmt, "--cap", "10000")
+    assert code == 0 and err == "" and out
+    assert sys.get_int_max_str_digits() == limit
+    monkeypatch.setenv("SHATTERLAB_CAP", "10000")
+    assert run(capsys, *argv, "--format", fmt)[0] == 0
+    assert run(capsys, *argv, "--format", fmt, "--cap", "6000")[:2] == (3, "")
+
+
+def test_digit_cap_counts_the_longest_integer(capsys):
+    assert run(capsys, "geom", "regions", "--r", "3", "--s", "5", "--cap", "1")[:2] == (3, "")
+    code, out, _ = run(capsys, "geom", "regions", "--r", "3", "--s", "5", "--cap", "2")
+    assert code == 0 and json.loads(out)["regions"] == 26
+
+
+# Dispatch: main parses "NOUN VERB ARGS" with the verb's own parser.  With
+# the leaf table emptied, every argv goes through the nested parser, which
+# is the oracle.  {name} stands for a file written by dispatch_files.
+LEAVES = {("sys", "dim"), ("sys", "shatter"), ("sys", "audit"),
+          ("ban", "solve"), ("ban", "hereditary"), ("ban", "reduce"), ("ban", "maxsol"),
+          ("ban", "gen"), ("graph", "typetree"), ("graph", "treerank"),
+          ("graph", "extract"), ("graph", "heightcheck"), ("mc", "weaklaw"),
+          ("mc", "vcthm"), ("geom", "regions"), ("geom", "cells")}
+MC = ("--uniform", "4", "--n", "10", "--epsilon", "1/4", "--trials", "20")
+DISPATCH_ARGVS = [
+    # every (noun, verb) with valid arguments
+    ("sys", "dim", "--kind", "vc", "powerset:3"),
+    ("sys", "shatter", "--kind", "thicket", "--n", "2", "thresholds:3"),
+    ("sys", "audit", "--s", "1", "--n", "3", "--format", "csv", "powerset:3"),
+    ("ban", "solve", "--list", "{parity}"),
+    ("ban", "hereditary", "{parity}"),
+    ("ban", "reduce", "--which", "hat", "{parity}"),
+    ("ban", "maxsol", "--n", "3", "--k", "1"),
+    ("ban", "gen", "--generator", "random", "--n", "3", "--k", "1", "--seed", "4"),
+    ("graph", "typetree", "--shuffle", "--seed", "3", "{graph}"),
+    ("graph", "treerank", "{graph}"),
+    ("graph", "extract", "{graph}"),
+    ("graph", "heightcheck", "{graph}"),
+    ("mc", "weaklaw", *MC, "--set", "0,1"),
+    ("mc", "vcthm", *MC, "--quiet", "thresholds:4"),
+    ("geom", "regions", "--r", "2", "--s", "3"),
+    ("geom", "cells", "{lines}"),
+    # help at each level
+    (), ("-h",), ("--help",), ("--he",), ("sys",), ("sys", "-h"), ("mc", "--help"),
+    ("sys", "dim", "-h"), ("mc", "vcthm", "--help"), ("ban", "gen", "--kind", "vc", "-h"),
+    # unknown noun or verb, missing verb
+    ("nosuch", "dim"), ("sys", "nosuch"), ("geom",), ("Sys", "dim", "powerset:3"),
+    # trailing extra arguments
+    ("sys", "dim", "--kind", "vc", "powerset:3", "extra"),
+    ("geom", "regions", "--r", "2", "--s", "3", "--bogus"),
+    ("ban", "maxsol", "--n", "3", "--k", "1", "--x=1", "-q"),
+    ("geom", "regions", "--r", "2", "--", "--s", "3"),
+    # abbreviated options, --opt=value and a -- separator
+    ("mc", "weaklaw", "--uniform", "4", "--n", "10", "--eps", "1/4", "--tri", "20"),
+    ("mc", "vcthm", "--uni=4", "--n=10", "--epsilon=1/4", "--trials=20", "thresholds:4"),
+    ("sys", "dim", "--kind=vc", "--", "powerset:3"),
+    ("sys", "dim", "--k", "op", "--s", "2", "powerset:4"),
+    ("mc", "weaklaw", *MC, "--s", "0"),
+    # an option before the verb, and bad option values
+    ("sys", "--cap", "5", "dim", "--kind", "vc", "powerset:3"),
+    ("sys", "dim", "--kind", "nosuch", "powerset:3"),
+    ("geom", "regions", "--r", "two", "--s", "3"),
+    # the cli-queries benchmark's malformed inputs
+    ("sys", "dim", "--kind", "vc", "{bad_sets}"),
+    ("ban", "solve", "{missing}"),
+    ("sys", "dim", "--kind", "vc", "{bad_json}"),
+    ("sys", "dim", "--kind", "vc", "nosuch:3"),
+    ("sys", "dim"),
+    ("graph", "treerank", "{self_loop}"),
+    ("ban", "solve", "{short_table}"),
+]
+
+
+@pytest.fixture
+def dispatch_files(tmp_path):
+    files = {"parity": {"generator": "parity", "n": 3},
+             "graph": {"vertices": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 4]]},
+             "lines": {"lines": [{"normal": [1, 0], "offset": 0},
+                                 {"normal": [0, 1], "offset": 0},
+                                 {"normal": [1, 1], "offset": 1}]},
+             "bad_sets": {"universe": 3, "sets": ["01", "1111"]},
+             "bad_json": b"{\"universe\": [[",
+             "self_loop": {"vertices": 3, "edges": [[1, 1]]},
+             "short_table": {"n": 4, "k": 2, "j": 2, "bans": []}}
+    paths = {name: write_json(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    paths["missing"] = str(tmp_path / "missing.json")
+    return paths
+
+
+def test_leaf_table_names_every_verb():
+    assert set(build_parser().leaves) == LEAVES
+
+
+def test_a_leaf_argv_skips_the_nested_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nested parser used")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    for noun, verb in [("geom", "regions"), ("ban", "maxsol")]:
+        assert run(capsys, noun, verb, "--r" if noun == "geom" else "--n", "2",
+                   "--s" if noun == "geom" else "--k", "1")[0] == 0
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_leaf_dispatch_matches_the_nested_parser(capsys, monkeypatch, dispatch_files, argv):
+    argv = [arg.format(**dispatch_files) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    dispatched = run(capsys, *argv)
+    monkeypatch.setattr(build_parser(), "leaves", {})
+    assert run(capsys, *argv) == dispatched

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,6 +18,17 @@ def test_region_count_table():
     assert region_count_general_position(2, 0) == 1
     with pytest.raises(InputError):
         region_count_general_position(0, 3)
+
+
+def test_region_count_matches_the_binomial_sum():
+    for r in range(1, 31):
+        for s in range(31):
+            assert region_count_general_position(r, s) == sum(comb(s, i) for i in range(r + 1))
+
+
+def test_region_count_work_stops_at_s():
+    assert region_count_general_position(10**18, 5) == 32
+    assert region_count_general_position(20000, 20000) == 2**20000
 
 
 def test_cells_small_cases():
