@@ -103,8 +103,8 @@ def _generated_problem(data, cap):
 
 
 def _digits(value):
-    """Decimal digits of the int ``value``, from its bit length rather than
-    a conversion: b·log10(2) is the digit count or one more."""
+    """Decimal digits of the int ``value``, from its bit length b rather
+    than a conversion: floor(b·log10(2)) is the digit count or one less."""
     magnitude = abs(value) or 1
     estimate = int(magnitude.bit_length() * _LOG10_2)
     return estimate + (magnitude >= 10 ** estimate)

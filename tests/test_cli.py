@@ -565,18 +565,19 @@ def test_integer_fields_must_be_json_integers(capsys, tmp_path, argv, data):
 
 # Long outputs: row (c)'s rhs is about 3^20000 (9,543 digits) and the region
 # count 2^20000 (6,021 digits), past the interpreter's 4,300-digit limit.
-LONG_OUTPUTS = [("sys", "audit", "--s", "2", "--r", "1", "--n", "20000", "thresholds:4"),
-                ("geom", "regions", "--r", "20000", "--s", "20000")]
+LONG_OUTPUTS = [(("sys", "audit", "--s", "2", "--r", "1", "--n", "20000", "thresholds:4"), 9543),
+                (("geom", "regions", "--r", "20000", "--s", "20000"), 6021)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("argv", LONG_OUTPUTS, ids=["audit", "regions"])
-def test_integers_past_the_digit_limit_are_a_resource_cap(capsys, monkeypatch, argv, fmt):
+@pytest.mark.parametrize("argv, digits", LONG_OUTPUTS, ids=["audit", "regions"])
+def test_integers_past_the_digit_limit_are_a_resource_cap(capsys, monkeypatch, argv, digits,
+                                                          fmt):
     monkeypatch.delenv("SHATTERLAB_CAP", raising=False)
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, *argv, "--format", fmt)
-    assert code == 3 and out == ""
-    assert err.startswith("resource cap: ") and str(limit) in err
+    assert (code, out) == (3, "")
+    assert err == f"resource cap: output integer digits = {digits} exceeds cap {limit}\n"
     assert sys.get_int_max_str_digits() == limit
     code, out, err = run(capsys, *argv, "--format", fmt, "--cap", "10000")
     assert code == 0 and err == "" and out
@@ -675,9 +676,8 @@ def test_a_leaf_argv_skips_the_nested_parser(capsys, monkeypatch):
         raise AssertionError("nested parser used")
 
     monkeypatch.setattr(build_parser(), "parse_args", refuse)
-    for noun, verb in [("geom", "regions"), ("ban", "maxsol")]:
-        assert run(capsys, noun, verb, "--r" if noun == "geom" else "--n", "2",
-                   "--s" if noun == "geom" else "--k", "1")[0] == 0
+    assert run(capsys, "geom", "regions", "--r", "2", "--s", "1") == (
+        0, '{"r": 2, "regions": 2, "s": 1}\n', "")
 
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
