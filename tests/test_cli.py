@@ -683,7 +683,6 @@ def test_a_leaf_argv_skips_the_nested_parser(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
 def test_leaf_dispatch_matches_the_nested_parser(capsys, monkeypatch, dispatch_files, argv):
     argv = [arg.format(**dispatch_files) for arg in argv]
-    monkeypatch.setenv("COLUMNS", "80")
     dispatched = run(capsys, *argv)
     monkeypatch.setattr(build_parser(), "leaves", {})
     assert run(capsys, *argv) == dispatched
