@@ -23,7 +23,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError, VerificationError, check_cap, require_int
-from .setsystem import SetSystem, mask_of, traces
+from .setsystem import SetSystem, mask_of
 
 __all__ = [
     "RelaxedBanProblem",
@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 1 << 22
 DEFAULT_HITTING_CAP = 8
+# ``from_vc`` gathers about this many member bits per block of index
+# subsets.
+_VC_BLOCK_BITS = 1 << 18
 
 
 class RelaxedBanProblem:
@@ -349,24 +352,28 @@ def check_table_cap(n, k, j, cap=None):
 
 
 def _banned_marks(problem, cap=None):
-    """Flag per sequence id (base-j, digit p at weight j^p): True = banned."""
+    """Flag per sequence id (base-j, digit p at weight j^p): True = banned.
+
+    The flags are marked in a cube with position p on axis p, where each
+    index subset's rows are a view (``_subset_view``) in which every run
+    of consecutive positions is one axis, so a row's ``|=`` walks at most
+    2k + 1 axes.  One reversal of the axes at the end gives the id order."""
     total = _check_enum_cap(problem, cap)
     n, j = problem.n, problem.j
-    marks = np.zeros(total, dtype=bool)
-    cube = marks.reshape((j,) * n)
+    cube = np.zeros((j,) * n, dtype=bool)
     for S, rows in zip(problem.index_subsets(), problem._capped_table(cap)):
         view = _subset_view(cube, S)
         view |= rows.reshape(view.shape)
-    return marks
+    return cube.T.reshape(total)
 
 
 def _subset_view(cube, S):
-    """``cube``, one axis per position with position p on axis n-1-p, seen
+    """``cube``, one axis per position with position p on axis p, seen
     with its axes in the order of one index subset's rows: the context
-    positions, then S."""
-    n = cube.ndim
-    positions = [p for p in range(n) if p not in S] + list(S)
-    return cube.transpose([n - 1 - p for p in positions])
+    positions, then S, each ascending.  A row reads the earlier position
+    as the more significant digit, as the cube does, so the view's
+    consecutive positions keep the cube's nesting."""
+    return cube.transpose([p for p in range(cube.ndim) if p not in S] + list(S))
 
 
 def banned_count(problem, cap=None):
@@ -548,7 +555,8 @@ def min_subcube_hitting(n, k, cap=None):
     n = require_int(n, "n", 1)
     k = require_int(k, "k", 1, n)
     check_cap(n, cap, DEFAULT_HITTING_CAP, "hitting-search length n")
-    points = np.arange(1 << n).reshape((2,) * n)
+    # Point ids read position p as bit p.
+    points = np.arange(1 << n).reshape((2,) * n).T
     cubes = np.concatenate([_subset_view(points, S).reshape(-1, 1 << k)
                             for S in itertools.combinations(range(n), k)]).tolist()
     cover = [0] * (1 << n)
@@ -602,20 +610,44 @@ def from_vc(system: SetSystem, m, cap=None):
     """Independent m-fold binary problem of length n banning, at each S,
     the membership patterns realized by no member of the family.
 
-    Requires VC dimension < m so that every ban set is nonempty.  ``cap``
-    bounds the C(n,m) * 2^m row entries, which also bound the trace walk."""
+    Requires VC dimension < m so that every ban set is nonempty; otherwise
+    the error names the first shattered S in ``itertools`` order.  ``cap``
+    bounds the C(n,m) * 2^m row entries.  The table is one row per S,
+    broadcast over the 2^(n-m) contexts; its C(n,m) * 2^n entries must
+    stay within what numpy can index.
+
+    The rows are read from an element x member bit matrix, one block of
+    index subsets at a time: gathering the members' bits at each position
+    of S, with S[0] the high bit, gives every member's pattern code on
+    every S of the block, and the realized codes are cleared."""
     n = system.universe_size
     m = require_int(m, "m", 1, n)
     check_cap(comb(n, m) << m, cap, DEFAULT_ENUM_CAP, "C(n,m) * 2^m from_vc row entries")
-    # One row per S, broadcast over the 2^(n-m) contexts it does not read.
+    check_cap(comb(n, m) << n, None, np.iinfo(np.intp).max,
+              "C(n,m) * 2^n from_vc table entries (numpy's index limit)")
+    sets = system.sets
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in sets), np.uint8)
+    # bits[x, i] is 1 when member i holds element x.
+    bits = np.unpackbits(packed.reshape(-1, width).T, axis=0, count=n,
+                         bitorder="little").astype(np.intp)
     rows = np.ones((comb(n, m), 1, 1 << m), dtype=bool)
-    for S, row in zip(itertools.combinations(range(n), m), rows):
-        # Traces on the reversed tuple read S[0] as the high bit, so they
-        # are the indices of the realized patterns in product order.
-        realized = list(traces(system.sets, S[::-1]))
-        if len(realized) == 1 << m:
+    subsets = itertools.combinations(range(n), m)
+    step = max(1, _VC_BLOCK_BITS // max(1, len(sets) * m))
+    for start in range(0, len(rows), step):
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, step)),
+                            np.intp).reshape(-1, m)
+        stop = start + len(block)
+        # codes[b, i]: member i's pattern on the b-th S, S[0] the high bit.
+        codes = bits[block[:, 0]]
+        for column in block.T[1:]:
+            codes <<= 1
+            codes |= bits[column]
+        rows[np.arange(start, stop)[:, None], 0, codes] = False
+        shattered = np.flatnonzero(~rows[start:stop].any(axis=(1, 2)))
+        if len(shattered):
+            S = tuple(block[shattered[0]].tolist())
             raise InputError(f"VC dimension >= {m}: the family shatters {S}")
-        row[0, realized] = False
     bans = np.broadcast_to(rows, (len(rows), 1 << (n - m), 1 << m))
     return BanProblem._from_array(n, m, 2, bans,
                                   f"from_vc({system.name or 'F'},{m})")
@@ -637,11 +669,11 @@ def from_element_tree(tree, system: SetSystem, m, cap=None):
         raise InputError(f"op_{s}-rank {rank} >= fold {m}")
     j = 1 << s
     check_table_cap(n, m, j, cap)
-    # One test per leaf.  leaves() puts position p on axis p; reversing the
-    # axes gives the layout of ``_subset_view``.
+    # One test per leaf.  leaves() puts position p on axis p, the layout of
+    # ``_subset_view``.
     unlabeled = ~np.fromiter((tree.properly_labelable(leaf, system.sets)
                               for leaf in tree.leaves()), bool, j ** n)
-    cube = unlabeled.reshape((j,) * n).T
+    cube = unlabeled.reshape((j,) * n)
     bans = np.stack([_subset_view(cube, S).reshape(j ** (n - m), j ** m)
                      for S in itertools.combinations(range(n), m)])
     return BanProblem._from_array(n, m, j, bans, f"from_element_tree(s={s},m={m})")
@@ -666,14 +698,15 @@ def from_type_tree(graph, type_tree, t):
     check_table_cap(n, t, 2)
     index_set = set(type_tree.labels)
     # cubes[q] flags the sequences whose prefix through position q is no
-    # key: one flag per prefix, broadcast over the later positions.
+    # key: one flag per prefix, broadcast over the later positions, with
+    # position p on axis p.
     cubes = {}
     for q in range(t - 1, n):
         left = np.fromiter(("".join(key) not in index_set
                             for key in itertools.product("01", repeat=q + 1)),
                            bool, 2 ** (q + 1))
         cubes[q] = np.broadcast_to(
-            left.reshape((2,) * (q + 1) + (1,) * (n - 1 - q)), (2,) * n).T
+            left.reshape((2,) * (q + 1) + (1,) * (n - 1 - q)), (2,) * n)
     subsets = list(itertools.combinations(range(n), t))
     bans = np.stack([_subset_view(cubes[S[-1]], S).reshape(2 ** (n - t), 2 ** t)
                      for S in subsets])

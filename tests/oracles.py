@@ -282,19 +282,34 @@ def brute_random_table(n, k, j, seed, density=0.5):
     return table
 
 
+def brute_vc_subset_bans(system, m, subsets=None):
+    """{S: banned patterns} of ``from_vc`` over ``subsets`` (default: every
+    m-subset): Z is banned at S iff no member has bit S[i] equal to Z[i]
+    for every i."""
+    if subsets is None:
+        subsets = itertools.combinations(range(system.universe_size), m)
+    return {S: frozenset(
+        Z for Z in itertools.product((0, 1), repeat=m)
+        if not any(all(member >> s & 1 == z for s, z in zip(S, Z))
+                   for member in system.sets))
+        for S in subsets}
+
+
 def brute_vc_bans(system, m):
-    """{(S, X): banned patterns} of ``from_vc``: Z is banned at S, whatever
-    X, iff no member has bit S[i] equal to Z[i] for every i."""
-    n = system.universe_size
-    table = {}
-    for S in itertools.combinations(range(n), m):
-        bans = frozenset(
-            Z for Z in itertools.product((0, 1), repeat=m)
-            if not any(all(member >> s & 1 == z for s, z in zip(S, Z))
-                       for member in system.sets))
-        for X in itertools.product((0, 1), repeat=n - m):
-            table[(S, X)] = bans
-    return table
+    """{(S, X): banned patterns} of ``from_vc``: S's bans, whatever X."""
+    contexts = list(itertools.product((0, 1), repeat=system.universe_size - m))
+    return {(S, X): bans for S, bans in brute_vc_subset_bans(system, m).items()
+            for X in contexts}
+
+
+def brute_first_shattered(system, m):
+    """The first m-subset of the universe, in ``itertools`` order, on which
+    the members' membership patterns take all 2^m values; None if none."""
+    for S in itertools.combinations(range(system.universe_size), m):
+        patterns = {tuple(member >> s & 1 for s in S) for member in system.sets}
+        if len(patterns) == 1 << m:
+            return S
+    return None
 
 
 def brute_is_independent(problem):

@@ -13,20 +13,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from shatterlab import (BanProblem, InputError, ResourceCapError, SetSystem,
                         VerificationError, banned_count, banseq,
-                        check_counting_inequality, from_element_tree, from_vc,
+                        build_type_tree, check_counting_inequality,
+                        from_element_tree, from_type_tree, from_vc,
                         generate, is_hereditary, is_independent,
                         max_solutions, min_subcube_hitting, parity_problem,
-                        random_problem, reduce_hat, reduce_prime, solutions,
-                        trivial_upper_bound, verify_main_theorem)
+                        random_graph, random_problem, reduce_hat, reduce_prime,
+                        solutions, tree_rank, trivial_upper_bound,
+                        verify_main_theorem)
 from shatterlab.banseq import (RelaxedBanProblem, assemble, solution_bound,
                                witness_is_valid)
 from shatterlab.dims import ElementTree, random_element_tree
 
 from families import random_system
 from oracles import (backtrack_is_hereditary, brute_banned, brute_element_tree_bans,
-                     brute_is_hereditary, brute_is_independent, brute_min_hitting,
-                     brute_random_table, brute_reduce_hat, brute_reduce_prime,
-                     brute_vc_bans, per_entry_table)
+                     brute_first_shattered, brute_is_hereditary, brute_is_independent,
+                     brute_min_hitting, brute_random_table, brute_reduce_hat,
+                     brute_reduce_prime, brute_vc_bans, brute_vc_subset_bans,
+                     per_entry_table)
 
 
 def const_problem(n, k, j, banned):
@@ -434,14 +437,40 @@ def test_solutions_by_direct_enumeration():
     assert sorted(sols) == expected
 
 
+def tree_and_family(s, height, m, seed, universe=5):
+    """A seeded element tree and a family of 2^(s m) - 1 sets: too few
+    sets to reach op_s-rank m."""
+    tree = random_element_tree(universe, s, height, seed=seed)
+    rng = random.Random(seed)
+    masks = tuple(rng.sample(range(1 << universe), (1 << (s * m)) - 1))
+    return tree, SetSystem(universe, masks)
+
+
+def type_tree_problem(vertices, seed):
+    """``from_type_tree`` at one above the tree rank of a seeded graph."""
+    graph = random_graph(vertices, 0.5, seed=seed)
+    return from_type_tree(graph, build_type_tree(graph), tree_rank(graph) + 1)
+
+
+def mod3_problem(n):
+    """A lazy 1-fold ternary problem whose ban set reads S and X."""
+    return BanProblem(n, 1, 3, lambda S, X: {((2 * sum(X) + S[0]) % 3,)},
+                      name=f"mod3({n})")
+
+
+# Every builder of a cube (the element-tree and type-tree constructors) and
+# every kind of table the marking reads: drawn, lazy, broadcast.
 ORACLE_PROBLEMS = [
     *(random_problem(n, k, j, seed=10 * n + k + j)
       for n, k, j in [(3, 1, 2), (4, 2, 2), (5, 3, 2), (6, 2, 2), (6, 3, 2),
                       (6, 1, 3), (5, 2, 3), (4, 3, 3), (6, 5, 2),
                       (2, 2, 2), (3, 3, 3), (4, 4, 2)]),
     parity_problem(5),
+    mod3_problem(5),
     from_vc(generate("thresholds", 5), 2),
     from_vc(generate("intervals", 5), 3),
+    from_element_tree(*tree_and_family(2, 3, 2, seed=8), 2),
+    type_tree_problem(12, seed=4),
 ]
 
 
@@ -735,6 +764,22 @@ def test_main_theorem_on_hereditary_problems():
     assert report["bound"] == solution_bound(5, 2, 2)
 
 
+TIGHT_SHAPES = [(n, k, j) for j in (2, 3, 4) for n in range(1, 8) if j ** n <= 1 << 14
+                for k in range(1, n + 1)]
+
+
+def test_main_theorem_bound_is_attained_on_every_small_shape():
+    # Banning the all-(j-1) pattern on every S, whatever the context, leaves
+    # the sequences with fewer than k copies of j-1: exactly the bound.
+    assert len(TIGHT_SHAPES) == 84
+    for n, k, j in TIGHT_SHAPES:
+        problem = const_problem(n, k, j, {(j - 1,) * k})
+        report = verify_main_theorem(problem)
+        assert report["hereditary"] and report["slack"] == 0, (n, k, j)
+        assert sorted(solutions(problem)[0]) == [
+            seq for seq in itertools.product(range(j), repeat=n) if seq.count(j - 1) < k]
+
+
 def test_main_theorem_reports_non_hereditary_violations():
     problem = parity_problem(4)
     report = verify_main_theorem(problem)
@@ -810,7 +855,7 @@ def assert_table_and_round_trip(problem, expected):
     assert ban_table(again) == expected
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_from_vc_matches_member_walk(m):
     rng = random.Random(m)
     for n in range(m, m + 3):
@@ -818,6 +863,75 @@ def test_from_vc_matches_member_walk(m):
         for size in (0, 1, (1 << m) - 1):
             system = SetSystem(n, tuple(rng.sample(range(1 << n), size)))
             assert_table_and_round_trip(from_vc(system, m), brute_vc_bans(system, m))
+
+
+def test_from_vc_on_the_largest_universe_it_builds():
+    # C(52,2) * 2^52 table entries fit numpy's index range; C(53,2) * 2^53
+    # do not, so 53 points are refused before anything is built.
+    rng = random.Random(52)
+    system = SetSystem(52, tuple(rng.getrandbits(52) for _ in range(3)))
+    problem = from_vc(system, 2)
+    contexts = [(0,) * 50, tuple(rng.getrandbits(1) for _ in range(50))]
+    assert {S: problem.ban_set(S, X) for S in problem.index_subsets()
+            for X in contexts} == brute_vc_subset_bans(system, 2)
+    with pytest.raises(ResourceCapError, match=r"C\(n,m\) \* 2\^n .* = "
+                       f"{comb(53, 2) << 53} exceeds cap {2 ** 63 - 1}"):
+        from_vc(SetSystem(53, (1, 6)), 2)
+    assert from_vc(SetSystem(53, (6,)), 1).ban_set((0,), (0,) * 52) == {(1,)}
+
+
+def shattering_family(n, m, size, seed, low=0):
+    """``size`` distinct seeded subsets of [low, n), enough to shatter some
+    m-subset of [n] but none that meets [0, low)."""
+    rng = random.Random(seed)
+    masks = set()
+    while len(masks) < size:
+        masks.add(rng.getrandbits(n - low) << low)
+    return SetSystem(n, tuple(masks))
+
+
+@pytest.mark.parametrize("system,m", [
+    (generate("powerset", 3), 2), (generate("powerset", 6), 6),
+    *((shattering_family(n, m, size, seed), m)
+      for seed, (n, m, size) in enumerate([(5, 2, 6), (6, 3, 12), (8, 3, 20), (9, 4, 40)])),
+    # the first shattered S lies in a later block of index subsets
+    (shattering_family(20, 3, 111, seed=7, low=7), 3),
+])
+def test_from_vc_names_the_first_shattered_subset(system, m):
+    S = brute_first_shattered(system, m)
+    assert S is not None
+    with pytest.raises(InputError) as info:
+        from_vc(system, m)
+    assert str(info.value) == f"VC dimension >= {m}: the family shatters {S}"
+
+
+def test_later_block_case_shatters_past_the_first_block():
+    system = shattering_family(20, 3, 111, seed=7, low=7)
+    rank = list(itertools.combinations(range(20), 3)).index(brute_first_shattered(system, 3))
+    assert rank >= banseq._VC_BLOCK_BITS // (111 * 3)
+
+
+def test_from_vc_is_fast_and_small_at_a_large_fold():
+    # (n, m, |F|) = (16, 8, 26): C(16,8) rows of 2^8 flags, 3.3 MB; reading
+    # each subset's traces one at a time took about 0.5 s here
+    rng = random.Random(16)
+    masks = tuple(sum(1 << x for x in rng.sample(range(16), rng.randrange(8)))
+                  for _ in range(26))
+    system = SetSystem(16, masks)
+    rows = comb(16, 8) << 8
+    start = time.process_time()
+    from_vc(system, 8)
+    assert time.process_time() - start < 0.25
+    tracemalloc.start()
+    try:
+        problem = from_vc(system, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows
+    subsets = rng.sample(list(problem.index_subsets()), 20)
+    assert {S: problem.ban_set(S, (0,) * 8) for S in subsets} == brute_vc_subset_bans(
+        system, 8, subsets)
 
 
 def test_from_vc_builds_one_row_per_index_subset():
@@ -843,15 +957,6 @@ def test_from_element_tree():
     assert verify_main_theorem(problem)["within_bound"]
     with pytest.raises(InputError, match="rank"):
         from_element_tree(tree, generate("powerset", 4), m=3)
-
-
-def tree_and_family(s, height, m, seed, universe=5):
-    """A seeded element tree and a family of 2^(s m) - 1 sets: too few
-    sets to reach op_s-rank m."""
-    tree = random_element_tree(universe, s, height, seed=seed)
-    rng = random.Random(seed)
-    masks = tuple(rng.sample(range(1 << universe), (1 << (s * m)) - 1))
-    return tree, SetSystem(universe, masks)
 
 
 @pytest.mark.parametrize("s,height,m,seed", [

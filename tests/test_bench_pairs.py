@@ -158,3 +158,31 @@ def test_best_item_times_builds_the_items_afresh_for_every_pass():
     assert all(item.calls == 1 for items in built for item in items)
     # every pass read a cold cache, so no best time is a warm read
     assert len(best) == 3 and min(best) >= 0.01
+
+
+def test_summary_lines_read_the_summary_rows():
+    runs = []
+    for pair, (p, c) in enumerate([(100, 150), (110, 100), (120, 200)]):
+        runs += [record("w", pair, "parent", p, 1.0), record("w", pair, "change", c, 1.5)]
+    rows = bench_pairs.summarize(runs, SPEC, ["parent", "change"])
+    rows += bench_pairs.summarize(
+        [record("w", 0, "parent", 100, 1.0), record("w", 0, "parent2", 99, 1.0)],
+        SPEC, ["parent", "parent2"])
+    records = [kind_record("w", 0, "parent", {"vc": 3.0, "tree": 1.0}),
+               kind_record("w", 0, "change", {"vc": 1.0, "tree": 1.0}),
+               kind_record("w", 0, "parent2", None)]
+    kind_rows = bench_pairs.summarize_kinds(records, SIDES)
+    assert bench_pairs.summary_lines(rows, kind_rows) == [
+        "w trace 0: 3 pairs, correct, 0 failed",
+        "  items_per_s  parent 110  change 150  change better in 2/3  within bound",
+        "  setup_s      parent 1  change 1.5  change better in 0/3  OUT OF BOUND",
+        "w trace 0: 1 pairs, correct, 0 failed",
+        "  items_per_s  parent 100  parent2 99  parent2 better in 0/1  within bound",
+        "  setup_s      parent 1  parent2 1  parent2 better in 0/1  within bound",
+        "w kinds: 1 rounds, INCOMPLETE",
+        "  kind    change/parent  parent2/parent",
+        "  vc             0.3333               -",
+        "  tree                1               -",
+        "  total             0.5               -",
+    ]
+    assert bench_pairs.summary_lines([], []) == []

@@ -431,6 +431,22 @@ def test_large_from_vc_file_refused_before_building(capsys, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("universe", [53, 60])
+@pytest.mark.parametrize("argv", [("ban", "solve"), ("ban", "hereditary"),
+                                  ("ban", "reduce", "--which", "hat")])
+def test_from_vc_file_past_numpy_index_range_refused(capsys, tmp_path, argv, universe):
+    # C(n,2) * 2^n broadcast table entries exceed 2^63 - 1 from n = 53 on,
+    # though the C(n,2) * 2^2 rows pass the row cap
+    path = write_json(tmp_path, "vc.json", {
+        "generator": "from_vc", "m": 2,
+        "system": {"universe": universe, "sets": ["0" * universe]}})
+    code, out, err = run(capsys, *argv, path)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("resource cap: C(n,m) * 2^n from_vc table entries")
+    size = universe * (universe - 1) // 2 << universe
+    assert f"= {size} exceeds cap {2 ** 63 - 1}" in err
+
+
 @pytest.mark.parametrize("which,entries", [("hat", 896), ("prime", 2688)])
 def test_ban_reduce_output_cap(capsys, tmp_path, which, entries):
     # 2^8 = 256 source sequences pass --cap 512; the reduced tables hold

@@ -27,6 +27,9 @@ item best of KIND_REPEATS passes with ``time.perf_counter``, building the
 items afresh for each pass, and a kind's time is the sum over its items.
 The summary gives each side's best time per kind over the rounds, with
 change/parent and parent2/parent ratios beside each other.
+
+After the last write, the summaries are printed to stderr as plain text
+(``summary_lines``).
 """
 
 from __future__ import annotations
@@ -140,6 +143,40 @@ def summarize_kinds(records, sides):
             row["kinds"][label] = entry
         rows.append(row)
     return rows
+
+
+def _number(value):
+    return "-" if value is None else f"{value:.4g}"
+
+
+def summary_lines(rows, kind_rows):
+    """Plain-text lines of ``summarize`` rows (per workload and metric:
+    each side's median, the pairs in which the second side read better,
+    and whether it is within the bound) and of ``summarize_kinds`` rows
+    (per kind: each later side's ratio to the first side's best)."""
+    lines = []
+    for row in rows:
+        a, b = row["sides"]
+        state = "correct" if row["correct"] else "INCORRECT"
+        lines.append(f"{row['workload']} trace {row['trace']}: {row['pairs']} pairs, "
+                     f"{state}, {row['failed']} failed")
+        width = max(map(len, row["metrics"]), default=0)
+        for name, entry in row["metrics"].items():
+            bound = "within bound" if entry["within_bound"] else "OUT OF BOUND"
+            lines.append(f"  {name:<{width}}  {a} {_number(entry[a]['median'])}  "
+                         f"{b} {_number(entry[b]['median'])}  {b} better in "
+                         f"{entry['b_better_pairs']}/{row['pairs']}  {bound}")
+    for row in kind_rows:
+        base, *later = row["sides"]
+        ratios = [f"{side}/{base}" for side in later]
+        state = "" if row["complete"] else ", INCOMPLETE"
+        lines.append(f"{row['workload']} kinds: {row['rounds']} rounds{state}")
+        width = max(map(len, row["kinds"]), default=0)
+        lines.append(f"  {'kind':<{width}}" + "".join(f"  {r:>14}" for r in ratios))
+        for label, entry in row["kinds"].items():
+            lines.append(f"  {label:<{width}}"
+                         + "".join(f"  {_number(entry[r]):>14}" for r in ratios))
+    return lines
 
 
 def best_item_times(build, repeats):
@@ -334,6 +371,8 @@ def main(argv=None):
         finally:
             shutil.rmtree(twin)
     write()
+    print("\n".join(summary_lines(doc["summary"] + doc["aa_control"]["summary"],
+                                  doc["kinds"]["summary"])), file=sys.stderr)
     return 0
 
 
