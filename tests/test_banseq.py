@@ -912,8 +912,8 @@ def test_later_block_case_shatters_past_the_first_block():
 
 
 def test_from_vc_is_fast_and_small_at_a_large_fold():
-    # (n, m, |F|) = (16, 8, 26): C(16,8) rows of 2^8 flags, 3.3 MB; reading
-    # each subset's traces one at a time took about 0.5 s here
+    # (n, m, |F|) = (16, 8, 26): C(16,8) rows of 2^8 flags, 3.3 MB; a walk
+    # of each subset's traces takes about 0.45 s on a 2-vCPU Xeon
     rng = random.Random(16)
     masks = tuple(sum(1 << x for x in rng.sample(range(16), rng.randrange(8)))
                   for _ in range(26))
