@@ -15,15 +15,18 @@ stores its table.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, ceil
-from numbers import Real
 
 import numpy as np
 
-from .errors import InputError, VerificationError, check_cap, require_int
+from .dims import NEG_INF, _sauer_sum, op_rank
+from .errors import (InputError, VerificationError, check_cap, require_int,
+                     require_probability)
 from .setsystem import SetSystem, mask_of
+from .typetree import validate_type_tree
 
 __all__ = [
     "RelaxedBanProblem",
@@ -523,7 +526,7 @@ def check_counting_inequality(problem, cap=None):
 
 def solution_bound(n, k, j):
     """sum_{i<k} (j-1)^{n-i} C(n,i): the hereditary solution-count bound."""
-    return sum((j - 1) ** (n - i) * comb(n, i) for i in range(k))
+    return _sauer_sum(n, k - 1, j - 1)
 
 
 def verify_main_theorem(problem, cap=None):
@@ -658,8 +661,6 @@ def from_element_tree(tree, system: SetSystem, m, cap=None):
     leaves of the (S, X)-restricted tree that no family member properly
     labels.  Requires op_s-rank(F) < m and every label an element of the
     family's universe."""
-    from .dims import op_rank, NEG_INF
-
     s = tree.arity_exponent
     n = tree.height
     m = require_int(m, "m", 1, n)
@@ -686,8 +687,6 @@ def from_type_tree(graph, type_tree, t):
     A labeling that is no type tree of ``graph`` is an input error.  An
     empty ban set would certify a full binary type tree of height t+1; it
     is raised as a verification error carrying that counterexample."""
-    from .typetree import validate_type_tree
-
     t = require_int(t, "t", 2)
     n = type_tree.height - 1
     if n < t:
@@ -724,14 +723,11 @@ def random_problem(n, k, j, seed, density=0.5, cap=None):
     """Seeded explicit problem; each pattern is banned independently with
     the given probability, with one forced ban to keep sets nonempty.
     ``cap`` bounds the C(n,k) * j^n table entries drawn at once."""
-    import random as _random
-
     n, k, j = _check_shape(n, k, j)
     seed = require_int(seed, "seed")
-    if isinstance(density, bool) or not isinstance(density, Real) or not 0 <= density <= 1:
-        raise InputError(f"density must be a number in [0, 1], got {density!r}")
+    density = require_probability(density, "density")
     check_table_cap(n, k, j, cap)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     width = j ** k
     # One flat byte per flag, entry by entry in (S, X, Z) order; numpy views
     # the finished buffer.

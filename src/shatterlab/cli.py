@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 
 from . import banseq, dims, geometry, setsystem, thicketvc, typetree
@@ -267,10 +268,8 @@ def _load_graph(path):
 
 def _build_tree(args, graph):
     if args.shuffle:
-        import random as _random
-
         order = list(range(graph.vertex_count))
-        _random.Random(args.seed).shuffle(order)
+        random.Random(args.seed).shuffle(order)
     else:
         order = None
     return typetree.build_type_tree(graph, order)

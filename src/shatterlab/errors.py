@@ -1,13 +1,14 @@
 """Exception hierarchy shared by all modules, the integer rule that reads
 every integer parameter and field, the rational-field check shared by the
-loaders, and the cap check shared by every exponential path.
+loaders and its inverse that writes a rational as text, the probability
+rule, and the cap check shared by every exponential path.
 
 Exit-code mapping used by the CLI:
   VerificationError -> 1, InputError -> 2, ResourceCapError -> 3.
 """
 
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ShatterLabError(Exception):
@@ -59,6 +60,20 @@ def require_rational(value, what):
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
     raise InputError(f"{what} must be a rational number, got {value!r}")
+
+
+def rational_text(value):
+    """``value``, a Fraction, as the exact text "numerator/denominator" that
+    ``require_rational`` reads back."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def require_probability(value, what):
+    """``value`` when it is a real number in [0, 1] and not a bool; a string,
+    None, ``true``, nan or a number out of range is an InputError."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
+        raise InputError(f"{what} must be a number in [0, 1], got {value!r}")
+    return value
 
 
 def check_cap(size, cap, default, what):

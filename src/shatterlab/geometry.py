@@ -10,7 +10,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, require_int, require_rational
+from .dims import _sauer_sum
+from .errors import InputError, rational_text, require_int, require_rational
 
 __all__ = [
     "PointArrangement",
@@ -51,13 +52,11 @@ class PointArrangement:
                            tuple(_as_halfspace(h, r) for h in self.halfspaces))
 
     def to_json_dict(self):
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "r": self.dimension,
-            "points": [[frac(c) for c in p] for p in self.points],
-            "halfspaces": [{"normal": [frac(c) for c in n], "offset": frac(c0)}
+            "points": [[rational_text(c) for c in p] for p in self.points],
+            "halfspaces": [{"normal": [rational_text(c) for c in n],
+                            "offset": rational_text(c0)}
                            for n, c0 in self.halfspaces],
         }
 
@@ -105,14 +104,10 @@ def _rank(rows):
 
 def region_count_general_position(r, s):
     """Closed-form piece count for s general-position hyperplanes in R^r:
-    the sum of C(s, i) for i <= r, whose terms past s are 0.  Each term is
-    the last one times (s - i)/(i + 1), so the work grows with min(r, s)."""
+    the sum of C(s, i) for i <= r, whose terms past s are 0, so the work
+    grows with min(r, s)."""
     r, s = require_int(r, "r", 1), require_int(s, "s", 0)
-    total = term = 1
-    for i in range(min(r, s)):
-        term = term * (s - i) // (i + 1)
-        total += term
-    return total
+    return _sauer_sum(s, r)
 
 
 def _intersect(l1, l2):

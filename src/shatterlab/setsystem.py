@@ -121,10 +121,12 @@ def dual(system: SetSystem) -> SetSystem:
 
 
 def child(system: SetSystem, xs, sigma) -> SetSystem:
-    """Subfamily consistent with membership pattern ``sigma`` on tuple ``xs``."""
+    """Subfamily consistent with membership pattern ``sigma`` on tuple ``xs``;
+    each sigma entry is the integer 0 or 1."""
     if len(xs) != len(sigma):
         raise InputError("xs and sigma must have equal length")
     mask_of(xs, system.universe_size)
+    sigma = [require_int(b, "sigma entry", 0, 1) for b in sigma]
     return SetSystem(system.universe_size, child_masks(system.sets, xs, sigma))
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, check_cap, require_int, require_rational
+from .errors import InputError, check_cap, rational_text, require_int, require_rational
 from .setsystem import SetSystem, mask_of, require_mask
 from .dims import _sauer_sum, thicket_dimension, thicket_shatter
 
@@ -136,7 +136,7 @@ class ProbSpace:
 
     def to_json_dict(self):
         return {"points": self.size,
-                "weights": [f"{w.numerator}/{w.denominator}" for w in self.weights]}
+                "weights": [rational_text(w) for w in self.weights]}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -251,7 +251,7 @@ class ExperimentReport:
             "config": self.config,
             "trials": self.trials,
             "exceedances": self.exceedances,
-            "empirical": f"{self.empirical.numerator}/{self.empirical.denominator}",
+            "empirical": rational_text(self.empirical),
             "bound": self.bound,
             "slack": self.slack,
             "pass": self.passed,
@@ -436,8 +436,7 @@ def _report_rows(height, eps, counts, masses, exceeded):
     """One CSV row per trial: its supremum deviation as a fraction, and its
     verdict."""
     values, denominator, best = _ranked_deviations(counts, masses, height)
-    text = [f"{f.numerator}/{f.denominator}"
-            for f in (Fraction(v, denominator) for v in values)]
+    text = [rational_text(Fraction(v, denominator)) for v in values]
     epsilon = str(eps)
     return [{"trial": t, "n": height, "epsilon": epsilon,
              "deviation": text[k], "exceeded": int(hit)}
@@ -492,11 +491,11 @@ def run_weak_law(space: ProbSpace, members, height, epsilon, trials, seed,
 
     def tail_bound(eps):
         bound = Fraction(1, 4 * height) / (eps * eps)
-        return float(bound), {"bound_exact": f"{bound.numerator}/{bound.denominator}"}
+        return float(bound), {"bound_exact": rational_text(bound)}
 
     return _tail_audit("weak_law", space, [mask], height, epsilon, trials, seed,
                        keep_rows, cap, tail_bound, at_least=True,
-                       config={"mu": f"{mu.numerator}/{mu.denominator}"})
+                       config={"mu": rational_text(mu)})
 
 
 def _thicket_shatter_estimate(system: SetSystem, height):

@@ -14,7 +14,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import InputError, VerificationError, require_int
+from .errors import InputError, VerificationError, require_int, require_probability
 from .setsystem import SetSystem, mask_of
 from .dims import thicket_dimension, NEG_INF
 
@@ -85,6 +85,7 @@ class Graph:
 
 def random_graph(vertex_count, edge_probability, seed):
     vertex_count = require_int(vertex_count, "vertex_count", 0)
+    edge_probability = require_probability(edge_probability, "edge_probability")
     rng = random.Random(require_int(seed, "seed"))
     edges = [(u, v) for u, v in itertools.combinations(range(vertex_count), 2)
              if rng.random() < edge_probability]

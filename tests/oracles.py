@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to cross-check the fast recursions.
 
-Everything here favors obviousness over speed: op_s-ranks and their shatter
-functions are computed by enumerating every complete element tree (each
-tree's leaves counted by ``ElementTree.count_properly_labeled``, itself
-checked against a per-leaf walk from the labels), the VC
-dimension and shatter function by counting traces on every tuple, the
+Everything here favors obviousness over speed: the binomial-sum bounds
+are summed term by term, op_s-ranks and their shatter functions are
+computed by enumerating every complete element tree (each tree's leaves
+counted by ``ElementTree.count_properly_labeled``, itself checked against a
+per-leaf walk from the labels), the VC dimension and shatter function by counting traces on every tuple, the
 hereditary check by enumerating every candidate context assignment (and
 its witness by banseq's earlier backtracking over the public ``ban_set``),
 a ban table by banseq's earlier per-entry fill, a test estimate's
@@ -97,6 +97,16 @@ def brute_shatter(system, arity_exponent, height):
     return max(tree.count_properly_labeled(system)
                for tree in _all_trees(system.universe_size,
                                       arity_exponent, height))
+
+
+def binomial_bound(n, k, a=1, b=1):
+    """sum_{i<=k} C(n,i) a^(n-i) b^i, each term from ``math.comb``; 0 for
+    the empty family's rank NEG_INF.  It shares no code with
+    ``dims._sauer_sum``.  Past i = n the exponent n - i is negative, so at
+    k > n the sum is a float, as the audit's rows (c) and (g) report it."""
+    if k == NEG_INF:
+        return 0
+    return sum(math.comb(n, i) * a ** (n - i) * b ** i for i in range(k + 1))
 
 
 def brute_vc_dimension(system):

@@ -115,6 +115,14 @@ def test_child_filters_by_pattern():
     assert len(kid) == 2
 
 
+@pytest.mark.parametrize("entry", ["a", None], ids=repr)
+def test_child_refuses_a_sigma_entry_other_than_0_or_1(entry):
+    """Each sigma entry is read as the integer 0 or 1, never by its truth:
+    the integer table's ``child`` row tries 2, -1, 1.5, True and "3"."""
+    with pytest.raises(InputError):
+        child(generate("thresholds", 3), (1,), (entry,))
+
+
 def test_child_masks_conflicting_repeat_is_empty():
     sets = generate("powerset", 3).sets
     assert child_masks(sets, (1, 1), (0, 1)) == ()
@@ -249,6 +257,7 @@ INT_PARAMS = {
     ("op_shatter", "s"): (lambda v: op_shatter(POWER, v, 1), 1, 1, None),
     ("op_shatter", "height"): (lambda v: op_shatter(POWER, 1, v), 1, 0, None),
     ("op_shatter", "cap"): (lambda v: op_shatter(POWER, 1, 1, cap=v), N, None, None),
+    ("child", "sigma entry"): (lambda v: child(POWER, (1,), (v,)), 1, 0, 1),
     ("count_children_dropping", "r"): (
         lambda v: count_children_dropping(POWER, (0,), v, 1), 1, 1, None),
     ("count_children_dropping", "l"): (

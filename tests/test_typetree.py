@@ -53,6 +53,13 @@ def test_neighborhood_system():
     assert set(system.sets) == {0b0010, 0b0101, 0b1010, 0b0100}
 
 
+@pytest.mark.parametrize("p", ["x", None, True, 2.0, -1, float("nan")], ids=repr)
+def test_random_graph_refuses_a_probability_outside_the_unit_interval(p):
+    """The edge probability follows ``random_problem``'s density rule."""
+    with pytest.raises(InputError, match=r"must be a number in \[0, 1\]"):
+        random_graph(5, p, 0)
+
+
 def test_random_graph_seeded():
     assert random_graph(8, 0.5, 3) == random_graph(8, 0.5, 3)
     assert random_graph(8, 0.0, 3).edges == frozenset()
