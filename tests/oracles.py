@@ -4,12 +4,13 @@ Everything here favors obviousness over speed: the binomial-sum bounds
 are summed term by term, op_s-ranks and their shatter functions are
 computed by enumerating every complete element tree (each tree's leaves
 counted by ``ElementTree.count_properly_labeled``, itself checked against a
-per-leaf walk from the labels), the VC dimension and shatter function by counting traces on every tuple, the
-hereditary check by enumerating every candidate context assignment (and
-its witness by banseq's earlier backtracking over the public ``ban_set``),
-a ban table by banseq's earlier per-entry fill, a test estimate's
-expectation by summing the binomial law of its count of 1s, and the Monte
-Carlo audits by walking every level of one scalar test tree per trial.  The
+per-leaf walk from the labels), the VC dimension and shatter function by
+counting traces on every tuple, the hereditary check by enumerating every
+candidate context assignment (and its witness by banseq's earlier
+backtracking over the public ``ban_set``), a ban table by banseq's earlier
+per-entry fill, a test estimate's expectation by summing the binomial law
+of its count of 1s, and the Monte Carlo audits by walking every level of
+one scalar test tree per trial.  The
 ``tuple_*`` functions at the end are dims' earlier op_s-rank and shatter
 recursions over mask tuples, against which the member-index bitset kernels
 are checked at sizes the tree enumeration cannot reach.
