@@ -260,11 +260,14 @@ class RelaxedBanProblem:
     def from_json_dict(cls, data):
         try:
             n, k, j = data["n"], data["k"], data["j"]
-            table = {(tuple(require_int(s, "S entry") for s in entry["S"]),
-                      _digits(entry["X"])):
-                     frozenset(_digits(z) for z in entry["banned"])
-                     for entry in data["bans"]}
-        except (KeyError, TypeError, ValueError) as exc:
+            table = {}
+            for entry in data["bans"]:
+                S = tuple(require_int(s, "S entry") for s in entry["S"])
+                X, banned = _digits(entry["X"]), entry["banned"]
+                if not isinstance(banned, list):
+                    raise TypeError(f"banned must be a list, got {banned!r}")
+                table[S, X] = frozenset(map(_digits, banned))
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed ban-problem object: {exc}") from exc
         return cls.from_table(n, k, j, table)
 
@@ -301,10 +304,11 @@ class _Codes(dict):
 
 
 def _digits(text):
-    """A context or pattern written as a string with one digit per entry."""
-    if not isinstance(text, str):
+    """A context or pattern written as a string with one ASCII digit 0-9 per
+    entry; the empty string is the empty tuple."""
+    if not isinstance(text, str) or text.strip("0123456789"):
         raise InputError(f"expected a string of digits, got {text!r}")
-    return tuple(int(c) for c in text)
+    return tuple(map(int, text))
 
 
 def _check_shape(n, k, j):

@@ -2,7 +2,9 @@
 
 Verb-noun subcommands over the library; JSON (default) or CSV payloads on
 stdout, diagnostics on stderr.  Exit codes: 0 success, 1 verification
-failure, 2 invalid input, 3 resource cap.  All randomness flows from
+failure, 2 invalid input, 3 resource cap.  Commands return nothing and
+signal a failure only by raising the library's errors; ``main`` alone maps
+them to exit codes, each with one stderr line.  All randomness flows from
 --seed; the SHATTERLAB_CAP environment variable overrides default caps.
 
 A call ``NOUN VERB ARGS...`` is parsed by the verb's own parser on ARGS
@@ -160,7 +162,6 @@ def cmd_sys_dim(args):
     else:
         value = dims.op_rank(system, args.s, cap=args.cap)
     _emit(args, {"kind": args.kind, "dimension": dims.rank_to_str(value)})
-    return EXIT_OK
 
 
 def cmd_sys_shatter(args):
@@ -172,7 +173,6 @@ def cmd_sys_shatter(args):
     else:
         value = dims.op_shatter(system, args.s, args.n, cap=args.cap)
     _emit(args, {"kind": args.kind, "n": args.n, "value": value})
-    return EXIT_OK
 
 
 def cmd_sys_audit(args):
@@ -185,10 +185,8 @@ def cmd_sys_audit(args):
         for row in rows))
     _emit(args, rows, csv_lines)
     if not report.all_pass:
-        for row in report.failures():
-            print(f"bound failed: {row['bound']} {row['params']}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        raise VerificationError("; ".join(f"bound failed: {row['bound']} {row['params']}"
+                                          for row in report.failures()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +198,7 @@ def cmd_ban_solve(args):
     sols, banned = banseq.solutions(problem, cap=args.cap)
     bound = banseq.trivial_upper_bound(problem)
     if len(sols) > bound:
-        print(f"solution count {len(sols)} exceeds trivial bound {bound}",
-              file=sys.stderr)
-        return EXIT_VERIFICATION
+        raise VerificationError(f"solution count {len(sols)} exceeds trivial bound {bound}")
     payload = {"n": problem.n, "k": problem.k, "j": problem.j,
                "solutions": len(sols), "banned": banned,
                "trivial_upper_bound": bound}
@@ -212,7 +208,6 @@ def cmd_ban_solve(args):
     if args.list:
         csv_lines = ["sequence"] + payload["sequences"]
     _emit(args, payload, csv_lines)
-    return EXIT_OK
 
 
 def cmd_ban_hereditary(args):
@@ -226,7 +221,6 @@ def cmd_ban_hereditary(args):
                             for z, x in sorted(witness.assignments.items())},
         }
     _emit(args, payload)
-    return EXIT_OK
 
 
 def cmd_ban_reduce(args):
@@ -236,7 +230,6 @@ def cmd_ban_reduce(args):
     else:
         reduced = banseq.reduce_prime(problem, cap=args.cap)
     _emit(args, reduced.to_json_dict())
-    return EXIT_OK
 
 
 def cmd_ban_maxsol(args):
@@ -244,7 +237,6 @@ def cmd_ban_maxsol(args):
     _emit(args, {"n": args.n, "k": args.k,
                  "min_hitting": hitting,
                  "max_solutions": (1 << args.n) - hitting})
-    return EXIT_OK
 
 
 def cmd_ban_gen(args):
@@ -255,7 +247,6 @@ def cmd_ban_gen(args):
         data["j"] = args.j
     data["seed"] = args.seed
     _emit(args, _generated_problem(data, args.cap).to_json_dict(cap=args.cap))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +270,6 @@ def cmd_graph_typetree(args):
     graph = _load_graph(args.graph)
     tree = _build_tree(args, graph)
     _emit(args, tree.to_json_dict())
-    return EXIT_OK
 
 
 def cmd_graph_treerank(args):
@@ -289,7 +279,6 @@ def cmd_graph_treerank(args):
         _emit(args, rank)
     else:
         _emit(args, {"exact": True, "tree_rank": rank})
-    return EXIT_OK
 
 
 def cmd_graph_extract(args):
@@ -299,18 +288,14 @@ def cmd_graph_extract(args):
     for u in clique:
         for v in clique:
             if u < v and not graph.adjacent(u, v):
-                print(f"extracted clique is invalid at ({u},{v})", file=sys.stderr)
-                return EXIT_VERIFICATION
+                raise VerificationError(f"extracted clique is invalid at ({u},{v})")
     for u in independent:
         for v in independent:
             if u < v and graph.adjacent(u, v):
-                print(f"extracted independent set is invalid at ({u},{v})",
-                      file=sys.stderr)
-                return EXIT_VERIFICATION
+                raise VerificationError(f"extracted independent set is invalid at ({u},{v})")
     _emit(args, {"height": tree.height,
                  "clique": sorted(clique),
                  "independent": sorted(independent)})
-    return EXIT_OK
 
 
 def cmd_graph_heightcheck(args):
@@ -319,9 +304,7 @@ def cmd_graph_heightcheck(args):
     report = typetree.check_height_bound(graph, tree, cap=args.cap)
     _emit(args, report)
     if report.get("applicable") and not report["pass"]:
-        print("height bound violated", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        raise VerificationError("height bound violated")
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +328,10 @@ def _parse_members(text):
         raise InputError(f"bad --set {text!r}: {exc}") from exc
 
 
-def _report_exit(args, report):
+def _emit_report(args, report):
     _emit(args, report.to_json_dict(), report.csv_rows())
     if not report.passed:
-        print("empirical exceedance rate above the theoretical bound",
-              file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        raise VerificationError("empirical exceedance rate above the theoretical bound")
 
 
 def cmd_mc_weaklaw(args):
@@ -361,7 +341,7 @@ def cmd_mc_weaklaw(args):
                                     args.epsilon, args.trials,
                                     args.seed, keep_rows=args.format == "csv",
                                     cap=args.cap)
-    return _report_exit(args, report)
+    _emit_report(args, report)
 
 
 def cmd_mc_vcthm(args):
@@ -371,7 +351,7 @@ def cmd_mc_vcthm(args):
                                       args.epsilon, args.trials,
                                       args.seed, keep_rows=args.format == "csv",
                                       cap=args.cap)
-    return _report_exit(args, report)
+    _emit_report(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +361,6 @@ def cmd_mc_vcthm(args):
 def cmd_geom_regions(args):
     _emit(args, {"r": args.r, "s": args.s,
                  "regions": geometry.region_count_general_position(args.r, args.s)})
-    return EXIT_OK
 
 
 def cmd_geom_cells(args):
@@ -392,7 +371,6 @@ def cmd_geom_cells(args):
         raise InputError("expected an object with a 'lines' or 'halfspaces' array")
     lines = geometry.PointArrangement.from_json_dict({"r": 2, "halfspaces": entries}).halfspaces
     _emit(args, {"lines": len(lines), "cells": geometry.line_arrangement_cells(lines)})
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +512,7 @@ def main(argv=None):
     try:
         if args.cap is None:
             args.cap = _env_cap()
-        return args.func(args)
+        args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -544,6 +522,7 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

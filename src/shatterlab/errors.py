@@ -3,7 +3,7 @@ every integer parameter and field, the rational-field check shared by the
 loaders and its inverse that writes a rational as text, the probability
 rule, and the cap check shared by every exponential path.
 
-Exit-code mapping used by the CLI:
+Exit-code mapping, applied by ``cli.main`` alone (its commands only raise):
   VerificationError -> 1, InputError -> 2, ResourceCapError -> 3.
 """
 

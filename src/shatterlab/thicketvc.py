@@ -142,7 +142,9 @@ class ProbSpace:
     def from_json_dict(cls, data):
         try:
             n = require_int(data["points"], "points")
-            ws = tuple(data["weights"])
+            ws = data["weights"]
+            if not isinstance(ws, list):
+                raise TypeError(f"weights must be a list, got {ws!r}")
             if len(ws) != n:
                 raise InputError("weight count does not match point count")
             return cls(ws)

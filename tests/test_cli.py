@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: output shape, exit codes, and determinism."""
 
+import dataclasses
 import json
 import sys
 import time
 
 import pytest
 
+from shatterlab import banseq, dims, thicketvc, typetree
 from shatterlab.cli import build_parser, main
 
 
@@ -111,6 +113,10 @@ def test_ban_solve_explicit_table(capsys, tmp_path):
     {"S": [0], "X": "a", "banned": ["1"]},
     {"S": [0], "X": "0", "banned": ["x"]},
     {"S": ["zero"], "X": "0", "banned": ["1"]},
+    {"S": [0], "X": "0", "banned": "01"},
+    {"S": [0], "X": "0", "banned": "1"},
+    {"S": [0], "X": "\u0660", "banned": ["1"]},
+    {"S": [0], "X": "0", "banned": ["\u0661"]},
 ])
 def test_ban_solve_malformed_entry(capsys, tmp_path, entry):
     data = {"n": 2, "k": 1, "j": 2,
@@ -250,6 +256,76 @@ def test_exit_codes(capsys, tmp_path):
     # argparse usage errors also map to 2
     code, _, err = run(capsys, "sys", "dim", "powerset:3")
     assert code == 2
+
+
+# Each command-made exit 1 below is forced by a patched library call: the
+# stdout a command writes before its check stays, and stderr is one line.
+
+def assert_one_verification_line(err, text):
+    assert err.startswith("verification failure: ") and err.count("\n") == 1, err
+    assert err.endswith("\n") and text in err
+    assert "Traceback" not in err
+
+
+def test_sys_audit_failed_rows_exit_1(capsys, monkeypatch):
+    report = dims.BoundAuditReport()
+    report.add("vc_sauer_shelah", {"n": 3}, 9, 8, False)
+    report.add("thicket", {"n": 3}, 1, 2, True)
+    report.add("op_rank", {"s": 1, "n": 3}, 5, 4, False)
+    monkeypatch.setattr(dims, "audit_bounds", lambda *args, **kwargs: report)
+    code, out, err = run(capsys, "sys", "audit", "--n", "3", "powerset:3")
+    assert code == 1
+    assert json.loads(out) == report.rows
+    assert err == ("verification failure: bound failed: vc_sauer_shelah {'n': 3}; "
+                   "bound failed: op_rank {'s': 1, 'n': 3}\n")
+
+
+def test_ban_solve_above_trivial_bound_exit_1(capsys, monkeypatch, tmp_path):
+    path = write_json(tmp_path, "parity.json", {"generator": "parity", "n": 4})
+    monkeypatch.setattr(banseq, "trivial_upper_bound", lambda problem: 0)
+    code, out, err = run(capsys, "ban", "solve", path)
+    assert code == 1 and out == ""
+    assert_one_verification_line(err, "solution count 8 exceeds trivial bound 0")
+
+
+@pytest.mark.parametrize("sets, text", [
+    (({1, 2}, {2}), "extracted clique is invalid at (1,2)"),
+    (({2}, {0, 1, 2}), "extracted independent set is invalid at (0,1)"),
+])
+def test_graph_extract_invalid_set_exit_1(capsys, monkeypatch, tmp_path, sets, text):
+    path = write_json(tmp_path, "g.json", {"vertices": 3, "edges": [[0, 1]]})
+    monkeypatch.setattr(typetree, "extract_clique_or_independent", lambda tree: sets)
+    code, out, err = run(capsys, "graph", "extract", path)
+    assert code == 1 and out == ""
+    assert_one_verification_line(err, text)
+
+
+def test_graph_heightcheck_violated_exit_1(capsys, monkeypatch, tmp_path):
+    path = write_json(tmp_path, "g.json", {"vertices": 3, "edges": [[0, 1]]})
+    report = {"applicable": True, "tree_rank": 2, "height": 4, "n": 3,
+              "lhs": 3, "rhs": 4, "pass": False}
+    monkeypatch.setattr(typetree, "check_height_bound", lambda *args, **kwargs: report)
+    code, out, err = run(capsys, "graph", "heightcheck", path)
+    assert code == 1
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+    assert_one_verification_line(err, "height bound violated")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run_weak_law", ("mc", "weaklaw", "--set", "0,1")),
+    ("run_vc_theorem", ("mc", "vcthm", "thresholds:4")),
+])
+def test_mc_exceedance_above_bound_exit_1(capsys, monkeypatch, name, argv):
+    argv += ("--uniform", "4", "--n", "8", "--epsilon", "1/4", "--trials", "10")
+    code, passed, _ = run(capsys, *argv)
+    assert code == 0
+    run_experiment = getattr(thicketvc, name)
+    monkeypatch.setattr(thicketvc, name, lambda *args, **kwargs: dataclasses.replace(
+        run_experiment(*args, **kwargs), passed=False))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {**json.loads(passed), "pass": False}
+    assert_one_verification_line(err, "empirical exceedance rate above the theoretical bound")
 
 
 def test_cap_env_override(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 """Hypothesis fuzz of the CLI contract: every invocation, well formed or
-not, exits 0, 1, 2 or 3 without a traceback, and exits 1 only with a
-verification message.
+not, exits 0, 1, 2 or 3 without a traceback, and exits 1 or 3 with exactly
+one stderr line, which names the failure's kind.
 
 Inputs stay small (n <= 6, universes <= 6, ``maxsol --n`` <= 4) so the
 derandomized run takes a few seconds; it explores malformed JSON fields,
@@ -20,16 +20,8 @@ from shatterlab.cli import main
 
 FILE = "{file}"
 
-# The stderr lines that may come with exit 1.
-VERIFICATION_MESSAGES = (
-    "verification failure:",
-    "bound failed:",
-    "solution count",
-    "extracted clique is invalid",
-    "extracted independent set is invalid",
-    "height bound violated",
-    "empirical exceedance rate above the theoretical bound",
-)
+# Exit code -> the prefix of the one stderr line that comes with it.
+ONE_LINE_PREFIXES = {1: "verification failure: ", 3: "resource cap: "}
 
 # The string OVERFLOW is written into the file as the bare number 1e400,
 # which overflows a float; json.dumps writes inf and nan as Infinity and NaN.
@@ -275,8 +267,9 @@ def test_cli_exit_codes_and_messages(input_path, call, env_cap):
     code, stderr = run_cli(input_path, argv, data, env_cap)
     assert code in (0, 1, 2, 3), (argv, data, code)
     assert "Traceback" not in stderr
-    if code == 1:
-        assert any(m in stderr for m in VERIFICATION_MESSAGES), (argv, data, stderr)
+    if code in ONE_LINE_PREFIXES:
+        assert stderr.startswith(ONE_LINE_PREFIXES[code]), (argv, data, stderr)
+        assert stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, data, stderr)
 
 
 def _line(normal=(1, 2), offset=0):

@@ -33,7 +33,7 @@ def test_prob_space_validation():
     assert space.mass(0b1111) == 1
     assert ProbSpace.from_json_dict(space.to_json_dict()) == space
     for weights in ([float("inf"), 0], [float("nan"), 0], ["1/0", 1],
-                    [True, False]):
+                    [True, False], "10", {"1": 0, "0": 1}):
         with pytest.raises(InputError, match="malformed probability space"):
             ProbSpace.from_json_dict({"points": 2, "weights": weights})
     with pytest.raises(InputError, match="weight must be a rational"):
