@@ -274,11 +274,7 @@ def cmd_graph_typetree(args):
 
 def cmd_graph_treerank(args):
     graph = _load_graph(args.graph)
-    rank = typetree.tree_rank(graph, cap=args.cap)
-    if isinstance(rank, dict):
-        _emit(args, rank)
-    else:
-        _emit(args, {"exact": True, "tree_rank": rank})
+    _emit(args, {"exact": True, "tree_rank": typetree.tree_rank(graph, cap=args.cap)})
 
 
 def cmd_graph_extract(args):

@@ -4,6 +4,11 @@ A type tree is a prefix-closed labeling of binary strings by vertices where
 the child direction records adjacency to the parent (condition 1) and an
 ancestor's adjacency is constant across its strict descendants through a
 child (condition 2).  Heights count levels: a lone root has height 1.
+
+The tree rank is one exact memoized search.  Its cap counts the search's
+memo states, not vertices, since the vertex count does not predict the
+cost; past the cap it raises ResourceCapError, as every exponential path
+of the lab does.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import InputError, VerificationError, require_int, require_probability
+from .errors import (InputError, VerificationError, check_cap, require_int,
+                     require_probability)
 from .setsystem import SetSystem, mask_of
-from .dims import thicket_dimension, NEG_INF
 
 __all__ = [
     "Graph",
@@ -29,7 +34,12 @@ __all__ = [
     "random_graph",
 ]
 
-DEFAULT_RANK_CAP = 18
+# Memo states of one tree-rank search.  Refusing random_graph(140, 0.3, 0),
+# which needs 2.4M states, at 2^20 took 1.7-2.0 s and 182 MB peak RSS, about
+# 1.8 us and 150 bytes a state (Python 3.11, 2-vCPU Xeon).  Criterion 9's
+# graphs on 5-60 vertices need at most 3,471 states.
+DEFAULT_RANK_CAP = 1 << 20
+_RANK_STATES = "tree rank memo states"
 
 
 @dataclass(frozen=True)
@@ -160,25 +170,28 @@ def validate_type_tree(graph: Graph, tree: TypeTree):
 
 def tree_rank(graph: Graph, cap=None):
     """Largest t admitting a full binary type tree of height t on some
-    vertex subset.  Exact up to the cap (default 18 vertices); above it,
-    returns (greedy lower bound, upper bound) flagged inexact."""
+    vertex subset, by one exact memoized search.  ``cap`` (default
+    DEFAULT_RANK_CAP) bounds the search's memo states; past it the search
+    raises ResourceCapError, so a refused call has already spent up to the
+    budget: no cheaper count predicts the work.  A ``cap`` that is not an
+    integer is refused before any search."""
     n = graph.vertex_count
     if n == 0:
         raise InputError("tree rank needs at least one vertex")
-    limit = DEFAULT_RANK_CAP if cap is None else require_int(cap, "cap")
-    if n > limit:
-        return _tree_rank_bounds(graph)
+    limit = DEFAULT_RANK_CAP if cap is None else cap
+    check_cap(0, limit, None, _RANK_STATES)
     memo = {}
     t = 1
-    while _holds_full_tree(graph._neighbors, memo, (1 << n) - 1, t + 1):
+    while _holds_full_tree(graph._neighbors, memo, limit, (1 << n) - 1, t + 1):
         t += 1
     return t
 
 
-def _holds_full_tree(neighbors, memo, pool, t):
+def _holds_full_tree(neighbors, memo, limit, pool, t):
     """Whether the vertex bitmask ``pool`` holds a full binary type tree of
     height t: some root whose non-neighbours and neighbours in the pool
-    each hold one of height t - 1.  ``memo`` is keyed by (pool, t)."""
+    each hold one of height t - 1.  ``memo`` is keyed by (pool, t) and
+    holds at most ``limit`` states."""
     if t <= 1:
         return pool != 0
     if pool.bit_count() < (1 << t) - 1:
@@ -193,40 +206,14 @@ def _holds_full_tree(neighbors, memo, pool, t):
             rest ^= bit
             others = pool ^ bit
             ones = others & neighbors[bit.bit_length() - 1]
-            if (_holds_full_tree(neighbors, memo, others ^ ones, t - 1)
-                    and _holds_full_tree(neighbors, memo, ones, t - 1)):
+            if (_holds_full_tree(neighbors, memo, limit, others ^ ones, t - 1)
+                    and _holds_full_tree(neighbors, memo, limit, ones, t - 1)):
                 out = True
                 break
         memo[key] = out
+        if len(memo) > limit:
+            check_cap(len(memo), limit, None, _RANK_STATES)
     return out
-
-
-def _greedy_rank_lower_bound(graph: Graph):
-    """Height of the largest full binary subtree of a built type tree; any
-    full type tree of height t inside it witnesses tree rank >= t."""
-    best = 1
-    for seed_vertex in range(min(graph.vertex_count, 4)):
-        order = ([seed_vertex]
-                 + [v for v in range(graph.vertex_count) if v != seed_vertex])
-        labels = build_type_tree(graph, order).labels
-        best = max(best, _full_height(labels, ""))
-    return best
-
-
-def _full_height(labels, key):
-    """Height of the full binary subtree of the index set rooted at key."""
-    if key not in labels:
-        return 0
-    return 1 + min(_full_height(labels, key + "0"), _full_height(labels, key + "1"))
-
-
-def _tree_rank_bounds(graph: Graph):
-    lower = _greedy_rank_lower_bound(graph)
-    k = thicket_dimension(graph.neighborhood_system())
-    upper = 1 if k == NEG_INF else int(k) + 1
-    # a full tree of height t needs 2^t - 1 vertices
-    upper = min(upper, (graph.vertex_count + 1).bit_length() - 1)
-    return {"exact": False, "lower": lower, "upper": max(lower, upper)}
 
 
 def extract_clique_or_independent(tree: TypeTree):
@@ -244,13 +231,11 @@ def extract_clique_or_independent(tree: TypeTree):
 
 
 def check_height_bound(graph: Graph, tree: TypeTree, cap=None):
-    """Exact check of (h-1)^t >= n (t-2)! for t >= 2, h >= 2t."""
+    """Exact check of (h-1)^t >= n (t-2)! for t >= 2, h >= 2t; ``cap``
+    bounds the tree-rank search as in ``tree_rank``."""
     rank = tree_rank(graph, cap=cap)
     h = tree.height
     n = graph.vertex_count
-    if isinstance(rank, dict):
-        return {"applicable": False, "reason": "tree rank inexact above cap",
-                "rank_bounds": rank, "height": h}
     if rank < 2 or h < 2 * rank:
         return {"applicable": False,
                 "reason": f"hypotheses not met (t={rank}, h={h})",

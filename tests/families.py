@@ -1,4 +1,5 @@
-"""The named fixture zoo and seeded random families.
+"""The named fixture zoo, seeded random families, and the graph on which
+the checked height bound fails.
 
 They live outside ``conftest.py`` so that test modules can import them by a
 name no other test directory's ``conftest`` shadows.
@@ -30,3 +31,13 @@ def fixture_zoo():
         SetSystem(3, (), name="empty_family"),
         SetSystem(4, (0b1010,), name="one_set"),
     ]
+
+
+# A valid 10-vertex graph on which the checked height bound fails (ROADMAP
+# item 8): its built type tree has height h = 4 and its tree rank is t = 2,
+# so (h - 1)^t = 9 < n (t - 2)! = 10, while sum_{i <= t} C(h, i) = 11 >= n.
+# Its tree-rank search stores 16 memo states.
+HEIGHT_BOUND_COUNTEREXAMPLE = {
+    "vertices": 10,
+    "edges": [[0, 2], [0, 8], [0, 9], [1, 5], [1, 6], [1, 8], [3, 4], [4, 6],
+              [5, 7], [5, 9], [7, 8]]}

@@ -7,7 +7,8 @@ counted by ``ElementTree.count_properly_labeled``, itself checked against a
 per-leaf walk from the labels), the VC dimension and shatter function by
 counting traces on every tuple, the hereditary check by enumerating every
 candidate context assignment (and its witness by banseq's earlier
-backtracking over the public ``ban_set``), a ban table by banseq's earlier
+backtracking over the public ``ban_set``), a graph's tree rank by trying
+every root with no memo, a ban table by banseq's earlier
 per-entry fill, a test estimate's expectation by summing the binomial law
 of its count of 1s, and the Monte Carlo audits by walking every level of
 one scalar test tree per trial.  The
@@ -410,6 +411,30 @@ def brute_type_tree_violation(graph, labels):
             if adjacent(labels[eta], labels[below]) != adjacent(labels[eta], labels[mid]):
                 return "condition 2"
     return None
+
+
+def brute_tree_rank(vertex_count, edges):
+    """Largest t with a full binary type tree of height t on some vertex
+    subset, by trying every root of a pool of vertex sets and splitting the
+    rest by adjacency to it, with no memo; ``edges`` holds two-element
+    collections."""
+    adjacent = {frozenset(edge) for edge in edges}
+
+    def holds(pool, t):
+        if t == 1:
+            return bool(pool)
+        if len(pool) < 2 ** t - 1:
+            return False
+        for root in pool:
+            ones = {v for v in pool if frozenset((root, v)) in adjacent}
+            if holds(ones, t - 1) and holds(pool - ones - {root}, t - 1):
+                return True
+        return False
+
+    t = 1
+    while holds(set(range(vertex_count)), t + 1):
+        t += 1
+    return t
 
 
 def brute_min_hitting(n, k):

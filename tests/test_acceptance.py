@@ -25,7 +25,7 @@ from shatterlab.banseq import BanProblem, solution_bound, witness_is_valid
 from shatterlab.errors import InputError
 
 from families import fixture_zoo, random_system
-from oracles import brute_is_hereditary, brute_rank, brute_shatter
+from oracles import brute_is_hereditary, brute_rank, brute_shatter, brute_tree_rank
 
 
 def verdict(number, label, ok):
@@ -277,8 +277,7 @@ def test_criterion_09_type_trees():
             ok &= report["pass"]
         else:
             rank = tree_rank(g)
-            if n > 18:
-                ok &= isinstance(rank, dict) and not rank["exact"]
+            ok &= type(rank) is int and rank == brute_tree_rank(n, g.edges)
     ok &= applicable > 0
     verdict(9, "type trees on 500 seeded graphs", ok)
 

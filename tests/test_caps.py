@@ -9,8 +9,8 @@ import pytest
 from shatterlab import (ProbSpace, ResourceCapError, SetSystem, banned_count,
                         banseq, dims, generate, min_subcube_hitting, op_rank,
                         op_shatter, parity_problem, random_problem, run_vc_theorem,
-                        run_weak_law, setsystem, solutions, thicketvc, vc_dimension,
-                        vc_shatter_function)
+                        random_graph, run_weak_law, setsystem, solutions, thicketvc,
+                        tree_rank, typetree, vc_dimension, vc_shatter_function)
 from shatterlab.dims import random_element_tree
 
 ONE_SET = SetSystem(5, (1,))
@@ -72,6 +72,9 @@ SITES = {
                                lambda cap: run_vc_theorem(ProbSpace.uniform(3),
                                                           SetSystem(3, ()), 3,
                                                           Fraction(1, 4), 5, 0, cap=cap), 5),
+    # memo states of the exact search on a 16-vertex graph of rank 3
+    "tree_rank": (typetree, "DEFAULT_RANK_CAP",
+                  lambda cap: tree_rank(random_graph(16, 0.3, 0), cap=cap), 108),
     "powerset": (setsystem, "DEFAULT_GENERATOR_CAP",
                  lambda cap: generate("powerset", 4, cap=cap), 4),
     "all_subsets_of_size_at_most": (

@@ -10,6 +10,8 @@ import pytest
 from shatterlab import banseq, dims, thicketvc, typetree
 from shatterlab.cli import build_parser, main
 
+from families import HEIGHT_BOUND_COUNTEREXAMPLE
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -569,6 +571,16 @@ def test_graph_negative_size_or_non_int_endpoint(capsys, tmp_path, verb, data):
     code, _, err = run(capsys, "graph", verb, path)
     assert code == 2 and "input error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["treerank", "heightcheck"])
+def test_graph_rank_search_past_its_memo_state_cap_exit_3(capsys, tmp_path, verb):
+    path = write_json(tmp_path, "g.json", HEIGHT_BOUND_COUNTEREXAMPLE)
+    code, out, err = run(capsys, "graph", verb, "--cap", "1", path)
+    assert (code, out) == (3, "")
+    assert err == "resource cap: tree rank memo states = 2 exceeds cap 1\n"
+    code, out, _ = run(capsys, "graph", "treerank", "--cap", "16", path)
+    assert code == 0 and json.loads(out) == {"exact": True, "tree_rank": 2}
 
 
 SPACE_ARGV = ["mc", "weaklaw", "--n", "4", "--epsilon", "1/4", "--trials", "5",

@@ -5,7 +5,9 @@ one stderr line, which names the failure's kind.
 Inputs stay small (n <= 6, universes <= 6, ``maxsol --n`` <= 4) so the
 derandomized run takes a few seconds; it explores malformed JSON fields,
 missing keys, wrong types and out-of-range values, under an unset, an
-integer or a junk ``SHATTERLAB_CAP``."""
+integer or a junk ``SHATTERLAB_CAP``.  The graph verbs also draw the
+10-vertex graph on which the checked height bound fails, so exit 1 and its
+one stderr line come up in the fuzz itself."""
 
 import contextlib
 import io
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shatterlab.cli import main
+
+from families import HEIGHT_BOUND_COUNTEREXAMPLE
 
 FILE = "{file}"
 
@@ -168,6 +172,9 @@ def graph_call(draw):
         pairs.append(st.lists(st.one_of(end, JUNK), max_size=3))
     edges = st.lists(st.one_of(*pairs), max_size=8) if pairs else st.just([])
     data = obj(draw, junk, vertices=st.just(vertices), edges=edges)
+    if not draw(st.integers(0, 3)):
+        # exit 1 unless a cap refuses the tree-rank search's 16 memo states
+        return ["graph", "heightcheck"] + draw(CAP) + [FILE], HEIGHT_BOUND_COUNTEREXAMPLE
     argv = ["graph", draw(st.sampled_from(["typetree", "treerank", "extract",
                                             "heightcheck"]))]
     if draw(st.booleans()):

@@ -8,10 +8,11 @@ import pytest
 from shatterlab import (Graph, InputError, TypeTree, VerificationError,
                         build_type_tree, check_height_bound,
                         extract_clique_or_independent, from_type_tree,
-                        random_graph, solutions, tree_rank,
+                        random_graph, solutions, thicket_dimension, tree_rank,
                         validate_type_tree)
 
-from oracles import brute_type_tree_bans, brute_type_tree_violation
+from families import HEIGHT_BOUND_COUNTEREXAMPLE
+from oracles import brute_tree_rank, brute_type_tree_bans, brute_type_tree_violation
 
 
 def path_graph(n):
@@ -178,44 +179,33 @@ def test_tree_rank_exact_values():
 
 
 def test_tree_rank_matches_exhaustive_small():
-    def exhaustive(g):
-        n = g.vertex_count
-
-        def embeds(vertices, t):
-            if t == 1:
-                return bool(vertices)
-            for v in vertices:
-                rest = [u for u in vertices if u != v]
-                ones = [u for u in rest if g.adjacent(u, v)]
-                zeros = [u for u in rest if not g.adjacent(u, v)]
-                if embeds(zeros, t - 1) and embeds(ones, t - 1):
-                    return True
-            return False
-
-        t = 1
-        while embeds(list(range(n)), t + 1):
-            t += 1
-        return t
-
     for seed in range(10):
         g = random_graph(8, 0.5, seed=seed)
-        assert tree_rank(g) == exhaustive(g)
+        assert tree_rank(g) == brute_tree_rank(8, g.edges)
 
 
-def test_tree_rank_bounds_above_cap():
+def full_height(labels, key=""):
+    """Height of the full binary subtree of a type tree's index set rooted
+    at ``key``; its vertices witness that much tree rank."""
+    if key not in labels:
+        return 0
+    return 1 + min(full_height(labels, key + "0"), full_height(labels, key + "1"))
+
+
+def test_tree_rank_is_exact_past_18_vertices():
     g = random_graph(30, 0.5, seed=4)
-    out = tree_rank(g)
-    assert not out["exact"]
-    assert 1 <= out["lower"] <= out["upper"]
-    exact = tree_rank(g, cap=30)
-    assert out["lower"] <= exact <= out["upper"]
-    # small graphs forced onto the bounds path, against the exact rank
+    assert tree_rank(g) == brute_tree_rank(30, g.edges)
+    for n in range(19, 41):
+        g = random_graph(n, (1 + n % 3) / 4, seed=n)
+        assert tree_rank(g) == brute_tree_rank(n, g.edges)
+    # the bounds the rank once fell back to past 18 vertices still hold
     for seed in range(60):
         n = 8 + seed % 9
         g = random_graph(n, (1 + seed % 3) / 4, seed=seed)
-        bounds = tree_rank(g, cap=n - 1)
-        assert not bounds["exact"]
-        assert bounds["lower"] <= tree_rank(g) <= bounds["upper"]
+        t = tree_rank(g)
+        assert full_height(build_type_tree(g).labels) <= t
+        assert t <= thicket_dimension(g.neighborhood_system()) + 1
+        assert 2 ** t - 1 <= n
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +259,15 @@ def test_height_bound_holds_when_hypotheses_met():
             hits += 1
             assert report["pass"]
     assert hits > 0  # the hypotheses are actually exercised
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "check_height_bound checks (h-1)^t >= n (t-2)!, which is false at small h "
+    "(ROADMAP item 8); `graph heightcheck`'s exit code on it is pinned in bench/, "
+    "so the bound waits on the benchmark unpinning (ROADMAP item 1)"))
+def test_height_bound_holds_on_the_item_8_counterexample():
+    g = Graph.from_json_dict(HEIGHT_BOUND_COUNTEREXAMPLE)
+    assert check_height_bound(g, build_type_tree(g))["pass"]
 
 
 # ---------------------------------------------------------------------------
