@@ -8,22 +8,27 @@ probabilities are exact rationals; only the exp(.) bound comparison uses
 floats, with a 1e-12 guard.
 
 The audits walk every (trial, set) path at once in numpy, bit-identical to
-the scalar ``TestTree``: a node's label comes from a guide table on the top
-12 bits of its state plus a bounded forward correction, which equals
-``bisect_right`` on the sampling thresholds.  The correction compares with
-each threshold minus 1 and ends on a 2^64-1 that no state passes, so a
-label never walks past the last point and needs no clip.  One step is a
-fixed sequence of ufunc and take calls with preallocated outputs, the
-splitmix64 step inlined.  A deviation depends only on a set and its count
-of 1s, so the counts at which set i stays within epsilon form one integer
-band [lo_i, hi_i], and a trial exceeds epsilon when some set's final count
-lies outside its band.  With rows off the walk checks every 64 levels, with
-r levels left, whether each trial is settled: some count c is outside for
-good (c > hi or c + r < lo), or every count is inside for good (c >= lo and
-c + r <= hi); it stops once every trial is.  CSV rows need each trial's
-deviation, so with rows on the walk covers every level, and each distinct
-(set, count) pair gets one exact integer numerator over a common
-denominator; a trial's supremum is a max over their ranks, and a
+the scalar ``TestTree``.  The walk never reads a node's label, only the step
+its set takes there, 1 + the set's membership bit of the label, and reads
+that from one uint64 table over (set, bucket of the state's top bits): the
+step at the bucket's start, and per correction pass one cut, a threshold
+minus 1 at which the set's membership changes inside the bucket (else the
+bucket's end).  A state past a cut takes the other step, v ^ 3, tested as
+``(cut - x) >> 62``; together this equals the membership bit at
+``bisect_right`` on the sampling thresholds.  The bucket bits follow the
+space's points and the number of sets, so that the table stays small.  One
+step is a fixed sequence of ufunc and take calls with preallocated outputs,
+the splitmix64 step inlined.  A deviation depends only on a set and its
+count of 1s, so the counts at which set i stays within epsilon form one
+integer band [lo_i, hi_i], and a trial exceeds epsilon when some set's final
+count lies outside its band.  With rows off the walk runs in blocks of 64
+levels and after each checks, with r levels left, whether each trial is
+settled: some count c is outside for good (c > hi or c + r < lo), or every
+count is inside for good (c >= lo and c + r <= hi); it stops once every
+trial is.  CSV rows need each trial's deviation, so with rows on the walk
+covers every level, and each distinct (set, count) pair, found by counting
+the pairs rather than sorting them, gets one exact integer numerator over a
+common denominator; a trial's supremum is a max over their ranks, and a
 ``Fraction`` is built only for the rows.
 """
 
@@ -58,9 +63,6 @@ _SCALE = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_GUIDE_BITS = 12
-_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
-_GUIDE_LOW = np.uint64((1 << (64 - _GUIDE_BITS)) - 1)
 FLOAT_GUARD = 1e-12
 # (trial, set) entries of one Monte Carlo audit, about 64 bytes each
 DEFAULT_MC_CAP = 10 ** 6
@@ -272,89 +274,120 @@ def trial_seed(master_seed, trial_index):
     return splitmix64(splitmix64(master_seed & _MASK) ^ (trial_index + 1))
 
 
-def _guide_table(thresholds):
-    """Guide table for ``bisect_right(thresholds, x)`` over 64-bit x (Chen
-    and Asau 1974; Devroye 1986, III.2.4).
+def _bucket_bits(points, sets):
+    """Bits of a state's top that pick its bucket in the step table: about
+    log2(points) + 3, so that a small space gets a small, cache-resident
+    table; at most 12, and fewer as the sets grow, so that sets x buckets
+    stays within 2^15; at least 2, so that a bucket spans at most 2^62
+    states, which the cut test needs."""
+    return max(2, min(12, (points - 1).bit_length() + 3,
+                      15 - (max(sets, 1) - 1).bit_length()))
 
-    ``guide[b]`` is the label of the start of bucket b, the x whose top 12
-    bits are b.  Each threshold strictly inside a bucket moves the label of
-    a later x in that bucket by one, so ``passes``, the most such
-    thresholds in one bucket, bounds the forward correction, which adds
-    ``below[label] < x`` per pass.  ``below`` holds each threshold minus 1,
-    so that ``<`` reads as ``<=`` on it, and then 2^64-1, which no x
-    passes, so a label never walks past the last point.  (A threshold of 0
-    stays 0 and is never read: it lies at or before every bucket's start.)"""
-    t = np.array(thresholds, dtype=np.uint64)
-    starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
-    guide = np.searchsorted(t, starts, side="right")
-    inside = t[(t & _GUIDE_LOW) != 0] >> _GUIDE_SHIFT
-    passes = int(np.bincount(inside.astype(np.intp), minlength=1).max())
-    below = np.append(t - (t != 0), np.uint64(_MASK))
-    return guide, below, passes
+
+def _step_table(space: ProbSpace, masks):
+    """The walk's step table: one uint64 row per pass over (set i, bucket
+    b), entry i * 2^bits + b, with b a state's top ``bits`` bits (a guide
+    table after Chen and Asau 1974; Devroye 1986, III.2.4).  Returns
+    (table, bits).
+
+    Row 0 holds the step v = bit + 1, the bit being set i's membership of
+    the label ``bisect_right(thresholds, x)`` at x the bucket's start.
+    Each threshold strictly inside the bucket moves the label of a later x
+    in it by one; row k >= 1, a correction pass, holds the cut of the k-th
+    such threshold: the threshold minus 1 where set i's membership changes
+    there, else the bucket's end, which no x in the bucket passes.  A
+    state x past a cut takes the other step, v ^ 3; the passes are the
+    most such thresholds in one bucket.  (A threshold of 0, or one at a
+    bucket's start, is counted in that start's label.)"""
+    size, m = space.size, len(masks)
+    bits = _bucket_bits(size, m)
+    low = np.uint64((1 << (64 - bits)) - 1)
+    t = np.array(space.sampling_thresholds(), dtype=np.uint64)
+    starts = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+    ends = starts | low
+    width = (size + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
+                           dtype=np.uint8).reshape(m, width)
+    member = np.unpackbits(packed, axis=1, count=size, bitorder="little")
+    inside = np.flatnonzero(t & low)
+    bucket = (t[inside] >> np.uint64(64 - bits)).astype(np.intp)
+    # the k-th threshold inside its bucket, from 0
+    nth = np.arange(len(inside)) - np.searchsorted(bucket, bucket)
+    passes = int(nth.max(initial=-1)) + 1
+    table = np.empty((1 + passes, m, 1 << bits), dtype=np.uint64)
+    table[0] = member[:, np.searchsorted(t, starts, side="right")] + 1
+    table[1:] = ends
+    flips = member[:, inside] != member[:, inside + 1]
+    table[1 + nth, :, bucket] = np.where(flips.T, (t[inside] - 1)[:, None],
+                                         ends[bucket][:, None])
+    return table.reshape(1 + passes, -1), bits
 
 
 def _walk(space: ProbSpace, masks, roots, height, bands=None):
     """Walk ``height`` levels down the characteristic path of every set of
     ``masks`` in the test tree of every root state of the uint64 array
     ``roots``, all (root, set) pairs at once; entry t*m + i follows set i
-    from root t.
+    from root t.  Returns each entry's sum of its steps.
 
-    A step XORs ``bit + 1`` into the state, as TestTree does.  Returns each
-    entry's sum of its steps, and the index of its last node's label in the
-    flat step table, ``label + i * size``.  Every ufunc gets its output
-    array positionally and its constants as zero-stride views, and every
-    take reads int64 indices with ``mode="clip"`` (all are in range): on
-    arrays of a few hundred entries each of these spares a fixed cost of
-    about half a call.
+    A step XORs ``bit + 1`` into the state, as TestTree does, and the walk
+    reads it from the one (set, bucket) table of ``_step_table``: the
+    entry's step at its bucket's start, flipped by XOR with
+    ``(cut - x) >> 62`` per correction pass, which in uint64 is 3 when the
+    state x lies past the cut (both lie in one bucket, at most 2^62 wide)
+    and 0 otherwise.  A level is 14 calls, 4 more per pass.  Every ufunc
+    gets its output array positionally and its constants as zero-stride
+    views, and every take reads int64 indices with ``mode="clip"`` (all
+    are in range): on arrays of a few hundred entries each of these spares
+    a fixed cost of about half a call.
 
     ``bands``, the int64 arrays (lo, hi) of each set's band of final counts
-    of 1s, lets the walk stop early: every _SETTLE_STRIDE levels it stops
-    if every root's verdict is settled (``_settled``).  The levels it did
-    not walk are then summed as steps of bit 0, so each count of 1s is the
-    count so far, which lies outside some band exactly when the full count
-    would."""
-    m, size = len(masks), space.size
-    guide, below, passes = _guide_table(space.sampling_thresholds())
-    steps = np.array([(mask >> x & 1) + 1 for mask in masks for x in range(size)],
-                     dtype=np.uint64)
+    of 1s, lets the walk stop early: it runs in blocks of _SETTLE_STRIDE
+    levels and after each stops if every root's verdict is settled
+    (``_settled``).  The levels it did not walk are then summed as steps of
+    bit 0, so each count of 1s is the count so far, which lies outside some
+    band exactly when the full count would."""
+    m = len(masks)
+    table, bits = _step_table(space, masks)
     n = len(roots) * m
-    offsets = np.tile(np.arange(0, m * size, size, dtype=np.int64), len(roots))
-    gamma, mix1, mix2, s30, s27, s31, shift = (
+    offsets = np.tile(np.arange(0, table.shape[1], 1 << bits, dtype=np.int64), len(roots))
+    gamma, mix1, mix2, s30, s27, s31, shift, s62 = (
         np.broadcast_to(np.uint64(c), (n,))
-        for c in (_GAMMA, _MIX1, _MIX2, 30, 27, 31, _GUIDE_SHIFT))
+        for c in (_GAMMA, _MIX1, _MIX2, 30, 27, 31, 64 - bits, 62))
     states = np.repeat(roots, m)
     ones = np.zeros_like(states)
+    step = np.empty_like(states)
     scratch = np.empty_like(states)
-    bucket = scratch.view(np.int64)  # a state's top 12 bits read alike as int64
-    labels = np.empty(n, dtype=np.int64)
-    passed = np.empty(n, dtype=bool)
-    add, xor, rshift, mul, less = (np.add, np.bitwise_xor, np.right_shift,
-                                   np.multiply, np.less)
-    guide_take, below_take, steps_take = guide.take, below.take, steps.take
-    for level in range(height):
-        if bands is not None and level and not level % _SETTLE_STRIDE:
+    index = np.empty(n, dtype=np.int64)
+    bucket = index.view(np.uint64)
+    add, sub, xor, rshift, mul = (np.add, np.subtract, np.bitwise_xor,
+                                  np.right_shift, np.multiply)
+    step_take, *cut_takes = (row.take for row in table)
+    stride = height if bands is None else _SETTLE_STRIDE
+    for level in range(0, height, stride):
+        if level:
             counts = ones.view(np.int64).reshape(len(roots), m) - level
             if _settled(counts, height - level, *bands):
                 add(ones, np.uint64(height - level), ones)
                 break
-        rshift(states, shift, scratch)
-        guide_take(bucket, out=labels, mode="clip")
-        for _ in range(passes):
-            below_take(labels, out=scratch, mode="clip")
-            less(scratch, states, passed)
-            add(labels, passed, labels)
-        add(labels, offsets, labels)
-        steps_take(labels, out=scratch, mode="clip")
-        add(ones, scratch, ones)
-        xor(states, scratch, states)
-        # splitmix64, inline
-        add(states, gamma, states)
-        xor(states, rshift(states, s30, scratch), states)
-        mul(states, mix1, states)
-        xor(states, rshift(states, s27, scratch), states)
-        mul(states, mix2, states)
-        xor(states, rshift(states, s31, scratch), states)
-    return ones, labels
+        for _ in range(min(stride, height - level)):
+            rshift(states, shift, bucket)
+            add(index, offsets, index)
+            step_take(index, out=step, mode="clip")
+            for cut_take in cut_takes:
+                cut_take(index, out=scratch, mode="clip")
+                sub(scratch, states, scratch)
+                rshift(scratch, s62, scratch)
+                xor(step, scratch, step)
+            add(ones, step, ones)
+            xor(states, step, states)
+            # splitmix64, inline
+            add(states, gamma, states)
+            xor(states, rshift(states, s30, scratch), states)
+            mul(states, mix1, states)
+            xor(states, rshift(states, s27, scratch), states)
+            mul(states, mix2, states)
+            xor(states, rshift(states, s31, scratch), states)
+    return ones
 
 
 def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None,
@@ -371,7 +404,7 @@ def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None,
     scratch = np.empty_like(roots)
     _splitmix64_np(roots, scratch)  # trial_seed(seed, t)
     _splitmix64_np(roots, scratch)  # the root node's state
-    ones, _ = _walk(space, masks, roots, height, bands)
+    ones = _walk(space, masks, roots, height, bands)
     # each step added bit + 1
     ones -= np.uint64(height)
     return ones.view(np.int64).reshape(trials, len(masks))
@@ -420,13 +453,23 @@ def _ranked_deviations(counts, masses, height):
     """The deviations of the (set i, count c) pairs in ``counts`` (trials x
     sets) as ``_numerators``.  Returns the sorted distinct numerators, with
     0 among them, the denominator, and each trial's supremum as a rank into
-    the numerators (rank 0 when there are no sets)."""
+    the numerators (rank 0 when there are no sets).
+
+    The pairs are found without a sort: key i * span + c - least_i, with
+    least_i set i's least count and span the widest range of one set's
+    counts (at most height + 1), is counted over its span * sets values,
+    and the present keys rank in key order."""
     scale, centers = _numerators(masses, height)
-    keys, inverse = np.unique(
-        (counts + np.arange(len(masses)) * (height + 1)).ravel(),
-        return_inverse=True)
-    numerators = [abs(c * scale - centers[i])
-                  for i, c in (divmod(k, height + 1) for k in keys.tolist())]
+    least = counts.min(axis=0)
+    shifted = counts - least
+    span = int(shifted.max(initial=0)) + 1
+    flat = (shifted + np.arange(len(masses)) * span).ravel()
+    seen = np.bincount(flat) != 0
+    keys = np.flatnonzero(seen)
+    inverse = np.cumsum(seen)[flat] - 1
+    least = least.tolist()
+    numerators = [abs((c + least[i]) * scale - centers[i])
+                  for i, c in (divmod(k, span) for k in keys.tolist())]
     values = sorted(set(numerators) | {0})
     rank = {v: r for r, v in enumerate(values)}
     ranks = np.array([rank[v] for v in numerators], dtype=np.intp)

@@ -182,32 +182,36 @@ def tree_rank(graph: Graph, cap=None):
     check_cap(0, limit, None, _RANK_STATES)
     memo = {}
     t = 1
-    while _holds_full_tree(graph._neighbors, memo, limit, (1 << n) - 1, t + 1):
+    while n >= (1 << (t + 1)) - 1 and _holds_full_tree(
+            graph._neighbors, memo, limit, (1 << n) - 1, t + 1):
         t += 1
     return t
 
 
 def _holds_full_tree(neighbors, memo, limit, pool, t):
     """Whether the vertex bitmask ``pool`` holds a full binary type tree of
-    height t: some root whose non-neighbours and neighbours in the pool
-    each hold one of height t - 1.  ``memo`` is keyed by (pool, t) and
-    holds at most ``limit`` states."""
-    if t <= 1:
-        return pool != 0
-    if pool.bit_count() < (1 << t) - 1:
-        return False
+    height t >= 2: some root whose non-neighbours and neighbours in the
+    pool each hold one of height t - 1.  Callers see that the pool has at
+    least the tree's 2^t - 1 vertices; so does the recursion, before it
+    calls, and a tree of height 1 is any one vertex.  ``memo`` is keyed by
+    (pool, t) and holds at most ``limit`` states."""
     key = (pool, t)
     out = memo.get(key)
     if out is None:
         out = False
+        child = t - 1
+        need = (1 << child) - 1
         rest = pool
         while rest:
             bit = rest & -rest
             rest ^= bit
             others = pool ^ bit
             ones = others & neighbors[bit.bit_length() - 1]
-            if (_holds_full_tree(neighbors, memo, limit, others ^ ones, t - 1)
-                    and _holds_full_tree(neighbors, memo, limit, ones, t - 1)):
+            zeros = others ^ ones
+            if (zeros.bit_count() >= need
+                    and (child == 1 or _holds_full_tree(neighbors, memo, limit, zeros, child))
+                    and ones.bit_count() >= need
+                    and (child == 1 or _holds_full_tree(neighbors, memo, limit, ones, child))):
                 out = True
                 break
         memo[key] = out

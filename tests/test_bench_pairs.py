@@ -186,3 +186,40 @@ def test_summary_lines_read_the_summary_rows():
         "  total             0.5               -",
     ]
     assert bench_pairs.summary_lines([], []) == []
+
+
+def with_report(run, items_per_s, p50_ms, tail_ms, factor):
+    raw = {"items_per_s": items_per_s, "item_p50_ms": p50_ms, "item_tail_ms": tail_ms}
+    return dict(run, report={"raw": raw, "speed": {"factor": factor, "samples": 8}})
+
+
+def test_summary_reads_raw_medians_and_speed_factors_from_the_reports():
+    runs = []
+    # scaled items/s = raw / factor: the change reads +30% scaled, +10% raw
+    for pair, (factor_p, factor_c) in enumerate([(1.0, 0.85), (1.1, 0.9), (0.9, 0.8)]):
+        runs += [with_report(record("w", pair, "parent", 100 / factor_p, 1.0),
+                             100 + pair, 6.0 + pair, 36.0, factor_p),
+                 with_report(record("w", pair, "change", 110 / factor_c, 1.0),
+                             110 + pair, 5.5, 28.0 + pair, factor_c)]
+    # a run without a report, as when bench/run.py printed nothing
+    runs.append(dict(record("w", 3, "change", 1, 1.0), report=None))
+    # a traced report carries a speed factor but no raw item metrics
+    traced = [dict(record("w", 0, "parent", 1, 1.0, trace=1),
+                   report={"speed": {"factor": 1.2, "samples": 8}})]
+    row, traced_row = bench_pairs.summarize(runs + traced, SPEC, ["parent", "change"])
+    assert row["raw"] == {
+        "parent": {"items_per_s": 101, "item_p50_ms": 7.0, "item_tail_ms": 36.0,
+                   "speed_factor": 1.0},
+        "change": {"items_per_s": 111, "item_p50_ms": 5.5, "item_tail_ms": 29.0,
+                   "speed_factor": 0.85}}
+    assert traced_row["raw"]["parent"] == {"items_per_s": None, "item_p50_ms": None,
+                                           "item_tail_ms": None, "speed_factor": 1.2}
+    assert traced_row["raw"]["change"]["speed_factor"] is None
+    lines = bench_pairs.summary_lines([row, traced_row], [])
+    assert lines[3:7] == [
+        "  raw items_per_s   parent 101  change 111",
+        "  raw item_p50_ms   parent 7  change 5.5",
+        "  raw item_tail_ms  parent 36  change 29",
+        "  speed factor      parent 1  change 0.85",
+    ]
+    assert lines[-1] == "  speed factor      parent 1.2  change -"

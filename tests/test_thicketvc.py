@@ -16,8 +16,8 @@ from shatterlab import (InputError, ProbSpace, SetSystem, characteristic_path,
 from shatterlab import TestTree as SamplingTree
 from shatterlab import test_estimate as estimate_along_path
 from shatterlab import thicketvc
-from shatterlab.thicketvc import (_guide_table, _simulate_ones, _walk,
-                                  splitmix64, trial_seed)
+from shatterlab.thicketvc import (_simulate_ones, _step_table, _walk, splitmix64,
+                                  trial_seed)
 
 from oracles import (binomial_expectation, scalar_counts, scalar_vc_theorem,
                      scalar_weak_law)
@@ -124,7 +124,7 @@ def test_simulate_ones_matches_scalar_trees():
 
 
 # raw weights: zeros, and 2^20 next to small ones, which puts several
-# thresholds in one guide bucket
+# thresholds in one bucket of the step table
 RAW_WEIGHTS = st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 1 << 20]),
                        min_size=1, max_size=7).filter(any)
 
@@ -212,13 +212,13 @@ HUGE_A = F((1 << 29) - 1, (1 << 31) - 1)
 HUGE_B = F((1 << 59) - 1, (1 << 61) - 1)
 MC_SPACES = {
     "uniform": ProbSpace.uniform(6),
-    # every threshold starts a bucket of the guide table: no correction pass
+    # every threshold starts a bucket of the step table: no correction pass
     "dyadic": ProbSpace.uniform(8),
     "skewed": ProbSpace((F(1, 12), F(5, 12), F(1, 6), F(1, 3))),
     # zero weights first, inside and last: a threshold at 0, a run of
     # equal thresholds and the threshold 2^64-1
     "zero-weights": ProbSpace((F(0), F(1, 3), F(0), F(0), F(2, 3), F(0))),
-    # three thresholds inside the first bucket of the guide table
+    # three thresholds inside the first bucket of the step table
     "clustered": ProbSpace((F(1, 1 << 14), F(1, 1 << 14), F(1, 1 << 14),
                             1 - F(3, 1 << 14))),
     # denominators the Mersenne primes 2^31-1 and 2^61-1 and their product
@@ -369,29 +369,47 @@ def test_rows_off_walk_stops_at_the_first_settled_check(kind, monkeypatch):
     assert off.exceedances == on.exceedances
 
 
-@pytest.mark.parametrize("name", sorted(MC_SPACES))
-def test_guide_lookup_matches_bisect(name):
-    # one step of the kernel from each state: its label, and the step it
-    # takes for a set, which reads the label's membership bit
-    space = MC_SPACES[name]
+STEP_SPACES = st.one_of(
+    RAW_WEIGHTS.map(lambda raw: ProbSpace(tuple(F(w, sum(raw)) for w in raw))),
+    st.sampled_from(list(MC_SPACES.values())))
+# set counts that move the step table's bucket bits: 7 points give 6 bits
+# up to 512 sets, then 5, 3 and the least, 2
+STEP_SET_COUNTS = st.sampled_from([1, 5, 40, 300, 1000, 4000, 9000])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(STEP_SPACES, STEP_SET_COUNTS, st.integers(0, 127), st.integers(0, 63))
+def test_step_table_matches_bisect(space, sets, a, c):
+    # one step of the kernel from each state: the set's membership bit of
+    # the state's label, plus 1
     thresholds = space.sampling_thresholds()
     top = (1 << 64) - 1
     xs = sorted({0, top} | {t + d for t in thresholds for d in (-1, 0, 1)
                             if 0 <= t + d <= top})
-    x = np.array(xs, dtype=np.uint64)
-    full = (1 << space.size) - 1
-    for mask in (0, full, 1 << (space.size - 1), full >> 1, 0b0101010101 & full):
-        steps, labels = _walk(space, [mask], x, 1)
-        assert labels.tolist() == [bisect_right(thresholds, v) for v in xs]
-        assert steps.tolist() == [(mask >> bisect_right(thresholds, v) & 1) + 1
-                                  for v in xs]
+    # an odd multiplier runs through every mask of the space
+    masks = [((2 * a + 1) * k + c) % (1 << space.size) for k in range(sets)]
+    steps = _walk(space, masks, np.array(xs, dtype=np.uint64), 1)
+    labels = [bisect_right(thresholds, x) for x in xs]
+    assert steps.tolist() == [(mask >> label & 1) + 1
+                              for label in labels for mask in masks]
 
 
-def test_guide_table_passes():
-    assert _guide_table(MC_SPACES["uniform"].sampling_thresholds())[2] == 1
-    assert _guide_table(MC_SPACES["dyadic"].sampling_thresholds())[2] == 0
-    assert _guide_table(MC_SPACES["clustered"].sampling_thresholds())[2] == 3
-    assert _guide_table([])[2] == 0
+def test_step_table_passes():
+    def passes(space, sets=1):
+        return _step_table(space, [0] * sets)[0].shape[0] - 1
+
+    # 6 bucket bits: each threshold k/6 inside its own bucket
+    assert passes(MC_SPACES["uniform"]) == 1
+    # every threshold k/8 starts a bucket
+    assert passes(MC_SPACES["dyadic"]) == 0
+    # 5 bucket bits: all three thresholds inside the first bucket
+    assert passes(MC_SPACES["clustered"]) == 3
+    assert passes(ProbSpace.uniform(1)) == 0
+    # the most bucket bits, 12, for 1000 points: one threshold per bucket
+    assert passes(ProbSpace.uniform(1000)) == 1
+    # 9000 sets leave 2 bucket bits, where 2/7 and 3/7 share a bucket
+    assert passes(ProbSpace.uniform(7)) == 1
+    assert passes(ProbSpace.uniform(7), 9000) == 2
 
 
 @pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(0)),

@@ -53,6 +53,9 @@ SEED = 0
 # three 6-round runs, where 3 passes read 0.081-0.144 (2-vCPU Xeon).
 KIND_CYCLES = 8
 KIND_REPEATS = 10
+# Unscaled item metrics that bench/run.py keeps in each run's report line
+# ("raw"), beside the speed factor it scaled them by.
+RAW_METRICS = ("items_per_s", "item_p50_ms", "item_tail_ms")
 
 
 def _spread(values):
@@ -66,6 +69,15 @@ def _better(a, b, better):
     return b > a if better == "higher" else b < a
 
 
+def _raw_medians(group, side):
+    reports = [run["report"] for run in group if run["side"] == side and run["report"]]
+    out = {name: _spread([r["raw"][name] for r in reports if "raw" in r])["median"]
+           for name in RAW_METRICS}
+    out["speed_factor"] = _spread(
+        [r["speed"]["factor"] for r in reports if "speed" in r])["median"]
+    return out
+
+
 def summarize(runs, spec, sides):
     """One row per (workload, seed, trace) of ``runs``, in order of first
     appearance.  Per end-to-end metric of ``spec`` (BENCHMARK.json's
@@ -74,7 +86,9 @@ def summarize(runs, spec, sides):
     ``sides[1]`` read better than side a = ``sides[0]``, b's median relative
     worsening against a's, and whether it lies within the metric's bound.
     A run without a result counts in neither side's values and makes the
-    row incorrect."""
+    row incorrect.  ``raw`` holds each side's medians over its run reports
+    of the unscaled RAW_METRICS and of the speed factor, None where no
+    report has the value."""
     a, b = sides
     groups = {}
     for run in runs:
@@ -88,7 +102,8 @@ def summarize(runs, spec, sides):
         row = {"workload": workload, "seed": seed, "trace": trace,
                "pairs": len(by_pair), "sides": [a, b],
                "correct": len(results) == len(group) and all(r["correct"] for r in results),
-               "failed": sum(r["failed"] for r in results), "metrics": {}}
+               "failed": sum(r["failed"] for r in results), "metrics": {},
+               "raw": {side: _raw_medians(group, side) for side in sides}}
         for metric in spec:
             name, better = metric["name"], metric["better"]
             values = {side: [pair[side]["metrics"][name]["value"]
@@ -152,7 +167,8 @@ def _number(value):
 def summary_lines(rows, kind_rows):
     """Plain-text lines of ``summarize`` rows (per workload and metric:
     each side's median, the pairs in which the second side read better,
-    and whether it is within the bound) and of ``summarize_kinds`` rows
+    and whether it is within the bound; then, where a report had them, each
+    side's raw medians and speed factor) and of ``summarize_kinds`` rows
     (per kind: each later side's ratio to the first side's best)."""
     lines = []
     for row in rows:
@@ -166,6 +182,14 @@ def summary_lines(rows, kind_rows):
             lines.append(f"  {name:<{width}}  {a} {_number(entry[a]['median'])}  "
                          f"{b} {_number(entry[b]['median'])}  {b} better in "
                          f"{entry['b_better_pairs']}/{row['pairs']}  {bound}")
+        raw = row["raw"]
+        if any(value is not None for side in raw.values() for value in side.values()):
+            labels = {f"raw {name}": name for name in RAW_METRICS}
+            labels["speed factor"] = "speed_factor"
+            width = max(map(len, labels))
+            for label, name in labels.items():
+                lines.append(f"  {label:<{width}}  {a} {_number(raw[a][name])}  "
+                             f"{b} {_number(raw[b][name])}")
     for row in kind_rows:
         base, *later = row["sides"]
         ratios = [f"{side}/{base}" for side in later]
