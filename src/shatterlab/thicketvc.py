@@ -274,21 +274,11 @@ def trial_seed(master_seed, trial_index):
     return splitmix64(splitmix64(master_seed & _MASK) ^ (trial_index + 1))
 
 
-def _bucket_bits(points, sets):
-    """Bits of a state's top that pick its bucket in the step table: about
-    log2(points) + 3, so that a small space gets a small, cache-resident
-    table; at most 12, and fewer as the sets grow, so that sets x buckets
-    stays within 2^15; at least 2, so that a bucket spans at most 2^62
-    states, which the cut test needs."""
-    return max(2, min(12, (points - 1).bit_length() + 3,
-                      15 - (max(sets, 1) - 1).bit_length()))
-
-
 def _step_table(space: ProbSpace, masks):
-    """The walk's step table: one uint64 row per pass over (set i, bucket
-    b), entry i * 2^bits + b, with b a state's top ``bits`` bits (a guide
-    table after Chen and Asau 1974; Devroye 1986, III.2.4).  Returns
-    (table, bits).
+    """The walk's step table: uint64 rows over (set i, bucket b), entry
+    i * 2^bits + b, with b a state's top ``bits`` bits (a guide table after
+    Chen and Asau 1974; Devroye 1986, III.2.4): the steps, then one row per
+    correction pass.  Returns (table, bits).
 
     Row 0 holds the step v = bit + 1, the bit being set i's membership of
     the label ``bisect_right(thresholds, x)`` at x the bucket's start.
@@ -300,7 +290,12 @@ def _step_table(space: ProbSpace, masks):
     most such thresholds in one bucket.  (A threshold of 0, or one at a
     bucket's start, is counted in that start's label.)"""
     size, m = space.size, len(masks)
-    bits = _bucket_bits(size, m)
+    # about log2(points) + 3 bucket bits, so that a small space gets a
+    # small, cache-resident table; at most 12, and fewer as the sets grow,
+    # so that sets x buckets stays within 2^15; at least 2, so that a
+    # bucket spans at most 2^62 states, as the cut test needs
+    bits = max(2, min(12, (size - 1).bit_length() + 3,
+                      15 - (max(m, 1) - 1).bit_length()))
     low = np.uint64((1 << (64 - bits)) - 1)
     t = np.array(space.sampling_thresholds(), dtype=np.uint64)
     starts = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
@@ -467,8 +462,9 @@ def _ranked_deviations(counts, masses, height):
     seen = np.bincount(flat) != 0
     keys = np.flatnonzero(seen)
     inverse = np.cumsum(seen)[flat] - 1
-    least = least.tolist()
-    numerators = [abs((c + least[i]) * scale - centers[i])
+    # Python ints: c * scale may pass 2^63
+    firsts = least.tolist()
+    numerators = [abs((c + firsts[i]) * scale - centers[i])
                   for i, c in (divmod(k, span) for k in keys.tolist())]
     values = sorted(set(numerators) | {0})
     rank = {v: r for r, v in enumerate(values)}
