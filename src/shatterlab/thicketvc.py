@@ -291,11 +291,13 @@ def _step_table(space: ProbSpace, masks):
     bucket's start, is counted in that start's label.)"""
     size, m = space.size, len(masks)
     # about log2(points) + 3 bucket bits, so that a small space gets a
-    # small, cache-resident table; at most 12, and fewer as the sets grow,
-    # so that sets x buckets stays within 2^15; at least 2, so that a
-    # bucket spans at most 2^62 states, as the cut test needs
-    bits = max(2, min(12, (size - 1).bit_length() + 3,
-                      15 - (max(m, 1) - 1).bit_length()))
+    # small, cache-resident table; at most 12; fewer as the sets grow, so
+    # that sets x buckets stays within 2^15, but not below log2(points),
+    # so that a bucket holds about one threshold and the passes stay few;
+    # at least 2, so that a bucket spans at most 2^62 states, as the cut
+    # test needs
+    least = (size - 1).bit_length()
+    bits = max(2, min(12, least + 3, max(least, 15 - (max(m, 1) - 1).bit_length())))
     low = np.uint64((1 << (64 - bits)) - 1)
     t = np.array(space.sampling_thresholds(), dtype=np.uint64)
     starts = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)

@@ -373,7 +373,7 @@ STEP_SPACES = st.one_of(
     RAW_WEIGHTS.map(lambda raw: ProbSpace(tuple(F(w, sum(raw)) for w in raw))),
     st.sampled_from(list(MC_SPACES.values())))
 # set counts that move the step table's bucket bits: 7 points give 6 bits
-# up to 512 sets, then 5, 3 and the least, 2
+# up to 512 sets, then 5 and 3; 2 points fall to the least, 2
 STEP_SET_COUNTS = st.sampled_from([1, 5, 40, 300, 1000, 4000, 9000])
 
 
@@ -407,9 +407,14 @@ def test_step_table_passes():
     assert passes(ProbSpace.uniform(1)) == 0
     # the most bucket bits, 12, for 1000 points: one threshold per bucket
     assert passes(ProbSpace.uniform(1000)) == 1
-    # 9000 sets leave 2 bucket bits, where 2/7 and 3/7 share a bucket
-    assert passes(ProbSpace.uniform(7)) == 1
-    assert passes(ProbSpace.uniform(7), 9000) == 2
+    # many sets leave log2(points) bucket bits, no fewer: 1000 points keep
+    # 10 bits and one threshold per bucket, where the 6 bits that fit 300
+    # sets into 2^15 entries would put 16 in one
+    assert passes(ProbSpace.uniform(1000), 300) == 1
+    assert passes(ProbSpace.uniform(7), 9000) == 1
+    # 2 bits, the least, for 2 points and 9000 sets; 1/3 lies inside the
+    # second quarter
+    assert passes(ProbSpace((F(1, 3), F(2, 3))), 9000) == 1
 
 
 @pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(0)),
