@@ -394,6 +394,26 @@ def test_step_table_matches_bisect(space, sets, a, c):
                               for label in labels for mask in masks]
 
 
+@pytest.mark.parametrize("name", sorted(MC_SPACES))
+def test_guide_lookup_matches_bisect(name):
+    # one step of the kernel from each state at each threshold and its
+    # neighbours, for a few masks at a time and for each mask alone: the
+    # step reads the membership bit of the bisect_right label
+    space = MC_SPACES[name]
+    thresholds = space.sampling_thresholds()
+    top = (1 << 64) - 1
+    xs = sorted({0, top} | {t + d for t in thresholds for d in (-1, 0, 1)
+                            if 0 <= t + d <= top})
+    x = np.array(xs, dtype=np.uint64)
+    labels = [bisect_right(thresholds, v) for v in xs]
+    full = (1 << space.size) - 1
+    masks = [0, full, 1 << (space.size - 1), full >> 1, 0b0101010101 & full]
+    for group in [masks] + [[mask] for mask in masks]:
+        steps = _walk(space, group, x, 1)
+        assert steps.tolist() == [(mask >> label & 1) + 1
+                                  for label in labels for mask in group]
+
+
 def test_step_table_passes():
     def passes(space, sets=1):
         return _step_table(space, [0] * sets)[0].shape[0] - 1
