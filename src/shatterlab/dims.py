@@ -3,34 +3,46 @@
 Implements VC dimension, thicket dimension, op_s-rank and their shatter
 functions, plus an auditor that machine-checks the Sauer-Shelah style bounds
 relating them.  Every VC quantity comes from one depth-first search over
-tuples y_1 < y_2 < ... of the universe, ``_trace_count_search``.  The trace
-of a mask m on a tuple is m & Y, Y the tuple's mask, so extending the tuple
-by y sets one bit of Y, O(|F|) per node.  The search walks tuples of the
-asked size k, and a node of j elements, r = k - j still to add, bounds what
-it can reach.  Its members fall into classes by their trace, and r more
+tuples y_1 < y_2 < ... of the universe, ``_trace_count_search``.  A node of
+j elements, r = k - j still to add, bounds what it can reach: its members
+fall into classes by their trace m & Y, Y the tuple's mask, and r more
 elements split a class of c members into at most min(c, 2^r) traces.  The
-node is pruned when the sum of these bounds over its classes cannot beat
-the best count; at r = 0 the sum is the trace count itself.  The search
-stops at min(2^k, |F|).  Seeded with the best count 2^k - 1, it extends
-only shattered prefixes whose classes all hold 2^r members.  Every
-shattered k-set's prefixes are such, so it returns 2^k exactly when some
-k-set is shattered.  That one question gives the VC dimension, the largest
-such k up to min(n, floor(log2 |F|)), and the op_s-rank of a family too
-small for rank 2.
+node is pruned when its bound cannot beat the best count; at r = 0 the
+bound is the trace count itself.  The search stops at min(2^k, |F|).
+Seeded with the best count 2^k - 1, it extends only shattered prefixes
+whose classes all hold 2^r members.  Every shattered k-set's prefixes are
+such, so it returns 2^k exactly when some k-set is shattered.  That one
+question gives the VC dimension, the largest such k up to
+min(n, floor(log2 |F|)), and the op_s-rank of a family too small for
+rank 2.
 
-Counting class sizes costs two to three times a set of traces, so the search
-counts them only where a class can be expected to fall short of 2^r, when
-2|F| <= 2^n; elsewhere it bounds a node by its number of classes times 2^r.
-Both are upper bounds, so they give the same result; they differ only in
-what they prune, and not at all when no class falls short.  The members of
-one class lie in one subcube of 2^(n - j) points.  If F holds a fraction p
-of the cube at random, a class size has variance at most its mean times
-(1 - p), so a family holding more than half of the cube has even classes.
-In powerset(16) minus 100 members no class falls short, and counting would
-only add to the cost of its search; counting at every node took 0.55 s on
-powerset(16), against 0.22 s (process time, best of 3, 2-vCPU Xeon).  The
-test reads only |F| and n, so every node of one search takes the same
-branch.
+How a node finds its classes depends only on |F| and n, so every node of
+one search does it the same way.  Where 2|F| <= 2^n, the sparse case, a
+node carries its classes as member-index masks, ints over ``sets``, and
+adding y splits each class c by y's column col, the members that contain
+y, into c & col and c ^ (c & col): partition refinement (Paige and Tarjan
+1987).  A node costs O(#classes) big-int operations, not O(|F|) Python
+steps, and its bound is the sum of min(c, 2^r) over its classes.  A
+one-member class always reaches one trace, so those are kept as a count.
+At r = 0 the reach is the number of classes plus the number that y
+splits.  A class reaches at most 2 * 2^r after the split, so the loop over
+the classes stops once those that remain cannot lift the reach above the
+best count.  The columns are one ``setsystem.ChildTable`` per public call,
+the family's s = 1 ``_Search``, the one that its thicket calls read inside
+``audit_bounds``, so there each column is still built once.
+
+Where 2|F| > 2^n, the dense case, a node keeps the set of traces m & Y,
+O(|F|) per node, bounds its reach by the number of classes times 2^r and
+builds no column.  The members of one class lie in one subcube of
+2^(n - j) points.  If F holds a fraction p of the cube at random, a class
+size has variance at most its mean times (1 - p), so a family holding more
+than half of the cube has even classes, and class sizes would only add to
+the cost: counting them at every node took 0.55 s on powerset(16), against
+0.22 s.  Both bounds are upper bounds, so either search returns the same
+count.  On 2,000 random masks over 20 points the class split finds the VC
+dimension, 9, in 0.7 s, where counting each member's trace took 9.6 s;
+powerset(16) takes 0.24-0.31 s either way (process time, 2-vCPU Xeon;
+``tools/vc_grid.py`` prints such a grid).
 
 op_s-rank and psi^s come from one memoized rank recursion and one memoized
 shatter recursion, which split a family on the same tuples: the
@@ -42,8 +54,9 @@ subfamily ANDed with the whole family's child there, which one
 each element's column (sigma bit 1) or its complement (bit 0).  Sizes are
 bit counts, and the memo keys are (mask, height) pairs.  A family of fewer
 than 2^(2s) members has op_s-rank at most 1, and 1 exactly when it
-shatters some s-set, which the rank asks the VC search without building a
-column.
+shatters some s-set, which the rank asks the VC search; on a sparse family
+that search reads the family's s = 1 columns, and on a dense one it builds
+none.
 Thicket dimension and the thicket shatter function are the s = 1 calls of
 those recursions, without the universe cap.
 
@@ -276,10 +289,11 @@ def vc_dimension(system: SetSystem, cap=None):
         return NEG_INF
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     sets, n = system.sets, system.universe_size
+    columns = _columns(sets, n)
     # Shattering d elements takes 2^d sets.
     limit = min(n, len(sets).bit_length() - 1)
     d = 0
-    while d < limit and _shatters_some(sets, n, d + 1):
+    while d < limit and _shatters_some(sets, n, d + 1, columns):
         d += 1
     return d
 
@@ -292,43 +306,113 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     if size == 0:
         return 1
-    sets = system.sets
-    return _trace_count_search(sets, system.universe_size, size, 0, 0, 0, 0,
-                               min(1 << size, len(sets)))
+    sets, n = system.sets, system.universe_size
+    return _trace_count_search(sets, n, size, 0, min(1 << size, len(sets)),
+                               _columns(sets, n))
 
 
-def _trace_count_search(sets, n, size, chosen, start, k, best, stop):
-    """Largest trace count, at least ``best`` and at most ``stop``, over the
-    size-sets extending the k-set ``chosen`` by elements >= start."""
-    rest = size - k - 1
-    # Count class sizes where the input lets the count pay (module docstring).
-    counted = rest and 2 * len(sets) <= 1 << n
-    full = 1 << rest
+def _columns(sets, n):
+    """The table whose columns the VC search splits classes by, the
+    family's s = 1 search, where 2|F| <= 2^n; None on a denser family,
+    whose search keeps sets of traces (module docstring)."""
+    return _search(sets, n, 1) if 2 * len(sets) <= 1 << n else None
+
+
+def _trace_count_search(sets, n, size, best, stop, columns):
+    """Largest trace count over the size-sets of [n], size >= 1, at least
+    ``best`` and at most ``stop``; ``columns`` is ``_columns(sets, n)``."""
+    if columns is None:
+        return _trace_set_search(sets, n, size - 1, 0, 0, best, stop)
+    return _class_split_search(columns, n, size - 1, [columns.full], 0, 0, best, stop)
+
+
+def _trace_set_search(sets, n, rest, chosen, start, best, stop):
+    """The search on a dense family: a node extending the set ``chosen`` by
+    y >= start, with ``rest`` elements to add after y, counts the set of
+    traces m & Y and bounds each by 2^rest."""
     for y in range(start, n - rest):
         kid = chosen | 1 << y
-        if counted:
-            # A class of c members splits into at most min(c, 2^rest) traces.
-            classes = {}
-            for m in sets:
-                trace = m & kid
-                classes[trace] = classes.get(trace, 0) + 1
-            reach = sum(c if c < full else full for c in classes.values())
-        else:
-            # Each of the kid's classes splits into at most 2^rest traces.
-            reach = len({m & kid for m in sets}) << rest
+        reach = len({m & kid for m in sets}) << rest
         if reach > best:
-            best = reach if not rest else _trace_count_search(
-                sets, n, size, kid, y + 1, k + 1, best, stop)
+            best = reach if not rest else _trace_set_search(
+                sets, n, rest - 1, kid, y + 1, best, stop)
             if best == stop:
                 break
     return best
 
 
-def _shatters_some(sets, n, k):
-    """Whether some k-set of [n], k >= 1, is shattered: the trace-count
-    search seeded at 2^k - 1, so it extends only shattered prefixes."""
+def _class_split_search(columns, n, rest, classes, ones, start, best, stop):
+    """The search on a sparse family from a node with ``rest`` elements to
+    add after y >= start.  ``classes`` holds the node's trace classes as
+    member-index masks, but for the one-member classes that a split made,
+    which ``ones`` counts: each reaches one trace.  Adding y splits a class
+    c by y's column into c & col and c ^ (c & col).  A class of p members
+    reaches at most min(p, 2^rest) traces, so at most 2 * 2^rest after the
+    split; ``lost`` sums what the classes seen fall short of that, and the
+    loop stops once it leaves no room above ``best``."""
+    full = 1 << rest
+    if not rest:
+        # A class reaches 2 traces when y splits it and 1 otherwise.
+        budget = 2 * len(classes) + ones - best
+        for y in range(start, n):
+            if budget <= 0:
+                break
+            col = columns[(y,)][1]
+            unsplit = 0
+            for c in classes:
+                part = c & col
+                if not part or part == c:
+                    unsplit += 1
+                    if unsplit == budget:
+                        break
+            else:
+                best = 2 * len(classes) + ones - unsplit
+                if best == stop:
+                    break
+                budget = unsplit
+        return best
+    budget = 2 * full * len(classes) + ones - best
+    for y in range(start, n - rest):
+        if budget <= 0:
+            break
+        col = columns[(y,)][1]
+        kids, singles, lost = [], ones, 0
+        for c in classes:
+            part = c & col
+            if part and part != c:
+                other = c ^ part
+                p, q = part.bit_count(), other.bit_count()
+                if p > 1:
+                    kids.append(part)
+                else:
+                    singles += 1
+                if q > 1:
+                    kids.append(other)
+                else:
+                    singles += 1
+                lost += (full - p if p < full else 0) + (full - q if q < full else 0)
+            else:
+                kids.append(c)
+                p = c.bit_count()
+                lost += full + (full - p if p < full else 0)
+            if lost >= budget:
+                break
+        else:
+            best = _class_split_search(columns, n, rest - 1, kids, singles, y + 1,
+                                       best, stop)
+            if best == stop:
+                break
+            budget = 2 * full * len(classes) + ones - best
+    return best
+
+
+def _shatters_some(sets, n, k, columns):
+    """Whether some k-set of [n], k >= 1, is shattered: never by fewer than
+    2^k members, else the trace-count search seeded at 2^k - 1, so it
+    extends only shattered prefixes."""
     full = 1 << k
-    return _trace_count_search(sets, n, k, 0, 0, 0, full - 1, full) == full
+    return (len(sets) >= full
+            and _trace_count_search(sets, n, k, full - 1, full, columns) == full)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +453,7 @@ def _op_rank(sets, n, s):
         if len(sets) < 1 << 2 * s:
             # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose
             # children are all nonempty, that is a shattered s-set.
-            search.rank = int(_shatters_some(sets, n, s))
+            search.rank = int(_shatters_some(sets, n, s, _columns(sets, n)))
         else:
             k = 0
             while _op_rank_at_least(search.full, search, k + 1):

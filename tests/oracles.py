@@ -5,7 +5,8 @@ are summed term by term, op_s-ranks and their shatter functions are
 computed by enumerating every complete element tree (each tree's leaves
 counted by ``ElementTree.count_properly_labeled``, itself checked against a
 per-leaf walk from the labels), the VC dimension and shatter function by
-counting traces on every tuple, the hereditary check by enumerating every
+counting traces on every tuple (each trace a tuple of bits, built here
+rather than by ``setsystem``), the hereditary check by enumerating every
 candidate context assignment (and its witness by banseq's earlier
 backtracking over the public ``ban_set``), a graph's tree rank by trying
 every root with no memo, a ban table by banseq's earlier
@@ -28,7 +29,7 @@ import numpy as np
 from shatterlab.banseq import assemble
 from shatterlab.dims import ElementTree, NEG_INF
 from shatterlab.errors import InputError, VerificationError
-from shatterlab.setsystem import child_masks, project, traces
+from shatterlab.setsystem import child_masks
 from shatterlab.thicketvc import (FLOAT_GUARD, ExperimentReport, TestTree,
                                   _binomial_slack, _thicket_shatter_estimate,
                                   characteristic_path, trial_seed)
@@ -111,6 +112,12 @@ def binomial_bound(n, k, a=1, b=1):
     return sum(math.comb(n, i) * a ** (n - i) * b ** i for i in range(k + 1))
 
 
+def _trace_count(sets, ys):
+    """Number of distinct traces of the masks on the elements ``ys``, each
+    trace the tuple of the members' bits at ``ys``."""
+    return len({tuple(m >> y & 1 for y in ys) for m in sets})
+
+
 def brute_vc_dimension(system):
     """Largest k such that some k-subset has all 2^k traces."""
     if not system.sets:
@@ -120,7 +127,7 @@ def brute_vc_dimension(system):
     for k in range(1, n + 1):
         if len(system.sets) < 1 << k:
             break
-        if any(len(traces(system.sets, combo)) == 1 << k
+        if any(_trace_count(system.sets, combo) == 1 << k
                for combo in itertools.combinations(range(n), k)):
             best = k
         else:
@@ -129,9 +136,9 @@ def brute_vc_dimension(system):
 
 
 def brute_shatters(system, targets):
-    """Whether the projection onto ``targets`` is their whole powerset."""
+    """Whether the family has all 2^|targets| traces on ``targets``."""
     ys = sorted(set(targets))
-    return len(project(system, ys).sets) == 1 << len(ys)
+    return _trace_count(system.sets, ys) == 1 << len(ys)
 
 
 def brute_vc_shatter_function(system, size):
@@ -141,7 +148,7 @@ def brute_vc_shatter_function(system, size):
     best = 0
     full = 1 << size
     for combo in itertools.combinations(range(system.universe_size), size):
-        best = max(best, len(traces(system.sets, combo)))
+        best = max(best, _trace_count(system.sets, combo))
         if best == full:
             break
     return best

@@ -1,6 +1,8 @@
 """The summary and timing steps of tools/bench_pairs.py on synthetic records."""
 
 import importlib.util
+import json
+import subprocess
 import time
 from pathlib import Path
 
@@ -223,3 +225,45 @@ def test_summary_reads_raw_medians_and_speed_factors_from_the_reports():
         "  speed factor      parent 1  change 0.85",
     ]
     assert lines[-1] == "  speed factor      parent 1.2  change -"
+
+
+def test_seed_reaches_every_run_and_the_recorded_command(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": SPEC, "run_seconds": 3}))
+    commands = []
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {"items_per_s": {"value": 10.0}, "setup_s": {"value": 1.0}}}
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        if "--time-kinds" in command:
+            stdout = json.dumps({"vc": 1.0})
+        else:
+            machine = {"cpu": "x", "nproc": 2, "numpy": "2", "python": "3"}
+            stdout = json.dumps({"machine": machine}) + "\n" + json.dumps(result)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+
+    def main(*extra):
+        commands.clear()
+        assert bench_pairs.main(["--parent", "parent", "--change", "change",
+                                 "--label", "s", "--what", "seed", "--pairs", "w=1",
+                                 "--traced", "w", "--kinds", "w=1", *extra]) == 0
+        return json.loads((tmp_path / "BENCH_s.json").read_text())
+
+    doc = main("--seed", "1")
+    runs = [c for c in commands if "bench/run.py" in c]
+    kinds = [c for c in commands if "--time-kinds" in c]
+    assert len(runs) == 4 and len(kinds) == 3
+    assert all(c[c.index("--seed") + 1] == "1" for c in runs)
+    assert all(c[-1] == "1" for c in kinds)
+    assert "--seed 1 " in doc["command"] and "seed-1 cycles" in doc["kinds_procedure"]
+    assert {run["seed"] for run in doc["runs"] + doc["traced"]} == {1}
+    assert doc["summary"][0]["seed"] == 1
+    doc = main()
+    assert "--seed 0 " in doc["command"]
+    assert all(c[c.index("--seed") + 1] == "0" for c in commands if "bench/run.py" in c)

@@ -294,6 +294,56 @@ def test_vc_worst_cases_within_a_second(call, generator, expected):
     assert time.process_time() - start < 1
 
 
+def _density_boundary_families():
+    """Seeded families with 2|F| = 2^n - 2, 2^n and 2^n + 2 for n = 9, 10:
+    the first two split classes as member masks, the last keeps sets of
+    traces."""
+    rng = random.Random(33)
+    return [SetSystem(n, tuple(rng.sample(range(1 << n), (1 << n - 1) + delta)))
+            for n in (9, 10) for delta in (-1, 0, 1)]
+
+
+def test_vc_search_matches_oracles_at_the_density_boundary():
+    rng = random.Random(21)
+    for system in _density_boundary_families():
+        _assert_vc_matches_oracles(system, rng)
+
+
+def test_vc_search_reads_one_column_table_per_call(monkeypatch):
+    built = []
+    real_child_masks = setsystem.child_masks
+
+    def counted(sets, xs, sigma):
+        built.append(xs)
+        return real_child_masks(sets, xs, sigma)
+
+    monkeypatch.setattr(setsystem, "child_masks", counted)
+    rng = random.Random(5)
+    sparse = SetSystem(10, tuple(rng.sample(range(1 << 10), 200)))
+    small = SetSystem(10, tuple(rng.sample(range(1 << 10), 12)))
+    dense = SetSystem(8, tuple(rng.sample(range(1 << 8), 200)))
+    calls = [(vc_dimension, sparse), (lambda system: vc_shatter_function(system, 5), sparse),
+             (lambda system: op_rank(system, 2), small)]
+    for call, system in calls:
+        for _ in range(2):  # each call reads its own table
+            built.clear()
+            call(system)
+            assert built and len(built) == len(set(built)) <= system.universe_size
+    built.clear()
+    vc_dimension(dense), vc_shatter_function(dense, 5)
+    assert op_rank(generate("powerset", 3), 2) == 1  # 8 members: the shortcut
+    assert built == []
+
+
+def test_vc_dimension_of_2000_masks_on_20_points_within_3_s():
+    """The family that took 10-22 s in the search that counted traces per
+    member; its VC dimension, 9, was read from that search."""
+    system = SetSystem(20, tuple(random.Random(1).sample(range(1 << 20), 2000)))
+    start = time.process_time()
+    assert vc_dimension(system) == 9
+    assert time.process_time() - start < 3
+
+
 # ---------------------------------------------------------------------------
 # bitset kernels against the tuple-filter recursions they replaced
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ and write the runs and their summary as one BENCH_<label>.json.
         --pairs set-audit=10 --pairs mc-tail=5 --traced set-audit --aa mc-tail
 
 Both checkouts are git clones of their commit.  Each run is
-``python3 bench/run.py --workload W --seed 0 --seconds T --trace 0|1`` from
-the root of one checkout, one process at a time, with T the change's
+``python3 bench/run.py --workload W --seed S --seconds T --trace 0|1`` from
+the root of one checkout, with S the ``--seed`` (default 0, the seed whose
+results ``bench/reference.json`` digests; a run at another seed checks no
+digest), one process at a time, with T the change's
 ``BENCHMARK.json`` ``run_seconds``.  Pair p runs the parent first when p is
 even and the change first when p is odd.  ``--traced`` adds one
 ``--trace 1`` pair per named workload.  ``--aa`` adds one pair per named
@@ -21,7 +23,7 @@ rewritten after every run, so an interrupted run keeps the runs it made.
 R rounds.  A round starts one timing process per side: the parent, the
 change, and the parent again as "parent2", the A/A control.  Round r starts
 with side r mod 3.  Each process imports the library from its checkout's
-``src`` and builds the first KIND_CYCLES cycles of seed-0 items from its
+``src`` and builds the first KIND_CYCLES cycles of seed-S items from its
 checkout's ``bench/workloads.py``, writing no file there.  It times every
 item best of KIND_REPEATS passes with ``time.perf_counter``, building the
 items afresh for each pass, and a kind's time is the sum over its items.
@@ -45,8 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-# The seed whose results bench/reference.json digests, so every run also
-# checks that no result changed.
+# The default seed, whose results bench/reference.json digests, so every
+# run at it also checks that no result changed.
 SEED = 0
 # Per-kind timing: cycles of items per process, and passes over them.  On
 # cli-queries, 10 passes read A/A ratios 0.035-0.099 wide over the kinds in
@@ -219,8 +221,8 @@ def best_item_times(build, repeats):
     return [item.label for item in items], best
 
 
-def time_kinds(root, workload):
-    """Seconds per item kind of ``workload``'s first KIND_CYCLES seed-0
+def time_kinds(root, workload, seed):
+    """Seconds per item kind of ``workload``'s first KIND_CYCLES ``seed``
     cycles, built from checkout ``root``: each item best of KIND_REPEATS
     passes, each pass over items built afresh, summed per kind.  Runs in
     its own process."""
@@ -235,14 +237,14 @@ def time_kinds(root, workload):
     spec = WORKLOADS[workload]
     with tempfile.TemporaryDirectory() as workdir:
         labels, best = best_item_times(
-            lambda: spec.build(SEED, KIND_CYCLES * len(spec.cycle), workdir), KIND_REPEATS)
+            lambda: spec.build(seed, KIND_CYCLES * len(spec.cycle), workdir), KIND_REPEATS)
     kinds = {}
     for label, seconds in zip(labels, best):
         kinds[label] = kinds.get(label, 0.0) + seconds
     return kinds
 
 
-def run_kind_rounds(sides, workload, rounds, sink):
+def run_kind_rounds(sides, workload, rounds, seed, sink):
     """``rounds`` rounds of one ``time_kinds`` process per (side, root) of
     ``sides``, the starting side rotating by one each round."""
     for rnd in range(rounds):
@@ -250,7 +252,7 @@ def run_kind_rounds(sides, workload, rounds, sink):
         for position, (side, root) in enumerate(sides[shift:] + sides[:shift]):
             proc = subprocess.run(
                 [sys.executable, str(Path(__file__).resolve()), "--time-kinds", str(root),
-                 workload],
+                 workload, str(seed)],
                 capture_output=True, text=True, check=False)
             kinds = None
             try:
@@ -263,11 +265,11 @@ def run_kind_rounds(sides, workload, rounds, sink):
             print(f"{workload} kinds round {rnd} {side}: {state}", file=sys.stderr)
 
 
-def run_once(root, workload, seconds, trace):
+def run_once(root, workload, seed, seconds, trace):
     """One bench/run.py process in checkout ``root``: its return code, the
     report (the line before the last) and the result (the last line)."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -279,14 +281,14 @@ def run_once(root, workload, seconds, trace):
     return proc.returncode, report, result
 
 
-def run_pairs(checkouts, workload, seconds, trace, pairs, sink):
+def run_pairs(checkouts, workload, seed, seconds, trace, pairs, sink):
     """``pairs`` alternating pairs of the two (side, root) ``checkouts``;
     each run record goes to ``sink`` as soon as it exists."""
     for pair in range(pairs):
         order = checkouts if pair % 2 == 0 else checkouts[::-1]
         for position, (side, root) in enumerate(order):
-            code, report, result = run_once(root, workload, seconds, trace)
-            sink({"workload": workload, "seed": SEED, "trace": trace, "pair": pair,
+            code, report, result = run_once(root, workload, seed, seconds, trace)
+            sink({"workload": workload, "seed": seed, "trace": trace, "pair": pair,
                   "side": side, "position": position, "returncode": code,
                   "report": report, "result": result})
             state = "ok" if result and result["correct"] else "FAILED"
@@ -327,6 +329,8 @@ def main(argv=None):
     parser.add_argument("--aa", action="append", default=[], metavar="WORKLOAD")
     parser.add_argument("--kinds", action="append", default=[], type=_workload_counts,
                         metavar="WORKLOAD=R", help="R rounds of per-kind timing")
+    parser.add_argument("--seed", type=int, default=SEED,
+                        help=f"workload seed of every run and kind (default {SEED})")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
@@ -335,7 +339,7 @@ def main(argv=None):
     kind_sides = sides + [("parent2", sides[0][1])]
     doc = {
         "label": args.label, "what": args.what,
-        "command": f"python3 bench/run.py --workload W --seed {SEED} --seconds {seconds} "
+        "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {seconds} "
                    "--trace T, run from the root of each checkout",
         "procedure": (
             "parent and change are each a git clone of their commit; each pair runs "
@@ -350,7 +354,7 @@ def main(argv=None):
             + ". Quartiles are numpy linear percentiles over the pairs."),
         "kinds_procedure": (
             ", ".join(f"{n} rounds of {w}" for w, n in args.kinds)
-            + f" of per-kind timing: the first {KIND_CYCLES} seed-0 cycles, each "
+            + f" of per-kind timing: the first {KIND_CYCLES} seed-{args.seed} cycles, each "
             f"item best of {KIND_REPEATS} passes, each over items built afresh, in one "
             "process per side and round "
             "(parent, change, and the parent again as parent2, the starting side "
@@ -379,19 +383,19 @@ def main(argv=None):
         return sink
 
     for workload, count in args.pairs:
-        run_pairs(sides, workload, seconds, 0, count, sink_into(runs))
+        run_pairs(sides, workload, args.seed, seconds, 0, count, sink_into(runs))
     for workload in args.traced:
-        run_pairs(sides, workload, seconds, 1, 1, sink_into(traced))
+        run_pairs(sides, workload, args.seed, seconds, 1, 1, sink_into(traced))
     for workload, count in args.kinds:
-        run_kind_rounds(kind_sides, workload, count, sink_into(kind_runs))
+        run_kind_rounds(kind_sides, workload, count, args.seed, sink_into(kind_runs))
     if args.aa:
         twin = sides[0][1].with_name(sides[0][1].name + "-aa")
         subprocess.run(["git", "clone", "--quiet", str(sides[0][1]), str(twin)],
                        check=True)
         try:
             for workload in args.aa:
-                run_pairs([sides[0], ("parent2", twin)], workload, seconds, 0, 1,
-                          sink_into(aa_runs))
+                run_pairs([sides[0], ("parent2", twin)], workload, args.seed, seconds, 0,
+                          1, sink_into(aa_runs))
         finally:
             shutil.rmtree(twin)
     write()
@@ -402,6 +406,7 @@ def main(argv=None):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--time-kinds"]:
-        print(json.dumps(time_kinds(*sys.argv[2:4])))
+        root, workload, seed = sys.argv[2:5]
+        print(json.dumps(time_kinds(root, workload, int(seed))))
         sys.exit(0)
     sys.exit(main())
