@@ -40,7 +40,7 @@ than half of the cube has even classes, and class sizes would only add to
 the cost: counting them at every node took 0.55 s on powerset(16), against
 0.22 s.  Both bounds are upper bounds, so either search returns the same
 count.  On 2,000 random masks over 20 points the class split finds the VC
-dimension, 9, in 0.7 s, where counting each member's trace took 9.6 s;
+dimension, 9, in 0.7 s, where counting each member's trace took 10 s;
 powerset(16) takes 0.24-0.31 s either way (process time, 2-vCPU Xeon;
 ``tools/vc_grid.py`` prints such a grid).
 

@@ -336,8 +336,8 @@ def test_vc_search_reads_one_column_table_per_call(monkeypatch):
 
 
 def test_vc_dimension_of_2000_masks_on_20_points_within_3_s():
-    """The family that took 10-22 s in the search that counted traces per
-    member; its VC dimension, 9, was read from that search."""
+    """The family that took 10 s in the search that counted each member's
+    trace per node; its VC dimension, 9, was read from that search."""
     system = SetSystem(20, tuple(random.Random(1).sample(range(1 << 20), 2000)))
     start = time.process_time()
     assert vc_dimension(system) == 9

@@ -5,13 +5,13 @@
 
 For every point n:size of ``--points`` it draws ``size`` distinct masks
 over [n] from ``random.Random(f"{seed}:{n}:{size}")``; the default points
-are sparse families (2|F| <= 2^n) with n = 8-20 and |F| = 64-16,384.
-``--dense`` adds, per universe n, 3/4 of the cube drawn the same way, and
-``--powersets`` adds powerset(n).
-Each row gives the family, its VC dimension d, pi_F(d + 1) ("-" when
-d = n) and the process time in seconds of each call, the least of a few
-runs for calls under 0.1 s, one row as each point finishes.  Run from the repository root; it imports ``shatterlab`` from
-``src``.
+are sparse families (2|F| <= 2^n) with n = 8-20 and |F| = 64-16,384, at
+most 2,000 at n = 20.  ``--dense`` adds, per universe n, 3/4 of the cube
+drawn the same way, and ``--powersets`` adds powerset(n).  Each row gives
+the family, its VC dimension d, pi_F(d + 1) ("-" when d = n) and the
+process time in seconds of each call, the least of a few runs for calls
+under 0.1 s, one row as each point finishes.  It imports ``shatterlab``
+from the ``src`` beside it.
 """
 
 from __future__ import annotations
@@ -59,16 +59,12 @@ def families(points, powersets, dense, seed):
 def timed(call, *args):
     """The call's value and its least process time over up to REPEATS
     runs, repeated only while they have taken under REPEAT_S in all."""
-    best = spent = None
-    for _ in range(REPEATS):
+    times = []
+    while len(times) < REPEATS and sum(times) < REPEAT_S:
         start = time.process_time()
         value = call(*args)
-        seconds = time.process_time() - start
-        best = seconds if best is None else min(best, seconds)
-        spent = seconds + (spent or 0)
-        if spent >= REPEAT_S:
-            break
-    return value, best
+        times.append(time.process_time() - start)
+    return value, min(times)
 
 
 def grid_rows(systems):
