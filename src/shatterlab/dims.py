@@ -36,13 +36,12 @@ O(|F|) per node, bounds its reach by the number of classes times 2^r and
 builds no column.  The members of one class lie in one subcube of
 2^(n - j) points.  If F holds a fraction p of the cube at random, a class
 size has variance at most its mean times (1 - p), so a family holding more
-than half of the cube has even classes, and class sizes would only add to
-the cost: counting them at every node took 0.55 s on powerset(16), against
-0.22 s.  Both bounds are upper bounds, so either search returns the same
-count.  On 2,000 random masks over 20 points the class split finds the VC
-dimension, 9, in 0.7 s, where counting each member's trace took 10 s;
-powerset(16) takes 0.24-0.31 s either way (process time, 2-vCPU Xeon;
-``tools/vc_grid.py`` prints such a grid).
+than half of the cube has even classes: their sizes prune nothing, and
+splitting |F|-bit class masks costs more than a set of traces.  The class
+split took 8 times as long on powerset(16) and 1.3-1.5 times as long on
+3/4 of the 14-cube (process time, 2-vCPU Xeon; ``tools/vc_grid.py`` times
+such points).  Both bounds are upper bounds, so either search returns the
+same count.
 
 op_s-rank and psi^s come from one memoized rank recursion and one memoized
 shatter recursion, which split a family on the same tuples: the
@@ -54,9 +53,8 @@ subfamily ANDed with the whole family's child there, which one
 each element's column (sigma bit 1) or its complement (bit 0).  Sizes are
 bit counts, and the memo keys are (mask, height) pairs.  A family of fewer
 than 2^(2s) members has op_s-rank at most 1, and 1 exactly when it
-shatters some s-set, which the rank asks the VC search; on a sparse family
-that search reads the family's s = 1 columns, and on a dense one it builds
-none.
+shatters some s-set, which the rank asks the VC search with sets of traces:
+on fewer than 4^s members a column table would cost more than it saves.
 Thicket dimension and the thicket shatter function are the s = 1 calls of
 those recursions, without the universe cap.
 
@@ -320,16 +318,18 @@ def _columns(sets, n):
 
 def _trace_count_search(sets, n, size, best, stop, columns):
     """Largest trace count over the size-sets of [n], size >= 1, at least
-    ``best`` and at most ``stop``; ``columns`` is ``_columns(sets, n)``."""
+    ``best`` and at most ``stop``; ``columns`` is ``_columns(sets, n)``, or
+    None for the set-of-traces search on any family."""
     if columns is None:
         return _trace_set_search(sets, n, size - 1, 0, 0, best, stop)
     return _class_split_search(columns, n, size - 1, [columns.full], 0, 0, best, stop)
 
 
 def _trace_set_search(sets, n, rest, chosen, start, best, stop):
-    """The search on a dense family: a node extending the set ``chosen`` by
-    y >= start, with ``rest`` elements to add after y, counts the set of
-    traces m & Y and bounds each by 2^rest."""
+    """The search on a dense family, and on the op-rank shortcut's small
+    ones: a node extending the set ``chosen`` by y >= start, with ``rest``
+    elements to add after y, counts the set of traces m & Y and bounds each
+    by 2^rest."""
     for y in range(start, n - rest):
         kid = chosen | 1 << y
         reach = len({m & kid for m in sets}) << rest
@@ -453,7 +453,7 @@ def _op_rank(sets, n, s):
         if len(sets) < 1 << 2 * s:
             # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose
             # children are all nonempty, that is a shattered s-set.
-            search.rank = int(_shatters_some(sets, n, s, _columns(sets, n)))
+            search.rank = int(_shatters_some(sets, n, s, None))
         else:
             k = 0
             while _op_rank_at_least(search.full, search, k + 1):

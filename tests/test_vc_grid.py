@@ -17,7 +17,7 @@ def test_grid_prints_d_and_pi_of_each_point(capsys):
     assert header.split() == ["family", "n", "|F|", "d", "d_s", "pi(d+1)", "pi_s"]
     rows = [line.split() for line in lines]
     assert [row[0] for row in rows] == ["random-7-24", "powerset-4"]
-    ((_, system),) = vc_grid.families([(7, 24)], [], [], 0)
+    ((_, system),) = vc_grid.families([(7, 24)], [], [])
     d = brute_vc_dimension(system)
     label, n, size, got_d, d_s, pi, pi_s = rows[0]
     assert (n, size, got_d) == ("7", "24", str(d)) and len(system) == 24

@@ -1,10 +1,10 @@
 """Time the VC search on a grid of seeded families.
 
     python3 tools/vc_grid.py [--points 8:64,12:256,...] [--powersets 12,14,16]
-        [--dense 10,12,14] [--seed 0]
+        [--dense 10,12,14]
 
 For every point n:size of ``--points`` it draws ``size`` distinct masks
-over [n] from ``random.Random(f"{seed}:{n}:{size}")``; the default points
+over [n] from ``random.Random(f"0:{n}:{size}")``; the default points
 are sparse families (2|F| <= 2^n) with n = 8-20 and |F| = 64-16,384, at
 most 2,000 at n = 20.  ``--dense`` adds, per universe n, 3/4 of the cube
 drawn the same way, and ``--powersets`` adds powerset(n).  Each row gives
@@ -46,11 +46,11 @@ def _points(text):
     return [tuple(map(int, part.split(":"))) for part in text.split(",") if part]
 
 
-def families(points, powersets, dense, seed):
+def families(points, powersets, dense):
     """(label, system) of each grid point, in the order of the options."""
     points = points + [(n, 3 << n - 2) for n in dense]
     for n, size in points:
-        rng = random.Random(f"{seed}:{n}:{size}")
+        rng = random.Random(f"0:{n}:{size}")
         yield f"random-{n}-{size}", SetSystem(n, tuple(rng.sample(range(1 << n), size)))
     for n in powersets:
         yield f"powerset-{n}", generate("powerset", n)
@@ -89,11 +89,9 @@ def main(argv=None):
     parser.add_argument("--points", type=_points, default=_points(POINTS))
     parser.add_argument("--powersets", type=_ints, default=[12, 14, 16])
     parser.add_argument("--dense", type=_ints, default=[10, 12, 14])
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     print("family n |F| d d_s pi(d+1) pi_s", flush=True)
-    for row in grid_rows(families(args.points, args.powersets, args.dense,
-                                  args.seed)):
+    for row in grid_rows(families(args.points, args.powersets, args.dense)):
         print(" ".join(map(_cell, row)), flush=True)
     return 0
 
