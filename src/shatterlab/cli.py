@@ -310,9 +310,7 @@ def cmd_graph_heightcheck(args):
 def _load_space(args):
     if args.space is not None:
         return thicketvc.ProbSpace.from_json_dict(_load_json(args.space))
-    if args.uniform is not None:
-        return thicketvc.ProbSpace.uniform(args.uniform)
-    raise InputError("provide --space FILE or --uniform N")
+    return thicketvc.ProbSpace.uniform(args.uniform)
 
 
 def _parse_members(text):
@@ -448,8 +446,9 @@ def build_parser():
         p.set_defaults(func=func)
 
     mc_common = argparse.ArgumentParser(add_help=False, parents=[common])
-    mc_common.add_argument("--space")
-    mc_common.add_argument("--uniform", type=int)
+    space = mc_common.add_mutually_exclusive_group(required=True)
+    space.add_argument("--space")
+    space.add_argument("--uniform", type=int)
     mc_common.add_argument("--n", type=int, required=True)
     mc_common.add_argument("--epsilon", required=True)
     mc_common.add_argument("--trials", type=int, required=True)

@@ -3,9 +3,11 @@ the weak laws and the thicket uniform-convergence bound.
 
 Sampling is counter-based: the label of a tree node is a pure function of
 (seed, node path) through a splitmix64 chain, so lazily materialized trees
-are identical regardless of traversal order or worker count.  Estimates and
-probabilities are exact rationals; only the exp(.) bound comparison uses
-floats, with a 1e-12 guard.
+are identical regardless of traversal order or worker count.  A space holds
+its weights once as integer numerators over one denominator D, and masses,
+sampling thresholds, bands and deviations are integer sums and products over
+D; estimates and probabilities are reported as exact rationals, and only the
+exp(.) bound comparison uses floats, with a 1e-12 guard.
 
 The audits walk every (trial, set) path at once in numpy, bit-identical to
 the scalar ``TestTree``.  The walk never reads a node's label, only the step
@@ -38,6 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -99,17 +102,26 @@ def _splitmix64_np(x, scratch):
 
 @dataclass(frozen=True)
 class ProbSpace:
-    """Finite base set [N] with exact rational weights summing to 1."""
+    """Finite base set [N] with exact rational weights summing to 1.
+
+    ``weights`` are the reduced Fractions.  The space also holds them once
+    as integers over one denominator D, the lcm of the weight denominators:
+    ``_denominator`` is D and ``_weight_numerators[i]`` is weight i times
+    D.  Masses, sampling thresholds and the audits read these integers."""
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
         ws = tuple(require_rational(w, "weight") for w in self.weights)
-        if any(w < 0 for w in ws):
+        scale = math.lcm(*(w.denominator for w in ws))
+        nums = tuple(w.numerator * (scale // w.denominator) for w in ws)
+        if any(v < 0 for v in nums):
             raise InputError("weights must be nonnegative")
-        if sum(ws) != 1:
+        if sum(nums) != scale:
             raise InputError("weights must sum to exactly 1")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_denominator", scale)
+        object.__setattr__(self, "_weight_numerators", nums)
 
     @property
     def size(self):
@@ -120,21 +132,19 @@ class ProbSpace:
         size = require_int(size, "size", 1)
         return cls(tuple(Fraction(1, size) for _ in range(size)))
 
+    def _mass_numerator(self, mask):
+        """The mass of ``mask``, a checked mask, times D."""
+        return sum(compress(self._weight_numerators, map(int, bin(mask)[:1:-1])))
+
     def mass(self, members):
-        mask = _as_mask(members, self.size)
-        return sum((w for i, w in enumerate(self.weights) if mask >> i & 1),
-                   Fraction(0))
+        return Fraction(self._mass_numerator(_as_mask(members, self.size)),
+                        self._denominator)
 
     def sampling_thresholds(self):
         """T_i = floor(cumulative_i * 2^64); the draw with 64-bit value u
         lands on point bisect_right(T, u)."""
-        out = []
-        cum = Fraction(0)
-        for w in self.weights[:-1]:
-            cum += w
-            out.append(min((cum.numerator * _SCALE) // cum.denominator,
-                           _SCALE - 1))
-        return out
+        return [min((cum << 64) // self._denominator, _SCALE - 1)
+                for cum in accumulate(self._weight_numerators[:-1])]
 
     def to_json_dict(self):
         return {"points": self.size,
@@ -407,20 +417,13 @@ def _simulate_ones(space: ProbSpace, masks, height, trials, seed, cap=None,
     return ones.view(np.int64).reshape(trials, len(masks))
 
 
-def _numerators(masses, height):
-    """The deviations |c/height - masses[i]| as exact integer numerators
-    over one denominator, height * D with D the lcm of the mass
-    denominators: set i at count c has the numerator |c*D - centers[i]|,
-    centers[i] = masses[i] * D * height.  Returns (D, centers)."""
-    scale = math.lcm(*(w.denominator for w in masses))
-    return scale, [w.numerator * (scale // w.denominator) * height for w in masses]
-
-
-def _bands(masses, height, eps, at_least):
+def _bands(centers, scale, height, eps, at_least):
     """Per set, the int64 arrays (lo, hi) of the band of counts c at which
     |c/height - mass| is below ``eps`` (``at_least``) or at most ``eps``,
-    clamped to [-1, height + 1]; an empty band has lo > hi."""
-    scale, centers = _numerators(masses, height)
+    clamped to [-1, height + 1]; an empty band has lo > hi.  The deviations
+    are integer numerators over height * ``scale``, D of the space: set i
+    at count c has the numerator |c*D - centers[i]|, centers[i] its mass
+    times D * height."""
     limit = eps * height * scale
     if at_least:
         # a numerator v is below limit iff v <= ceil(limit) - 1
@@ -446,21 +449,21 @@ def _settled(counts, r, lo, hi):
     return bool((_outside(counts, lo - r, hi) | ~_outside(counts, lo, hi - r)).all())
 
 
-def _ranked_deviations(counts, masses, height):
+def _ranked_deviations(counts, centers, scale, height):
     """The deviations of the (set i, count c) pairs in ``counts`` (trials x
-    sets) as ``_numerators``.  Returns the sorted distinct numerators, with
-    0 among them, the denominator, and each trial's supremum as a rank into
-    the numerators (rank 0 when there are no sets).
+    sets) as numerators over height * ``scale``, read as in ``_bands``.
+    Returns the sorted distinct numerators, with 0 among them, the
+    denominator, and each trial's supremum as a rank into the numerators
+    (rank 0 when there are no sets).
 
     The pairs are found without a sort: key i * span + c - least_i, with
     least_i set i's least count and span the widest range of one set's
     counts (at most height + 1), is counted over its span * sets values,
     and the present keys rank in key order."""
-    scale, centers = _numerators(masses, height)
     least = counts.min(axis=0)
     shifted = counts - least
     span = int(shifted.max(initial=0)) + 1
-    flat = (shifted + np.arange(len(masses)) * span).ravel()
+    flat = (shifted + np.arange(len(centers)) * span).ravel()
     seen = np.bincount(flat) != 0
     keys = np.flatnonzero(seen)
     inverse = np.cumsum(seen)[flat] - 1
@@ -475,10 +478,10 @@ def _ranked_deviations(counts, masses, height):
     return values, height * scale, best
 
 
-def _report_rows(height, eps, counts, masses, exceeded):
+def _report_rows(height, eps, counts, centers, scale, exceeded):
     """One CSV row per trial: its supremum deviation as a fraction, and its
     verdict."""
-    values, denominator, best = _ranked_deviations(counts, masses, height)
+    values, denominator, best = _ranked_deviations(counts, centers, scale, height)
     text = [rational_text(Fraction(v, denominator)) for v in values]
     epsilon = str(eps)
     return [{"trial": t, "n": height, "epsilon": epsilon,
@@ -504,14 +507,16 @@ def _tail_audit(kind, space, masks, height, epsilon, trials, seed, keep_rows,
     eps = require_rational(epsilon, "epsilon")
     if eps < 0 or (at_least and eps == 0):
         raise InputError("epsilon must be > 0" if at_least else "epsilon must be >= 0")
-    masses = [space.mass(m) for m in masks]
-    lo, hi = _bands(masses, height, eps, at_least)
+    scale = space._denominator
+    centers = [space._mass_numerator(m) * height for m in masks]
+    lo, hi = _bands(centers, scale, height, eps, at_least)
     # CSV rows need every trial's full counts: no early stop
     counts = _simulate_ones(space, masks, height, trials, seed, cap,
                             None if keep_rows else (lo, hi))
     exceeded = _outside(counts, lo, hi)
     exceed = int(np.count_nonzero(exceeded))
-    rows = _report_rows(height, eps, counts, masses, exceeded) if keep_rows else []
+    rows = (_report_rows(height, eps, counts, centers, scale, exceeded)
+            if keep_rows else [])
     bound, notes = tail_bound(eps)
     slack = _binomial_slack(exceed, trials)
     empirical = Fraction(exceed, trials)

@@ -241,6 +241,20 @@ def test_geom_commands(capsys, tmp_path):
     assert json.loads(out) == {"lines": 3, "cells": 7}
 
 
+@pytest.mark.parametrize("verb", [["weaklaw"], ["vcthm", "thresholds:4"]])
+@pytest.mark.parametrize("space, text", [
+    ([], "one of the arguments --space --uniform is required"),
+    (["--space", "{file}", "--uniform", "4"], "not allowed with argument"),
+], ids=["neither", "both"])
+def test_mc_space_from_exactly_one_of_space_and_uniform(capsys, tmp_path, verb, space, text):
+    path = write_json(tmp_path, "space.json", {"points": 4, "weights": ["1/4"] * 4})
+    space = [path if a == "{file}" else a for a in space]
+    code, _, err = run(capsys, "mc", verb[0], *space, "--n", "10", "--epsilon", "1/4",
+                       "--trials", "20", *verb[1:])
+    assert code == 2 and text in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # invalid input: missing file
     code, _, err = run(capsys, "sys", "dim", "--kind", "vc", "missing.json")
@@ -744,6 +758,9 @@ DISPATCH_ARGVS = [
     ("sys", "--cap", "5", "dim", "--kind", "vc", "powerset:3"),
     ("sys", "dim", "--kind", "nosuch", "powerset:3"),
     ("geom", "regions", "--r", "two", "--s", "3"),
+    # a space from neither or both of --space and --uniform
+    ("mc", "weaklaw", "--n", "10", "--epsilon", "1/4", "--trials", "20"),
+    ("mc", "vcthm", "--space", "{space}", *MC, "thresholds:4"),
     # the cli-queries benchmark's malformed inputs
     ("sys", "dim", "--kind", "vc", "{bad_sets}"),
     ("ban", "solve", "{missing}"),
@@ -765,6 +782,7 @@ def dispatch_files(tmp_path):
              "bad_sets": {"universe": 3, "sets": ["01", "1111"]},
              "bad_json": b"{\"universe\": [[",
              "self_loop": {"vertices": 3, "edges": [[1, 1]]},
+             "space": {"points": 4, "weights": ["1/4"] * 4},
              "short_table": {"n": 4, "k": 2, "j": 2, "bans": []}}
     paths = {name: write_json(tmp_path, f"{name}.json", data) for name, data in files.items()}
     paths["missing"] = str(tmp_path / "missing.json")

@@ -1,6 +1,7 @@
 """Test trees: counter-based determinism, exact expectations, and the two
 Monte Carlo audits."""
 
+import math
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -369,9 +370,8 @@ def test_rows_off_walk_stops_at_the_first_settled_check(kind, monkeypatch):
     assert off.exceedances == on.exceedances
 
 
-STEP_SPACES = st.one_of(
-    RAW_WEIGHTS.map(lambda raw: ProbSpace(tuple(F(w, sum(raw)) for w in raw))),
-    st.sampled_from(list(MC_SPACES.values())))
+RAW_SPACES = RAW_WEIGHTS.map(lambda raw: ProbSpace(tuple(F(w, sum(raw)) for w in raw)))
+STEP_SPACES = st.one_of(RAW_SPACES, st.sampled_from(list(MC_SPACES.values())))
 # set counts that move the step table's bucket bits: 7 points give 6 bits
 # up to 512 sets, then 5 and 3; 2 points fall to the least, 2
 STEP_SET_COUNTS = st.sampled_from([1, 5, 40, 300, 1000, 4000, 9000])
@@ -435,6 +435,32 @@ def test_step_table_passes():
     # 2 bits, the least, for 2 points and 9000 sets; 1/3 lies inside the
     # second quarter
     assert passes(ProbSpace((F(1, 3), F(2, 3))), 9000) == 1
+
+
+@pytest.mark.parametrize("name", sorted(MC_SPACES) + ["raw"])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_weights_match_fraction_sums(name, data):
+    # masses and thresholds read the weights' numerators over one
+    # denominator; here they are summed as Fractions, point by point
+    space = data.draw(RAW_SPACES) if name == "raw" else MC_SPACES[name]
+    weights = space.weights
+    for mask in data.draw(st.lists(st.integers(0, (1 << space.size) - 1),
+                                   min_size=1, max_size=4)):
+        assert space.mass(mask) == sum(
+            (w for i, w in enumerate(weights) if mask >> i & 1), F(0))
+    expected, cumulative = [], F(0)
+    for w in weights[:-1]:
+        cumulative += w
+        expected.append(min(math.floor(cumulative * (1 << 64)), (1 << 64) - 1))
+    assert space.sampling_thresholds() == expected
+    # the integer checks refuse what the Fraction checks refused
+    for bad, text in [((), "sum to exactly 1"),
+                      (weights + (F(-1), F(1)), "nonnegative"),
+                      (weights + (F(1, 1 << 70),), "sum to exactly 1"),
+                      (tuple(w / 2 for w in weights), "sum to exactly 1")]:
+        with pytest.raises(InputError, match=text):
+            ProbSpace(bad)
 
 
 @pytest.mark.parametrize("height,epsilon", [(0, F(1, 4)), (5, F(0)),
