@@ -143,7 +143,7 @@ class ProbSpace:
     def sampling_thresholds(self):
         """T_i = floor(cumulative_i * 2^64); the draw with 64-bit value u
         lands on point bisect_right(T, u)."""
-        return [min((cum << 64) // self._denominator, _SCALE - 1)
+        return [min(cum * _SCALE // self._denominator, _SCALE - 1)
                 for cum in accumulate(self._weight_numerators[:-1])]
 
     def to_json_dict(self):

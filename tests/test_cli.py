@@ -241,16 +241,15 @@ def test_geom_commands(capsys, tmp_path):
     assert json.loads(out) == {"lines": 3, "cells": 7}
 
 
-@pytest.mark.parametrize("verb", [["weaklaw"], ["vcthm", "thresholds:4"]])
-@pytest.mark.parametrize("space, text", [
-    ([], "one of the arguments --space --uniform is required"),
-    (["--space", "{file}", "--uniform", "4"], "not allowed with argument"),
+@pytest.mark.parametrize("argv, text", [
+    (["weaklaw"], "one of the arguments --space --uniform is required"),
+    (["vcthm", "--space", "{file}", "--uniform", "4", "thresholds:4"],
+     "not allowed with argument"),
 ], ids=["neither", "both"])
-def test_mc_space_from_exactly_one_of_space_and_uniform(capsys, tmp_path, verb, space, text):
+def test_mc_space_from_exactly_one_of_space_and_uniform(capsys, tmp_path, argv, text):
     path = write_json(tmp_path, "space.json", {"points": 4, "weights": ["1/4"] * 4})
-    space = [path if a == "{file}" else a for a in space]
-    code, _, err = run(capsys, "mc", verb[0], *space, "--n", "10", "--epsilon", "1/4",
-                       "--trials", "20", *verb[1:])
+    argv = [path if a == "{file}" else a for a in argv]
+    code, _, err = run(capsys, "mc", *argv, "--n", "10", "--epsilon", "1/4", "--trials", "20")
     assert code == 2 and text in err
     assert "Traceback" not in err
 
