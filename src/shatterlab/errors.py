@@ -53,7 +53,10 @@ def require_int(value, what, low=None, high=None):
 
 def require_rational(value, what):
     """``value`` as a Fraction when ``Fraction`` reads it and it is not a
-    bool; ``true``, ``"abc"``, ``"1/0"`` or an infinity is an InputError."""
+    bool; ``true``, ``"abc"``, ``"1/0"`` or an infinity is an InputError.
+    A ``Fraction`` itself, which is immutable, is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, bool):
         try:
             return Fraction(value)

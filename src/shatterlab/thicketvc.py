@@ -28,10 +28,10 @@ levels and after each checks, with r levels left, whether each trial is
 settled: some count c is outside for good (c > hi or c + r < lo), or every
 count is inside for good (c >= lo and c + r <= hi); it stops once every
 trial is.  CSV rows need each trial's deviation, so with rows on the walk
-covers every level, and each distinct (set, count) pair, found by counting
-the pairs rather than sorting them, gets one exact integer numerator over a
-common denominator; a trial's supremum is a max over their ranks, and a
-``Fraction`` is built only for the rows.
+covers every level, and each distinct (set, count) pair, found by one
+``np.unique`` over the pairs' integer keys, gets one exact integer numerator
+over a common denominator; a trial's supremum is a max over their ranks, and
+a ``Fraction`` is built only for the rows.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class ProbSpace:
     @classmethod
     def uniform(cls, size):
         size = require_int(size, "size", 1)
-        return cls(tuple(Fraction(1, size) for _ in range(size)))
+        return cls((Fraction(1, size),) * size)
 
     def _mass_numerator(self, mask):
         """The mass of ``mask``, a checked mask, times D."""
@@ -425,12 +425,9 @@ def _bands(centers, scale, height, eps, at_least):
     at count c has the numerator |c*D - centers[i]|, centers[i] its mass
     times D * height."""
     limit = eps * height * scale
-    if at_least:
-        # a numerator v is below limit iff v <= ceil(limit) - 1
-        reach = -(-limit.numerator // limit.denominator) - 1
-    else:
-        # a numerator v is at most limit iff v <= floor(limit)
-        reach = limit.numerator // limit.denominator
+    # an integer numerator v is below limit iff v <= ceil(limit) - 1, and
+    # at most limit iff v <= floor(limit)
+    reach = math.ceil(limit) - 1 if at_least else math.floor(limit)
     lo = [max(-((reach - a) // scale), -1) for a in centers]
     hi = [min((a + reach) // scale, height + 1) for a in centers]
     return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
@@ -449,40 +446,25 @@ def _settled(counts, r, lo, hi):
     return bool((_outside(counts, lo - r, hi) | ~_outside(counts, lo, hi - r)).all())
 
 
-def _ranked_deviations(counts, centers, scale, height):
-    """The deviations of the (set i, count c) pairs in ``counts`` (trials x
-    sets) as numerators over height * ``scale``, read as in ``_bands``.
-    Returns the sorted distinct numerators, with 0 among them, the
-    denominator, and each trial's supremum as a rank into the numerators
-    (rank 0 when there are no sets).
-
-    The pairs are found without a sort: key i * span + c - least_i, with
-    least_i set i's least count and span the widest range of one set's
-    counts (at most height + 1), is counted over its span * sets values,
-    and the present keys rank in key order."""
-    least = counts.min(axis=0)
-    shifted = counts - least
-    span = int(shifted.max(initial=0)) + 1
-    flat = (shifted + np.arange(len(centers)) * span).ravel()
-    seen = np.bincount(flat) != 0
-    keys = np.flatnonzero(seen)
-    inverse = np.cumsum(seen)[flat] - 1
+def _report_rows(height, eps, counts, centers, scale, exceeded):
+    """One CSV row per trial: its supremum deviation as a fraction, and its
+    verdict.  Rows need a full walk, so every count in ``counts`` (trials x
+    sets) lies in [0, height] and the key i * (height + 1) + c of set i at
+    count c fits in int64.  Each distinct key gets the numerator of its
+    deviation over height * ``scale``, read as in ``_bands``, and a trial's
+    supremum is the greatest rank among its keys (rank 0, deviation 0, when
+    there are no sets)."""
+    keys, inverse = np.unique(
+        (counts + np.arange(len(centers)) * (height + 1)).ravel(),
+        return_inverse=True)
     # Python ints: c * scale may pass 2^63
-    firsts = least.tolist()
-    numerators = [abs((c + firsts[i]) * scale - centers[i])
-                  for i, c in (divmod(k, span) for k in keys.tolist())]
+    numerators = [abs(c * scale - centers[i])
+                  for i, c in (divmod(k, height + 1) for k in keys.tolist())]
     values = sorted(set(numerators) | {0})
     rank = {v: r for r, v in enumerate(values)}
     ranks = np.array([rank[v] for v in numerators], dtype=np.intp)
     best = ranks[inverse].reshape(counts.shape).max(axis=1, initial=0)
-    return values, height * scale, best
-
-
-def _report_rows(height, eps, counts, centers, scale, exceeded):
-    """One CSV row per trial: its supremum deviation as a fraction, and its
-    verdict."""
-    values, denominator, best = _ranked_deviations(counts, centers, scale, height)
-    text = [rational_text(Fraction(v, denominator)) for v in values]
+    text = [rational_text(Fraction(v, height * scale)) for v in values]
     epsilon = str(eps)
     return [{"trial": t, "n": height, "epsilon": epsilon,
              "deviation": text[k], "exceeded": int(hit)}

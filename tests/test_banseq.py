@@ -69,6 +69,16 @@ def test_ban_set_key_checking():
         problem.ban_set((1, 0), (0,))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a lazy problem checks a context by its length and alphabet membership, "
+    "which reads True as 1 and lets 1.0 reach the rule; a type check there "
+    "costs about 30% of the parity fill, which the benchmark keeps per-entry"))
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_lazy_ban_set_refuses_a_context_entry_that_is_not_an_int(entry):
+    with pytest.raises(InputError):
+        parity_problem(3).ban_set((0,), (entry, 0))
+
+
 KEY_SHAPE = (4, 2, 3)
 KEY_SUBSETS = list(itertools.combinations(range(KEY_SHAPE[0]), KEY_SHAPE[1]))
 KEY_CONTEXTS = list(itertools.product(range(KEY_SHAPE[2]),
@@ -287,6 +297,18 @@ def test_from_table_checks_one_symbol_of_each_type():
                   with_entry(BASE, ((1, 2), (1,)), {(np.int64(0), 1), (True, 1)})):
         with pytest.raises(InputError, match="got True$"):
             BanProblem.from_table(3, 2, 2, table)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a lazy rule's patterns are read by hash-equal integers: ban_set answers "
+    "{(True,)} and, once banned_count fills the table, {(1,)}; from_table "
+    "refuses the same pattern, but the fill's ban-set codes are keyed by "
+    "equality, so a type check there misses a bool after an equal int set"))
+@pytest.mark.parametrize("symbol", [True, 1.0])
+def test_lazy_rule_fill_refuses_a_pattern_entry_that_is_not_an_int(symbol):
+    problem = BanProblem(2, 1, 2, lambda S, X: {(symbol,)})
+    with pytest.raises(InputError, match=f"got {symbol}$"):
+        banned_count(problem)
 
 
 def seeded_ban_table(seed, n, k, j, allow_empty):
