@@ -305,8 +305,10 @@ def test_from_table_checks_one_symbol_of_each_type():
     "refuses the same pattern, but the fill's ban-set codes are keyed by "
     "equality, so a type check there misses a bool after an equal int set"))
 @pytest.mark.parametrize("symbol", [True, 1.0])
-def test_lazy_rule_fill_refuses_a_pattern_entry_that_is_not_an_int(symbol):
-    problem = BanProblem(2, 1, 2, lambda S, X: {(symbol,)})
+@pytest.mark.parametrize("after_int", [False, True])
+def test_lazy_rule_fill_refuses_a_pattern_entry_that_is_not_an_int(symbol, after_int):
+    # with after_int the context (0,) answers the equal int set {(1,)} first
+    problem = BanProblem(2, 1, 2, lambda S, X: {(1,) if after_int and X == (0,) else (symbol,)})
     with pytest.raises(InputError, match=f"got {symbol}$"):
         banned_count(problem)
 
