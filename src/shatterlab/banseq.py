@@ -25,7 +25,7 @@ import numpy as np
 from .dims import NEG_INF, _sauer_sum, op_rank
 from .errors import (InputError, VerificationError, check_cap, require_int,
                      require_probability)
-from .setsystem import SetSystem, mask_of
+from .setsystem import SetSystem, _bit_matrix, mask_of
 from .typetree import validate_type_tree
 
 __all__ = [
@@ -623,21 +623,19 @@ def from_vc(system: SetSystem, m, cap=None):
     broadcast over the 2^(n-m) contexts; its C(n,m) * 2^n entries must
     stay within what numpy can index.
 
-    The rows are read from an element x member bit matrix, one block of
-    index subsets at a time: gathering the members' bits at each position
-    of S, with S[0] the high bit, gives every member's pattern code on
-    every S of the block, and the realized codes are cleared."""
+    The rows are read from the element x member bit matrix, the transpose
+    of ``setsystem._bit_matrix``, one block of index subsets at a time:
+    gathering the members' bits at each position of S, with S[0] the high
+    bit, gives every member's pattern code on every S of the block, and the
+    realized codes are cleared."""
     n = system.universe_size
     m = require_int(m, "m", 1, n)
     check_cap(comb(n, m) << m, cap, DEFAULT_ENUM_CAP, "C(n,m) * 2^m from_vc row entries")
     check_cap(comb(n, m) << n, None, np.iinfo(np.intp).max,
               "C(n,m) * 2^n from_vc table entries (numpy's index limit)")
     sets = system.sets
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in sets), np.uint8)
     # bits[x, i] is 1 when member i holds element x.
-    bits = np.unpackbits(packed.reshape(-1, width).T, axis=0, count=n,
-                         bitorder="little").astype(np.intp)
+    bits = np.ascontiguousarray(_bit_matrix(sets, n).T, dtype=np.intp)
     rows = np.ones((comb(n, m), 1, 1 << m), dtype=bool)
     subsets = itertools.combinations(range(n), m)
     step = max(1, _VC_BLOCK_BITS // max(1, len(sets) * m))

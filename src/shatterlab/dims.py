@@ -27,9 +27,10 @@ one-member class always reaches one trace, so those are kept as a count.
 At r = 0 the reach is the number of classes plus the number that y
 splits.  A class reaches at most 2 * 2^r after the split, so the loop over
 the classes stops once those that remain cannot lift the reach above the
-best count.  The columns are one ``setsystem.ChildTable`` per public call,
-the family's s = 1 ``_Search``, the one that its thicket calls read inside
-``audit_bounds``, so there each column is still built once.
+best count.  Each public call reads all n columns at once from
+``setsystem._member_columns`` and starts from the one class of the whole
+family; it shares nothing with the op_s searches below, so inside
+``audit_bounds`` row (a)'s two VC calls each build their own.
 
 Where 2|F| > 2^n, the dense case, a node keeps the set of traces m & Y,
 O(|F|) per node, bounds its reach by the number of classes times 2^r and
@@ -94,7 +95,7 @@ from functools import cached_property
 from operator import or_
 
 from .errors import InputError, check_cap, require_int
-from .setsystem import ChildTable, SetSystem, child, mask_of
+from .setsystem import ChildTable, SetSystem, _member_columns, child, mask_of
 
 __all__ = [
     "NEG_INF",
@@ -276,6 +277,14 @@ def _search(sets, n, s):
 # VC dimension and shatter function
 # ---------------------------------------------------------------------------
 
+def _is_empty(system, cap):
+    """Whether the family is empty, so that no search runs and no cap
+    bounds its value; a non-None ``cap`` must still be an integer."""
+    if not system.sets and cap is not None:
+        require_int(cap, "cap")
+    return not system.sets
+
+
 def shatters(system: SetSystem, targets) -> bool:
     chosen = mask_of(targets, system.universe_size)
     return len({m & chosen for m in system.sets}) == 1 << chosen.bit_count()
@@ -283,7 +292,7 @@ def shatters(system: SetSystem, targets) -> bool:
 
 def vc_dimension(system: SetSystem, cap=None):
     """Largest size of a shattered subset; NEG_INF for the empty family."""
-    if not system.sets:
+    if _is_empty(system, cap):
         return NEG_INF
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     sets, n = system.sets, system.universe_size
@@ -299,7 +308,7 @@ def vc_dimension(system: SetSystem, cap=None):
 def vc_shatter_function(system: SetSystem, size, cap=None):
     """pi_F(size): the largest trace count over subsets of the given size."""
     size = require_int(size, "size", 0, system.universe_size)
-    if not system.sets:
+    if _is_empty(system, cap):
         return 0
     check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     if size == 0:
@@ -310,10 +319,11 @@ def vc_shatter_function(system: SetSystem, size, cap=None):
 
 
 def _columns(sets, n):
-    """The table whose columns the VC search splits classes by, the
-    family's s = 1 search, where 2|F| <= 2^n; None on a denser family,
-    whose search keeps sets of traces (module docstring)."""
-    return _search(sets, n, 1) if 2 * len(sets) <= 1 << n else None
+    """The columns the VC search splits classes by, ``columns[y]`` the
+    member-index mask of the members that contain y, where 2|F| <= 2^n;
+    None on a denser family, whose search keeps sets of traces (module
+    docstring)."""
+    return _member_columns(sets, n) if 2 * len(sets) <= 1 << n else None
 
 
 def _trace_count_search(sets, n, size, best, stop, columns):
@@ -322,7 +332,8 @@ def _trace_count_search(sets, n, size, best, stop, columns):
     None for the set-of-traces search on any family."""
     if columns is None:
         return _trace_set_search(sets, n, size - 1, 0, 0, best, stop)
-    return _class_split_search(columns, n, size - 1, [columns.full], 0, 0, best, stop)
+    return _class_split_search(columns, n, size - 1, [(1 << len(sets)) - 1], 0, 0,
+                               best, stop)
 
 
 def _trace_set_search(sets, n, rest, chosen, start, best, stop):
@@ -357,7 +368,7 @@ def _class_split_search(columns, n, rest, classes, ones, start, best, stop):
         for y in range(start, n):
             if budget <= 0:
                 break
-            col = columns[(y,)][1]
+            col = columns[y]
             unsplit = 0
             for c in classes:
                 part = c & col
@@ -375,7 +386,7 @@ def _class_split_search(columns, n, rest, classes, ones, start, best, stop):
     for y in range(start, n - rest):
         if budget <= 0:
             break
-        col = columns[(y,)][1]
+        col = columns[y]
         kids, singles, lost = [], ones, 0
         for c in classes:
             part = c & col
@@ -439,7 +450,7 @@ def op_rank(system: SetSystem, s, cap=None):
     labeled.  NEG_INF for the empty family; 0 for nonempty systems whose
     universe is smaller than s."""
     s = require_int(s, "s", 1)
-    if not system.sets:
+    if _is_empty(system, cap):
         return NEG_INF
     check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
     return _op_rank(system.sets, system.universe_size, s)
@@ -494,7 +505,7 @@ def _op_rank_at_least(fam, search, t):
 def op_shatter(system: SetSystem, s, height, cap=None):
     """psi_F^s(height): maximum properly labeled leaves of a 2^s-ary tree."""
     s, height = require_int(s, "s", 1), require_int(height, "height", 0)
-    if not system.sets:
+    if _is_empty(system, cap):
         return 0
     check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
     return _op_shatter(system.sets, system.universe_size, s, height)

@@ -9,11 +9,20 @@ library applies: an element of [n] is an integer (not a bool) in [0, n),
 read by ``mask_of``, and a mask over [n] is an integer (not a bool) in
 [0, 2^n), read by ``require_mask``; both test through the bounds of
 ``errors.require_int``, and anything else is an InputError.
+
+It also owns the bit layout that reads a family's masks in bulk:
+``_bit_matrix`` unpacks them into a member x element bit matrix, and
+``_member_columns`` packs its transpose into one int per element.  The VC
+search, ``dual``, ``halfspace_dual``, ``banseq.from_vc`` and
+``thicketvc``'s step table read them, and no other module packs or unpacks
+bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError, check_cap, require_int
 
@@ -115,9 +124,8 @@ def dual(system: SetSystem) -> SetSystem:
     The new base indexes the (canonically sorted) family; element x of the
     original contributes the set of families containing x.
     """
-    table = ChildTable(system.sets)
     return SetSystem(len(system.sets),
-                     tuple(table[(x,)][1] for x in range(system.universe_size)))
+                     tuple(_member_columns(system.sets, system.universe_size)))
 
 
 def child(system: SetSystem, xs, sigma) -> SetSystem:
@@ -149,8 +157,9 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 class ChildTable(dict):
     """The children of the family ``sets`` on tuples of elements, as
-    member-index masks: bit i of a mask stands for ``sets[i]``, so ``sets``
-    may repeat a mask.  ``table[xs]`` lists one mask per sigma in
+    member-index masks, for the op_s recursions (``dims._Search``): bit i
+    of a mask stands for ``sets[i]``, so ``sets`` may repeat a mask.
+    ``table[xs]`` lists one mask per sigma in
     ``itertools.product((0, 1), repeat=len(xs))`` order, each filled on
     first use, so a search that stops early builds few.  ``table[(x,)][1]``
     is x's column, the members that contain x, read from ``child_masks``
@@ -175,6 +184,23 @@ class ChildTable(dict):
             children = [sel & col for sel in self[xs[:-1]] for col in last]
         self[xs] = children
         return children
+
+
+def _bit_matrix(masks, n):
+    """The uint8 array of shape (len(masks), n) whose entry [i, x] is bit x
+    of ``masks[i]``, masks of [n] in any order, repeats allowed: each mask's
+    little-endian bytes, unpacked."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little")
+
+
+def _member_columns(masks, n):
+    """For each element x of [n], the int whose bit i says whether
+    ``masks[i]`` holds x: the rows of ``_bit_matrix``'s transpose, packed."""
+    rows = np.packbits(_bit_matrix(masks, n).T, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def traces(sets, ys):
@@ -225,9 +251,8 @@ def halfspace_incidence(arrangement) -> SetSystem:
 
 def halfspace_dual(arrangement) -> SetSystem:
     """Base = half-spaces; one set per point, the half-spaces covering it."""
-    table = ChildTable(_halfspace_masks(arrangement))
-    return SetSystem(len(table.sets),
-                     tuple(table[(i,)][1] for i in range(len(arrangement.points))),
+    masks = _halfspace_masks(arrangement)
+    return SetSystem(len(masks), tuple(_member_columns(masks, len(arrangement.points))),
                      name="halfspace_dual")
 
 

@@ -45,7 +45,7 @@ from itertools import accumulate, compress
 import numpy as np
 
 from .errors import InputError, check_cap, rational_text, require_int, require_rational
-from .setsystem import SetSystem, mask_of, require_mask
+from .setsystem import SetSystem, _bit_matrix, mask_of, require_mask
 from .dims import _sauer_sum, thicket_dimension, thicket_shatter
 
 __all__ = [
@@ -298,7 +298,8 @@ def _step_table(space: ProbSpace, masks):
     there, else the bucket's end, which no x in the bucket passes.  A
     state x past a cut takes the other step, v ^ 3; the passes are the
     most such thresholds in one bucket.  (A threshold of 0, or one at a
-    bucket's start, is counted in that start's label.)"""
+    bucket's start, is counted in that start's label.)  Every membership is
+    read from one ``setsystem._bit_matrix`` of the sets over the points."""
     size, m = space.size, len(masks)
     # about log2(points) + 3 bucket bits, so that a small space gets a
     # small, cache-resident table; at most 12; fewer as the sets grow, so
@@ -312,10 +313,7 @@ def _step_table(space: ProbSpace, masks):
     t = np.array(space.sampling_thresholds(), dtype=np.uint64)
     starts = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
     ends = starts | low
-    width = (size + 7) // 8
-    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
-                           dtype=np.uint8).reshape(m, width)
-    member = np.unpackbits(packed, axis=1, count=size, bitorder="little")
+    member = _bit_matrix(masks, size)
     inside = np.flatnonzero(t & low)
     bucket = (t[inside] >> np.uint64(64 - bits)).astype(np.intp)
     # the k-th threshold inside its bucket, from 0

@@ -310,26 +310,39 @@ def test_vc_search_matches_oracles_at_the_density_boundary():
 
 
 def test_vc_search_reads_one_column_table_per_call(monkeypatch):
-    built = []
-    real_child_masks = setsystem.child_masks
+    """Each sparse VC call builds its own columns once, through dims' binding
+    of ``setsystem._member_columns``, and reaches neither an op_s search nor
+    ``child_masks``; the dense family and the op-rank shortcut build none."""
+    built, searched = [], []
+    real_columns, real_search = dims._member_columns, dims._search
 
-    def counted(sets, xs, sigma):
-        built.append(xs)
-        return real_child_masks(sets, xs, sigma)
+    def counted_columns(sets, n):
+        built.append((sets, n))
+        return real_columns(sets, n)
 
-    monkeypatch.setattr(setsystem, "child_masks", counted)
+    def counted_search(sets, n, s):
+        searched.append((sets, n, s))
+        return real_search(sets, n, s)
+
+    def no_child_masks(sets, xs, sigma):
+        raise AssertionError(f"child_masks reached on {xs}")
+
+    monkeypatch.setattr(dims, "_member_columns", counted_columns)
+    monkeypatch.setattr(dims, "_search", counted_search)
+    monkeypatch.setattr(setsystem, "child_masks", no_child_masks)
     rng = random.Random(5)
     sparse = SetSystem(10, tuple(rng.sample(range(1 << 10), 200)))
     small = SetSystem(10, tuple(rng.sample(range(1 << 10), 12)))
     dense = SetSystem(8, tuple(rng.sample(range(1 << 8), 200)))
     calls = [(vc_dimension, sparse), (lambda system: vc_shatter_function(system, 5), sparse)]
     for call, system in calls:
-        for _ in range(2):  # each call reads its own table
+        for _ in range(2):  # each call builds its own columns
             built.clear()
             call(system)
-            assert built and len(built) == len(set(built)) <= system.universe_size
+            assert built == [(system.sets, system.universe_size)]
     built.clear()
     vc_dimension(dense), vc_shatter_function(dense, 5)
+    assert searched == []
     # Fewer than 4^s members: the op-rank shortcut counts sets of traces.
     op_rank(small, 2)
     assert op_rank(generate("powerset", 3), 2) == 1

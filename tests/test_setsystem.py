@@ -6,6 +6,7 @@ import inspect
 import itertools
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from shatterlab import (BanProblem, ElementTree, Graph, InputError,
                         shatters, solutions, thicket_shatter, tree_rank,
                         verify_main_theorem, vc_dimension,
                         vc_shatter_function)
+from shatterlab import setsystem
 from shatterlab.setsystem import GENERATOR_KINDS, ChildTable, child_masks
 
 from families import random_system
@@ -157,6 +159,23 @@ def test_child_table_matches_child_masks(sets):
         assert table[(x, x)][1] == table[(x, x)][2] == 0
 
 
+# Mask sequences for the bulk bit readers: no members, repeated and unsorted
+# masks, and universes on either side of a byte boundary.
+BIT_READER_CASES = [((), n) for n in (0, 1, 8, 9, 65)] + [
+    ((0, 0, 0), 0), ((1, 0, 1, 1), 1), ((0b1010_0101, 3, 0b1010_0101, 0, 255), 8),
+    ((0b1_0000_0001, 7, 0b1_0000_0001, 256), 9),
+    ((1 << 64, 5, (1 << 65) - 1, 1 << 64, 0), 65)]
+
+
+@pytest.mark.parametrize("masks, n", BIT_READER_CASES)
+def test_bit_readers_match_a_per_bit_loop(masks, n):
+    matrix = setsystem._bit_matrix(masks, n)
+    assert matrix.dtype == np.uint8 and matrix.shape == (len(masks), n)
+    assert matrix.tolist() == [[m >> x & 1 for x in range(n)] for m in masks]
+    assert setsystem._member_columns(masks, n) == [
+        sum((m >> x & 1) << i for i, m in enumerate(masks)) for x in range(n)]
+
+
 def test_dual_of_the_empty_family():
     assert dual(SetSystem(3, ())) == SetSystem(0, (0,))
     assert dual(SetSystem(0, ())) == SetSystem(0, ())
@@ -215,6 +234,7 @@ def test_every_entry_point_refuses_junk_elements_and_masks(entry, bad):
         call(bad)
 
 
+EMPTY = SetSystem(N, ())
 PARITY = parity_problem(N)
 PAIRS = random_problem(N, 2, 2, 0)
 EMPTY_GRAPH = Graph.from_edge_list(N, [])
@@ -268,6 +288,18 @@ INT_PARAMS = {
     ("audit_bounds", "r"): (lambda v: audit_bounds(POWER, 1, v, 1), 1, 1, None),
     ("audit_bounds", "n"): (lambda v: audit_bounds(POWER, 1, 1, v), 1, 0, None),
     ("audit_bounds", "cap"): (lambda v: audit_bounds(POWER, 1, 1, 1, cap=v), N, None, None),
+    # The empty family runs no search, so its cap is read for its type only:
+    # a cap of 0 is accepted, and "3" or True is still refused.
+    ("vc_dimension", "cap on the empty family"): (
+        lambda v: vc_dimension(EMPTY, cap=v), 0, None, None),
+    ("vc_shatter_function", "cap on the empty family"): (
+        lambda v: vc_shatter_function(EMPTY, 1, cap=v), 0, None, None),
+    ("op_rank", "cap on the empty family"): (
+        lambda v: op_rank(EMPTY, 1, cap=v), 0, None, None),
+    ("op_shatter", "cap on the empty family"): (
+        lambda v: op_shatter(EMPTY, 1, 1, cap=v), 0, None, None),
+    ("audit_bounds", "cap on the empty family"): (
+        lambda v: audit_bounds(EMPTY, 2, 1, 2, cap=v), 0, None, None),
     ("RelaxedBanProblem", "n"): (lambda v: RelaxedBanProblem(v, 1, 2, None), N, 1, None),
     ("RelaxedBanProblem", "k"): (lambda v: RelaxedBanProblem(N, v, 2, None), 1, 1, N),
     ("RelaxedBanProblem", "j"): (lambda v: RelaxedBanProblem(N, 1, v, None), 2, 2, None),
@@ -415,3 +447,17 @@ def test_every_integer_parameter_has_a_row():
                         if param in INTEGER_NAMES
                         and (name, param) not in INT_PARAMS.keys() | NOT_INPUTS]
     assert not missing
+
+
+BIT_LAYOUT_CALLS = (".to_bytes(", "np.packbits", "np.unpackbits")
+
+
+def test_only_setsystem_packs_or_unpacks_bits():
+    """The bulk bit layout lives in ``setsystem._bit_matrix`` and
+    ``_member_columns``; no other module of the library packs a mask into
+    bytes or unpacks one, so the layout cannot fork again."""
+    package = Path(shatterlab.__file__).parent
+    forks = [(path.name, call) for path in sorted(package.glob("*.py"))
+             if path.name != "setsystem.py"
+             for call in BIT_LAYOUT_CALLS if call in path.read_text()]
+    assert not forks
