@@ -79,9 +79,10 @@ class RelaxedBanProblem:
     is seen, ``np.fromiter`` collects the row's codes, and one take from
     the distinct sets' flags writes the row, so no Python loop body runs
     per entry.  A lazy fill reads the sets through ``ban_set``, which
-    refuses an output that is not a set and, on a ``BanProblem``, an empty
-    one; ``is_hereditary`` fills one row at a time on a lazy problem and
-    leaves the table unfilled.
+    refuses an output that is not a set, one holding a pattern that is none
+    of the j^k (each distinct set checked once per problem, as ``_Codes``
+    does) and, on a ``BanProblem``, an empty one; ``is_hereditary`` fills
+    one row at a time on a lazy problem and leaves the table unfilled.
 
     ``from_table`` builds its problem on the rule that reads the table and
     tries one fill straight from the dict, with no ``ban_set`` call, whose
@@ -106,6 +107,7 @@ class RelaxedBanProblem:
         self.name = name
         self._bans = None
         self._last_subset = self._last_row = None
+        self._checked = set()
         self._alphabet = frozenset(range(j))
         self._context_shape = (j,) * (n - k) + (-1,)
 
@@ -188,6 +190,8 @@ class RelaxedBanProblem:
                                  f"patterns: {out!r}") from None
             if not out and not self.allow_empty:
                 raise InputError(f"empty ban set at S={S}, X={X}")
+            if out not in self._checked:
+                self._check_patterns(out, S)
             return out
         # numpy reads a bool in an index tuple as a mask and fails on a
         # float, so each entry goes through require_int.
@@ -200,6 +204,16 @@ class RelaxedBanProblem:
         """The j^k patterns on an index subset, in ``itertools`` order, each
         mapped to its index in that order."""
         return {Z: i for i, Z in enumerate(itertools.product(range(self.j), repeat=self.k))}
+
+    def _check_patterns(self, ban_set, S):
+        """Refuse a pattern of ``ban_set`` that is none of the j^k on S,
+        and keep the set as checked, which ``ban_set`` reads: it checks
+        each distinct set once per problem, a fill's ``_Codes`` once per
+        fill."""
+        for Z in ban_set:
+            if Z not in self._patterns:
+                raise InputError(f"bad banned pattern {Z} for S={S}")
+        self._checked.add(ban_set)
 
     def _row(self, S):
         """Check the index subset S, k ascending positions of [n], and keep
@@ -245,19 +259,28 @@ class RelaxedBanProblem:
         return self._table()
 
     def to_json_dict(self, cap=None):
-        if self.j > 10:
-            raise InputError("string serialization supports alphabets up to 10")
-        patterns = ["".join(map(str, Z)) for Z in self._patterns]
-        bans = []
-        for S, rows in zip(self.index_subsets(), self._capped_table(cap, walk=True)):
-            for X, flags in zip(self.contexts(), rows.tolist()):
-                bans.append({"S": list(S),
-                             "X": "".join(map(str, X)),
-                             "banned": list(itertools.compress(patterns, flags))})
+        """The table as a ban-problem object, each context and pattern
+        written by ``digit_text``.  The patterns are written before the
+        cap check, so an alphabet above 10 is refused as such, and the
+        j^(n-k) contexts after it, once per call."""
+        patterns = list(map(digit_text, self._patterns))
+        table = self._capped_table(cap, walk=True)
+        contexts = list(map(digit_text, self.contexts()))
+        bans = [{"S": list(S), "X": X, "banned": list(itertools.compress(patterns, flags))}
+                for S, rows in zip(self.index_subsets(), table)
+                for X, flags in zip(contexts, rows.tolist())]
         return {"n": self.n, "k": self.k, "j": self.j, "bans": bans}
 
     @classmethod
-    def from_json_dict(cls, data):
+    def from_json_dict(cls, data, cap=None):
+        """The problem of a ban-problem object: a table, as ``to_json_dict``
+        writes it, or a generator object (``_generated``).  ``cap`` is the
+        generators' table cap; a non-None one that is not an integer is
+        refused for a table too."""
+        if cap is not None:
+            require_int(cap, "cap")
+        if isinstance(data, dict) and "generator" in data:
+            return _generated(data, cap)
         try:
             n, k, j = data["n"], data["k"], data["j"]
             table = {}
@@ -284,9 +307,7 @@ class _Codes(dict):
         self.problem, self.flags = problem, bytearray()
 
     def __missing__(self, ban_set):
-        for Z in ban_set:
-            if Z not in self.problem._patterns:
-                raise InputError(f"bad banned pattern {Z} for S={self.S}")
+        self.problem._check_patterns(ban_set, self.S)
         self.flags += bytes(Z in ban_set for Z in self.problem._patterns)
         return self.setdefault(ban_set, len(self))
 
@@ -311,6 +332,37 @@ def _digits(text):
     return tuple(map(int, text))
 
 
+def digit_text(seq):
+    """The text ``_digits`` reads back as ``seq``, a tuple of entries in
+    [0, 10): one ASCII digit per entry.  An entry above 9 would write more
+    than one, so it is refused."""
+    text = "".join(map(str, seq))
+    if len(text) != len(seq):
+        raise InputError("string serialization supports alphabets up to 10")
+    return text
+
+
+def _generated(data, cap):
+    """The problem a generator object names: ``{"generator": "parity",
+    "n": ...}``, ``"random"`` (n, k; j 2, seed 0, density 0.5 by default)
+    or ``"from_vc"`` (a set-system object ``system`` and m).
+    ``random_problem`` and ``from_vc`` check the tables they build at once
+    against ``cap``; parity stays lazy until a whole-table operation fills
+    it under that operation's cap."""
+    try:
+        gen = data["generator"]
+        if gen == "parity":
+            return parity_problem(data["n"])
+        if gen == "random":
+            return random_problem(data["n"], data["k"], data.get("j", 2), data.get("seed", 0),
+                                  data.get("density", 0.5), cap=cap)
+        if gen == "from_vc":
+            return from_vc(SetSystem.from_json_dict(data["system"]), data["m"], cap=cap)
+    except KeyError as exc:
+        raise InputError(f"malformed problem generator object: {exc}") from exc
+    raise InputError(f"unknown problem generator {gen!r}")
+
+
 def _check_shape(n, k, j):
     """(n, k, j) read as integers with 1 <= k <= n and j >= 2."""
     n = require_int(n, "n", 1)
@@ -331,6 +383,13 @@ class HereditaryWitness:
 
     S: tuple[int, ...]
     assignments: dict[tuple[int, ...], tuple[int, ...]]
+
+    def to_json_dict(self):
+        """S, and each pattern's context as pattern text -> context text,
+        both written by ``digit_text``, in pattern order."""
+        return {"S": list(self.S),
+                "assignments": {digit_text(Z): digit_text(X)
+                                for Z, X in sorted(self.assignments.items())}}
 
 
 def assemble(n, S, Z, X):

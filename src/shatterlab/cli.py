@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -77,32 +76,8 @@ def _load_system(spec, cap):
 
 def _load_problem(spec, cap=None):
     if os.path.exists(spec):
-        data = _load_json(spec)
-        if isinstance(data, dict) and "generator" in data:
-            return _generated_problem(data, cap)
-        return banseq.BanProblem.from_json_dict(data)
+        return banseq.BanProblem.from_json_dict(_load_json(spec), cap)
     raise InputError(f"no such ban-problem file: {spec!r}")
-
-
-def _generated_problem(data, cap):
-    """The problem a generator object names.  ``random_problem`` and
-    ``from_vc`` check the tables they build at once against ``cap``;
-    parity stays lazy until a whole-table verb fills it under the same
-    cap."""
-    try:
-        gen = data["generator"]
-        if gen == "parity":
-            return banseq.parity_problem(data["n"])
-        if gen == "random":
-            return banseq.random_problem(data["n"], data["k"], data.get("j", 2),
-                                         data.get("seed", 0), data.get("density", 0.5),
-                                         cap=cap)
-        if gen == "from_vc":
-            return banseq.from_vc(setsystem.SetSystem.from_json_dict(data["system"]),
-                                  data["m"], cap=cap)
-    except KeyError as exc:
-        raise InputError(f"malformed problem generator object: {exc}") from exc
-    raise InputError(f"unknown problem generator {gen!r}")
 
 
 def _digits(value):
@@ -178,12 +153,7 @@ def cmd_sys_shatter(args):
 def cmd_sys_audit(args):
     system = _load_system(args.system, args.cap)
     report = dims.audit_bounds(system, args.s, args.r, args.n, cap=args.cap)
-    rows = report.to_json_list()
-    csv_lines = itertools.chain(["bound,params,lhs,rhs,pass"], (
-        "{},{},{},{},{}".format(row["bound"], json.dumps(row["params"]).replace(",", ";"),
-                                row["lhs"], row["rhs"], int(row["pass"]))
-        for row in rows))
-    _emit(args, rows, csv_lines)
+    _emit(args, report.to_json_list(), report.csv_rows())
     if not report.all_pass:
         raise VerificationError("; ".join(f"bound failed: {row['bound']} {row['params']}"
                                           for row in report.failures()))
@@ -202,10 +172,9 @@ def cmd_ban_solve(args):
     payload = {"n": problem.n, "k": problem.k, "j": problem.j,
                "solutions": len(sols), "banned": banned,
                "trivial_upper_bound": bound}
-    if args.list:
-        payload["sequences"] = ["".join(str(v) for v in s) for s in sols]
     csv_lines = None
     if args.list:
+        payload["sequences"] = list(map(banseq.digit_text, sols))
         csv_lines = ["sequence"] + payload["sequences"]
     _emit(args, payload, csv_lines)
 
@@ -215,11 +184,7 @@ def cmd_ban_hereditary(args):
     hereditary, witness = banseq.is_hereditary(problem, cap=args.cap)
     payload = {"hereditary": hereditary}
     if witness is not None:
-        payload["witness"] = {
-            "S": list(witness.S),
-            "assignments": {"".join(map(str, z)): "".join(map(str, x))
-                            for z, x in sorted(witness.assignments.items())},
-        }
+        payload["witness"] = witness.to_json_dict()
     _emit(args, payload)
 
 
@@ -246,7 +211,7 @@ def cmd_ban_gen(args):
     if args.j is not None:
         data["j"] = args.j
     data["seed"] = args.seed
-    _emit(args, _generated_problem(data, args.cap).to_json_dict(cap=args.cap))
+    _emit(args, banseq.BanProblem.from_json_dict(data, args.cap).to_json_dict(cap=args.cap))
 
 
 # ---------------------------------------------------------------------------

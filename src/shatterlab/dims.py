@@ -89,6 +89,7 @@ bounds and its a0, ``banseq.solution_bound`` (the main theorem's),
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -584,6 +585,15 @@ class BoundAuditReport:
 
     def to_json_list(self):
         return list(self.rows)
+
+    def csv_rows(self):
+        """The CSV lines, header first, as a generator: JSON output formats
+        none of them, so an int past the interpreter's digit limit is left
+        to the JSON writer's cap check."""
+        yield "bound,params,lhs,rhs,pass"
+        for row in self.rows:
+            params = json.dumps(row["params"]).replace(",", ";")
+            yield f"{row['bound']},{params},{row['lhs']},{row['rhs']},{int(row['pass'])}"
 
 
 def _sauer_sum(n, k, a=1, b=1):

@@ -157,8 +157,9 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 class ChildTable(dict):
     """The children of the family ``sets`` on tuples of elements, as
-    member-index masks, for the op_s recursions (``dims._Search``): bit i
-    of a mask stands for ``sets[i]``, so ``sets`` may repeat a mask.
+    member-index masks, for the op_s recursions (``dims._Search``, its one
+    builder, which passes a family's canonical ``sets``): bit i of a mask
+    stands for ``sets[i]``.
     ``table[xs]`` lists one mask per sigma in
     ``itertools.product((0, 1), repeat=len(xs))`` order, each filled on
     first use, so a search that stops early builds few.  ``table[(x,)][1]``

@@ -6,11 +6,13 @@ import random
 import time
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import shatterlab
 from shatterlab import (BanProblem, InputError, ResourceCapError, SetSystem,
                         VerificationError, banned_count, banseq,
                         build_type_tree, check_counting_inequality,
@@ -77,6 +79,31 @@ def test_ban_set_key_checking():
 def test_lazy_ban_set_refuses_a_context_entry_that_is_not_an_int(entry):
     with pytest.raises(InputError):
         parity_problem(3).ban_set((0,), (entry, 0))
+
+
+@pytest.mark.parametrize("out, pattern", [({(7,)}, (7,)), ({(0, 0)}, (0, 0)), ({5}, 5),
+                                          ("b", "b"), ({(1,), (0, 1)}, (0, 1))])
+def test_lazy_ban_set_refuses_a_set_its_fill_refuses(out, pattern):
+    """The rule's set is checked as the fill checks it, with its message."""
+    text = f"bad banned pattern {pattern} for S=(0,)"
+    with pytest.raises(InputError) as exc:
+        BanProblem(2, 1, 2, lambda S, X: out).ban_set((0,), (0,))
+    assert str(exc.value) == text
+    with pytest.raises(InputError) as exc:
+        banned_count(BanProblem(2, 1, 2, lambda S, X: out))
+    assert str(exc.value) == text
+
+
+def test_lazy_ban_set_checks_each_distinct_set_once(monkeypatch):
+    sets = [frozenset({(0,)}), frozenset({(1,)})]
+    problem = BanProblem(3, 1, 2, lambda S, X: sets[X[0]])
+    checked = []
+    check = RelaxedBanProblem._check_patterns
+    monkeypatch.setattr(RelaxedBanProblem, "_check_patterns",
+                        lambda self, ban_set, S: checked.append(ban_set) or check(self, ban_set, S))
+    for S, X in itertools.product([(0,), (2,)], itertools.product(range(2), repeat=2)):
+        assert problem.ban_set(S, X) == sets[X[0]]
+    assert checked == sets
 
 
 KEY_SHAPE = (4, 2, 3)
@@ -147,6 +174,41 @@ def test_json_round_trip():
     problem = random_problem(4, 2, 3, seed=5)
     again = BanProblem.from_json_dict(problem.to_json_dict())
     assert again == problem
+
+
+@pytest.mark.parametrize("seq, text", [((), ""), ((0,), "0"), ((9, 0, 3), "903")])
+def test_digit_text_is_what_the_reader_reads_back(seq, text):
+    assert banseq.digit_text(seq) == text
+    assert banseq._digits(text) == seq
+
+
+@pytest.mark.parametrize("seq", [(10,), (1, 0, 10), (3, 11)])
+def test_digit_text_refuses_an_entry_above_9(seq):
+    with pytest.raises(InputError, match="^string serialization supports alphabets up to 10$"):
+        banseq.digit_text(seq)
+
+
+def test_witness_text_refuses_an_entry_above_9():
+    witness = banseq.HereditaryWitness((0,), {(0,): (1,), (10,): (0,)})
+    with pytest.raises(InputError, match="alphabets up to 10"):
+        witness.to_json_dict()
+    assert banseq.HereditaryWitness((1,), {(1,): (9,), (0,): (2,)}).to_json_dict() == {
+        "S": [1], "assignments": {"0": "2", "1": "9"}}
+
+
+def test_wide_alphabet_refused_before_the_table_cap():
+    """Patterns are written first: j = 11 is an input error even when the
+    table is past the cap."""
+    with pytest.raises(InputError, match="alphabets up to 10"):
+        BanProblem(30, 1, 11, lambda S, X: {(0,)}).to_json_dict()
+
+
+def test_to_json_dict_writes_each_context_once(monkeypatch):
+    calls, write = [], banseq.digit_text
+    monkeypatch.setattr(banseq, "digit_text", lambda seq: calls.append(seq) or write(seq))
+    problem = random_problem(4, 2, 3, seed=5)
+    problem.to_json_dict()
+    assert sorted(calls) == sorted(list(problem._patterns) + list(problem.contexts()))
 
 
 def test_from_table_requires_every_key():
@@ -1026,3 +1088,20 @@ def test_random_problem_matches_entry_by_entry_draws(j, max_n, density):
             seed = 100 * n + 10 * k + j
             assert_table_and_round_trip(random_problem(n, k, j, seed, density),
                                         brute_random_table(n, k, j, seed, density))
+
+
+# Reading a generator object's "generator" key, or joining sequence entries
+# into text, outside banseq would fork the ban-problem file format.
+BAN_TEXT_FORKS = ('"".join(map(str', '"".join(str(', '["generator"]', '"generator" in',
+                  'get("generator"')
+
+
+def test_only_banseq_reads_or_writes_ban_problem_text():
+    """``RelaxedBanProblem.from_json_dict`` is the one reader of ban-problem
+    objects, generator objects included, and ``digit_text`` the one writer
+    of sequences as text; no other module of the library does either."""
+    package = Path(shatterlab.__file__).parent
+    forks = [(path.name, snippet) for path in sorted(package.glob("*.py"))
+             if path.name != "banseq.py"
+             for snippet in BAN_TEXT_FORKS if snippet in path.read_text()]
+    assert not forks

@@ -1,14 +1,16 @@
 """End-to-end CLI behavior: output shape, exit codes, and determinism."""
 
 import dataclasses
+import itertools
 import json
 import sys
 import time
 
 import pytest
 
-from shatterlab import banseq, dims, thicketvc, typetree
+from shatterlab import SetSystem, banseq, dims, thicketvc, typetree
 from shatterlab.cli import build_parser, main
+from shatterlab.errors import ShatterLabError
 
 from families import HEIGHT_BOUND_COUNTEREXAMPLE
 
@@ -176,6 +178,149 @@ def test_ban_gen_deterministic(capsys):
                            "--n", "3", "--k", "1", "--seed", "5")
     assert code == code2 == 0
     assert first == second
+
+
+# Ban-problem files are read by banseq alone.  Every generator object these
+# tests write, with the --cap it is loaded under: the problem it names,
+# built by its constructor, or the error text the CLI prints for it.
+VC8 = {"universe": 8, "sets": ["00000000", "10000000", "01000000"]}
+GENERATOR_OBJECTS = [
+    ({"generator": "parity", "n": 4}, None, lambda: banseq.parity_problem(4)),
+    ({"generator": "parity", "n": 3}, None, lambda: banseq.parity_problem(3)),
+    ({"generator": "parity", "n": 22}, None, lambda: banseq.parity_problem(22)),
+    ({"generator": "parity", "n": 40, "seed": 0}, None, lambda: banseq.parity_problem(40)),
+    ({"generator": "random", "n": 4, "k": 2, "seed": 8}, None,
+     lambda: banseq.random_problem(4, 2, 2, 8)),
+    ({"generator": "random", "n": 6, "k": 2}, 960, lambda: banseq.random_problem(6, 2, 2, 0)),
+    ({"generator": "random", "n": 3, "k": 1, "seed": 5}, None,
+     lambda: banseq.random_problem(3, 1, 2, 5)),
+    ({"generator": "random", "n": 3, "k": 1, "j": 11, "density": 0.0, "seed": 2}, None,
+     lambda: banseq.random_problem(3, 1, 11, 2, 0.0)),
+    ({"generator": "from_vc", "m": 2, "system": VC8}, 512,
+     lambda: banseq.from_vc(SetSystem.from_json_dict(VC8), 2)),
+    ({"generator": "random", "n": 6, "k": 2}, 100,
+     "resource cap: C(n,k) * j^n table entries = 960 exceeds cap 100"),
+    ({"generator": "random", "n": 5, "k": 2, "seed": 0}, 319,
+     "resource cap: C(n,k) * j^n table entries = 320 exceeds cap 319"),
+    ({"generator": "random", "n": 30, "k": 2}, None,
+     "resource cap: C(n,k) * j^n table entries = 467077693440 exceeds cap 4194304"),
+    ({"generator": "from_vc", "m": 15, "system": {"universe": 30, "sets": ["0" * 30]}}, None,
+     "resource cap: C(n,m) * 2^m from_vc row entries = 5082890895360 exceeds cap 4194304"),
+    ({"generator": "from_vc", "m": 2, "system": {"universe": 53, "sets": ["0" * 53]}}, None,
+     "resource cap: C(n,m) * 2^n from_vc table entries (numpy's index limit) = "
+     "12411920573033086976 exceeds cap 9223372036854775807"),
+    ({"generator": "random", "k": 2}, None,
+     "input error: malformed problem generator object: 'n'"),
+    ({"generator": "parity"}, None, "input error: malformed problem generator object: 'n'"),
+    ({"generator": "from_vc", "m": 2}, None,
+     "input error: malformed problem generator object: 'system'"),
+    ({"generator": "from_vc", "system": {"universe": 3, "sets": ["100", "110"]}}, None,
+     "input error: malformed problem generator object: 'm'"),
+    ({"generator": "from_vc", "system": 5, "m": 2}, None,
+     "input error: malformed set-system object: 'int' object is not subscriptable"),
+    ({"generator": "nosuch", "n": 3}, None, "input error: unknown problem generator 'nosuch'"),
+    (["generator"], None, "input error: malformed ban-problem object: "
+                          "list indices must be integers or slices, not str"),
+    (5, None, "input error: malformed ban-problem object: 'int' object is not subscriptable"),
+    ({"generator": "parity", "n": "x"}, None, "input error: n must be an integer, got 'x'"),
+    ({"generator": "parity", "n": "3"}, None, "input error: n must be an integer, got '3'"),
+    ({"generator": "parity", "n": 3.7}, None, "input error: n must be an integer, got 3.7"),
+    ({"generator": "parity", "n": True}, None, "input error: n must be an integer, got True"),
+    ({"generator": "parity", "n": 3.0}, None, "input error: n must be an integer, got 3.0"),
+    ({"generator": "random", "n": "x", "k": 2}, None,
+     "input error: n must be an integer, got 'x'"),
+    ({"generator": "random", "n": -1, "k": 1}, None, "input error: n must be at least 1, got -1"),
+    ({"generator": "random", "n": 0, "k": -1}, None, "input error: n must be at least 1, got 0"),
+    ({"generator": "random", "n": 3, "k": "2"}, None,
+     "input error: k must be an integer, got '2'"),
+    ({"generator": "random", "n": 3, "k": 2, "j": 2.0}, None,
+     "input error: j must be an integer, got 2.0"),
+    ({"generator": "random", "n": 3, "k": 2, "seed": "1"}, None,
+     "input error: seed must be an integer, got '1'"),
+    ({"generator": "random", "n": 3, "k": 2, "density": "nan"}, None,
+     "input error: density must be a number in [0, 1], got 'nan'"),
+    ({"generator": "random", "n": 3, "k": 2, "density": 1.5}, None,
+     "input error: density must be a number in [0, 1], got 1.5"),
+    ({"generator": "random", "n": 3, "k": 2, "density": True}, None,
+     "input error: density must be a number in [0, 1], got True"),
+    ({"generator": "from_vc", "m": "1", "system": {"universe": 2, "sets": ["00"]}}, None,
+     "input error: m must be an integer, got '1'"),
+]
+
+
+@pytest.mark.parametrize("data, cap, expected", GENERATOR_OBJECTS)
+def test_generator_objects_load_through_the_library_reader(capsys, monkeypatch, tmp_path,
+                                                           data, cap, expected):
+    """The CLI loads the problem that ``BanProblem.from_json_dict(data,
+    cap)`` returns, or prints the text of the error it raises."""
+    monkeypatch.delenv("SHATTERLAB_CAP", raising=False)
+    loaded = []
+    monkeypatch.setattr(banseq, "solutions",
+                        lambda problem, cap=None: loaded.append(problem) or ([], 0))
+    path = write_json(tmp_path, "gen.json", data)
+    code, out, err = run(capsys, "ban", "solve", path, *([] if cap is None else ["--cap", str(cap)]))
+    if isinstance(expected, str):
+        assert (code, out, err) == (2 if expected.startswith("input") else 3, "", expected + "\n")
+        with pytest.raises(ShatterLabError) as exc:
+            banseq.BanProblem.from_json_dict(data, cap)
+        assert expected.endswith(f": {exc.value}")
+        return
+    problem, built = banseq.BanProblem.from_json_dict(data, cap), expected()
+    assert code == 0 and err == "" and len(loaded) == 1
+    assert repr(loaded[0]) == repr(problem) == repr(built)
+    if problem.n <= 8:
+        assert loaded[0] == problem == built
+
+
+@pytest.mark.parametrize("argv, data", [
+    (("solve", "--list"), {"generator": "random", "n": 3, "k": 1, "j": 11, "density": 0.0,
+                           "seed": 2}),
+    (("solve", "--list", "--format", "csv"), {"generator": "random", "n": 3, "k": 1, "j": 11,
+                                              "density": 0.0, "seed": 2}),
+    (("hereditary",), {"generator": "random", "n": 4, "k": 3, "j": 11, "density": 0.0,
+                       "seed": 1}),
+], ids=["list-json", "list-csv", "witness"])
+def test_sequences_past_one_digit_per_entry_are_refused(capsys, tmp_path, argv, data):
+    """At j = 11, (1, 0, 10) and (10, 1, 0) would both read "1010": one
+    solution printed twice, or one witness assignment lost."""
+    path = write_json(tmp_path, "j11.json", data)
+    code, out, err = run(capsys, "ban", *argv, path)
+    assert (code, out) == (2, "")
+    assert err == "input error: string serialization supports alphabets up to 10\n"
+
+
+def old_text(seq):
+    """A sequence as the CLI joined it before banseq wrote it."""
+    return "".join(str(v) for v in seq)
+
+
+@pytest.mark.parametrize("j", [2, 3, 10])
+def test_sequence_texts_match_the_per_entry_join(capsys, tmp_path, j):
+    """``--list``, the witness and ``ban gen`` write at j <= 10 the bytes
+    that the CLI's own joins wrote."""
+    data = {"generator": "random", "n": 3, "k": 2, "j": j, "density": 0.05, "seed": 3}
+    path = write_json(tmp_path, "rand.json", data)
+    problem = banseq.BanProblem.from_json_dict(data)
+    sols, banned = banseq.solutions(problem)
+    payload = {"n": 3, "k": 2, "j": j, "solutions": len(sols), "banned": banned,
+               "trivial_upper_bound": banseq.trivial_upper_bound(problem),
+               "sequences": [old_text(s) for s in sols]}
+    assert run(capsys, "ban", "solve", "--list", path) == (
+        0, json.dumps(payload, sort_keys=True) + "\n", "")
+    assert run(capsys, "ban", "solve", "--list", "--format", "csv", path) == (
+        0, "\n".join(["sequence"] + payload["sequences"]) + "\n", "")
+    hereditary, witness = banseq.is_hereditary(problem)
+    assert not hereditary
+    old = {"S": list(witness.S),
+           "assignments": {old_text(z): old_text(x) for z, x in witness.assignments.items()}}
+    assert witness.to_json_dict() == old
+    assert run(capsys, "ban", "hereditary", path) == (
+        0, json.dumps({"hereditary": False, "witness": old}, sort_keys=True) + "\n", "")
+    patterns = list(itertools.product(range(j), repeat=2))
+    bans = [{"S": list(S), "X": old_text(X),
+             "banned": [old_text(z) for z in patterns if z in problem.ban_set(S, X)]}
+            for S in itertools.combinations(range(3), 2) for X in itertools.product(range(j))]
+    assert problem.to_json_dict() == {"n": 3, "k": 2, "j": j, "bans": bans}
 
 
 def test_graph_commands(capsys, tmp_path):

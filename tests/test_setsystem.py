@@ -237,6 +237,7 @@ def test_every_entry_point_refuses_junk_elements_and_masks(entry, bad):
 EMPTY = SetSystem(N, ())
 PARITY = parity_problem(N)
 PAIRS = random_problem(N, 2, 2, 0)
+PAIRS_JSON = PAIRS.to_json_dict()
 EMPTY_GRAPH = Graph.from_edge_list(N, [])
 CHAIN = build_type_tree(EMPTY_GRAPH)  # height N, one left turn per level
 TREE = ElementTree(1, 2, {(): (0,), (0,): (1,), (1,): (2,)})
@@ -328,6 +329,15 @@ INT_PARAMS = {
     ("from_table", "ban-table entry"): (lambda v: BanProblem.from_table(
         2, 1, 2, {((0,), (0,)): {(v,)}, ((0,), (1,)): {(0,)},
                   ((1,), (0,)): {(0,)}, ((1,), (1,)): {(0,)}}), 1, 0, 1),
+    ("BanProblem.from_json_dict", "cap"): (
+        lambda v: BanProblem.from_json_dict({"generator": "random", "n": N, "k": 1}, v),
+        24, None, None),
+    # A table object and a parity object build no capped table, so their
+    # cap is read for its type only.
+    ("BanProblem.from_json_dict", "cap on a table object"): (
+        lambda v: BanProblem.from_json_dict(PAIRS_JSON, v), 0, None, None),
+    ("BanProblem.from_json_dict", "cap on a parity object"): (
+        lambda v: BanProblem.from_json_dict({"generator": "parity", "n": N}, v), 0, None, None),
     ("from_vc", "m"): (lambda v: from_vc(SetSystem(N, (0,)), v), 1, 1, N),
     ("from_vc", "cap"): (lambda v: from_vc(SetSystem(N, (0,)), 1, cap=v), 6, None, None),
     ("from_element_tree", "m"): (
