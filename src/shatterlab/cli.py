@@ -4,8 +4,14 @@ Verb-noun subcommands over the library; JSON (default) or CSV payloads on
 stdout, diagnostics on stderr.  Exit codes: 0 success, 1 verification
 failure, 2 invalid input, 3 resource cap.  Commands return nothing and
 signal a failure only by raising the library's errors; ``main`` alone maps
-them to exit codes, each with one stderr line.  All randomness flows from
---seed; the SHATTERLAB_CAP environment variable overrides default caps.
+them to exit codes, each with one stderr line.  Each verb declares only the
+options its command reads, so argparse refuses any other (exit 2):
+``--cap`` and ``--quiet`` are on every verb, ``--format`` only on the verbs
+with a CSV form (``sys audit``, ``ban solve``, ``mc weaklaw``,
+``mc vcthm``).  All randomness flows from ``--seed``, which ``ban gen``, the
+``mc`` verbs and, with ``--shuffle``, ``graph typetree``, ``graph extract``
+and ``graph heightcheck`` take.  The SHATTERLAB_CAP environment variable
+overrides default caps.
 
 A call ``NOUN VERB ARGS...`` is parsed by the verb's own parser on ARGS
 alone: the top and noun parsers only pick the next parser, and skipping
@@ -100,10 +106,11 @@ def _longest_int(value):
 
 
 def _emit(args, payload, csv_lines=None):
-    """Write ``payload`` as JSON, or in CSV mode ``csv_lines`` when given
-    (any iterable of lines, read here).  An int in ``payload`` with more
-    decimal digits than the cap (``--cap``, else the interpreter's limit on
-    int-to-str conversion) is a ResourceCapError, and nothing is written."""
+    """Write ``payload`` as JSON, or under ``--format csv`` ``csv_lines``
+    (any iterable of lines, read here); a verb without ``--format`` writes
+    JSON.  An int in ``payload`` with more decimal digits than the cap
+    (``--cap``, else the interpreter's limit on int-to-str conversion) is a
+    ResourceCapError, and nothing is written."""
     if args.quiet:
         return
     default = sys.get_int_max_str_digits()
@@ -111,7 +118,7 @@ def _emit(args, payload, csv_lines=None):
         check_cap(_longest_int(payload), args.cap, default, "output integer digits")
         sys.set_int_max_str_digits(0)
     try:
-        if args.format == "csv" and csv_lines is not None:
+        if getattr(args, "format", "json") == "csv":
             text = "\n".join(csv_lines) + "\n"
         else:
             text = json.dumps(payload, sort_keys=True) + "\n"
@@ -128,7 +135,15 @@ def _emit(args, payload, csv_lines=None):
 # sys commands
 # ---------------------------------------------------------------------------
 
+def _require_arity(args):
+    """``--s`` is the arity of ``--kind op`` only: the VC search has none
+    and thicket is op_1, so those kinds take s = 1 alone."""
+    if args.kind != "op" and args.s != 1:
+        raise InputError(f"--kind {args.kind} has s = 1, got --s {args.s}")
+
+
 def cmd_sys_dim(args):
+    _require_arity(args)
     system = _load_system(args.system, args.cap)
     if args.kind == "vc":
         value = dims.vc_dimension(system, cap=args.cap)
@@ -140,6 +155,7 @@ def cmd_sys_dim(args):
 
 
 def cmd_sys_shatter(args):
+    _require_arity(args)
     system = _load_system(args.system, args.cap)
     if args.kind == "vc":
         value = dims.vc_shatter_function(system, args.n, cap=args.cap)
@@ -164,6 +180,8 @@ def cmd_sys_audit(args):
 # ---------------------------------------------------------------------------
 
 def cmd_ban_solve(args):
+    if args.format == "csv" and not args.list:
+        raise InputError("ban solve writes CSV only with --list")
     problem = _load_problem(args.problem, args.cap)
     sols, banned = banseq.solutions(problem, cap=args.cap)
     bound = banseq.trivial_upper_bound(problem)
@@ -205,12 +223,12 @@ def cmd_ban_maxsol(args):
 
 
 def cmd_ban_gen(args):
-    data = {"generator": args.generator, "n": args.n}
-    if args.k is not None:
-        data["k"] = args.k
-    if args.j is not None:
-        data["j"] = args.j
-    data["seed"] = args.seed
+    given = {key: getattr(args, key) for key in ("k", "j", "seed")
+             if getattr(args, key) is not None}
+    if args.generator == "parity" and given:
+        raise InputError("the parity generator takes --n only, got "
+                         + ", ".join(f"--{key}" for key in given))
+    data = {"generator": args.generator, "n": args.n, **given}
     _emit(args, banseq.BanProblem.from_json_dict(data, args.cap).to_json_dict(cap=args.cap))
 
 
@@ -223,11 +241,12 @@ def _load_graph(path):
 
 
 def _build_tree(args, graph):
+    order = None
     if args.shuffle:
         order = list(range(graph.vertex_count))
-        random.Random(args.seed).shuffle(order)
-    else:
-        order = None
+        random.Random(args.seed or 0).shuffle(order)
+    elif args.seed is not None:
+        raise InputError("--seed orders the vertices only with --shuffle")
     return typetree.build_type_tree(graph, order)
 
 
@@ -342,13 +361,16 @@ def build_parser():
     ``main`` call; it reads nothing at run time.  It nests three levels:
     the top parser picks a noun parser, which picks a verb parser, the leaf
     that holds the verb's options.  ``parser.leaves`` maps each (noun, verb)
-    to its leaf, so that ``main`` can hand an argv's tail straight to it."""
+    to its leaf, so that ``main`` can hand an argv's tail straight to it.
+    A leaf holds only the options its command reads: every leaf has
+    ``common``'s, which ``_emit`` reads, and ``csv``'s ``--format`` goes to
+    the verbs with a CSV form."""
     parser = argparse.ArgumentParser(prog="shatterlab")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--cap", type=int)
     common.add_argument("--quiet", action="store_true")
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("--format", choices=("json", "csv"), default="json")
 
     top = parser.add_subparsers(dest="noun", required=True)
     nouns = {}
@@ -369,7 +391,7 @@ def build_parser():
     p.add_argument("--s", type=int, default=1)
     p.add_argument("system")
     p.set_defaults(func=cmd_sys_shatter)
-    p = sys_p.add_parser("audit", parents=[common])
+    p = sys_p.add_parser("audit", parents=[common, csv])
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
@@ -377,7 +399,7 @@ def build_parser():
     p.set_defaults(func=cmd_sys_audit)
 
     ban_p = verbs("ban")
-    p = ban_p.add_parser("solve", parents=[common])
+    p = ban_p.add_parser("solve", parents=[common, csv])
     p.add_argument("--list", action="store_true")
     p.add_argument("problem")
     p.set_defaults(func=cmd_ban_solve)
@@ -393,10 +415,11 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_ban_maxsol)
     p = ban_p.add_parser("gen", parents=[common])
-    p.add_argument("--generator", required=True)
+    p.add_argument("--generator", choices=("parity", "random"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--j", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_ban_gen)
 
     graph_p = verbs("graph")
@@ -405,12 +428,15 @@ def build_parser():
                        ("extract", cmd_graph_extract),
                        ("heightcheck", cmd_graph_heightcheck)):
         p = graph_p.add_parser(verb, parents=[common])
-        p.add_argument("--shuffle", action="store_true",
-                       help="insert vertices in seeded random order")
+        if func is not cmd_graph_treerank:
+            p.add_argument("--shuffle", action="store_true",
+                           help="insert vertices in seeded random order")
+            p.add_argument("--seed", type=int)
         p.add_argument("graph")
         p.set_defaults(func=func)
 
-    mc_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    mc_common = argparse.ArgumentParser(add_help=False, parents=[common, csv])
+    mc_common.add_argument("--seed", type=int, default=0)
     space = mc_common.add_mutually_exclusive_group(required=True)
     space.add_argument("--space")
     space.add_argument("--uniform", type=int)

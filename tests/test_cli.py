@@ -180,6 +180,13 @@ def test_ban_gen_deterministic(capsys):
     assert first == second
 
 
+def test_ban_gen_random_seed_defaults_to_0(capsys):
+    argv = ("ban", "gen", "--generator", "random", "--n", "4", "--k", "2")
+    assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
+    assert run(capsys, *argv)[1] == json.dumps(
+        banseq.random_problem(4, 2, 2, 0).to_json_dict(), sort_keys=True) + "\n"
+
+
 # Ban-problem files are read by banseq alone.  Every generator object these
 # tests write, with the --cap it is loaded under: the problem it names,
 # built by its constructor, or the error text the CLI prints for it.
@@ -371,6 +378,15 @@ def test_mc_vcthm(capsys):
                        "--seed", "6", "thresholds:5")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_mc_vcthm_csv(capsys):
+    code, out, _ = run(capsys, "mc", "vcthm", "--uniform", "4", "--n", "5",
+                       "--epsilon", "1/4", "--trials", "3", "--seed", "1",
+                       "--format", "csv", "thresholds:4")
+    assert code == 0
+    assert out.splitlines() == ["trial,n,epsilon,deviation,exceeded", "0,5,1/4,1/10,0",
+                                "1,5,1/4,7/20,1", "2,5,1/4,1/2,1"]
 
 
 def test_geom_commands(capsys, tmp_path):
@@ -827,26 +843,27 @@ def test_integer_fields_must_be_json_integers(capsys, tmp_path, argv, data):
 
 # Long outputs: row (c)'s rhs is about 3^20000 (9,543 digits) and the region
 # count 2^20000 (6,021 digits), past the interpreter's 4,300-digit limit.
-LONG_OUTPUTS = [(("sys", "audit", "--s", "2", "--r", "1", "--n", "20000", "thresholds:4"), 9543),
+# geom regions has no CSV form, so it takes no --format.
+AUDIT_20000 = ("sys", "audit", "--s", "2", "--r", "1", "--n", "20000", "thresholds:4")
+LONG_OUTPUTS = [(AUDIT_20000 + ("--format", "json"), 9543),
+                (AUDIT_20000 + ("--format", "csv"), 9543),
                 (("geom", "regions", "--r", "20000", "--s", "20000"), 6021)]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("argv, digits", LONG_OUTPUTS, ids=["audit", "regions"])
-def test_integers_past_the_digit_limit_are_a_resource_cap(capsys, monkeypatch, argv, digits,
-                                                          fmt):
+@pytest.mark.parametrize("argv, digits", LONG_OUTPUTS, ids=["audit-json", "audit-csv", "regions"])
+def test_integers_past_the_digit_limit_are_a_resource_cap(capsys, monkeypatch, argv, digits):
     monkeypatch.delenv("SHATTERLAB_CAP", raising=False)
     limit = sys.get_int_max_str_digits()
-    code, out, err = run(capsys, *argv, "--format", fmt)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == f"resource cap: output integer digits = {digits} exceeds cap {limit}\n"
     assert sys.get_int_max_str_digits() == limit
-    code, out, err = run(capsys, *argv, "--format", fmt, "--cap", "10000")
+    code, out, err = run(capsys, *argv, "--cap", "10000")
     assert code == 0 and err == "" and out
     assert sys.get_int_max_str_digits() == limit
     monkeypatch.setenv("SHATTERLAB_CAP", "10000")
-    assert run(capsys, *argv, "--format", fmt)[0] == 0
-    assert run(capsys, *argv, "--format", fmt, "--cap", "6000")[:2] == (3, "")
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--cap", "6000")[:2] == (3, "")
 
 
 def test_digit_cap_counts_the_longest_integer(capsys):
@@ -890,6 +907,12 @@ DISPATCH_ARGVS = [
     # trailing extra arguments
     ("sys", "dim", "--kind", "vc", "powerset:3", "extra"),
     ("geom", "regions", "--r", "2", "--s", "3", "--bogus"),
+    # options a verb does not read
+    ("geom", "regions", "--r", "2", "--s", "3", "--format", "csv", "--seed", "9"),
+    ("graph", "treerank", "--shuffle", "--seed", "3", "{graph}"),
+    ("ban", "maxsol", "--n", "3", "--k", "1", "--format", "csv"),
+    ("sys", "dim", "--kind", "vc", "--seed", "1", "powerset:3"),
+    ("ban", "hereditary", "--format=json", "{parity}"),
     ("ban", "maxsol", "--n", "3", "--k", "1", "--x=1", "-q"),
     ("geom", "regions", "--r", "2", "--", "--s", "3"),
     # abbreviated options, --opt=value and a -- separator
@@ -952,3 +975,113 @@ def test_leaf_dispatch_matches_the_nested_parser(capsys, monkeypatch, dispatch_f
     dispatched = run(capsys, *argv)
     monkeypatch.setattr(build_parser(), "leaves", {})
     assert run(capsys, *argv) == dispatched
+
+
+# Each verb's options besides -h/--help: --cap and --quiet on every verb,
+# since _emit reads both, and beyond them only the options its command reads.
+EVERY_VERB = {"--cap", "--quiet"}
+MC_OPTIONS = {"--format", "--seed", "--space", "--uniform", "--n", "--epsilon", "--trials"}
+GRAPH_ORDER = {"--shuffle", "--seed"}
+VERB_OPTIONS = {
+    ("sys", "dim"): {"--kind", "--s"},
+    ("sys", "shatter"): {"--kind", "--n", "--s"},
+    ("sys", "audit"): {"--format", "--s", "--r", "--n"},
+    ("ban", "solve"): {"--format", "--list"},
+    ("ban", "hereditary"): set(),
+    ("ban", "reduce"): {"--which"},
+    ("ban", "maxsol"): {"--n", "--k"},
+    ("ban", "gen"): {"--generator", "--n", "--k", "--j", "--seed"},
+    ("graph", "typetree"): GRAPH_ORDER,
+    ("graph", "treerank"): set(),
+    ("graph", "extract"): GRAPH_ORDER,
+    ("graph", "heightcheck"): GRAPH_ORDER,
+    ("mc", "weaklaw"): MC_OPTIONS | {"--set"},
+    ("mc", "vcthm"): MC_OPTIONS,
+    ("geom", "regions"): {"--r", "--s"},
+    ("geom", "cells"): set(),
+}
+# Each verb with arguments it runs on and exits 0; reduce_hat needs k >= 2,
+# which the parity file lacks.
+VALID_ARGVS = {tuple(argv[:2]): argv for argv in DISPATCH_ARGVS[:16]}
+VALID_ARGVS["ban", "reduce"] = ("ban", "reduce", "--which", "prime", "{parity}")
+# The (verb, option) slots that every verb once took and nothing read.
+DROPPED = [(verb, option) for verb in sorted(LEAVES) for option in ("--format", "--seed")
+           if option not in VERB_OPTIONS[verb]] + [(("graph", "treerank"), "--shuffle")]
+OPTION_ARGS = {"--format": ("--format", "json"), "--seed": ("--seed", "0"),
+               "--shuffle": ("--shuffle",)}
+
+
+def test_each_verb_takes_only_the_options_it_reads():
+    declared = {verb: {option for action in leaf._actions for option in action.option_strings}
+                - {"-h", "--help"} for verb, leaf in build_parser().leaves.items()}
+    assert declared == {verb: options | EVERY_VERB for verb, options in VERB_OPTIONS.items()}
+    assert sum(map(len, declared.values())) == 74
+    assert len(DROPPED) == 23
+
+
+def run_both_paths(capsys, monkeypatch, argv):
+    """``run`` through the leaf fast path and through the nested parser, which
+    must agree; the fast path's result."""
+    dispatched = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(build_parser(), "leaves", {})
+        assert run(capsys, *argv) == dispatched
+    return dispatched
+
+
+@pytest.mark.parametrize("verb, option", DROPPED,
+                         ids=[" ".join((*verb, option)) for verb, option in DROPPED])
+def test_an_option_the_verb_does_not_read_is_refused(capsys, monkeypatch, dispatch_files, verb,
+                                                     option):
+    argv = [arg.format(**dispatch_files) for arg in VALID_ARGVS[verb]]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run_both_paths(capsys, monkeypatch, [*argv, *OPTION_ARGS[option]])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {option}" in err
+
+
+# Options a verb declares but refuses in a combination where it reads
+# nothing of them, with the error line each refusal prints.
+REFUSED = [
+    (("sys", "dim", "--kind", "vc", "--s", "2", "powerset:3"),
+     "input error: --kind vc has s = 1, got --s 2"),
+    (("sys", "dim", "--kind", "thicket", "--s", "0", "powerset:3"),
+     "input error: --kind thicket has s = 1, got --s 0"),
+    (("sys", "shatter", "--kind", "vc", "--s", "7", "--n", "2", "powerset:3"),
+     "input error: --kind vc has s = 1, got --s 7"),
+    (("sys", "shatter", "--kind", "thicket", "--n", "2", "--s", "2", "powerset:3"),
+     "input error: --kind thicket has s = 1, got --s 2"),
+    (("ban", "gen", "--generator", "parity", "--n", "3", "--k", "2"),
+     "input error: the parity generator takes --n only, got --k"),
+    (("ban", "gen", "--generator", "parity", "--n", "3", "--j", "3", "--seed", "0"),
+     "input error: the parity generator takes --n only, got --j, --seed"),
+    (("ban", "gen", "--generator", "parity", "--n", "3", "--k", "2", "--j", "5", "--seed", "7"),
+     "input error: the parity generator takes --n only, got --k, --j, --seed"),
+    (("ban", "gen", "--generator", "from_vc", "--n", "3"),
+     "argument --generator: invalid choice: 'from_vc' (choose from 'parity', 'random')"),
+    (("ban", "solve", "--format", "csv", "{parity}"),
+     "input error: ban solve writes CSV only with --list"),
+    (("graph", "typetree", "--seed", "3", "{graph}"),
+     "input error: --seed orders the vertices only with --shuffle"),
+    (("graph", "heightcheck", "--seed", "0", "{graph}"),
+     "input error: --seed orders the vertices only with --shuffle"),
+]
+
+
+@pytest.mark.parametrize("argv, text", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED])
+def test_an_option_its_command_would_not_read_is_refused(capsys, monkeypatch, dispatch_files,
+                                                         argv, text):
+    argv = [arg.format(**dispatch_files) for arg in argv]
+    code, out, err = run_both_paths(capsys, monkeypatch, argv)
+    assert (code, out) == (2, "")
+    assert text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sys", "dim", "--kind", "vc", "--s", "1", "powerset:3"),
+    ("sys", "shatter", "--kind", "thicket", "--s", "1", "--n", "2", "thresholds:3"),
+    ("graph", "typetree", "--shuffle", "{graph}"),
+], ids=" ".join)
+def test_the_accepted_forms_of_those_options_still_run(capsys, dispatch_files, argv):
+    code, out, err = run(capsys, *[arg.format(**dispatch_files) for arg in argv])
+    assert code == 0 and err == "" and json.loads(out)

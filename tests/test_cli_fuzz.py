@@ -82,12 +82,17 @@ def sys_call(draw):
     spec, data = draw(system_arg(junk))
     num = st.integers(-1, 3).map(str)
     argv = ["sys", verb]
+    arity = st.sampled_from(["1", "2"])
     if verb != "audit":
-        argv += ["--kind", pick(draw, junk, st.sampled_from(["vc", "thicket", "op"]),
-                                st.just("nosuch"))]
-    argv += ["--s", pick(draw, junk, st.sampled_from(["1", "2"]), num)]
+        kind = pick(draw, junk, st.sampled_from(["vc", "thicket", "op"]), st.just("nosuch"))
+        argv += ["--kind", kind]
+        if kind != "op":
+            # the VC and thicket kinds take s = 1 alone
+            arity = st.just("1")
+    argv += ["--s", pick(draw, junk, arity, num)]
     if verb == "audit":
-        argv += ["--r", pick(draw, junk, st.sampled_from(["1", "2"]), num)]
+        argv += ["--r", pick(draw, junk, st.sampled_from(["1", "2"]), num),
+                 "--format", draw(FORMAT)]
     if verb != "dim":
         argv += ["--n", pick(draw, junk, st.integers(0, 3).map(str), num)]
     return argv + draw(CAP) + [spec], data
@@ -140,17 +145,19 @@ def ban_call(draw):
         k = pick(draw, junk, st.integers(1, max(n, 1)), st.integers(-1, 5))
         return ["ban", "maxsol", "--n", str(n), "--k", str(k)] + draw(CAP), None
     if verb == "gen":
+        kind = pick(draw, junk, st.sampled_from(["parity", "random"]),
+                    st.sampled_from(["from_vc", "nosuch"]))
         n = pick(draw, junk, st.integers(1, 6), st.integers(-1, 6))
-        argv = ["ban", "gen", "--generator",
-                pick(draw, junk, st.sampled_from(["parity", "random"]),
-                     st.sampled_from(["from_vc", "nosuch"])),
-                "--n", str(n),
-                "--k", pick(draw, junk, st.integers(1, max(n, 1)).map(str), num),
-                "--j", pick(draw, junk, st.integers(2, 4).map(str), num)]
+        argv = ["ban", "gen", "--generator", kind, "--n", str(n)]
+        # parity takes --n only
+        if kind != "parity" or (junk and draw(st.booleans())):
+            argv += ["--k", pick(draw, junk, st.integers(1, max(n, 1)).map(str), num),
+                     "--j", pick(draw, junk, st.integers(2, 4).map(str), num),
+                     *draw(st.sampled_from([[], ["--seed", "3"]]))]
         return argv + draw(CAP), None
     argv = ["ban", verb]
     if verb == "solve" and draw(st.booleans()):
-        argv.append("--list")
+        argv += ["--list", "--format", draw(FORMAT)]
     if verb == "reduce":
         argv += ["--which", draw(st.sampled_from(["hat", "prime"]))]
     data = draw(st.one_of(generator(junk), full_table(junk)))
@@ -177,7 +184,7 @@ def graph_call(draw):
         return ["graph", "heightcheck"] + draw(CAP) + [FILE], HEIGHT_BOUND_COUNTEREXAMPLE
     argv = ["graph", draw(st.sampled_from(["typetree", "treerank", "extract",
                                             "heightcheck"]))]
-    if draw(st.booleans()):
+    if argv[1] != "treerank" and draw(st.booleans()):
         argv += ["--shuffle", "--seed", draw(st.integers(0, 9).map(str))]
     return argv + draw(CAP) + [FILE], data
 
@@ -187,7 +194,13 @@ def mc_call(draw):
     junk = draw(st.booleans())
     verb = draw(st.sampled_from(["weaklaw", "vcthm"]))
     argv, data = ["mc", verb], None
-    points = pick(draw, junk, st.integers(1, 6), st.integers(-1, 6))
+    good_points = st.integers(1, 6)
+    if verb == "vcthm":
+        spec = pick(draw, junk, st.sampled_from(GOOD_SHORTHANDS), st.sampled_from(BAD_SHORTHANDS))
+        if spec in GOOD_SHORTHANDS:
+            # a space on the family's universe, so that the run can pass
+            good_points = st.just(int(spec.split(":")[1]))
+    points = pick(draw, junk, good_points, st.integers(-1, 6))
     if draw(st.booleans()):
         argv += ["--uniform", str(points)]
     else:
@@ -206,10 +219,9 @@ def mc_call(draw):
              "--epsilon=" + pick(draw, junk, st.sampled_from(["1/4", "1/2", "0.3"]),
                                  st.sampled_from(["0", "-1", "abc", "1/0"])),
              "--trials", str(pick(draw, junk, st.integers(1, 20), st.integers(-1, 20))),
-             "--seed", draw(st.integers(0, 9).map(str))]
+             "--seed", draw(st.integers(0, 9).map(str)), "--format", draw(FORMAT)]
     if verb == "vcthm":
-        argv.append(pick(draw, junk, st.sampled_from(GOOD_SHORTHANDS),
-                         st.sampled_from(BAD_SHORTHANDS)))
+        argv.append(spec)
     return argv, data
 
 
@@ -235,6 +247,9 @@ def geom_call(draw):
 
 
 CAP = st.sampled_from([[], [], [], ["--cap", "1"], ["--cap", "40"], ["--cap", "-1"]])
+# --format, drawn on the verbs with a CSV form: sys audit, ban solve --list
+# and the mc verbs, whose csv runs keep every trial's rows.
+FORMAT = st.sampled_from(["json", "csv"])
 # None leaves SHATTERLAB_CAP unset
 ENV_CAP = st.one_of(st.none(), st.integers(0, 40).map(str),
                     st.sampled_from(["", "abc", "5.0", "1e3", "-", "0x10"]))
