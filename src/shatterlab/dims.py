@@ -29,8 +29,8 @@ splits.  A class reaches at most 2 * 2^r after the split, so the loop over
 the classes stops once those that remain cannot lift the reach above the
 best count.  Each public call reads all n columns at once from
 ``setsystem._member_columns`` and starts from the one class of the whole
-family; it shares nothing with the op_s searches below, so inside
-``audit_bounds`` row (a)'s two VC calls each build their own.
+family; it shares nothing with the op_s searches below.  Inside
+``audit_bounds`` row (a)'s two VC calls read one set of columns.
 
 Where 2|F| > 2^n, the dense case, a node keeps the set of traces m & Y,
 O(|F|) per node, bounds its reach by the number of classes times 2^r and
@@ -59,6 +59,20 @@ on fewer than 4^s members a column table would cost more than it saves.
 Thicket dimension and the thicket shatter function are the s = 1 calls of
 those recursions, without the universe cap.
 
+The lowest levels of both recursions are answered from sizes, in place:
+a child there costs no call and no memo entry.  A member properly labels
+at most one leaf, and a tree of height t has arity^t leaves, so psi(F, t)
+<= min(arity^t, |F|), and rank >= t needs arity^t members.  At height 0
+these bounds are exact: one leaf, labeled when F is nonempty.  So
+psi(F, 1) counts a tuple's nonempty children, and rank >= 1 is the test
+that no child on some tuple is empty.  At s = 1 they are exact at height 1
+too: two distinct members differ on some element x, which splits them into
+the children F_x0 and F_x1, so psi^1(F, 1) = min(2, |F|) and rank >= 1
+exactly when |F| >= 2.  So psi^1(F, 2) is the largest sum over the
+elements x that split F of min(2, |F_x0|) + min(2, |F_x1|), and rank >= 2
+at s = 1 asks only that both children of some element hold two members.
+``_Search.sized`` is that height, 1 at s = 1 and 0 otherwise.
+
 Distinct tuples lose nothing.  A tuple with a repeated element splits F
 only on its d distinct elements, and its other children are empty.  Put
 unused elements in place of the repeats: each nonempty child F_tau then
@@ -72,11 +86,12 @@ One ``audit_bounds`` call asks for the same ranks and shatter values many
 times: rows (b) to (g) read op_s-rank and psi^s of one family and its
 subfamilies at a few arities.  While it runs, every op_s call, thicket's
 included, reads one ``_Search`` per (sets, n, s), which keeps its columns,
-its rank and shatter memos and the rank once found.  So each rank is found
-once, each column is built once per (family, s), and a repeated call, after
-its own argument and cap checks, costs a dict hit.  The table is dropped
-when the audit returns or raises; outside an audit every call builds its
-own search, and nothing is kept on the ``SetSystem``.
+its rank and shatter memos and the rank once found, and every VC call reads
+one set of VC columns per (sets, n).  So each rank is found once, each
+column is built once per (family, s), and a repeated call, after its own
+argument and cap checks, costs a dict hit.  Both tables are dropped when
+the audit returns or raises; outside an audit every call builds its own
+search and columns, and nothing is kept on the ``SetSystem``.
 
 The empty family has rank ``NEG_INF`` (serialized as the string "-inf").
 
@@ -250,28 +265,38 @@ class _Search(ChildTable):
     """One op_s search of a family: its ``ChildTable``, whose children the
     recursions AND into a subfamily's mask, plus the min(n, s)-subsets of
     [n] in ``itertools.combinations`` order as ``tuples``, ``arity`` 2^s,
-    the rank recursion's (mask, height) table ``memo``, the shatter
-    recursion's ``leaves`` and ``rank``, the op_s-rank once found."""
+    ``sized`` the largest height that sizes alone answer (1 at s = 1, else
+    0; module docstring), the rank recursion's (mask, height) table
+    ``memo``, the shatter recursion's ``leaves`` and ``rank``, the op_s-rank
+    once found."""
 
     def __init__(self, sets, n, s):
         super().__init__(sets)
         self.tuples = list(itertools.combinations(range(n), min(n, s)))
-        self.arity, self.memo, self.leaves, self.rank = 1 << s, {}, {}, None
+        self.arity, self.sized = 1 << s, int(s == 1)
+        self.memo, self.leaves, self.rank = {}, {}, None
 
 
-# The running audit_bounds call's searches by (sets, n, s); None outside one.
-_searches = None
+# The running audit_bounds call's searches by (sets, n, s), and row (a)'s VC
+# columns by (sets, n); None outside one.
+_searches = _vc_columns = None
+
+
+def _kept(table, key, build):
+    """``table[key]``, built as ``build(*key)`` on first use; a fresh
+    ``build(*key)`` when ``table`` is None, outside an audit."""
+    if table is None:
+        return build(*key)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(*key)
+    return value
 
 
 def _search(sets, n, s):
     """The running audit's search of (sets, n, s), or a fresh one outside
     an audit."""
-    if _searches is None:
-        return _Search(sets, n, s)
-    search = _searches.get((sets, n, s))
-    if search is None:
-        search = _searches[sets, n, s] = _Search(sets, n, s)
-    return search
+    return _kept(_searches, (sets, n, s), _Search)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +349,9 @@ def _columns(sets, n):
     member-index mask of the members that contain y, where 2|F| <= 2^n;
     None on a denser family, whose search keeps sets of traces (module
     docstring)."""
-    return _member_columns(sets, n) if 2 * len(sets) <= 1 << n else None
+    if 2 * len(sets) > 1 << n:
+        return None
+    return _kept(_vc_columns, (sets, n), _member_columns)
 
 
 def _trace_count_search(sets, n, size, best, stop, columns):
@@ -477,26 +504,26 @@ def _op_rank(sets, n, s):
 def _op_rank_at_least(fam, search, t):
     """Rank >= t needs arity^t members in the family and arity^(t-1) in
     each child; the children are checked one by one before any recursion,
-    which prunes the search hard."""
-    if t <= 0:
-        return True
+    which prunes the search hard.  Up to height ``search.sized`` the size
+    test is the whole answer, so a child there is never recursed into."""
     if fam.bit_count() < search.arity ** t:
         return False
+    if t <= search.sized:
+        return True
     key = (fam, t)
     cached = search.memo.get(key)
     if cached is not None:
         return cached
     need = search.arity ** (t - 1)
+    sized = t - 1 <= search.sized
     out = False
     for xs in search.tuples:
-        children = []
-        for sel in search[xs]:
-            kid = fam & sel
-            if kid.bit_count() < need:
+        sels = search[xs]
+        for sel in sels:
+            if (fam & sel).bit_count() < need:
                 break
-            children.append(kid)
         else:
-            if all(_op_rank_at_least(kid, search, t - 1) for kid in children):
+            if sized or all(_op_rank_at_least(fam & sel, search, t - 1) for sel in sels):
                 out = True
                 break
     search.memo[key] = out
@@ -522,19 +549,23 @@ def _op_shatter_leaves(fam, search, height):
     some element: from height |fam| - 1 on, every member gets its own leaf.
     A tuple with a child equal to ``fam`` scores psi(fam, height - 1), no
     more than a splitting tuple, so it is skipped; the depth stays below
-    |fam|."""
-    if not fam:
-        return 0
-    if height == 0 or not fam & (fam - 1):
-        return 1
+    |fam|.  Up to height ``search.sized``, psi is min(arity^height, |fam|),
+    so a child there is counted in place."""
+    size = fam.bit_count()
+    if height <= search.sized:
+        return min(search.arity ** height, size)
+    if height >= size - 1:
+        return size
     key = (fam, height)
     cached = search.leaves.get(key)
     if cached is not None:
         return cached
-    size = fam.bit_count()
-    if height >= size - 1:
-        return size
     cap = min(search.arity ** height, size)
+    below = height - 1
+    # Where sizes answer the children's height, a nonempty child holds
+    # min(arity^below, |kid|) leaves: 1 at height 0, and 1 or 2 at height 1
+    # (s = 1 only).
+    deep, pairs = below > search.sized, below == 1
     best = 1
     for xs in search.tuples:
         total = 0
@@ -544,7 +575,10 @@ def _op_shatter_leaves(fam, search, height):
                 # the children split fam, so the others are empty and
                 # total stays 0: the tuple is skipped
                 break
-            total += _op_shatter_leaves(kid, search, height - 1)
+            if deep:
+                total += _op_shatter_leaves(kid, search, below)
+            elif kid:
+                total += 2 if pairs and kid & (kid - 1) else 1
         if total > best:
             best = total
             if best == cap:
@@ -626,14 +660,14 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
     arities, (f) rank monotonicity under subfamilies, (g) the two-parameter
     recurrence bound with a0 = sum_{i<r} C(s,i), a1 = 2^s - a0.
     """
-    global _searches
+    global _searches, _vc_columns
     s, r = require_int(s, "s", 1), require_int(r, "r", 1)
     n = require_int(n, "n", 0)
-    _searches = {}
+    _searches, _vc_columns = {}, {}
     try:
         return _audit(system, s, r, n, cap)
     finally:
-        _searches = None
+        _searches = _vc_columns = None
 
 
 def _audit(system, s, r, n, cap):

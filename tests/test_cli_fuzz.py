@@ -205,9 +205,16 @@ def mc_call(draw):
         argv += ["--uniform", str(points)]
     else:
         argv += ["--space", FILE]
-        weight = st.sampled_from(["1/2", "1/4", "0", "1/3"])
-        weights = st.lists(st.one_of(weight, JUNK) if junk else weight,
-                           min_size=max(points, 0), max_size=max(points, 0))
+        count = max(points, 0)
+        # good weights are shares p / total of small integers, not all 0, so
+        # they sum to exactly 1; a junk draw may take independent weights,
+        # which seldom do
+        parts = st.lists(st.integers(0, 3), min_size=count, max_size=count)
+        weights = parts.filter(lambda ps: any(ps) or not ps).map(
+            lambda ps: [f"{p}/{sum(ps)}" for p in ps])
+        if junk:
+            weight = st.one_of(st.sampled_from(["1/2", "1/4", "0", "1/3"]), JUNK)
+            weights = st.one_of(weights, st.lists(weight, min_size=count, max_size=count))
         data = obj(draw, junk, points=st.just(points), weights=weights)
         if junk and not draw(st.integers(0, 5)):
             argv.remove("--space")

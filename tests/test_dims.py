@@ -375,10 +375,11 @@ def _assert_op_matches_tuple_recursions(system, arities, max_height):
         for height in range(max_height + 1):
             assert (op_shatter(system, s, height)
                     == tuple_op_shatter(sets, n, s, height)), (system, s, height)
+            if s == 1:
+                assert thicket_shatter(system, height) == tuple_op_shatter(
+                    sets, n, 1, height), (system, height)
         if s == 1:
             assert thicket_dimension(system) == rank
-            assert thicket_shatter(system, max_height) == tuple_op_shatter(
-                sets, n, 1, max_height)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -388,6 +389,26 @@ def test_op_bitsets_match_tuple_recursions_at_audit_sizes(seed):
                                         (1, 2), 3)
     _assert_op_matches_tuple_recursions(_distinct_system(rng, (5, 6), (10, 16)),
                                         (3,), 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_levels_match_tuple_recursions(seed):
+    """The levels that sizes answer: families of 1-3 members and of exactly
+    arity^t members for s = 1..3, each also with element 0 in every member,
+    so that the tuples holding 0 leave a child equal to the family.  At
+    s = 2 sizes answer height 0 only: the 16 members sigma + t, sigma over
+    bits 0-1 and t in {0, 4, 8, 16}, leave 4 in each child on (0, 1), yet no
+    child shatters a pair, so the op_2-rank is 1."""
+    trap = SetSystem(5, tuple(sigma | t for sigma in range(4) for t in (0, 4, 8, 16)))
+    assert op_rank(trap, 2) == 1
+    _assert_op_matches_tuple_recursions(trap, (1, 2, 3), 4)
+    rng = random.Random(3900 + seed)
+    for count in (1, 2, 3, 4, 8, 16, 64):
+        n = rng.randint(max(1, (count - 1).bit_length()) + 1, 7)
+        plain = rng.sample(range(1 << n), count)
+        with_0 = [m << 1 | 1 for m in rng.sample(range(1 << (n - 1)), count)]
+        for sets in (plain, with_0):
+            _assert_op_matches_tuple_recursions(SetSystem(n, tuple(sets)), (1, 2, 3), 4)
 
 
 @pytest.mark.parametrize("system", [
@@ -635,11 +656,41 @@ def test_audit_builds_each_column_once_per_family_and_arity(monkeypatch):
     rng = random.Random(7)
     system = SetSystem(7, tuple(sorted(rng.sample(range(128), 40))))
     audit_bounds(system, 2, 1, 3)
-    # Five searches read all 7 columns: the family's at s = 1 (rows (b) and
-    # (e)) and at s = 2 (rows (c) and (e)), and its three subfamilies' at
-    # s = 2 (row (f)).  With one search per call the audit built 87.
-    assert len(built) == 35
-    assert Counter(Counter(built).values()) == {1: 3 * 7, 2: 7}
+    # Four searches read all 7 columns: the family's at s = 2 (rows (c) and
+    # (e)) and its three subfamilies' at s = 2 (row (f)).  The family's s = 1
+    # search (rows (b) and (e)) reads columns 0-5 only: psi^1(F, 3) reaches
+    # its cap of 8 and every rank level finds its splitting element before
+    # column 6, since sizes answer heights 0 and 1 there.  With one search
+    # per call the audit built 87.
+    assert len(built) == 34
+    assert Counter(Counter(built).values()) == {1: 3 * 7 + 1, 2: 6}
+
+
+def test_audit_builds_row_a_vc_columns_once(monkeypatch):
+    """Row (a)'s ``vc_dimension`` and ``vc_shatter_function`` read one
+    ``_member_columns`` call per audit, dropped when the audit returns or
+    raises."""
+    built = []
+    real_columns = dims._member_columns
+
+    def counted(sets, n):
+        built.append((sets, n))
+        return real_columns(sets, n)
+
+    monkeypatch.setattr(dims, "_member_columns", counted)
+    rng = random.Random(7)
+    system = SetSystem(7, tuple(sorted(rng.sample(range(128), 40))))
+    for audits in (1, 2):  # each audit builds its own
+        audit_bounds(system, 2, 1, 3)
+        assert built == [(system.sets, 7)] * audits and dims._vc_columns is None
+
+    def fail(system):
+        raise RuntimeError("row (b)")
+
+    monkeypatch.setattr(dims, "thicket_dimension", fail)
+    with pytest.raises(RuntimeError):  # after row (a) built its columns
+        audit_bounds(system, 2, 1, 3)
+    assert len(built) == 3 and dims._vc_columns is None
 
 
 def test_binomial_sums_match_the_term_by_term_oracle():
