@@ -1,26 +1,13 @@
 """Exact combinatorics lab: set-system dimensions, banned sequence
-problems, type trees, and test-tree sampling audits."""
+problems, type trees, and test-tree sampling audits.  The package exports
+each module's ``__all__`` and the four error classes."""
 
 from .errors import InputError, ResourceCapError, VerificationError, ShatterLabError
-from .setsystem import SetSystem, project, dual, child, generate
-from .geometry import (PointArrangement, region_count_general_position,
-                       line_arrangement_cells)
-from .dims import (NEG_INF, ElementTree, BoundAuditReport, shatters,
-                   vc_dimension, vc_shatter_function, thicket_dimension,
-                   thicket_shatter, op_rank, op_shatter,
-                   count_children_dropping, audit_bounds, random_element_tree)
-from .banseq import (BanProblem, RelaxedBanProblem, HereditaryWitness,
-                     solutions, banned_count, trivial_upper_bound,
-                     is_hereditary, is_independent, reduce_hat, reduce_prime,
-                     check_counting_inequality, verify_main_theorem,
-                     min_subcube_hitting, max_solutions, parity_problem,
-                     from_vc, from_element_tree, from_type_tree, random_problem)
-from .typetree import (Graph, TypeTree, build_type_tree, validate_type_tree,
-                       tree_rank, extract_clique_or_independent,
-                       check_height_bound, random_graph)
-from .thicketvc import (ProbSpace, TestTree, ExperimentReport,
-                        sample_test_tree, characteristic_path, test_estimate,
-                        exact_expectation, uniform_deviation, run_weak_law,
-                        run_vc_theorem)
+from .setsystem import *
+from .geometry import *
+from .dims import *
+from .banseq import *
+from .typetree import *
+from .thicketvc import *
 
 __version__ = "0.1.0"

@@ -49,10 +49,10 @@ shatter recursion, which split a family on the same tuples: the
 min(n, s)-subsets of [n].  Inside one top-level call they carry a subfamily
 as an int over the canonical ``sets`` tuple: bit i is set when it contains
 ``sets[i]``.  A subfamily's child on a tuple and a pattern sigma is the
-subfamily ANDed with the whole family's child there, which one
-``setsystem.ChildTable`` builds on first use: the AND over the tuple of
-each element's column (sigma bit 1) or its complement (bit 0).  Sizes are
-bit counts, and the memo keys are (mask, height) pairs.  A family of fewer
+subfamily ANDed with the whole family's child there, which the call's
+``_Search`` builds on first use: the AND over the tuple of each element's
+column (sigma bit 1) or its complement (bit 0).  Sizes are bit counts, and
+the memo keys are (mask, height) pairs.  A family of fewer
 than 2^(2s) members has op_s-rank at most 1, and 1 exactly when it
 shatters some s-set, which the rank asks the VC search with sets of traces:
 on fewer than 4^s members a column table would cost more than it saves.
@@ -111,7 +111,7 @@ from functools import cached_property
 from operator import or_
 
 from .errors import InputError, check_cap, require_int
-from .setsystem import ChildTable, SetSystem, _member_columns, child, mask_of
+from .setsystem import SetSystem, _member_columns, child, child_masks, mask_of
 
 __all__ = [
     "NEG_INF",
@@ -261,20 +261,47 @@ def random_element_tree(universe_size, arity_exponent, height, seed):
 # member-index bitsets
 # ---------------------------------------------------------------------------
 
-class _Search(ChildTable):
-    """One op_s search of a family: its ``ChildTable``, whose children the
-    recursions AND into a subfamily's mask, plus the min(n, s)-subsets of
-    [n] in ``itertools.combinations`` order as ``tuples``, ``arity`` 2^s,
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class _Search(dict):
+    """One op_s search of the family ``sets`` over [n]: the min(n, s)-subsets
+    of [n] in ``itertools.combinations`` order as ``tuples``, ``arity`` 2^s,
     ``sized`` the largest height that sizes alone answer (1 at s = 1, else
     0; module docstring), the rank recursion's (mask, height) table
     ``memo``, the shatter recursion's ``leaves`` and ``rank``, the op_s-rank
-    once found."""
+    once found.
+
+    As a dict it holds the family's children on tuples of elements, which
+    the recursions AND into a subfamily's mask: bit i of a member-index mask
+    stands for ``sets[i]``.  ``search[xs]`` lists one mask per sigma in
+    ``itertools.product((0, 1), repeat=len(xs))`` order, each filled on
+    first use, so a search that stops early builds few.  ``search[(x,)][1]``
+    is x's column, the members that contain x, read from ``child_masks``
+    and parsed from one binary digit string in time linear in |F|;
+    ``search[(x,)][0]`` is its complement in the whole family ``full``.  A
+    longer tuple's children are its prefix's children ANDed with its last
+    element's, so a repeated element's conflicting children are empty."""
 
     def __init__(self, sets, n, s):
-        super().__init__(sets)
+        self.sets, self.full = sets, (1 << len(sets)) - 1
+        self[()] = [self.full]
         self.tuples = list(itertools.combinations(range(n), min(n, s)))
         self.arity, self.sized = 1 << s, int(s == 1)
         self.memo, self.leaves, self.rank = {}, {}, None
+
+    def __missing__(self, xs):
+        if len(xs) == 1:
+            kid = set(child_masks(self.sets, xs, (1,)))
+            flags = bytes([m in kid for m in reversed(self.sets)])
+            # The leading 0 reads the empty family as 0.
+            column = int(b"0" + flags.translate(_BINARY_DIGITS), 2)
+            children = [self.full ^ column, column]
+        else:
+            last = self[xs[-1:]]
+            children = [sel & col for sel in self[xs[:-1]] for col in last]
+        self[xs] = children
+        return children
 
 
 # The running audit_bounds call's searches by (sets, n, s), and row (a)'s VC

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all modules, the integer rule that reads
-every integer parameter and field, the rational-field check shared by the
+every integer parameter and field, the collection rule that reads every
+container of members, the rational-field check shared by the
 loaders and its inverse that writes a rational as text, the probability
 rule, and the cap check shared by every exponential path.
 
@@ -49,6 +50,15 @@ def require_int(value, what, low=None, high=None):
     if high is not None and value > high:
         raise InputError(f"{what} must be at most {high}, got {value}")
     return value
+
+
+def require_iterable(value, what):
+    """An iterator over ``value``; a value that cannot be iterated, such as
+    an int or None, is an InputError, not a TypeError."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InputError(f"expected a collection of {what}, got {value!r}") from None
 
 
 def require_rational(value, what):

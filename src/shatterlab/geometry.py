@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dims import _sauer_sum
-from .errors import InputError, rational_text, require_int, require_rational
+from .errors import (InputError, rational_text, require_int, require_iterable,
+                     require_rational)
 
 __all__ = [
     "PointArrangement",
@@ -46,10 +47,10 @@ class PointArrangement:
 
     def __post_init__(self):
         r = require_int(self.dimension, "dimension r", 1)
-        object.__setattr__(self, "points",
-                           tuple(_as_fraction_vector(p, r) for p in self.points))
-        object.__setattr__(self, "halfspaces",
-                           tuple(_as_halfspace(h, r) for h in self.halfspaces))
+        object.__setattr__(self, "points", tuple(
+            _as_fraction_vector(p, r) for p in require_iterable(self.points, "points")))
+        object.__setattr__(self, "halfspaces", tuple(
+            _as_halfspace(h, r) for h in require_iterable(self.halfspaces, "half-spaces")))
 
     def to_json_dict(self):
         return {

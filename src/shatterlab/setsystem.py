@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_cap, require_int
+from .errors import InputError, check_cap, require_int, require_iterable
 
 __all__ = [
     "SetSystem",
@@ -48,14 +48,16 @@ class SetSystem:
 
     def __post_init__(self):
         n = require_int(self.universe_size, "universe_size", 0)
-        canonical = tuple(sorted({require_mask(m, n) for m in self.sets}))
+        canonical = tuple(sorted({require_mask(m, n)
+                                  for m in require_iterable(self.sets, "masks")}))
         if canonical != self.sets:
             object.__setattr__(self, "sets", canonical)
 
     @classmethod
     def from_iterables(cls, universe_size, families, name=None):
         """Build from an iterable of element collections."""
-        return cls(universe_size, tuple(mask_of(fam, universe_size) for fam in families),
+        return cls(universe_size, tuple(mask_of(fam, universe_size)
+                                        for fam in require_iterable(families, "sets")),
                    name)
 
     def members(self, mask):
@@ -93,12 +95,8 @@ def mask_of(elements, n):
     """The mask of ``elements``, each an integer in [0, n); a bool, a float,
     a string or an element out of range is an InputError, and so is an
     argument that is not a collection."""
-    try:
-        items = iter(elements)
-    except TypeError:
-        raise InputError(f"expected a collection of elements, got {elements!r}") from None
     mask = 0
-    for x in items:
+    for x in require_iterable(elements, "elements"):
         mask |= 1 << require_int(x, "element", 0, n - 1)
     return mask
 
@@ -131,7 +129,11 @@ def dual(system: SetSystem) -> SetSystem:
 def child(system: SetSystem, xs, sigma) -> SetSystem:
     """Subfamily consistent with membership pattern ``sigma`` on tuple ``xs``;
     each sigma entry is the integer 0 or 1."""
-    if len(xs) != len(sigma):
+    try:
+        unequal = len(xs) != len(sigma)
+    except TypeError:
+        raise InputError(f"xs and sigma must be sequences, got {xs!r} and {sigma!r}") from None
+    if unequal:
         raise InputError("xs and sigma must have equal length")
     mask_of(xs, system.universe_size)
     sigma = [require_int(b, "sigma entry", 0, 1) for b in sigma]
@@ -150,41 +152,6 @@ def child_masks(sets, xs, sigma):
         if b:
             want |= bit
     return tuple(m for m in sets if m & care == want)
-
-
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-class ChildTable(dict):
-    """The children of the family ``sets`` on tuples of elements, as
-    member-index masks, for the op_s recursions (``dims._Search``, its one
-    builder, which passes a family's canonical ``sets``): bit i of a mask
-    stands for ``sets[i]``.
-    ``table[xs]`` lists one mask per sigma in
-    ``itertools.product((0, 1), repeat=len(xs))`` order, each filled on
-    first use, so a search that stops early builds few.  ``table[(x,)][1]``
-    is x's column, the members that contain x, read from ``child_masks``
-    and parsed from one binary digit string in time linear in |F|;
-    ``table[(x,)][0]`` is its complement in the whole family ``full``.  A
-    longer tuple's children are its prefix's children ANDed with its last
-    element's, so a repeated element's conflicting children are empty."""
-
-    def __init__(self, sets):
-        self.sets, self.full = sets, (1 << len(sets)) - 1
-        self[()] = [self.full]
-
-    def __missing__(self, xs):
-        if len(xs) == 1:
-            kid = set(child_masks(self.sets, xs, (1,)))
-            flags = bytes([m in kid for m in reversed(self.sets)])
-            # The leading 0 reads the empty family as 0.
-            column = int(b"0" + flags.translate(_BINARY_DIGITS), 2)
-            children = [self.full ^ column, column]
-        else:
-            last = self[xs[-1:]]
-            children = [sel & col for sel in self[xs[:-1]] for col in last]
-        self[xs] = children
-        return children
 
 
 def _bit_matrix(masks, n):

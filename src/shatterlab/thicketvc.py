@@ -44,7 +44,8 @@ from itertools import accumulate, compress
 
 import numpy as np
 
-from .errors import InputError, check_cap, rational_text, require_int, require_rational
+from .errors import (InputError, check_cap, rational_text, require_int, require_iterable,
+                     require_rational)
 from .setsystem import SetSystem, _bit_matrix, mask_of, require_mask
 from .dims import _sauer_sum, thicket_dimension, thicket_shatter
 
@@ -112,7 +113,8 @@ class ProbSpace:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(require_rational(w, "weight") for w in self.weights)
+        ws = tuple(require_rational(w, "weight")
+                   for w in require_iterable(self.weights, "weights"))
         scale = math.lcm(*(w.denominator for w in ws))
         nums = tuple(w.numerator * (scale // w.denominator) for w in ws)
         if any(v < 0 for v in nums):

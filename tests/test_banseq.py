@@ -799,6 +799,12 @@ def test_witness_is_valid_rejects_garbage():
     bad = type(witness)(witness.S, dict(witness.assignments))
     bad.assignments[(0,)] = bad.assignments[(1,)]
     assert not witness_is_valid(problem, bad)
+    # a pattern left without a context
+    assert not witness_is_valid(problem, type(witness)(witness.S, {(0,): (0, 0)}))
+    # neither context is banned, but 000 and 110 first differ at position
+    # 0, outside S = (1,)
+    outside = type(witness)((1,), {(0,): (0, 0), (1,): (1, 0)})
+    assert not witness_is_valid(problem, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +835,8 @@ def test_reduce_guards():
         reduce_hat(parity_problem(3))
     with pytest.raises(InputError):
         reduce_prime(const_problem(3, 3, 2, {(0, 0, 0)}))
+    with pytest.raises(InputError, match="requires k >= 2"):
+        check_counting_inequality(parity_problem(3))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1077,6 +1085,8 @@ def test_from_element_tree_tests_each_leaf_once(monkeypatch):
 def test_random_problem_is_seeded():
     assert random_problem(4, 2, 2, seed=1) == random_problem(4, 2, 2, seed=1)
     assert random_problem(4, 2, 2, seed=1) != random_problem(4, 2, 2, seed=2)
+    # a value that is not a problem is unequal, never compared as a table
+    assert random_problem(4, 2, 2, seed=1) != (4, 2, 2)
 
 
 @pytest.mark.parametrize("density", [0, 0.5, 1])

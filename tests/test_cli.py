@@ -419,6 +419,9 @@ def test_exit_codes(capsys, tmp_path):
     # invalid input: missing file
     code, _, err = run(capsys, "sys", "dim", "--kind", "vc", "missing.json")
     assert code == 2 and "input error" in err
+    # a directory in place of an input file
+    code, _, err = run(capsys, "sys", "dim", "--kind", "vc", str(tmp_path))
+    assert code == 2 and "cannot read" in err
     # invalid input: degenerate geometry
     bad = write_json(tmp_path, "bad.json",
                      {"lines": [{"normal": [1, 0], "offset": 0},

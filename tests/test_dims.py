@@ -16,7 +16,7 @@ from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
                         region_count_general_position, shatters,
                         thicket_dimension, thicket_shatter, vc_dimension,
                         vc_shatter_function)
-from shatterlab import dims, setsystem
+from shatterlab import dims
 from shatterlab.banseq import solution_bound
 from shatterlab.dims import rank_to_str
 
@@ -329,7 +329,7 @@ def test_vc_search_reads_one_column_table_per_call(monkeypatch):
 
     monkeypatch.setattr(dims, "_member_columns", counted_columns)
     monkeypatch.setattr(dims, "_search", counted_search)
-    monkeypatch.setattr(setsystem, "child_masks", no_child_masks)
+    monkeypatch.setattr(dims, "child_masks", no_child_masks)
     rng = random.Random(5)
     sparse = SetSystem(10, tuple(rng.sample(range(1 << 10), 200)))
     small = SetSystem(10, tuple(rng.sample(range(1 << 10), 12)))
@@ -646,13 +646,13 @@ def test_audit_searches_end_with_the_call(monkeypatch):
 
 def test_audit_builds_each_column_once_per_family_and_arity(monkeypatch):
     built = []
-    real_child_masks = setsystem.child_masks
+    real_child_masks = dims.child_masks
 
     def counted(sets, xs, sigma):
         built.append((sets, xs))
         return real_child_masks(sets, xs, sigma)
 
-    monkeypatch.setattr(setsystem, "child_masks", counted)
+    monkeypatch.setattr(dims, "child_masks", counted)
     rng = random.Random(7)
     system = SetSystem(7, tuple(sorted(rng.sample(range(128), 40))))
     audit_bounds(system, 2, 1, 3)

@@ -20,8 +20,8 @@ from shatterlab import (BanProblem, ElementTree, Graph, InputError,
                         check_counting_inequality, check_height_bound, child,
                         count_children_dropping, dual, exact_expectation,
                         from_element_tree, from_type_tree, from_vc, generate,
-                        is_hereditary, is_independent, max_solutions,
-                        min_subcube_hitting, op_rank, op_shatter,
+                        is_hereditary, is_independent, line_arrangement_cells,
+                        max_solutions, min_subcube_hitting, op_rank, op_shatter,
                         parity_problem, project, random_element_tree,
                         random_graph, random_problem, reduce_hat,
                         reduce_prime, region_count_general_position,
@@ -29,8 +29,8 @@ from shatterlab import (BanProblem, ElementTree, Graph, InputError,
                         shatters, solutions, thicket_shatter, tree_rank,
                         verify_main_theorem, vc_dimension,
                         vc_shatter_function)
-from shatterlab import setsystem
-from shatterlab.setsystem import GENERATOR_KINDS, ChildTable, child_masks
+from shatterlab import dims, setsystem
+from shatterlab.setsystem import GENERATOR_KINDS, child_masks
 
 from families import random_system
 
@@ -115,6 +115,8 @@ def test_child_filters_by_pattern():
     kid = child(system, (0, 2), (1, 0))
     assert all(m & 1 and not m & 4 for m in kid.sets)
     assert len(kid) == 2
+    with pytest.raises(InputError, match="equal length"):
+        child(system, (0, 2), (1,))
 
 
 @pytest.mark.parametrize("entry", ["a", None], ids=repr)
@@ -146,10 +148,11 @@ TABLE_FAMILIES = [(), (0b0101,) * 3, (0, 0b0011, 0b0011, 0b0001, 0b0110)] + [
 
 @pytest.mark.parametrize("sets", TABLE_FAMILIES)
 def test_child_table_matches_child_masks(sets):
-    """Every tuple of up to three elements of [4], repeats included, asked
-    longest first so that prefixes fill on demand: one member-index mask per
-    sigma in product order, as ``child_masks`` filters."""
-    table = ChildTable(sets)
+    """An op_s search's children table: every tuple of up to three elements
+    of [4], repeats included, asked longest first so that prefixes fill on
+    demand, gives one member-index mask per sigma in product order, as
+    ``child_masks`` filters."""
+    table = dims._Search(sets, 4, 1)
     tuples = [xs for size in (3, 2, 1, 0)
               for xs in itertools.product(range(4), repeat=size)]
     for xs in tuples:
@@ -232,6 +235,28 @@ def test_every_entry_point_refuses_junk_elements_and_masks(entry, bad):
         bad = N if kind == "element" else 1 << N
     with pytest.raises(InputError):
         call(bad)
+
+
+# Every constructor or call that reads a container of members, given one
+# that is not a collection of the right kind: each is an InputError, not a
+# TypeError.
+WRONG_CONTAINERS = {
+    "SetSystem-int": lambda: SetSystem(N, 5),
+    "SetSystem-None": lambda: SetSystem(N, None),
+    "from_iterables": lambda: SetSystem.from_iterables(N, 5),
+    "ProbSpace": lambda: ProbSpace(5),
+    "PointArrangement-points": lambda: PointArrangement(2, 5, ()),
+    "PointArrangement-halfspaces": lambda: PointArrangement(2, (), 5),
+    "line_arrangement_cells": lambda: line_arrangement_cells(5),
+    "child-xs": lambda: child(POWER, iter([0]), (1,)),
+    "child-sigma": lambda: child(POWER, (0,), 5),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_CONTAINERS)
+def test_every_container_of_the_wrong_kind_is_an_input_error(entry):
+    with pytest.raises(InputError):
+        WRONG_CONTAINERS[entry]()
 
 
 EMPTY = SetSystem(N, ())
@@ -460,6 +485,17 @@ def test_every_integer_parameter_has_a_row():
 
 
 BIT_LAYOUT_CALLS = (".to_bytes(", "np.packbits", "np.unpackbits")
+
+
+def test_the_package_exports_every_public_name():
+    """Each name in a module's ``__all__`` is an attribute of ``shatterlab``,
+    so the package's exports cannot drift from the modules'."""
+    modules = [importlib.import_module(f"shatterlab.{info.name}")
+               for info in pkgutil.iter_modules(shatterlab.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if getattr(shatterlab, name, None) is not getattr(module, name)]
+    assert missing == []
 
 
 def test_only_setsystem_packs_or_unpacks_bits():

@@ -39,6 +39,8 @@ def test_prob_space_validation():
             ProbSpace.from_json_dict({"points": 2, "weights": weights})
     with pytest.raises(InputError, match="weight must be a rational"):
         ProbSpace((True, False))
+    with pytest.raises(InputError, match="weight count does not match point count"):
+        ProbSpace.from_json_dict({"points": 3, "weights": ["1/2", "1/2"]})
 
 
 def test_sampling_thresholds_partition_the_64_bit_range():

@@ -36,6 +36,8 @@ def test_graph_basics():
     assert g.adjacent(1, 0) and not g.adjacent(0, 2)
     assert g.neighbor_mask(0) == 0b0010
     assert Graph.from_json_dict(g.to_json_dict()) == g
+    with pytest.raises(InputError, match="malformed graph object"):
+        Graph.from_json_dict({"vertices": 2})
     with pytest.raises(InputError):
         Graph.from_edge_list(3, [(0, 0)])
     for edges in ([(0, 3)], [([0], 1)], [3], [(0, 1, 2)], 5):
@@ -106,6 +108,8 @@ def test_validate_rejects_bad_trees():
     assert not validate_type_tree(g, not_bijective)[0]
     not_prefix_closed = TypeTree({"": 0, "11": 1, "0": 2})
     assert not validate_type_tree(g, not_prefix_closed)[0]
+    not_binary = TypeTree({"": 0, "1": 1, "2": 2})
+    assert validate_type_tree(g, not_binary) == (False, "bad node key '2'")
     # 0 and 1 are adjacent in the path, so "0" under root 0 is wrong
     wrong_direction = TypeTree({"": 0, "0": 1, "00": 2})
     ok, why = validate_type_tree(g, wrong_direction)
