@@ -73,16 +73,24 @@ class RelaxedBanProblem:
     function; whole-table operations fill it after the table cap of
     ``_capped_table``.  Until the fill ``ban_set`` calls the function.
 
+    A problem with a rule holds one ``_Codes``, its code book ``_codes``
+    (and ``_coded``, the book's keys view), from ``__init__`` until the
+    table fills, when it is dropped with the rule; an array-built problem
+    holds none.  The book checks each distinct ban set's patterns and gives
+    it a code the first time any reader sees it, so a set is checked once
+    per problem: by ``ban_set``'s lazy reads, the lazy fill,
+    ``from_table``'s fill and its per-entry fallback, and
+    ``is_hereditary``'s one-subset rows alike.
+
     Every fill goes through ``_fill``, which writes an index subset's row
-    from an iterator of its ban sets in context order.  ``_Codes`` checks
-    each distinct ban set's patterns and gives it a code the first time it
-    is seen, ``np.fromiter`` collects the row's codes, and one take from
-    the distinct sets' flags writes the row, so no Python loop body runs
-    per entry.  A lazy fill reads the sets through ``ban_set``, which
-    refuses an output that is not a set, one holding a pattern that is none
-    of the j^k (each distinct set checked once per problem, as ``_Codes``
-    does) and, on a ``BanProblem``, an empty one; ``is_hereditary`` fills
-    one row at a time on a lazy problem and leaves the table unfilled.
+    from an iterator of its ban sets in context order: ``np.fromiter``
+    collects the row's codes from the book, and one take from the distinct
+    sets' flags writes the row, so no Python loop body runs per entry.  A
+    lazy fill reads the sets through ``ban_set``, which refuses an output
+    that is not a set, on a ``BanProblem`` an empty one, and (through the
+    book) one holding a pattern that is none of the j^k;
+    ``is_hereditary`` fills one row at a time on a lazy problem and leaves
+    the table unfilled.
 
     ``from_table`` builds its problem on the rule that reads the table and
     tries one fill straight from the dict, with no ``ban_set`` call, whose
@@ -107,7 +115,12 @@ class RelaxedBanProblem:
         self.name = name
         self._bans = None
         self._last_subset = self._last_row = None
-        self._checked = set()
+        self._codes = None if fn is None else _Codes(self)
+        # ``ban_set`` tests a set against the book's live keys view: ``in``
+        # on it runs at set speed, while on the book, a dict subclass, it
+        # goes through a Python slot lookup, about 14 ns more a read
+        # (Python 3.11, 2-vCPU Xeon): 2-3% of the parity fill.
+        self._coded = None if fn is None else self._codes.keys()
         self._alphabet = frozenset(range(j))
         self._context_shape = (j,) * (n - k) + (-1,)
 
@@ -124,6 +137,8 @@ class RelaxedBanProblem:
         per pair, checked and written into its array at construction.  A
         valid table is filled with no ``ban_set`` call; a refused one is
         named by the per-entry read of ``_table``."""
+        if not isinstance(table, dict):
+            raise InputError(f"ban table must be a dict, got {table!r}")
         problem = cls(n, k, j, lambda S, X: table[S, X], name=name)
         expected = comb(n, k) * j ** (n - k)
         if len(table) != expected:
@@ -132,7 +147,8 @@ class RelaxedBanProblem:
             bans = problem._fill(lambda S: map(frozenset, map(
                 table.__getitem__, zip(itertools.repeat(S), problem.contexts()))))
             if problem.allow_empty or bans.any(axis=2).all():
-                problem._bans, problem._fn = bans, None
+                problem._bans = bans
+                problem._fn = problem._codes = problem._coded = None
         except (KeyError, TypeError, InputError):
             pass
         # A table refused above is still lazy: its per-entry fill raises the
@@ -157,7 +173,8 @@ class RelaxedBanProblem:
     def _table(self):
         """The ``_bans`` array, filled on first use."""
         if self._bans is None:
-            self._bans, self._fn = self._fill(self._ban_sets), None
+            self._bans = self._fill(self._ban_sets)
+            self._fn = self._codes = self._coded = None
         return self._bans
 
     def _ban_sets(self, S):
@@ -168,16 +185,18 @@ class RelaxedBanProblem:
         """The rows of ``subsets`` (default: every index subset), an array
         of shape (len(subsets), j^(n-k), j^k): S's rows written from
         ``stream(S)``, an iterator of its ban sets in context order, through
-        one ``_Codes`` for the whole fill."""
+        the problem's code book."""
         subsets = list(self.index_subsets()) if subsets is None else subsets
         bans = np.zeros((len(subsets), self.j ** (self.n - self.k), self.j ** self.k), bool)
-        codes = _Codes(self)
         for S, rows in zip(subsets, bans):
-            codes.write(S, rows, stream(S))
+            self._codes.write(rows, stream(S))
         return bans
 
     def ban_set(self, S, X):
-        S, X = tuple(S), tuple(X)
+        try:
+            S, X = tuple(S), tuple(X)
+        except TypeError:
+            raise InputError(f"index subset {S!r} and context {X!r} must be sequences") from None
         row = self._last_row if S is self._last_subset else self._row(S)
         if len(X) != self.n - self.k or not self._alphabet.issuperset(X):
             raise InputError(f"bad context sequence {X} for S={S}")
@@ -188,10 +207,12 @@ class RelaxedBanProblem:
             except TypeError:
                 raise InputError(f"ban set at S={S}, X={X} is not a set of "
                                  f"patterns: {out!r}") from None
+            # Emptiness is tested per entry: ``from_table``'s fill may have
+            # coded an empty set before its per-entry fallback reads it.
             if not out and not self.allow_empty:
                 raise InputError(f"empty ban set at S={S}, X={X}")
-            if out not in self._checked:
-                self._check_patterns(out, S)
+            if out not in self._coded:
+                self._codes[out]  # checks and codes the set
             return out
         # numpy reads a bool in an index tuple as a mask and fails on a
         # float, so each entry goes through require_int.
@@ -204,16 +225,6 @@ class RelaxedBanProblem:
         """The j^k patterns on an index subset, in ``itertools`` order, each
         mapped to its index in that order."""
         return {Z: i for i, Z in enumerate(itertools.product(range(self.j), repeat=self.k))}
-
-    def _check_patterns(self, ban_set, S):
-        """Refuse a pattern of ``ban_set`` that is none of the j^k on S,
-        and keep the set as checked, which ``ban_set`` reads: it checks
-        each distinct set once per problem, a fill's ``_Codes`` once per
-        fill."""
-        for Z in ban_set:
-            if Z not in self._patterns:
-                raise InputError(f"bad banned pattern {Z} for S={S}")
-        self._checked.add(ban_set)
 
     def _row(self, S):
         """Check the index subset S, k ascending positions of [n], and keep
@@ -296,28 +307,38 @@ class RelaxedBanProblem:
 
 
 class _Codes(dict):
-    """Ban set -> its code, the index of its j^k banned flags in ``flags``.
-    A set's patterns are checked (each one of the j^k), the set coded and
-    its flags appended the first time it is seen; every later lookup of it
-    is a dict hit in C.  Emptiness is left to ``ban_set`` and
-    ``from_table``.  One per fill; ``S`` is the index subset whose row is
-    being written."""
+    """A problem's code book: ban set -> its code, the index of its j^k
+    banned flags in ``flags``.  A set's patterns are checked (each one of
+    the j^k, each symbol an int by ``require_int``), the set coded and its
+    flags appended the first time it is seen; every later lookup of it is a
+    dict hit in C.  The book is keyed by equality, so a set equal to a
+    coded one, such as {(True,)} after {(1,)}, is not checked again.
+    Emptiness is left to ``ban_set`` and ``from_table``.  One per problem
+    with a rule (``RelaxedBanProblem``).
+
+    A refused pattern's error names the problem's ``_last_subset``, the
+    subset that ``ban_set`` is reading: every reader but ``from_table``'s
+    fast fill codes a set through ``ban_set`` first, and that fill drops
+    its error for the per-entry read, which names the entry."""
 
     def __init__(self, problem):
         self.problem, self.flags = problem, bytearray()
 
     def __missing__(self, ban_set):
-        self.problem._check_patterns(ban_set, self.S)
+        for Z in ban_set:
+            if Z not in self.problem._patterns:
+                raise InputError(f"bad banned pattern {Z} for S={self.problem._last_subset}")
+            for z in Z:
+                require_int(z, "ban-table entry")
         self.flags += bytes(Z in ban_set for Z in self.problem._patterns)
         return self.setdefault(ban_set, len(self))
 
-    def write(self, S, rows, ban_sets):
-        """Write ``rows``, the (j^(n-k), j^k) flags of the index subset S,
+    def write(self, rows, ban_sets):
+        """Write ``rows``, the (j^(n-k), j^k) flags of one index subset,
         from ``ban_sets``, an iterator of its ban sets in context order: one
         code per entry, then one take from the distinct sets' flags.  The
         codes and the view of ``flags`` end with the call, so a fill holds
         one row's codes at a time and the next miss can grow ``flags``."""
-        self.S = S
         index = np.fromiter(map(self.__getitem__, ban_sets), np.intp, len(rows))
         flags = np.frombuffer(self.flags, bool).reshape(len(self), -1)
         # Every code indexes ``flags``; mode="raise" would buffer ``out``.

@@ -233,7 +233,10 @@ class ElementTree:
         if req is None:
             return False
         req1, req0 = req
-        return any(m & req1 == req1 and m & req0 == 0 for m in sets)
+        try:
+            return any(m & req1 == req1 and m & req0 == 0 for m in sets)
+        except TypeError:
+            raise InputError(f"expected a collection of masks, got {sets!r}") from None
 
     def count_properly_labeled(self, system: SetSystem):
         sets = system.sets
@@ -330,11 +333,12 @@ def _search(sets, n, s):
 # VC dimension and shatter function
 # ---------------------------------------------------------------------------
 
-def _is_empty(system, cap):
-    """Whether the family is empty, so that no search runs and no cap
-    bounds its value; a non-None ``cap`` must still be an integer."""
-    if not system.sets and cap is not None:
-        require_int(cap, "cap")
+def _is_empty(system, cap, default, what):
+    """Whether the family is empty, so that no search runs.  A nonempty
+    family's universe is checked against ``cap`` (``check_cap`` with
+    ``default`` and ``what``); the empty family's size, -inf, passes any
+    cap, though a non-None one must still be an integer."""
+    check_cap(system.universe_size if system.sets else NEG_INF, cap, default, what)
     return not system.sets
 
 
@@ -345,9 +349,8 @@ def shatters(system: SetSystem, targets) -> bool:
 
 def vc_dimension(system: SetSystem, cap=None):
     """Largest size of a shattered subset; NEG_INF for the empty family."""
-    if _is_empty(system, cap):
+    if _is_empty(system, cap, DEFAULT_VC_CAP, "VC enumeration universe"):
         return NEG_INF
-    check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     sets, n = system.sets, system.universe_size
     columns = _columns(sets, n)
     # Shattering d elements takes 2^d sets.
@@ -361,9 +364,8 @@ def vc_dimension(system: SetSystem, cap=None):
 def vc_shatter_function(system: SetSystem, size, cap=None):
     """pi_F(size): the largest trace count over subsets of the given size."""
     size = require_int(size, "size", 0, system.universe_size)
-    if _is_empty(system, cap):
+    if _is_empty(system, cap, DEFAULT_VC_CAP, "VC enumeration universe"):
         return 0
-    check_cap(system.universe_size, cap, DEFAULT_VC_CAP, "VC enumeration universe")
     if size == 0:
         return 1
     sets, n = system.sets, system.universe_size
@@ -505,9 +507,8 @@ def op_rank(system: SetSystem, s, cap=None):
     labeled.  NEG_INF for the empty family; 0 for nonempty systems whose
     universe is smaller than s."""
     s = require_int(s, "s", 1)
-    if _is_empty(system, cap):
+    if _is_empty(system, cap, DEFAULT_OP_CAP, "op-rank universe"):
         return NEG_INF
-    check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
     return _op_rank(system.sets, system.universe_size, s)
 
 
@@ -560,9 +561,8 @@ def _op_rank_at_least(fam, search, t):
 def op_shatter(system: SetSystem, s, height, cap=None):
     """psi_F^s(height): maximum properly labeled leaves of a 2^s-ary tree."""
     s, height = require_int(s, "s", 1), require_int(height, "height", 0)
-    if _is_empty(system, cap):
+    if _is_empty(system, cap, DEFAULT_OP_CAP, "op-rank universe"):
         return 0
-    check_cap(system.universe_size, cap, DEFAULT_OP_CAP, "op-rank universe")
     return _op_shatter(system.sets, system.universe_size, s, height)
 
 
@@ -620,9 +620,12 @@ def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
     if not system.sets:
         raise InputError("requires a nonempty family (finite op-rank)")
     r, l = require_int(r, "r", 1), require_int(l, "l", 1)
+    try:
+        sigmas = itertools.product((0, 1), repeat=len(xs))
+    except TypeError:
+        raise InputError(f"xs must be a sequence, got {xs!r}") from None
     a = op_rank(system, r, cap=cap)
-    return sum(op_rank(child(system, xs, sigma), r, cap=cap) <= a - l
-               for sigma in itertools.product((0, 1), repeat=len(xs)))
+    return sum(op_rank(child(system, xs, sigma), r, cap=cap) <= a - l for sigma in sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +702,12 @@ def audit_bounds(system: SetSystem, s, r, n, cap=None) -> BoundAuditReport:
 
 def _audit(system, s, r, n, cap):
     report = BoundAuditReport()
-    empty = not system.sets
 
     # (a) pi_F(n) <= sum_{i<=d} C(n,i); pi is only defined up to the
     # universe size, so evaluate both sides at the clamped value.
     na = min(n, system.universe_size)
-    d = NEG_INF if empty else vc_dimension(system, cap=cap)
-    lhs = 0 if empty else vc_shatter_function(system, na, cap=cap)
+    d = vc_dimension(system, cap=cap)
+    lhs = vc_shatter_function(system, na, cap=cap)
     report.add("vc_sauer_shelah", {"n": na, "dim": rank_to_str(d)},
                lhs, _sauer_sum(na, d), lhs <= _sauer_sum(na, d))
 
@@ -724,7 +726,7 @@ def _audit(system, s, r, n, cap):
 
     # (d) op_r-rank 0 implies psi_F^s(n) <= a0^n
     a0 = _sauer_sum(s, r - 1)
-    kr = NEG_INF if empty else op_rank(system, r, cap=cap)
+    kr = op_rank(system, r, cap=cap)
     if kr == 0:
         report.add("rank_zero_power", {"n": n, "s": s, "r": r},
                    psi, a0 ** n, psi <= a0 ** n)

@@ -197,8 +197,13 @@ class TestTree:
         return state
 
     def label(self, path):
-        """Point index at the node; populates exactly the path's ancestors."""
-        if len(path) >= self.height:
+        """Point index at the node; populates exactly the path's ancestors.
+        A path is a sequence of branch bits."""
+        try:
+            deep = len(path) >= self.height
+        except TypeError:
+            raise InputError(f"path must be a sequence, got {path!r}") from None
+        if deep:
             raise InputError(f"bad node {path!r} for height {self.height}")
         path = tuple(require_int(b, "branch bit", 0, 1) for b in path)
         return bisect_right(self._thresholds, self._state(path))

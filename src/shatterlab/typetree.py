@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import (InputError, VerificationError, check_cap, require_int,
-                     require_probability)
+                     require_iterable, require_probability)
 from .setsystem import SetSystem, mask_of
 
 __all__ = [
@@ -105,9 +105,23 @@ def random_graph(vertex_count, edge_probability, seed):
 @dataclass(frozen=True)
 class TypeTree:
     """Labels: prefix-closed map from binary strings ('' is the root) to
-    vertex ids, each vertex used exactly once."""
+    vertex ids, each vertex used exactly once.  At construction ``labels``
+    must be a dict whose keys are strings and whose values pass
+    ``require_int``; the structure is left to ``validate_type_tree``."""
 
     labels: dict[str, int]
+
+    def __post_init__(self):
+        labels = self.labels
+        if not isinstance(labels, dict):
+            raise InputError(f"type-tree labels must be a dict, got {labels!r}")
+        # The entries' types are scanned, not each entry: one label of each
+        # type but int goes through require_int, which reads it by its type.
+        if set(map(type, labels)) - {str}:
+            key = next(k for k in labels if type(k) is not str)
+            raise InputError(f"type-tree key {key!r} is not a string")
+        for kind in set(map(type, labels.values())) - {int}:
+            require_int(next(v for v in labels.values() if type(v) is kind), "type-tree label")
 
     @property
     def height(self):
@@ -118,11 +132,7 @@ class TypeTree:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            return cls({str(key): require_int(v, f"label of {key!r}")
-                        for key, v in data.items()})
-        except AttributeError as exc:
-            raise InputError(f"malformed type tree: {exc}") from exc
+        return cls(data)
 
 
 def build_type_tree(graph: Graph, order=None) -> TypeTree:
@@ -130,7 +140,7 @@ def build_type_tree(graph: Graph, order=None) -> TypeTree:
     occupying the first empty slot.  Both type-tree conditions hold by
     construction; the result is revalidated anyway."""
     n = graph.vertex_count
-    order = list(range(n) if order is None else order)
+    order = list(range(n) if order is None else require_iterable(order, "vertices"))
     if len(order) != n or mask_of(order, n) != (1 << n) - 1:
         raise InputError("order must be a permutation of the vertices")
     labels = {}

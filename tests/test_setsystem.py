@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import shatterlab
 from shatterlab import (BanProblem, ElementTree, Graph, InputError,
                         PointArrangement, ProbSpace, RelaxedBanProblem,
-                        SetSystem, audit_bounds, banned_count,
+                        SetSystem, TypeTree, audit_bounds, banned_count,
                         build_type_tree, characteristic_path,
                         check_counting_inequality, check_height_bound, child,
                         count_children_dropping, dual, exact_expectation,
@@ -237,26 +237,82 @@ def test_every_entry_point_refuses_junk_elements_and_masks(entry, bad):
         call(bad)
 
 
+SPACE_TREE = sample_test_tree(SPACE, 2, 0)
+LEAF_TREE = ElementTree(1, 1, {(): (0,)})
+
 # Every constructor or call that reads a container of members, given one
 # that is not a collection of the right kind: each is an InputError, not a
-# TypeError.
+# TypeError.  A row is (entry point, parameter) and a call giving that
+# parameter the wrong container.
 WRONG_CONTAINERS = {
-    "SetSystem-int": lambda: SetSystem(N, 5),
-    "SetSystem-None": lambda: SetSystem(N, None),
-    "from_iterables": lambda: SetSystem.from_iterables(N, 5),
-    "ProbSpace": lambda: ProbSpace(5),
-    "PointArrangement-points": lambda: PointArrangement(2, 5, ()),
-    "PointArrangement-halfspaces": lambda: PointArrangement(2, (), 5),
-    "line_arrangement_cells": lambda: line_arrangement_cells(5),
-    "child-xs": lambda: child(POWER, iter([0]), (1,)),
-    "child-sigma": lambda: child(POWER, (0,), 5),
+    "SetSystem-int": (("SetSystem", "sets"), lambda: SetSystem(N, 5)),
+    "SetSystem-None": (("SetSystem", "sets"), lambda: SetSystem(N, None)),
+    "from_iterables": (("SetSystem.from_iterables", "families"),
+                       lambda: SetSystem.from_iterables(N, 5)),
+    "ProbSpace": (("ProbSpace", "weights"), lambda: ProbSpace(5)),
+    "PointArrangement-points": (("PointArrangement", "points"),
+                                lambda: PointArrangement(2, 5, ())),
+    "PointArrangement-halfspaces": (("PointArrangement", "halfspaces"),
+                                    lambda: PointArrangement(2, (), 5)),
+    "line_arrangement_cells": (("line_arrangement_cells", "lines"),
+                               lambda: line_arrangement_cells(5)),
+    "child-xs": (("child", "xs"), lambda: child(POWER, iter([0]), (1,))),
+    "child-sigma": (("child", "sigma"), lambda: child(POWER, (0,), 5)),
+    "from_table-int": (("RelaxedBanProblem.from_table", "table"),
+                       lambda: RelaxedBanProblem.from_table(2, 1, 2, 5)),
+    "from_table-None": (("RelaxedBanProblem.from_table", "table"),
+                        lambda: RelaxedBanProblem.from_table(2, 1, 2, None)),
+    "from_table-list": (("RelaxedBanProblem.from_table", "table"),
+                        lambda: RelaxedBanProblem.from_table(2, 1, 2, [0, 1, 2, 3])),
+    "from_table-str": (("RelaxedBanProblem.from_table", "table"),
+                       lambda: RelaxedBanProblem.from_table(2, 1, 2, "abcd")),
+    "from_table-set": (("RelaxedBanProblem.from_table", "table"),
+                       lambda: RelaxedBanProblem.from_table(2, 1, 2, {0, 1, 2, 3})),
+    "ban_set-S": (("RelaxedBanProblem.ban_set", "S"),
+                  lambda: parity_problem(N).ban_set(5, (0, 0))),
+    "ban_set-X": (("RelaxedBanProblem.ban_set", "X"),
+                  lambda: parity_problem(N).ban_set((0,), 5)),
+    "build_type_tree": (("build_type_tree", "order"),
+                        lambda: build_type_tree(Graph(2, ()), 5)),
+    "TestTree.label-int": (("TestTree.label", "path"), lambda: SPACE_TREE.label(5)),
+    "TestTree.label-iterator": (("TestTree.label", "path"),
+                                lambda: SPACE_TREE.label(iter([0]))),
+    "properly_labelable-sets": (("ElementTree.properly_labelable", "sets"),
+                                lambda: LEAF_TREE.properly_labelable((0,), 5)),
+    "properly_labelable-leaf": (("ElementTree.properly_labelable", "leaf"),
+                                lambda: LEAF_TREE.properly_labelable(5, ())),
+    "count_children_dropping-int": (("count_children_dropping", "xs"),
+                                    lambda: count_children_dropping(POWER, 5, 1, 1)),
+    "count_children_dropping-iterator": (
+        ("count_children_dropping", "xs"),
+        lambda: count_children_dropping(POWER, iter([0]), 1, 1)),
+    "TypeTree-int": (("TypeTree", "labels"), lambda: TypeTree(5)),
+    "TypeTree-label": (("TypeTree", "labels"), lambda: TypeTree({"": "a", "0": 1})),
+    "TypeTree-key": (("TypeTree", "labels"), lambda: TypeTree({"": 0, 0: 1})),
+    "ElementTree": (("ElementTree", "labels"), lambda: ElementTree(1, 1, 5)),
+    "path_requirements": (("ElementTree.path_requirements", "leaf"),
+                          lambda: LEAF_TREE.path_requirements(iter([0]))),
+    "shatters": (("shatters", "targets"), lambda: shatters(POWER, 5)),
+    "project": (("project", "targets"), lambda: project(POWER, None)),
+    "mass": (("ProbSpace.mass", "members"), lambda: SPACE.mass(None)),
+    "characteristic_path": (("characteristic_path", "members"),
+                            lambda: characteristic_path(SPACE_TREE, None)),
+    "test_estimate": (("test_estimate", "members"), lambda: shatterlab.test_estimate(SPACE_TREE, None)),
+    "exact_expectation": (("exact_expectation", "members"),
+                          lambda: exact_expectation(SPACE, None, 2)),
+    "run_weak_law": (("run_weak_law", "members"),
+                     lambda: run_weak_law(SPACE, None, 2, Fraction(1, 4), 3, 0)),
+    "Graph": (("Graph", "edges"), lambda: Graph(N, 5)),
+    "Graph.from_edge_list": (("Graph.from_edge_list", "edge_list"),
+                             lambda: Graph.from_edge_list(N, None)),
 }
 
 
 @pytest.mark.parametrize("entry", WRONG_CONTAINERS)
 def test_every_container_of_the_wrong_kind_is_an_input_error(entry):
+    _, call = WRONG_CONTAINERS[entry]
     with pytest.raises(InputError):
-        WRONG_CONTAINERS[entry]()
+        call()
 
 
 EMPTY = SetSystem(N, ())
@@ -464,23 +520,52 @@ INTEGER_NAMES = {"s", "r", "n", "k", "j", "m", "t", "l", "size", "height", "tria
                  "seed", "universe_size", "arity_exponent", "vertex_count",
                  "dimension", "cap"}
 # A result record, filled from a checked call: not an input.
-NOT_INPUTS = {("ExperimentReport", "trials")}
+NOT_INPUTS = {("ExperimentReport", "trials"), ("HereditaryWitness", "S")}
+
+
+def _exported_callables():
+    """(name, object) for each function and class in a module's
+    ``__all__``."""
+    for info in pkgutil.iter_modules(shatterlab.__path__):
+        module = importlib.import_module(f"shatterlab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield name, obj
 
 
 def test_every_integer_parameter_has_a_row():
     """Every parameter of an integer name of each function and class in a
     module's ``__all__`` has a row in INT_PARAMS, so a new entry point
     cannot skip the rule."""
-    missing = []
-    for info in pkgutil.iter_modules(shatterlab.__path__):
-        module = importlib.import_module(f"shatterlab.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            if not callable(obj):
-                continue
-            missing += [(name, param) for param in inspect.signature(obj).parameters
-                        if param in INTEGER_NAMES
-                        and (name, param) not in INT_PARAMS.keys() | NOT_INPUTS]
+    missing = [(name, param) for name, obj in _exported_callables()
+               for param in inspect.signature(obj).parameters
+               if param in INTEGER_NAMES
+               and (name, param) not in INT_PARAMS.keys() | NOT_INPUTS]
+    assert not missing
+
+
+CONTAINER_NAMES = {"sets", "families", "weights", "points", "halfspaces", "edges",
+                   "edge_list", "labels", "leaf", "path", "S", "X", "table", "order",
+                   "xs", "sigma", "targets", "members", "lines"}
+
+
+def test_every_container_parameter_has_a_row():
+    """Every parameter of a container name of each function, class, public
+    method and classmethod in a module's ``__all__`` has a row in
+    WRONG_CONTAINERS, keyed "Class.method" for a method, so a new entry
+    point cannot skip the collection rule."""
+    entries = []
+    for name, obj in _exported_callables():
+        entries.append((name, obj))
+        if inspect.isclass(obj):
+            entries += [(f"{name}.{attr}", getattr(obj, attr))
+                        for attr, value in vars(obj).items() if not attr.startswith("_")
+                        and (inspect.isfunction(value) or isinstance(value, classmethod))]
+    rows = {row for row, _ in WRONG_CONTAINERS.values()}
+    missing = [(name, param) for name, obj in entries
+               for param in inspect.signature(obj).parameters
+               if param in CONTAINER_NAMES and (name, param) not in rows | NOT_INPUTS]
     assert not missing
 
 
