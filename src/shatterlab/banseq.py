@@ -26,7 +26,7 @@ from .dims import NEG_INF, _sauer_sum, op_rank
 from .errors import (InputError, VerificationError, check_cap, require_int,
                      require_probability)
 from .setsystem import SetSystem, _bit_matrix, mask_of
-from .typetree import validate_type_tree
+from .typetree import require_type_tree
 
 __all__ = [
     "RelaxedBanProblem",
@@ -426,7 +426,7 @@ def assemble(n, S, Z, X):
 
 
 def _check_enum_cap(problem, cap):
-    return check_cap(problem.j ** problem.n, cap, DEFAULT_ENUM_CAP, "j^n")
+    check_cap(problem.j ** problem.n, cap, DEFAULT_ENUM_CAP, "j^n")
 
 
 def check_table_cap(n, k, j, cap=None):
@@ -438,20 +438,17 @@ def check_table_cap(n, k, j, cap=None):
         check_cap(comb(n, k) * j ** n, cap, DEFAULT_ENUM_CAP, "C(n,k) * j^n table entries")
 
 
-def _banned_marks(problem, cap=None):
-    """Flag per sequence id (base-j, digit p at weight j^p): True = banned.
-
-    The flags are marked in a cube with position p on axis p, where each
-    index subset's rows are a view (``_subset_view``) in which every run
-    of consecutive positions is one axis, so a row's ``|=`` walks at most
-    2k + 1 axes.  One reversal of the axes at the end gives the id order."""
-    total = _check_enum_cap(problem, cap)
-    n, j = problem.n, problem.j
-    cube = np.zeros((j,) * n, dtype=bool)
+def _banned_cube(problem, cap=None):
+    """The banned flags of the j^n sequences as a cube with position p on
+    axis p: True = banned.  Each index subset's rows are marked through its
+    ``_subset_view``, in which every run of consecutive positions is one
+    axis, so a row's ``|=`` walks at most 2k + 1 axes."""
+    _check_enum_cap(problem, cap)
+    cube = np.zeros((problem.j,) * problem.n, dtype=bool)
     for S, rows in zip(problem.index_subsets(), problem._capped_table(cap)):
         view = _subset_view(cube, S)
         view |= rows.reshape(view.shape)
-    return cube.T.reshape(total)
+    return cube
 
 
 def _subset_view(cube, S):
@@ -459,22 +456,36 @@ def _subset_view(cube, S):
     with its axes in the order of one index subset's rows: the context
     positions, then S, each ascending.  A row reads the earlier position
     as the more significant digit, as the cube does, so the view's
-    consecutive positions keep the cube's nesting."""
+    consecutive positions keep the cube's nesting.  This and
+    ``_cube_rows`` are the one map between the cube and the table."""
     return cube.transpose([p for p in range(cube.ndim) if p not in S] + list(S))
+
+
+def _cube_rows(cube, k):
+    """The table of ``cube`` (position p on axis p, j values per axis):
+    its ``_subset_view`` rows over the k-subsets in ``itertools`` order,
+    stacked into a new array of shape (C(n,k), j^(n-k), j^k)."""
+    width = cube.shape[0] ** k
+    # np.array stacks as np.stack does without its per-row expand_dims:
+    # about 3 us less a call on small tables (2-vCPU Xeon).
+    return np.array([_subset_view(cube, S).reshape(-1, width)
+                     for S in itertools.combinations(range(cube.ndim), k)])
 
 
 def banned_count(problem, cap=None):
     """B(f): sequences containing some banned subsequence."""
-    return int(np.count_nonzero(_banned_marks(problem, cap)))
+    return int(np.count_nonzero(_banned_cube(problem, cap)))
 
 
 def solutions(problem, cap=None):
-    """(solution sequences, banned count); solutions avoid every ban set."""
-    marks = _banned_marks(problem, cap)
-    n, j = problem.n, problem.j
-    digits = np.flatnonzero(~marks)[:, None] // j ** np.arange(n) % j
-    sols = list(map(tuple, digits.tolist()))
-    return sols, len(marks) - len(sols)
+    """(solution sequences, banned count); solutions avoid every ban set.
+    The solutions are listed in colexicographic order (the last position
+    most significant): the cube's free cells with its axes reversed.  They
+    are zipped from one index list per position, so no list is built per
+    solution."""
+    cube = _banned_cube(problem, cap)
+    sols = list(zip(*(axis.tolist() for axis in np.nonzero(~cube.T)[::-1])))
+    return sols, cube.size - len(sols)
 
 
 def trivial_upper_bound(problem):
@@ -508,8 +519,11 @@ def _search_witness(problem, S, row):
     """
     n, j = problem.n, problem.j
     outside = [p for p in range(n) if p not in S]
-    # The row's axes are the context positions, then S.
-    levels = [~row.reshape((j,) * n).transpose(np.argsort(outside + list(S)))]
+    # S's row written back onto the cube, position p on axis p.
+    cube = np.empty((j,) * n, bool)
+    view = _subset_view(cube, S)
+    np.invert(row.reshape(view.shape), out=view)
+    levels = [cube]
     for p in reversed(range(n)):
         levels.append(levels[-1].all(-1) if p in S else levels[-1].any(-1))
     levels.reverse()
@@ -644,8 +658,7 @@ def min_subcube_hitting(n, k, cap=None):
     check_cap(n, cap, DEFAULT_HITTING_CAP, "hitting-search length n")
     # Point ids read position p as bit p.
     points = np.arange(1 << n).reshape((2,) * n).T
-    cubes = np.concatenate([_subset_view(points, S).reshape(-1, 1 << k)
-                            for S in itertools.combinations(range(n), k)]).tolist()
+    cubes = _cube_rows(points, k).reshape(-1, 1 << k).tolist()
     cover = [0] * (1 << n)
     for c, cube in enumerate(cubes):
         for p in cube:
@@ -756,15 +769,15 @@ def from_element_tree(tree, system: SetSystem, m, cap=None):
     # ``_subset_view``.
     unlabeled = ~np.fromiter((tree.properly_labelable(leaf, system.sets)
                               for leaf in tree.leaves()), bool, j ** n)
-    cube = unlabeled.reshape((j,) * n)
-    bans = np.stack([_subset_view(cube, S).reshape(j ** (n - m), j ** m)
-                     for S in itertools.combinations(range(n), m)])
+    bans = _cube_rows(unlabeled.reshape((j,) * n), m)
     return BanProblem._from_array(n, m, j, bans, f"from_element_tree(s={s},m={m})")
 
 
 def from_type_tree(graph, type_tree, t):
     """t-fold binary problem of length h-1 banning the branch patterns that
-    leave the type tree's index set.
+    leave the type tree's index set: at S, the sequences whose prefix
+    through position S[-1] is no key, read through ``_cube_rows`` from one
+    cube of each sequence's depth in the tree.
 
     A labeling that is no type tree of ``graph`` is an input error.  An
     empty ban set would certify a full binary type tree of height t+1; it
@@ -773,24 +786,16 @@ def from_type_tree(graph, type_tree, t):
     n = type_tree.height - 1
     if n < t:
         raise InputError(f"degenerate size: length h-1 = {n} < fold {t}")
-    valid, violation = validate_type_tree(graph, type_tree)
-    if not valid:
-        raise InputError(f"not a type tree of the graph: {violation}")
+    require_type_tree(graph, type_tree)
     check_table_cap(n, t, 2)
-    index_set = set(type_tree.labels)
-    # cubes[q] flags the sequences whose prefix through position q is no
-    # key: one flag per prefix, broadcast over the later positions, with
-    # position p on axis p.
-    cubes = {}
-    for q in range(t - 1, n):
-        left = np.fromiter(("".join(key) not in index_set
-                            for key in itertools.product("01", repeat=q + 1)),
-                           bool, 2 ** (q + 1))
-        cubes[q] = np.broadcast_to(
-            left.reshape((2,) * (q + 1) + (1,) * (n - 1 - q)), (2,) * n)
+    # depth[x]: how many of x's nonempty prefixes are keys.  The index set
+    # is prefix-closed, so x's prefix through position q is a key iff
+    # depth[x] > q.
+    depth = np.zeros((2,) * n, np.uint8)
+    for key in filter(None, type_tree.labels):
+        depth[tuple(map(int, key))] += 1
     subsets = list(itertools.combinations(range(n), t))
-    bans = np.stack([_subset_view(cubes[S[-1]], S).reshape(2 ** (n - t), 2 ** t)
-                     for S in subsets])
+    bans = _cube_rows(depth, t) <= np.array([S[-1] for S in subsets])[:, None, None]
     empty = np.argwhere(~bans.any(axis=2))
     if len(empty):
         r, c = empty[0].tolist()

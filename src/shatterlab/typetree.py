@@ -157,25 +157,45 @@ def build_type_tree(graph: Graph, order=None) -> TypeTree:
 
 
 def validate_type_tree(graph: Graph, tree: TypeTree):
-    """(True, None) or (False, description of the first violation).
-    Conditions 1 and 2 are one rule: a node's vertex is adjacent to its
-    ancestor at depth d iff the key turns "1" at depth d; the parent's
-    depth is condition 1, shallower depths are condition 2."""
+    """(True, None) or (False, description of the first violation): of
+    the bijection, then of the keys' shape (``_shape_violation``), then of
+    the conditions.  Conditions 1 and 2 are one rule: a node's vertex is
+    adjacent to its ancestor at depth d iff the key turns "1" at depth d;
+    the parent's depth is condition 1, shallower depths are condition 2."""
     labels = tree.labels
     if sorted(labels.values()) != list(range(graph.vertex_count)):
         return False, "labeling is not a bijection with the vertex set"
+    violation = _shape_violation(labels)
+    if violation is not None:
+        return False, violation
     for key, v in labels.items():
-        if set(key) - {"0", "1"}:
-            return False, f"bad node key {key!r}"
         for d, turn in enumerate(key):
-            if key[:d] not in labels:
-                return False, f"index set not prefix-closed at {key!r}"
             if graph.adjacent(labels[key[:d]], v) != (turn == "1"):
                 rule = 1 if d == len(key) - 1 else 2
                 marked = "adjacent" if turn == "1" else "nonadjacent"
                 return False, (f"condition {rule}: {key!r} marked {marked} "
                                f"to ancestor {key[:d]!r} but is not")
     return True, None
+
+
+def _shape_violation(labels):
+    """The first key of ``labels`` that is not a binary string or whose
+    parent is no key, described, or None: the structural rule of a type
+    tree, the part that needs no graph."""
+    for key in labels:
+        if set(key) - {"0", "1"}:
+            return f"bad node key {key!r}"
+        if key and key[:-1] not in labels:
+            return f"index set not prefix-closed at {key!r}"
+    return None
+
+
+def require_type_tree(graph: Graph, tree: TypeTree):
+    """Refuse, as an input error, a tree that ``validate_type_tree``
+    rejects."""
+    valid, violation = validate_type_tree(graph, tree)
+    if not valid:
+        raise InputError(f"not a type tree of the graph: {violation}")
 
 
 def tree_rank(graph: Graph, cap=None):
@@ -232,9 +252,13 @@ def _holds_full_tree(neighbors, memo, limit, pool, t):
 
 def extract_clique_or_independent(tree: TypeTree):
     """From a deepest branch: right-turn ancestors plus the leaf form a
-    clique, left-turn ancestors plus the leaf an independent set."""
+    clique, left-turn ancestors plus the leaf an independent set.  A tree
+    whose keys are not binary strings or not prefix-closed is refused."""
     if not tree.labels:
         raise InputError("empty type tree")
+    violation = _shape_violation(tree.labels)
+    if violation is not None:
+        raise InputError(f"not a type tree: {violation}")
     leaf = max(tree.labels, key=len)
     clique = {tree.labels[leaf]}
     independent = {tree.labels[leaf]}
@@ -246,7 +270,9 @@ def extract_clique_or_independent(tree: TypeTree):
 
 def check_height_bound(graph: Graph, tree: TypeTree, cap=None):
     """Exact check of (h-1)^t >= n (t-2)! for t >= 2, h >= 2t; ``cap``
-    bounds the tree-rank search as in ``tree_rank``."""
+    bounds the tree-rank search as in ``tree_rank``.  A tree that is no
+    type tree of ``graph`` is refused first (``require_type_tree``)."""
+    require_type_tree(graph, tree)
     rank = tree_rank(graph, cap=cap)
     h = tree.height
     n = graph.vertex_count

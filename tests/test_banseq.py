@@ -1,6 +1,7 @@
 """Banned sequence problems: solving, hereditariness, reductions, and the
 extremal counts, with a pairwise brute-force oracle for hereditariness."""
 
+import inspect
 import itertools
 import random
 import time
@@ -585,6 +586,8 @@ def test_table_operations_match_per_entry_oracles(problem):
     expected_prime = brute_reduce_prime(problem) if k <= n - 1 else None
     sols, banned = solutions(problem)
     assert banned == banned_count(problem) == len(expected_banned)
+    # Listed in colexicographic order, as ``ban solve --list`` prints them.
+    assert sols == sorted(sols, key=lambda s: s[::-1])
     assert sorted(sols) == sorted(
         set(itertools.product(range(problem.j), repeat=n)) - expected_banned)
     assert is_independent(problem) == expected_independent
@@ -1130,3 +1133,15 @@ def test_only_banseq_reads_or_writes_ban_problem_text():
              if path.name != "banseq.py"
              for snippet in BAN_TEXT_FORKS if snippet in path.read_text()]
     assert not forks
+
+
+AXIS_CALLS = ("transpose(", "argsort(", "moveaxis(", "swapaxes(")
+
+
+def test_only_subset_view_maps_the_cube_to_table_rows():
+    """``_subset_view`` is the one code of ``banseq`` that reorders a
+    position cube's axes into a table row's (``_cube_rows`` stacks its
+    views), so the layout cannot fork again."""
+    text = Path(banseq.__file__).read_text()
+    rest = text.replace(inspect.getsource(banseq._subset_view), "")
+    assert [call for call in AXIS_CALLS if call in rest] == []

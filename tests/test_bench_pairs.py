@@ -98,18 +98,32 @@ def test_kind_summary_reads_best_times_and_ratios_per_kind():
     assert (row["workload"], row["rounds"], row["sides"], row["complete"]) == (
         "w", 2, SIDES, True)
     assert list(row["kinds"]) == ["vc", "tree", "total"]
+    # Each ratio is the median (here the mean of two) of the per-round ratios.
     vc = row["kinds"]["vc"]
     assert vc["parent"] == {"best": 3.0, "values": [3.0, 3.3]}
     assert vc["change"]["best"] == 1.0 and vc["parent2"]["best"] == 3.0
-    assert vc["change/parent"] == pytest.approx(1 / 3)
-    assert vc["parent2/parent"] == pytest.approx(1.0)
+    assert vc["change/parent"] == pytest.approx((1.1 / 3.0 + 1.0 / 3.3) / 2)
+    assert vc["parent2/parent"] == pytest.approx((3.3 / 3.0 + 3.0 / 3.3) / 2)
     tree = row["kinds"]["tree"]
-    assert tree["change/parent"] == pytest.approx(0.9)
-    assert tree["parent2/parent"] == pytest.approx(1.0)
+    assert tree["change/parent"] == pytest.approx((1.0 / 1.0 + 0.9 / 1.2) / 2)
+    assert tree["parent2/parent"] == pytest.approx((1.1 / 1.0 + 1.0 / 1.2) / 2)
     total = row["kinds"]["total"]
     assert total["parent"]["values"] == pytest.approx([4.0, 4.5])
     assert total["change"]["best"] == pytest.approx(1.9)
-    assert total["change/parent"] == pytest.approx(1.9 / 4.0)
+    assert total["change/parent"] == pytest.approx((2.1 / 4.0 + 1.9 / 4.5) / 2)
+
+
+def test_kind_ratio_is_paired_by_round_so_one_fast_round_does_not_move_it():
+    # Three rounds; the parent's process ran fast in round 2 only.
+    times = [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.8, 1.0, 1.0)]
+    records = [kind_record("w", rnd, side, {"x": seconds})
+               for rnd, sides in enumerate(times) for side, seconds in zip(SIDES, sides)]
+    (row,) = bench_pairs.summarize_kinds(records, SIDES)
+    x = row["kinds"]["x"]
+    assert x["parent"] == {"best": 0.8, "values": [1.0, 1.0, 0.8]}
+    assert x["change"]["best"] / x["parent"]["best"] == pytest.approx(1.25)
+    assert x["change/parent"] == pytest.approx(1.0)
+    assert x["parent2/parent"] == pytest.approx(1.0)
 
 
 def test_kind_summary_groups_by_workload_and_marks_missing_times():

@@ -243,6 +243,19 @@ def test_extraction_extremes():
         extract_clique_or_independent(TypeTree({}))
 
 
+@pytest.mark.parametrize("call, labels, why", [
+    (extract_clique_or_independent, {"0": 0}, "not prefix-closed at '0'"),
+    (extract_clique_or_independent, {"": 0, "2": 1}, "bad node key '2'"),
+    (lambda tree: check_height_bound(Graph(1, ()), tree), {"0": 0},
+     "not a type tree of the graph: index set not prefix-closed at '0'"),
+    (lambda tree: check_height_bound(empty_graph(3), tree), {"": 0, "1": 1, "0": 2},
+     "not a type tree of the graph: condition 1"),
+], ids=["extract-not-closed", "extract-not-binary", "height-not-closed", "height-condition"])
+def test_tree_readers_refuse_a_tree_that_is_no_type_tree(call, labels, why):
+    with pytest.raises(InputError, match=why):
+        call(TypeTree(labels))
+
+
 def test_height_bound_applicable_case():
     g = random_graph(14, 0.5, seed=6)
     tree = build_type_tree(g)

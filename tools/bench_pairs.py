@@ -27,8 +27,10 @@ with side r mod 3.  Each process imports the library from its checkout's
 checkout's ``bench/workloads.py``, writing no file there.  It times every
 item best of KIND_REPEATS passes with ``time.perf_counter``, building the
 items afresh for each pass, and a kind's time is the sum over its items.
-The summary gives each side's best time per kind over the rounds, with
-change/parent and parent2/parent ratios beside each other.
+The summary gives each side's times and best time per kind over the
+rounds, and the change/parent and parent2/parent ratios beside each other:
+each the median over rounds of the ratio of the two sides' times within
+one round.
 
 After the last write, the summaries are printed to stderr as plain text
 (``summary_lines``).
@@ -133,30 +135,35 @@ def summarize(runs, spec, sides):
 def summarize_kinds(records, sides):
     """One row per workload of ``records``, in order of first appearance.
     Per item kind, and for the sum of all kinds ("total"), each side's
-    per-process times over the rounds and their best, and the ratio of each
-    later side's best to the best of ``sides[0]``.  A record without times
-    counts in no side's values and makes the row incomplete."""
+    per-process times over the rounds and their best, and for each later
+    side the median over rounds of its time's ratio to the time of
+    ``sides[0]`` in the same round, so one fast or slow process moves one
+    ratio of the median rather than the summary.  A record without times
+    counts in no side's values and makes the row incomplete; a round
+    without both times gives no ratio."""
     base = sides[0]
     groups = {}
     for record in records:
         groups.setdefault(record["workload"], []).append(record)
     rows = []
     for workload, group in groups.items():
-        timed = [(r["side"], {**r["kinds"], "total": sum(r["kinds"].values())})
+        timed = [(r["round"], r["side"], {**r["kinds"], "total": sum(r["kinds"].values())})
                  for r in group if r["kinds"] is not None]
-        labels = dict.fromkeys(label for _, kinds in timed for label in kinds)
+        labels = dict.fromkeys(label for _, _, kinds in timed for label in kinds)
         labels.pop("total", None)
         row = {"workload": workload, "rounds": len({r["round"] for r in group}),
                "sides": list(sides), "complete": len(timed) == len(group), "kinds": {}}
         for label in [*labels, "total"]:
-            entry = {}
+            entry, times = {}, {}
             for side in sides:
-                values = [kinds[label] for who, kinds in timed
-                          if who == side and label in kinds]
+                times[side] = {rnd: kinds[label] for rnd, who, kinds in timed
+                               if who == side and label in kinds}
+                values = list(times[side].values())
                 entry[side] = {"best": min(values, default=None), "values": values}
             for side in sides[1:]:
-                a, b = entry[base]["best"], entry[side]["best"]
-                entry[f"{side}/{base}"] = b / a if a and b is not None else None
+                ratios = [seconds / times[base][rnd]
+                          for rnd, seconds in times[side].items() if times[base].get(rnd)]
+                entry[f"{side}/{base}"] = _spread(ratios)["median"]
             row["kinds"][label] = entry
         rows.append(row)
     return rows
@@ -171,7 +178,7 @@ def summary_lines(rows, kind_rows):
     each side's median, the pairs in which the second side read better,
     and whether it is within the bound; then, where a report had them, each
     side's raw medians and speed factor) and of ``summarize_kinds`` rows
-    (per kind: each later side's ratio to the first side's best)."""
+    (per kind: each later side's paired median ratio to the first side)."""
     lines = []
     for row in rows:
         a, b = row["sides"]
@@ -358,7 +365,8 @@ def main(argv=None):
             f"item best of {KIND_REPEATS} passes, each over items built afresh, in one "
             "process per side and round "
             "(parent, change, and the parent again as parent2, the starting side "
-            "rotating); best over the rounds; ratios to the parent's best")
+            "rotating); each ratio is the median over rounds of the side's time "
+            "over the parent's time in the same round")
         if args.kinds else None,
     }
     out = Path(f"BENCH_{args.label}.json")
