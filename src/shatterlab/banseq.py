@@ -23,8 +23,8 @@ from math import comb, ceil
 import numpy as np
 
 from .dims import NEG_INF, _sauer_sum, op_rank
-from .errors import (InputError, VerificationError, check_cap, require_int,
-                     require_probability)
+from .errors import (InputError, VerificationError, check_cap, reading, require_int,
+                     require_ints, require_list, require_probability)
 from .setsystem import SetSystem, _bit_matrix, mask_of
 from .typetree import require_type_tree
 
@@ -159,15 +159,10 @@ class RelaxedBanProblem:
             raise InputError(f"missing ban-table entry {exc}") from exc
         # The fill finds keys and patterns by hash-equal integers, which a
         # bool or a float also is.  With every key found, each is a pair of
-        # tuples.  Without bounds require_int reads a value by its type
-        # alone, so one symbol of each type but int is checked.
+        # tuples.
         flat = itertools.chain.from_iterable
-
-        def symbols():
-            return flat(itertools.chain(flat(table), flat(table.values())))
-
-        for kind in set(map(type, symbols())) - {int}:
-            require_int(next(s for s in symbols() if type(s) is kind), "ban-table entry")
+        require_ints(lambda: flat(itertools.chain(flat(table), flat(table.values()))),
+                     "ban-table entry")
         return problem
 
     def _table(self):
@@ -292,17 +287,14 @@ class RelaxedBanProblem:
             require_int(cap, "cap")
         if isinstance(data, dict) and "generator" in data:
             return _generated(data, cap)
-        try:
+        with reading("ban-problem object"):
             n, k, j = data["n"], data["k"], data["j"]
             table = {}
             for entry in data["bans"]:
                 S = tuple(require_int(s, "S entry") for s in entry["S"])
-                X, banned = _digits(entry["X"]), entry["banned"]
-                if not isinstance(banned, list):
-                    raise TypeError(f"banned must be a list, got {banned!r}")
+                X = _digits(entry["X"])
+                banned = require_list(entry["banned"], "ban-problem 'banned'")
                 table[S, X] = frozenset(map(_digits, banned))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed ban-problem object: {exc}") from exc
         return cls.from_table(n, k, j, table)
 
 
@@ -370,7 +362,7 @@ def _generated(data, cap):
     ``random_problem`` and ``from_vc`` check the tables they build at once
     against ``cap``; parity stays lazy until a whole-table operation fills
     it under that operation's cap."""
-    try:
+    with reading("problem generator object"):
         gen = data["generator"]
         if gen == "parity":
             return parity_problem(data["n"])
@@ -379,8 +371,6 @@ def _generated(data, cap):
                                   data.get("density", 0.5), cap=cap)
         if gen == "from_vc":
             return from_vc(SetSystem.from_json_dict(data["system"]), data["m"], cap=cap)
-    except KeyError as exc:
-        raise InputError(f"malformed problem generator object: {exc}") from exc
     raise InputError(f"unknown problem generator {gen!r}")
 
 

@@ -110,7 +110,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import or_
 
-from .errors import InputError, check_cap, require_int
+from .errors import InputError, check_cap, require_int, require_ints
 from .setsystem import SetSystem, _member_columns, child, child_masks, mask_of
 
 __all__ = [
@@ -146,7 +146,8 @@ def rank_to_str(value):
 @dataclass(frozen=True)
 class ElementTree:
     """Complete 2^s-ary tree of height n; each internal node carries an
-    s-tuple of universe elements.  Nodes are tuples over [2^s].
+    s-tuple of universe elements, each read as a non-negative integer at
+    construction.  Nodes are tuples over [2^s].
 
     Every leaf's (must_contain, must_avoid) masks are built once, at the
     first leaf read, and kept on the tree; the leaf (v_1, ..., v_n) is read
@@ -173,6 +174,8 @@ class ElementTree:
                 require_int(v, "node entry", 0, arity - 1)
             if not isinstance(lab, tuple) or len(lab) != s:
                 raise InputError(f"label {lab!r} at {node!r} is not an {s}-tuple")
+        require_ints(lambda: itertools.chain.from_iterable(self.labels.values()),
+                     "label entry", 0)
 
     @property
     def arity(self):
@@ -230,10 +233,13 @@ class ElementTree:
 
     def properly_labelable(self, leaf, sets):
         req = self.path_requirements(leaf)
-        if req is None:
-            return False
-        req1, req0 = req
         try:
+            if req is None:
+                # An unlabelable leaf refuses a ``sets`` that is no
+                # collection, as a labelable one does.
+                iter(sets)
+                return False
+            req1, req0 = req
             return any(m & req1 == req1 and m & req0 == 0 for m in sets)
         except TypeError:
             raise InputError(f"expected a collection of masks, got {sets!r}") from None

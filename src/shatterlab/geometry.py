@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dims import _sauer_sum
-from .errors import (InputError, rational_text, require_int, require_iterable,
+from .errors import (InputError, rational_text, reading, require_int, require_iterable,
                      require_rational)
 
 __all__ = [
@@ -63,21 +63,19 @@ class PointArrangement:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
+        with reading("arrangement object"):
             return cls(data["r"], tuple(data.get("points", [])),
                        tuple((h["normal"], h["offset"]) for h in data.get("halfspaces", [])))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed arrangement object: {exc}") from exc
 
     def in_general_position(self):
         """True when every m <= r normals are independent and no point lies
-        on a bounding hyperplane."""
-        r = self.dimension
+        on a bounding hyperplane.  Only the subsets of size min(r, N) of the
+        N normals are ranked: every smaller subset lies in one of them, and
+        a subset of an independent set is independent."""
         normals = [h[0] for h in self.halfspaces]
-        for m in range(1, min(r, len(normals)) + 1):
-            for subset in itertools.combinations(normals, m):
-                if _rank(subset) < m:
-                    return False
+        m = min(self.dimension, len(normals))
+        if any(_rank(subset) < m for subset in itertools.combinations(normals, m)):
+            return False
         for normal, offset in self.halfspaces:
             for p in self.points:
                 if sum(a * b for a, b in zip(normal, p)) == offset:

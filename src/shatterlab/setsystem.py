@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_cap, require_int, require_iterable
+from .errors import (InputError, check_cap, reading, require_int, require_iterable,
+                     require_list)
 
 __all__ = [
     "SetSystem",
@@ -76,15 +77,11 @@ class SetSystem:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
+        with reading("set-system object"):
             n = require_int(data["universe"], "universe")
             strings = data["sets"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed set-system object: {exc}") from exc
-        if not isinstance(strings, list):
-            raise InputError(f"set-system 'sets' must be a list, got {strings!r}")
         masks = []
-        for s in strings:
+        for s in require_list(strings, "set-system 'sets'"):
             if not isinstance(s, str) or len(s) != n or set(s) - {"0", "1"}:
                 raise InputError(f"bad set string {s!r} for universe [{n}]")
             masks.append(sum(1 << i for i, c in enumerate(s) if c == "1"))

@@ -44,8 +44,8 @@ from itertools import accumulate, compress
 
 import numpy as np
 
-from .errors import (InputError, check_cap, rational_text, require_int, require_iterable,
-                     require_rational)
+from .errors import (InputError, check_cap, rational_text, reading, require_int,
+                     require_iterable, require_list, require_rational)
 from .setsystem import SetSystem, _bit_matrix, mask_of, require_mask
 from .dims import _sauer_sum, thicket_dimension, thicket_shatter
 
@@ -154,16 +154,12 @@ class ProbSpace:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
+        with reading("probability space"):
             n = require_int(data["points"], "points")
-            ws = data["weights"]
-            if not isinstance(ws, list):
-                raise TypeError(f"weights must be a list, got {ws!r}")
-            if len(ws) != n:
-                raise InputError("weight count does not match point count")
-            return cls(ws)
-        except (KeyError, TypeError, InputError) as exc:
-            raise InputError(f"malformed probability space: {exc}") from exc
+            ws = require_list(data["weights"], "probability-space 'weights'")
+        if len(ws) != n:
+            raise InputError("weight count does not match point count")
+        return cls(ws)
 
 
 def _as_mask(members, size):

@@ -19,8 +19,8 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import (InputError, VerificationError, check_cap, require_int,
-                     require_iterable, require_probability)
+from .errors import (InputError, VerificationError, check_cap, reading, require_int,
+                     require_ints, require_iterable, require_probability)
 from .setsystem import SetSystem, mask_of
 
 __all__ = [
@@ -87,10 +87,8 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
+        with reading("graph object"):
             return cls.from_edge_list(data["vertices"], data["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed graph object: {exc}") from exc
 
 
 def random_graph(vertex_count, edge_probability, seed):
@@ -115,13 +113,10 @@ class TypeTree:
         labels = self.labels
         if not isinstance(labels, dict):
             raise InputError(f"type-tree labels must be a dict, got {labels!r}")
-        # The entries' types are scanned, not each entry: one label of each
-        # type but int goes through require_int, which reads it by its type.
         if set(map(type, labels)) - {str}:
             key = next(k for k in labels if type(k) is not str)
             raise InputError(f"type-tree key {key!r} is not a string")
-        for kind in set(map(type, labels.values())) - {int}:
-            require_int(next(v for v in labels.values() if type(v) is kind), "type-tree label")
+        require_ints(labels.values, "type-tree label")
 
     @property
     def height(self):

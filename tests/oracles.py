@@ -2,14 +2,16 @@
 
 Everything here favors obviousness over speed: the binomial-sum bounds
 are summed term by term, op_s-ranks and their shatter functions are
-computed by enumerating every complete element tree (each tree's leaves
-counted by ``ElementTree.count_properly_labeled``, itself checked against a
-per-leaf walk from the labels), the VC dimension and shatter function by
+computed together by enumerating every complete element tree of each
+height once (each tree's leaves counted by
+``ElementTree.count_properly_labeled``, itself checked against a per-leaf
+walk from the labels), the VC dimension and shatter function by
 counting traces on every tuple (each trace a tuple of bits, built here
 rather than by ``setsystem``), the hereditary check by enumerating every
 candidate context assignment (and its witness by banseq's earlier
 backtracking over the public ``ban_set``), a graph's tree rank by trying
-every root with no memo, a ban table by banseq's earlier
+every root with no memo, general position by testing every subset of at
+most r normals for a nonzero minor, a ban table by banseq's earlier
 per-entry fill, a test estimate's expectation by summing the binomial law
 of its count of 1s, and the Monte Carlo audits by walking every level of
 one scalar test tree per trial.  The
@@ -75,31 +77,23 @@ def walk_count_properly_labeled(labels, arity_exponent, height, sets):
     return count
 
 
-def brute_rank(system, arity_exponent, max_height):
-    """Largest height (up to max_height) of a fully properly labeled tree."""
+def brute_rank_shatter(system, arity_exponent, max_height):
+    """(rank, shatter): the largest height up to ``max_height`` of a fully
+    properly labeled tree, and per height h = 0..max_height the maximum
+    properly labeled leaf count over every tree of height h.  Each height's
+    trees are enumerated once for both."""
     if not system.sets:
-        return NEG_INF
-    best = 0
+        return NEG_INF, [0] * (max_height + 1)
+    rank, shatter = 0, [1]
     for height in range(1, max_height + 1):
-        full = (1 << arity_exponent) ** height
-        found = any(tree.count_properly_labeled(system) == full
-                    for tree in _all_trees(system.universe_size,
-                                           arity_exponent, height))
-        if not found:
-            break
-        best = height
-    return best
-
-
-def brute_shatter(system, arity_exponent, height):
-    """Maximum properly labeled leaf count over every tree of the height."""
-    if not system.sets:
-        return 0
-    if height == 0:
-        return 1
-    return max(tree.count_properly_labeled(system)
-               for tree in _all_trees(system.universe_size,
-                                      arity_exponent, height))
+        best = max(tree.count_properly_labeled(system)
+                   for tree in _all_trees(system.universe_size,
+                                          arity_exponent, height))
+        shatter.append(best)
+        # The rank stops at the first height with no full tree.
+        if rank == height - 1 and best == (1 << arity_exponent) ** height:
+            rank = height
+    return rank, shatter
 
 
 def binomial_bound(n, k, a=1, b=1):
@@ -442,6 +436,33 @@ def brute_tree_rank(vertex_count, edges):
     while holds(set(range(vertex_count)), t + 1):
         t += 1
     return t
+
+
+def _leibniz_det(rows):
+    """Determinant of a square matrix, as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(row[c] for row, c in zip(rows, perm))
+    return total
+
+
+def brute_general_position(arrangement):
+    """General position from its statement: for every m <= r, every m of
+    the normals are independent (some m x m minor is nonzero), and no point
+    lies on a bounding hyperplane.  Every size m is tested, as
+    ``PointArrangement.in_general_position`` did before it tested only
+    m = min(r, N)."""
+    r = arrangement.dimension
+    normals = [normal for normal, _ in arrangement.halfspaces]
+    for m in range(1, min(r, len(normals)) + 1):
+        for subset in itertools.combinations(normals, m):
+            if not any(_leibniz_det([[v[c] for c in cols] for v in subset])
+                       for cols in itertools.combinations(range(r), m)):
+                return False
+    return not any(sum(a * b for a, b in zip(normal, p)) == offset
+                   for normal, offset in arrangement.halfspaces
+                   for p in arrangement.points)
 
 
 def brute_min_hitting(n, k):

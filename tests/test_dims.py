@@ -21,7 +21,7 @@ from shatterlab.banseq import solution_bound
 from shatterlab.dims import rank_to_str
 
 from families import fixture_zoo, random_system
-from oracles import (binomial_bound, brute_rank, brute_shatter, brute_shatters,
+from oracles import (binomial_bound, brute_rank_shatter, brute_shatters,
                      brute_vc_dimension, brute_vc_shatter_function,
                      tuple_op_rank, tuple_op_shatter, walk_count_properly_labeled,
                      walk_path_requirements)
@@ -112,27 +112,29 @@ def test_rank_serialization():
 @pytest.mark.parametrize("seed", range(12))
 def test_thicket_matches_brute_force(seed):
     system = random_system(3, 8, seed=seed)
-    assert thicket_dimension(system) == brute_rank(system, 1, 3)
-    assert op_rank(system, 1) == brute_rank(system, 1, 3)
+    rank, shatter = brute_rank_shatter(system, 1, 3)
+    assert thicket_dimension(system) == rank
+    assert op_rank(system, 1) == rank
     for height in range(3):
-        assert thicket_shatter(system, height) == brute_shatter(system, 1, height)
-        assert op_shatter(system, 1, height) == brute_shatter(system, 1, height)
+        assert thicket_shatter(system, height) == shatter[height]
+        assert op_shatter(system, 1, height) == shatter[height]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_op2_matches_brute_force(seed):
     system = random_system(3, 8, seed=50 + seed)
-    brute = brute_rank(system, 2, 2)
-    assert min(op_rank(system, 2), 2) == brute
+    rank, shatter = brute_rank_shatter(system, 2, 2)
+    assert min(op_rank(system, 2), 2) == rank
     for height in range(3):
-        assert op_shatter(system, 2, height) == brute_shatter(system, 2, height)
+        assert op_shatter(system, 2, height) == shatter[height]
     # s = 3: universe 2 < s splits on its one 2-set and has rank 0; the
     # powerset of 3 has rank 1
     for system in (random_system(2, 4, seed=50 + seed),
                    random_system(3, 8, seed=50 + seed), generate("powerset", 3)):
-        assert min(op_rank(system, 3), 1) == brute_rank(system, 3, 1)
+        rank, shatter = brute_rank_shatter(system, 3, 1)
+        assert min(op_rank(system, 3), 1) == rank
         for height in range(2):
-            assert op_shatter(system, 3, height) == brute_shatter(system, 3, height)
+            assert op_shatter(system, 3, height) == shatter[height]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -154,13 +156,14 @@ def test_deep_shatter_heights_do_not_recurse_per_level():
     thresholds = generate("thresholds", 4)
     assert thicket_shatter(thresholds, 1000) == 5
     assert op_shatter(thresholds, 2, 2000) == 5
-    assert thicket_shatter(thresholds, 3) == brute_shatter(thresholds, 1, 3)
+    assert thicket_shatter(thresholds, 3) == brute_rank_shatter(thresholds, 1, 3)[1][3]
 
 
 def test_powerset4_universe4_brute_spot_check():
     system = generate("powerset", 4)
-    assert brute_rank(system, 1, 3) == 3  # capped enumeration height
-    assert thicket_shatter(system, 3) == brute_shatter(system, 1, 3) == 8
+    rank, shatter = brute_rank_shatter(system, 1, 3)
+    assert rank == 3  # capped enumeration height
+    assert thicket_shatter(system, 3) == shatter[3] == 8
 
 
 # ---------------------------------------------------------------------------

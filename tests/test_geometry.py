@@ -10,6 +10,8 @@ from shatterlab import (InputError, PointArrangement, SetSystem, generate,
                         line_arrangement_cells, region_count_general_position)
 from shatterlab.setsystem import halfspace_dual, halfspace_incidence
 
+from oracles import brute_general_position
+
 
 def test_region_count_table():
     assert region_count_general_position(2, 3) == 7
@@ -128,6 +130,35 @@ def test_general_position_detects_degeneracy():
         (((Fraction(1), Fraction(1)), Fraction(0)),
          ((Fraction(2), Fraction(2)), Fraction(1))))
     assert not dependent.in_general_position()
+
+
+GENERAL_POSITION_ENTRIES = (0, 1, -1, 2, Fraction(1, 2))
+
+
+def seeded_arrangement(rng):
+    """An arrangement in Q^r, r in 1..4, of 0-6 half-spaces and 0-3 points
+    with entries from GENERAL_POSITION_ENTRIES, so many are degenerate."""
+    r = rng.randint(1, 4)
+
+    def vector():
+        return tuple(rng.choice(GENERAL_POSITION_ENTRIES) for _ in range(r))
+
+    return PointArrangement(
+        r, tuple(vector() for _ in range(rng.randint(0, 3))),
+        tuple((vector(), rng.choice(GENERAL_POSITION_ENTRIES))
+              for _ in range(rng.randint(0, 6))))
+
+
+def test_general_position_matches_the_all_sizes_oracle():
+    """Ranking only the subsets of min(r, N) normals answers as testing
+    every size does, on seeded arrangements of both answers."""
+    rng = random.Random(2600)
+    answers = []
+    for _ in range(1000):
+        arrangement = seeded_arrangement(rng)
+        answers.append(arrangement.in_general_position())
+        assert answers[-1] == brute_general_position(arrangement), arrangement
+    assert 100 < sum(answers) < 900
 
 
 def test_halfspace_systems():

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,6 +280,11 @@ WRONG_CONTAINERS = {
                                 lambda: SPACE_TREE.label(iter([0]))),
     "properly_labelable-sets": (("ElementTree.properly_labelable", "sets"),
                                 lambda: LEAF_TREE.properly_labelable((0,), 5)),
+    # Leaf (0, 1) needs element 0 both in and out, so no member labels it.
+    "properly_labelable-sets-unlabelable": (
+        ("ElementTree.properly_labelable", "sets"),
+        lambda: ElementTree(1, 2, {(): (0,), (0,): (0,), (1,): (0,)}).properly_labelable(
+            (0, 1), 5)),
     "properly_labelable-leaf": (("ElementTree.properly_labelable", "leaf"),
                                 lambda: LEAF_TREE.properly_labelable(5, ())),
     "count_children_dropping-int": (("count_children_dropping", "xs"),
@@ -337,6 +343,7 @@ INT_PARAMS = {
     ("ElementTree", "height"): (lambda v: ElementTree(1, v, {}), 0, 0, None),
     ("ElementTree", "node entry"): (
         lambda v: ElementTree(1, 2, {(): (0,), (0,): (0,), (v,): (0,)}), 1, 0, 1),
+    ("ElementTree", "label entry"): (lambda v: ElementTree(1, 1, {(): (v,)}), 0, 0, None),
     ("path_requirements", "first leaf entry"): (
         lambda v: TREE.path_requirements((v, 1)), 1, 0, 1),
     ("path_requirements", "last leaf entry"): (
@@ -570,6 +577,10 @@ def test_every_container_parameter_has_a_row():
 
 
 BIT_LAYOUT_CALLS = (".to_bytes(", "np.packbits", "np.unpackbits")
+# A refusal of a malformed JSON object, or a test for a JSON array, written
+# outside ``errors.reading`` and ``errors.require_list``.
+JSON_RULE_FORKS = (re.compile(r'InputError\(f?"malformed'),
+                   re.compile(r"isinstance\(\w+, list\)"))
 
 
 def test_the_package_exports_every_public_name():
@@ -591,4 +602,16 @@ def test_only_setsystem_packs_or_unpacks_bits():
     forks = [(path.name, call) for path in sorted(package.glob("*.py"))
              if path.name != "setsystem.py"
              for call in BIT_LAYOUT_CALLS if call in path.read_text()]
+    assert not forks
+
+
+def test_only_errors_reads_json_objects_and_arrays():
+    """``errors.reading`` is the one rule that refuses a malformed JSON
+    object and ``errors.require_list`` the one that reads a JSON array; no
+    other module of the library writes its own, so the rules cannot fork
+    again."""
+    package = Path(shatterlab.__file__).parent
+    forks = [(path.name, fork.pattern) for path in sorted(package.glob("*.py"))
+             if path.name != "errors.py"
+             for fork in JSON_RULE_FORKS if fork.search(path.read_text())]
     assert not forks
