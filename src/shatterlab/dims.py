@@ -89,9 +89,14 @@ included, reads one ``_Search`` per (sets, n, s), which keeps its columns,
 its rank and shatter memos and the rank once found, and every VC call reads
 one set of VC columns per (sets, n).  So each rank is found once, each
 column is built once per (family, s), and a repeated call, after its own
-argument and cap checks, costs a dict hit.  Both tables are dropped when
-the audit returns or raises; outside an audit every call builds its own
-search and columns, and nothing is kept on the ``SetSystem``.
+argument and cap checks, costs a dict hit.  Row (f)'s subfamilies are
+member masks of the family: bit i stands for ``sets[i]`` in a subfamily as
+in the family, so ``_subfamily_rank`` ranks each on the family's search,
+its columns and its (mask, height) memo, with no family or search of its
+own; ``count_children_dropping`` ranks a tuple's children the same way.
+Both tables are dropped when the audit returns or raises; outside an audit
+every call builds its own search and columns, and nothing is kept on the
+``SetSystem``.
 
 The empty family has rank ``NEG_INF`` (serialized as the string "-inf").
 
@@ -111,7 +116,7 @@ from functools import cached_property
 from operator import or_
 
 from .errors import InputError, check_cap, require_int, require_ints
-from .setsystem import SetSystem, _member_columns, child, child_masks, mask_of
+from .setsystem import SetSystem, _member_columns, child_masks, mask_of
 
 __all__ = [
     "NEG_INF",
@@ -519,20 +524,26 @@ def op_rank(system: SetSystem, s, cap=None):
 
 
 def _op_rank(sets, n, s):
-    """op_s-rank of a nonempty family, found once per search by deepening a
-    memoized feasibility test over member-index masks."""
+    """op_s-rank of a nonempty family, found once per search."""
     search = _search(sets, n, s)
     if search.rank is None:
-        if len(sets) < 1 << 2 * s:
-            # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose
-            # children are all nonempty, that is a shattered s-set.
-            search.rank = int(_shatters_some(sets, n, s, None))
-        else:
-            k = 0
-            while _op_rank_at_least(search.full, search, k + 1):
-                k += 1
-            search.rank = k
+        search.rank = _subfamily_rank(search, n, s, sets, search.full)
     return search.rank
+
+
+def _subfamily_rank(search, n, s, members, mask):
+    """op_s-rank of ``members``, a nonempty subfamily of the op_s search's
+    family with member-index mask ``mask``, found by deepening a memoized
+    feasibility test on that search: every subfamily reads the family's
+    columns and (mask, height) memo."""
+    if len(search.sets) < 1 << 2 * s:
+        # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose
+        # children are all nonempty, that is a shattered s-set.
+        return int(_shatters_some(members, n, s, None))
+    k = 0
+    while _op_rank_at_least(mask, search, k + 1):
+        k += 1
+    return k
 
 
 def _op_rank_at_least(fam, search, t):
@@ -622,16 +633,26 @@ def _op_shatter_leaves(fam, search, height):
 
 def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
     """Number of children F_sigma on tuple ``xs`` whose op_r-rank drops by
-    at least ``l`` below op_r-rank(F)."""
+    at least ``l`` below op_r-rank(F).  The children are the member-index
+    masks of one op_r search on ``xs``, each ranked on that search."""
     if not system.sets:
         raise InputError("requires a nonempty family (finite op-rank)")
     r, l = require_int(r, "r", 1), require_int(l, "l", 1)
     try:
-        sigmas = itertools.product((0, 1), repeat=len(xs))
+        len(xs)
     except TypeError:
         raise InputError(f"xs must be a sequence, got {xs!r}") from None
     a = op_rank(system, r, cap=cap)
-    return sum(op_rank(child(system, xs, sigma), r, cap=cap) <= a - l for sigma in sigmas)
+    sets, n = system.sets, system.universe_size
+    mask_of(xs, n)
+    search = _search(sets, n, r)
+    dropping = 0
+    for kid in search[tuple(xs)]:
+        # An empty child, on a tuple that repeats an element, has rank -inf.
+        members = [m for i, m in enumerate(sets) if kid >> i & 1]
+        rank = _subfamily_rank(search, n, r, members, kid) if kid else NEG_INF
+        dropping += rank <= a - l
+    return dropping
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +771,11 @@ def _audit(system, s, r, n, cap):
             report.add("rank_arity_comparison", {"s1": s1, "s2": s2},
                        rank_to_str(r1), rank_to_str(rhs), r1 >= rhs)
 
-    # (f) monotonicity under subfamilies
-    for label, sub in _subfamily_samples(system):
-        rsub = op_rank(sub, s, cap=cap)
+    # (f) monotonicity under subfamilies, each ranked on the family's search;
+    # row (c) checked the universe they share against the cap.
+    sets, size = system.sets, system.universe_size
+    for label, members, mask in _subfamily_samples(sets):
+        rsub = _subfamily_rank(_search(sets, size, s), size, s, members, mask)
         rfull = op_rank(system, s, cap=cap)
         report.add("rank_monotone_subfamily", {"s": s, "subfamily": label},
                    rank_to_str(rsub), rank_to_str(rfull), rsub <= rfull)
@@ -766,11 +789,14 @@ def _audit(system, s, r, n, cap):
     return report
 
 
-def _subfamily_samples(system):
-    sets = system.sets
-    if len(sets) <= 1:
+def _subfamily_samples(sets):
+    """Row (f)'s subfamilies of ``sets``, each as (label, members, mask):
+    its slice of ``sets`` and its member-index mask over ``sets``."""
+    m = len(sets)
+    if m <= 1:
         return []
-    half = SetSystem(system.universe_size, sets[: (len(sets) + 1) // 2])
-    evens = SetSystem(system.universe_size, sets[::2])
-    trimmed = SetSystem(system.universe_size, sets[:-1])
-    return [("first_half", half), ("even_indexed", evens), ("drop_last", trimmed)]
+    half = (m + 1) // 2
+    return [("first_half", sets[:half], (1 << half) - 1),
+            # bits 0, 2, 4, ...: binary digits 0101...01
+            ("even_indexed", sets[::2], int("01" * half, 2)),
+            ("drop_last", sets[:-1], (1 << m - 1) - 1)]

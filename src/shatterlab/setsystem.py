@@ -85,7 +85,10 @@ class SetSystem:
             if not isinstance(s, str) or len(s) != n or set(s) - {"0", "1"}:
                 raise InputError(f"bad set string {s!r} for universe [{n}]")
             masks.append(sum(1 << i for i, c in enumerate(s) if c == "1"))
-        return cls(n, tuple(masks), data.get("name"))
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"set-system 'name' must be a string, got {name!r}")
+        return cls(n, tuple(masks), name)
 
 
 def mask_of(elements, n):

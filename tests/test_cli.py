@@ -415,6 +415,12 @@ def test_mc_space_from_exactly_one_of_space_and_uniform(capsys, tmp_path, argv, 
     assert "Traceback" not in err
 
 
+def test_set_system_name_that_is_not_a_string_exits_2(capsys, tmp_path):
+    named = write_json(tmp_path, "named.json", {"universe": 1, "sets": ["1"], "name": [1]})
+    code, _, err = run(capsys, "sys", "dim", "--kind", "vc", named)
+    assert code == 2 and "input error: set-system 'name' must be a string" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # invalid input: missing file
     code, _, err = run(capsys, "sys", "dim", "--kind", "vc", "missing.json")

@@ -2,6 +2,7 @@
 against exhaustive tree-enumeration and trace-counting oracles."""
 
 import itertools
+import math
 import random
 import signal
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
-                        SetSystem, audit_bounds, count_children_dropping,
+                        SetSystem, audit_bounds, child, count_children_dropping,
                         generate, op_rank, op_shatter, random_element_tree,
                         region_count_general_position, shatters,
                         thicket_dimension, thicket_shatter, vc_dimension,
@@ -524,6 +525,43 @@ def test_shatter_functions_monotone_and_bounded(system):
         prev_pi, prev_rho = pi, rho
 
 
+@pytest.mark.parametrize("N, k", [(6, 1), (6, 2), (7, 1), (7, 2)])
+def test_thicket_shatter_meets_its_bound_on_bounded_size_families(N, k):
+    """The thicket Sauer-Shelah bound rho_F(h) <= sum_{i<=k} C(h, i) is
+    tight: the sets of size at most k have thicket dimension k and reach
+    it at every height h <= N."""
+    system = generate("all_subsets_of_size_at_most", N, k)
+    assert thicket_dimension(system) == k
+    for h in range(5):
+        assert thicket_shatter(system, h) == sum(math.comb(h, i) for i in range(k + 1))
+
+
+DIMENSION_VALUES = {
+    "vc_dimension": vc_dimension,
+    "vc_shatter_function": lambda f: vc_shatter_function(f, min(3, f.universe_size)),
+    "thicket_dimension": thicket_dimension,
+    "op_rank-1": lambda f: op_rank(f, 1),
+    "op_rank-2": lambda f: op_rank(f, 2),
+    "op_shatter-2-2": lambda f: op_shatter(f, 2, 2),
+    "thicket_shatter-3": lambda f: thicket_shatter(f, 3),
+}
+
+
+def test_dimensions_are_invariant_under_relabelling_and_flipping():
+    """Permuting the points and XOR-ing every member with one mask maps
+    traces to traces and element trees to element trees, so no dimension
+    or shatter value moves."""
+    for i in range(300):
+        rng = random.Random(7000 + i)
+        n = rng.randint(2, 8)
+        sets = [rng.randrange(1 << n) for _ in range(rng.randint(1, 20))]
+        perm, flip = rng.sample(range(n), n), rng.randrange(1 << n)
+        moved = [sum(1 << perm[x] for x in range(n) if m >> x & 1) ^ flip for m in sets]
+        family, image = SetSystem(n, tuple(sets)), SetSystem(n, tuple(moved))
+        for name, value in DIMENSION_VALUES.items():
+            assert value(family) == value(image), (i, name)
+
+
 def test_count_children_dropping():
     power = generate("powerset", 3)
     # op_1-rank(powerset(3)) = 3; both children on any element drop by 1
@@ -531,6 +569,57 @@ def test_count_children_dropping():
     assert count_children_dropping(power, (0,), 1, 2) == 0
     with pytest.raises(InputError):
         count_children_dropping(SetSystem(3, ()), (0,), 1, 1)
+
+
+def children_dropping_from_separate_calls(system, xs, r, l):
+    """``count_children_dropping`` rebuilt from one public ``child`` family
+    and one public ``op_rank`` call per sigma."""
+    a = op_rank(system, r)
+    return sum(op_rank(child(system, xs, sigma), r) <= a - l
+               for sigma in itertools.product((0, 1), repeat=len(xs)))
+
+
+def test_count_children_dropping_matches_separate_calls():
+    """Seeded families above and below 4^r members, so that the children are
+    ranked both by the recursion and by the shattered-s-set shortcut, on
+    tuples with repeated elements (whose conflicting children are empty)
+    and on the empty tuple."""
+    cases = Counter()
+    for i in range(600):
+        rng = random.Random(3000 + i)
+        system = random_system(rng.randint(1, 7), 64, seed=3000 + i)
+        n = system.universe_size
+        xs = tuple(rng.randrange(n) for _ in range(rng.randint(0, 3)))
+        r, l = rng.randint(1, 3), rng.randint(1, 3)
+        expected = children_dropping_from_separate_calls(system, xs, r, l)
+        assert count_children_dropping(system, xs, r, l) == expected, (i, xs, r, l)
+        cases[len(system.sets) >= 4 ** r, len(set(xs)) < len(xs)] += 1
+    assert len(cases) == 4
+    assert count_children_dropping(generate("powerset", 3), {0, 2}, 1, 1) == 4
+
+
+POWER3 = generate("powerset", 3)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: count_children_dropping(SetSystem(3, ()), 5, 0, 1), InputError, "nonempty"),
+    (lambda: count_children_dropping(POWER3, 5, 0, 1), InputError, "r must be at least 1"),
+    (lambda: count_children_dropping(POWER3, 5, 1, 0), InputError, "l must be at least 1"),
+    (lambda: count_children_dropping(POWER3, 5, 1, 1), InputError, "xs must be a sequence"),
+    (lambda: count_children_dropping(POWER3, ("a",), 1, 1, cap=2), ResourceCapError,
+     "exceeds cap 2"),
+    (lambda: count_children_dropping(POWER3, ("a",), 1, 1, cap="2"), InputError,
+     "cap must be an integer"),
+    (lambda: count_children_dropping(POWER3, ("a",), 1, 1), InputError,
+     "element must be an integer"),
+])
+def test_count_children_dropping_refusals_in_order(call, error, match):
+    """The family, then r and l, then that xs has a length, then op_rank's
+    cap, then xs's elements; a row that breaks two checks shows which comes
+    first.  The values each check refuses are rows of the tables in
+    ``tests/test_setsystem.py``."""
+    with pytest.raises(error, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +679,8 @@ def audit_rows_from_separate_calls(system, s, r, n):
         rhs = NEG_INF if r2 == NEG_INF else (s2 // s1) * r2
         rows.append(("rank_arity_comparison", {"s1": s1, "s2": s2},
                      rank_to_str(r1), rank_to_str(rhs), r1 >= rhs))
-    for label, sub in dims._subfamily_samples(system):
-        rsub = op_rank(sub, s)
+    for label, members, _ in dims._subfamily_samples(system.sets):
+        rsub = op_rank(SetSystem(system.universe_size, members), s)
         rows.append(("rank_monotone_subfamily", {"s": s, "subfamily": label},
                      rank_to_str(rsub), rank_to_str(ks), rsub <= ks))
     rhs = binomial_bound(n, kr, a0, (1 << s) - a0)
@@ -659,14 +748,15 @@ def test_audit_builds_each_column_once_per_family_and_arity(monkeypatch):
     rng = random.Random(7)
     system = SetSystem(7, tuple(sorted(rng.sample(range(128), 40))))
     audit_bounds(system, 2, 1, 3)
-    # Four searches read all 7 columns: the family's at s = 2 (rows (c) and
-    # (e)) and its three subfamilies' at s = 2 (row (f)).  The family's s = 1
-    # search (rows (b) and (e)) reads columns 0-5 only: psi^1(F, 3) reaches
-    # its cap of 8 and every rank level finds its splitting element before
-    # column 6, since sizes answer heights 0 and 1 there.  With one search
-    # per call the audit built 87.
-    assert len(built) == 34
-    assert Counter(Counter(built).values()) == {1: 3 * 7 + 1, 2: 6}
+    # The family's s = 2 search (rows (c), (e) and (f), whose subfamilies
+    # are member masks on it) reads all 7 columns.  Its s = 1 search (rows
+    # (b) and (e)) reads columns 0-5 only: psi^1(F, 3) reaches its cap of 8
+    # and every rank level finds its splitting element before column 6,
+    # since sizes answer heights 0 and 1 there.  With one search per call
+    # the audit built 87, and with one search per subfamily 34.
+    assert len(built) == 13
+    assert Counter(Counter(built).values()) == {1: 1, 2: 6}
+    assert {sets for sets, _ in built} == {system.sets}
 
 
 def test_audit_builds_row_a_vc_columns_once(monkeypatch):

@@ -85,6 +85,18 @@ def test_from_json_rejects_bad_strings():
         SetSystem.from_json_dict({"sets": []})
 
 
+@pytest.mark.parametrize("name", [[1], 5, {"a": 1}, True])
+def test_from_json_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(InputError, match="^set-system 'name' must be a string"):
+        SetSystem.from_json_dict({"universe": 1, "sets": ["1"], "name": name})
+
+
+def test_from_json_keeps_a_string_name_or_none():
+    for name in ("demo", "", None):
+        data = {"universe": 1, "sets": ["1"], "name": name}
+        assert SetSystem.from_json_dict(data).name == name
+
+
 def test_project_dense_reindexing():
     system = SetSystem(4, (0b1010, 0b0010, 0b1000))
     projected = project(system, [1, 3])

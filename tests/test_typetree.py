@@ -188,6 +188,16 @@ def test_tree_rank_matches_exhaustive_small():
         assert tree_rank(g) == brute_tree_rank(8, g.edges)
 
 
+def test_tree_rank_is_at_most_one_above_the_neighbourhoods_thicket_dimension():
+    """In a full type tree of height t, a leaf vertex is adjacent to each
+    ancestor exactly when its path turns to the ancestor's 1-child, so the
+    internal vertices label a binary element tree of height t - 1 whose
+    leaves the leaf vertices' neighbourhoods properly label."""
+    for i in range(300):
+        graph = random_graph(2 + i % 11, (0.2, 0.5, 0.8)[i % 3], seed=i)
+        assert tree_rank(graph) - 1 <= thicket_dimension(graph.neighborhood_system()), i
+
+
 def full_height(labels, key=""):
     """Height of the full binary subtree of a type tree's index set rooted
     at ``key``; its vertices witness that much tree rank."""
