@@ -93,7 +93,10 @@ argument and cap checks, costs a dict hit.  Row (f)'s subfamilies are
 member masks of the family: bit i stands for ``sets[i]`` in a subfamily as
 in the family, so ``_subfamily_rank`` ranks each on the family's search,
 its columns and its (mask, height) memo, with no family or search of its
-own; ``count_children_dropping`` ranks a tuple's children the same way.
+own, and compares each with row (c)'s rank of the family; rows (d) and
+(e) still repeat their public ``op_rank`` calls.
+``count_children_dropping`` ranks the family and a tuple's children the
+same way, on one search, in or outside an audit.
 Both tables are dropped when the audit returns or raises; outside an audit
 every call builds its own search and columns, and nothing is kept on the
 ``SetSystem``.
@@ -279,12 +282,12 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class _Search(dict):
-    """One op_s search of the family ``sets`` over [n]: the min(n, s)-subsets
-    of [n] in ``itertools.combinations`` order as ``tuples``, ``arity`` 2^s,
-    ``sized`` the largest height that sizes alone answer (1 at s = 1, else
-    0; module docstring), the rank recursion's (mask, height) table
-    ``memo``, the shatter recursion's ``leaves`` and ``rank``, the op_s-rank
-    once found.
+    """One op_s search of the family ``sets`` over [n], keeping ``n`` and
+    ``s``: the min(n, s)-subsets of [n] in ``itertools.combinations`` order
+    as ``tuples``, ``arity`` 2^s, ``sized`` the largest height that sizes
+    alone answer (1 at s = 1, else 0; module docstring), the rank
+    recursion's (mask, height) table ``memo``, the shatter recursion's
+    ``leaves`` and ``rank``, the op_s-rank once found.
 
     As a dict it holds the family's children on tuples of elements, which
     the recursions AND into a subfamily's mask: bit i of a member-index mask
@@ -298,7 +301,7 @@ class _Search(dict):
     element's, so a repeated element's conflicting children are empty."""
 
     def __init__(self, sets, n, s):
-        self.sets, self.full = sets, (1 << len(sets)) - 1
+        self.sets, self.full, self.n, self.s = sets, (1 << len(sets)) - 1, n, s
         self[()] = [self.full]
         self.tuples = list(itertools.combinations(range(n), min(n, s)))
         self.arity, self.sized = 1 << s, int(s == 1)
@@ -503,14 +506,15 @@ def thicket_dimension(system: SetSystem):
     labeled: op_1-rank, without the universe cap."""
     if not system.sets:
         return NEG_INF
-    return _op_rank(system.sets, system.universe_size, 1)
+    return _op_rank(_search(system.sets, system.universe_size, 1))
 
 
 def thicket_shatter(system: SetSystem, height):
     """rho_F(height): maximum number of properly labeled leaves, that is
     psi_F^1(height), without the universe cap."""
-    return _op_shatter(system.sets, system.universe_size, 1,
-                       require_int(height, "height", 0))
+    height = require_int(height, "height", 0)
+    search = _search(system.sets, system.universe_size, 1)
+    return _op_shatter_leaves(search.full, search, height)
 
 
 def op_rank(system: SetSystem, s, cap=None):
@@ -520,26 +524,25 @@ def op_rank(system: SetSystem, s, cap=None):
     s = require_int(s, "s", 1)
     if _is_empty(system, cap, DEFAULT_OP_CAP, "op-rank universe"):
         return NEG_INF
-    return _op_rank(system.sets, system.universe_size, s)
+    return _op_rank(_search(system.sets, system.universe_size, s))
 
 
-def _op_rank(sets, n, s):
-    """op_s-rank of a nonempty family, found once per search."""
-    search = _search(sets, n, s)
+def _op_rank(search):
+    """op_s-rank of the search's nonempty family, found once per search."""
     if search.rank is None:
-        search.rank = _subfamily_rank(search, n, s, sets, search.full)
+        search.rank = _subfamily_rank(search, search.sets, search.full)
     return search.rank
 
 
-def _subfamily_rank(search, n, s, members, mask):
+def _subfamily_rank(search, members, mask):
     """op_s-rank of ``members``, a nonempty subfamily of the op_s search's
     family with member-index mask ``mask``, found by deepening a memoized
     feasibility test on that search: every subfamily reads the family's
     columns and (mask, height) memo."""
-    if len(search.sets) < 1 << 2 * s:
+    if len(search.sets) < 1 << 2 * search.s:
         # Rank 2 needs (2^s)^2 members.  Rank 1 needs a tuple whose
         # children are all nonempty, that is a shattered s-set.
-        return int(_shatters_some(members, n, s, None))
+        return int(_shatters_some(members, search.n, search.s, None))
     k = 0
     while _op_rank_at_least(mask, search, k + 1):
         k += 1
@@ -580,11 +583,7 @@ def op_shatter(system: SetSystem, s, height, cap=None):
     s, height = require_int(s, "s", 1), require_int(height, "height", 0)
     if _is_empty(system, cap, DEFAULT_OP_CAP, "op-rank universe"):
         return 0
-    return _op_shatter(system.sets, system.universe_size, s, height)
-
-
-def _op_shatter(sets, n, s, height):
-    search = _search(sets, n, s)
+    search = _search(system.sets, system.universe_size, s)
     return _op_shatter_leaves(search.full, search, height)
 
 
@@ -633,8 +632,8 @@ def _op_shatter_leaves(fam, search, height):
 
 def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
     """Number of children F_sigma on tuple ``xs`` whose op_r-rank drops by
-    at least ``l`` below op_r-rank(F).  The children are the member-index
-    masks of one op_r search on ``xs``, each ranked on that search."""
+    at least ``l`` below op_r-rank(F).  One op_r search ranks the family
+    and its children on ``xs``, the search's member-index masks there."""
     if not system.sets:
         raise InputError("requires a nonempty family (finite op-rank)")
     r, l = require_int(r, "r", 1), require_int(l, "l", 1)
@@ -642,15 +641,17 @@ def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
         len(xs)
     except TypeError:
         raise InputError(f"xs must be a sequence, got {xs!r}") from None
-    a = op_rank(system, r, cap=cap)
+    # The family is nonempty: this checks its universe against the cap.
+    _is_empty(system, cap, DEFAULT_OP_CAP, "op-rank universe")
     sets, n = system.sets, system.universe_size
     mask_of(xs, n)
     search = _search(sets, n, r)
+    a = _op_rank(search)
     dropping = 0
     for kid in search[tuple(xs)]:
         # An empty child, on a tuple that repeats an element, has rank -inf.
         members = [m for i, m in enumerate(sets) if kid >> i & 1]
-        rank = _subfamily_rank(search, n, r, members, kid) if kid else NEG_INF
+        rank = _subfamily_rank(search, members, kid) if kid else NEG_INF
         dropping += rank <= a - l
     return dropping
 
@@ -771,14 +772,15 @@ def _audit(system, s, r, n, cap):
             report.add("rank_arity_comparison", {"s1": s1, "s2": s2},
                        rank_to_str(r1), rank_to_str(rhs), r1 >= rhs)
 
-    # (f) monotonicity under subfamilies, each ranked on the family's search;
-    # row (c) checked the universe they share against the cap.
+    # (f) monotonicity under subfamilies, each ranked on the family's search
+    # and compared with row (c)'s rank; row (c) checked the universe they
+    # share against the cap.  The search is read inside the loop, so the
+    # empty family, which has no subfamily here, builds none.
     sets, size = system.sets, system.universe_size
     for label, members, mask in _subfamily_samples(sets):
-        rsub = _subfamily_rank(_search(sets, size, s), size, s, members, mask)
-        rfull = op_rank(system, s, cap=cap)
+        rsub = _subfamily_rank(_search(sets, size, s), members, mask)
         report.add("rank_monotone_subfamily", {"s": s, "subfamily": label},
-                   rank_to_str(rsub), rank_to_str(rfull), rsub <= rfull)
+                   rank_to_str(rsub), rank_to_str(ks), rsub <= ks)
 
     # (g) psi_F^s(n) <= sum_{i<=b} C(n,i) a0^{n-i} a1^i with b = op_r-rank
     a1 = (1 << s) - a0

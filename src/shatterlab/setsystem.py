@@ -43,6 +43,8 @@ DEFAULT_GENERATOR_CAP = 20
 
 @dataclass(frozen=True)
 class SetSystem:
+    """A family of masks over [n], kept sorted and deduplicated, and an
+    optional ``name``, a string or None, that equality ignores."""
     universe_size: int
     sets: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
@@ -53,6 +55,8 @@ class SetSystem:
                                   for m in require_iterable(self.sets, "masks")}))
         if canonical != self.sets:
             object.__setattr__(self, "sets", canonical)
+        if self.name is not None and not isinstance(self.name, str):
+            raise InputError(f"set-system 'name' must be a string, got {self.name!r}")
 
     @classmethod
     def from_iterables(cls, universe_size, families, name=None):
@@ -85,10 +89,7 @@ class SetSystem:
             if not isinstance(s, str) or len(s) != n or set(s) - {"0", "1"}:
                 raise InputError(f"bad set string {s!r} for universe [{n}]")
             masks.append(sum(1 << i for i, c in enumerate(s) if c == "1"))
-        name = data.get("name")
-        if name is not None and not isinstance(name, str):
-            raise InputError(f"set-system 'name' must be a string, got {name!r}")
-        return cls(n, tuple(masks), name)
+        return cls(n, tuple(masks), data.get("name"))
 
 
 def mask_of(elements, n):

@@ -4,6 +4,10 @@ A type tree is a prefix-closed labeling of binary strings by vertices where
 the child direction records adjacency to the parent (condition 1) and an
 ancestor's adjacency is constant across its strict descendants through a
 child (condition 2).  Heights count levels: a lone root has height 1.
+The tree's shape, binary keys closed under prefixes, needs no graph and is
+checked once, when a ``TypeTree`` is made; ``validate_type_tree`` checks
+what needs the graph, the bijection and conditions 1 and 2, and every
+other reader takes the shape as given.
 
 The tree rank is one exact memoized search.  Its cap counts the search's
 memo states, not vertices, since the vertex count does not predict the
@@ -103,9 +107,11 @@ def random_graph(vertex_count, edge_probability, seed):
 @dataclass(frozen=True)
 class TypeTree:
     """Labels: prefix-closed map from binary strings ('' is the root) to
-    vertex ids, each vertex used exactly once.  At construction ``labels``
-    must be a dict whose keys are strings and whose values pass
-    ``require_int``; the structure is left to ``validate_type_tree``."""
+    vertex ids.  At construction ``labels`` must be a dict whose keys are
+    strings and whose values pass ``require_int``, and then a tree: every
+    key a binary string whose parent, the key less its last digit, is a
+    key.  ``TypeTree({})`` is the empty tree.  That each vertex of a graph
+    is used exactly once is left to ``validate_type_tree``."""
 
     labels: dict[str, int]
 
@@ -117,6 +123,11 @@ class TypeTree:
             key = next(k for k in labels if type(k) is not str)
             raise InputError(f"type-tree key {key!r} is not a string")
         require_ints(labels.values, "type-tree label")
+        for key in labels:
+            if set(key) - {"0", "1"}:
+                raise InputError(f"not a type tree: bad node key {key!r}")
+            if key and key[:-1] not in labels:
+                raise InputError(f"not a type tree: index set not prefix-closed at {key!r}")
 
     @property
     def height(self):
@@ -153,16 +164,13 @@ def build_type_tree(graph: Graph, order=None) -> TypeTree:
 
 def validate_type_tree(graph: Graph, tree: TypeTree):
     """(True, None) or (False, description of the first violation): of
-    the bijection, then of the keys' shape (``_shape_violation``), then of
-    the conditions.  Conditions 1 and 2 are one rule: a node's vertex is
+    the bijection, then of the conditions; the tree's shape was checked
+    when it was made.  Conditions 1 and 2 are one rule: a node's vertex is
     adjacent to its ancestor at depth d iff the key turns "1" at depth d;
     the parent's depth is condition 1, shallower depths are condition 2."""
     labels = tree.labels
     if sorted(labels.values()) != list(range(graph.vertex_count)):
         return False, "labeling is not a bijection with the vertex set"
-    violation = _shape_violation(labels)
-    if violation is not None:
-        return False, violation
     for key, v in labels.items():
         for d, turn in enumerate(key):
             if graph.adjacent(labels[key[:d]], v) != (turn == "1"):
@@ -171,18 +179,6 @@ def validate_type_tree(graph: Graph, tree: TypeTree):
                 return False, (f"condition {rule}: {key!r} marked {marked} "
                                f"to ancestor {key[:d]!r} but is not")
     return True, None
-
-
-def _shape_violation(labels):
-    """The first key of ``labels`` that is not a binary string or whose
-    parent is no key, described, or None: the structural rule of a type
-    tree, the part that needs no graph."""
-    for key in labels:
-        if set(key) - {"0", "1"}:
-            return f"bad node key {key!r}"
-        if key and key[:-1] not in labels:
-            return f"index set not prefix-closed at {key!r}"
-    return None
 
 
 def require_type_tree(graph: Graph, tree: TypeTree):
@@ -247,13 +243,11 @@ def _holds_full_tree(neighbors, memo, limit, pool, t):
 
 def extract_clique_or_independent(tree: TypeTree):
     """From a deepest branch: right-turn ancestors plus the leaf form a
-    clique, left-turn ancestors plus the leaf an independent set.  A tree
-    whose keys are not binary strings or not prefix-closed is refused."""
+    clique, left-turn ancestors plus the leaf an independent set; every
+    ancestor of a key is a key, as ``TypeTree`` checks.  The empty tree,
+    which has no branch, is refused."""
     if not tree.labels:
         raise InputError("empty type tree")
-    violation = _shape_violation(tree.labels)
-    if violation is not None:
-        raise InputError(f"not a type tree: {violation}")
     leaf = max(tree.labels, key=len)
     clique = {tree.labels[leaf]}
     independent = {tree.labels[leaf]}

@@ -7,8 +7,9 @@ height once (each tree's leaves counted by
 ``ElementTree.count_properly_labeled``, itself checked against a per-leaf
 walk from the labels), the VC dimension and shatter function by
 counting traces on every tuple (each trace a tuple of bits, built here
-rather than by ``setsystem``), the hereditary check by enumerating every
-candidate context assignment (and its witness by banseq's earlier
+rather than by ``setsystem``), the shattered sets by Pajor's recursion on
+ints, the hereditary check by enumerating every candidate context
+assignment (and its witness by banseq's earlier
 backtracking over the public ``ban_set``), a graph's tree rank by trying
 every root with no memo, general position by testing every subset of at
 most r normals for a nonzero minor, a ban table by banseq's earlier
@@ -133,6 +134,24 @@ def brute_shatters(system, targets):
     """Whether the family has all 2^|targets| traces on ``targets``."""
     ys = sorted(set(targets))
     return _trace_count(system.sets, ys) == 1 << len(ys)
+
+
+def shattered_sets(masks, n):
+    """The subsets of [n], as masks, that the family ``masks`` shatters, by
+    Pajor's recursion on x = n - 1: with F0 the members without x and F1
+    those with x, x removed, a set without x is shattered by F exactly when
+    it is by F0 | F1, its traces on [n - 1], and S + x exactly when S is
+    shattered by both F0 and F1.  The empty family shatters nothing, and a
+    nonempty family on [0] only the empty set.  Plain ints; it calls
+    nothing from ``shatterlab``."""
+    family = frozenset(masks)
+    if n == 0 or not family:
+        return {0} if family else set()
+    x = 1 << n - 1
+    f0 = frozenset(m for m in family if not m & x)
+    f1 = frozenset(m ^ x for m in family if m & x)
+    both = shattered_sets(f0, n - 1) & shattered_sets(f1, n - 1)
+    return shattered_sets(f0 | f1, n - 1) | {S | x for S in both}
 
 
 def brute_vc_shatter_function(system, size):

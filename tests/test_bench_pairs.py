@@ -126,6 +126,35 @@ def test_kind_ratio_is_paired_by_round_so_one_fast_round_does_not_move_it():
     assert x["parent2/parent"] == pytest.approx(1.0)
 
 
+def test_relative_kind_ratio_absorbs_a_process_that_ran_every_kind_slower():
+    """Five kinds over six rounds.  The change's processes in rounds 1, 2
+    and 4 ran every kind 1.5 times slower, and kind "slow" is 1.2 times
+    slower at the change in every round: the untouched kinds read relative
+    1.0 and "slow" 1.2, while the plain ratios and the total keep the
+    whole-process slowdown."""
+    labels = ["a", "b", "c", "d", "slow"]
+    records = []
+    for rnd in range(6):
+        swing = 1.5 if rnd in (1, 2, 4) else 1.0
+        parent = {label: 1.0 + 0.1 * i for i, label in enumerate(labels)}
+        change = {label: seconds * swing * (1.2 if label == "slow" else 1.0)
+                  for label, seconds in parent.items()}
+        records += [kind_record("w", rnd, "parent", parent),
+                    kind_record("w", rnd, "change", change),
+                    kind_record("w", rnd, "parent2", dict(parent))]
+    (row,) = bench_pairs.summarize_kinds(records, SIDES)
+    kinds = row["kinds"]
+    for label in "abcd":
+        assert kinds[label]["change/parent"] == pytest.approx(1.25)
+        assert kinds[label]["change/parent relative"] == pytest.approx(1.0)
+        assert kinds[label]["parent2/parent relative"] == pytest.approx(1.0)
+    assert kinds["slow"]["change/parent"] == pytest.approx(1.5)
+    assert kinds["slow"]["change/parent relative"] == pytest.approx(1.2)
+    assert "change/parent relative" not in kinds["total"]
+    total = sum(1.0 + 0.1 * i for i in range(5))
+    assert kinds["total"]["change/parent"] == pytest.approx(1.25 * (total + 0.2 * 1.4) / total)
+
+
 def test_kind_summary_groups_by_workload_and_marks_missing_times():
     records = [kind_record("a", 0, "parent", {"x": 2.0}),
                kind_record("a", 0, "change", None),
@@ -196,10 +225,10 @@ def test_summary_lines_read_the_summary_rows():
         "  items_per_s  parent 100  parent2 99  parent2 better in 0/1  within bound",
         "  setup_s      parent 1  parent2 1  parent2 better in 0/1  within bound",
         "w kinds: 1 rounds, INCOMPLETE",
-        "  kind    change/parent  parent2/parent",
-        "  vc             0.3333               -",
-        "  tree                1               -",
-        "  total             0.5               -",
+        "  kind    change/parent  relative  parent2/parent  relative",
+        "  vc             0.3333       0.5               -         -",
+        "  tree                1       1.5               -         -",
+        "  total             0.5         -               -         -",
     ]
     assert bench_pairs.summary_lines([], []) == []
 

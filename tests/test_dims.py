@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from shatterlab import (ElementTree, InputError, NEG_INF, ResourceCapError,
                         SetSystem, audit_bounds, child, count_children_dropping,
-                        generate, op_rank, op_shatter, random_element_tree,
+                        dual, generate, op_rank, op_shatter, random_element_tree,
                         region_count_general_position, shatters,
                         thicket_dimension, thicket_shatter, vc_dimension,
                         vc_shatter_function)
@@ -23,7 +23,7 @@ from shatterlab.dims import rank_to_str
 
 from families import fixture_zoo, random_system
 from oracles import (binomial_bound, brute_rank_shatter, brute_shatters,
-                     brute_vc_dimension, brute_vc_shatter_function,
+                     brute_vc_dimension, brute_vc_shatter_function, shattered_sets,
                      tuple_op_rank, tuple_op_shatter, walk_count_properly_labeled,
                      walk_path_requirements)
 
@@ -562,6 +562,51 @@ def test_dimensions_are_invariant_under_relabelling_and_flipping():
             assert value(family) == value(image), (i, name)
 
 
+def test_assouad_dual_bound():
+    """VC(F*) < 2^(VC(F) + 1) with F* = ``dual(F)`` (Assouad 1983), on
+    seeded families of 1-10 points and at most 20 members, so that the
+    dual's universe stays within the VC cap."""
+    for seed in range(300):
+        system = random_system(random.Random(seed).randint(1, 10), 20, seed)
+        d = vc_dimension(system)
+        assert vc_dimension(dual(system)) < 2 ** (d + 1), (seed, d)
+
+
+def test_shatter_function_is_monotone_under_union_and_bounded_by_the_sum():
+    """pi_F(k) <= pi_{F u G}(k) <= pi_F(k) + pi_G(k), the same for G, and
+    pi_{F u G}(k - 1) <= pi_{F u G}(k), at k up to min(n, 6) on seeded
+    pairs over 1-12 points."""
+    checks = 0
+    for seed in range(300):
+        n = random.Random(seed).randint(1, 12)
+        f, g = random_system(n, 30, seed), random_system(n, 30, seed + 10_000)
+        union = SetSystem(n, f.sets + g.sets)
+        last = 0
+        for k in range(min(n, 6) + 1):
+            pf, pg, pu = (vc_shatter_function(x, k) for x in (f, g, union))
+            assert max(pf, pg, last) <= pu <= pf + pg, (seed, k)
+            last = pu
+            checks += 1
+    assert checks > 1500
+
+
+def test_shattered_sets_oracle_meets_pajor_and_the_vc_dimension():
+    """``oracles.shattered_sets``, Pajor's recursion on ints, names exactly
+    the sets that ``shatters`` accepts; it has at least |F| of them (Pajor
+    1985), and the largest has ``vc_dimension`` elements, or the family is
+    empty and shatters none."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(0, 9)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
+        system = SetSystem(n, tuple(masks))
+        sh = shattered_sets(masks, n)
+        assert sh == {S for S in range(1 << n) if shatters(system, system.members(S))}
+        assert len(sh) >= len(system.sets), seed
+        largest = max((S.bit_count() for S in sh), default=NEG_INF)
+        assert vc_dimension(system) == largest, seed
+
+
 def test_count_children_dropping():
     power = generate("powerset", 3)
     # op_1-rank(powerset(3)) = 3; both children on any element drop by 1
@@ -598,6 +643,23 @@ def test_count_children_dropping_matches_separate_calls():
     assert count_children_dropping(generate("powerset", 3), {0, 2}, 1, 1) == 4
 
 
+def test_count_children_dropping_builds_one_search_outside_an_audit(monkeypatch):
+    """The family's rank and its children's come from one op_r search."""
+    built = []
+
+    class CountedSearch(dims._Search):
+        def __init__(self, sets, n, s):
+            built.append((sets, n, s))
+            super().__init__(sets, n, s)
+
+    monkeypatch.setattr(dims, "_Search", CountedSearch)
+    power = generate("powerset", 4)
+    for r, xs in ((1, (0,)), (1, (0, 0)), (2, (1, 3))):
+        built.clear()
+        count_children_dropping(power, xs, r, 1)
+        assert built == [(power.sets, 4, r)], (r, xs)
+
+
 POWER3 = generate("powerset", 3)
 
 
@@ -614,7 +676,7 @@ POWER3 = generate("powerset", 3)
      "element must be an integer"),
 ])
 def test_count_children_dropping_refusals_in_order(call, error, match):
-    """The family, then r and l, then that xs has a length, then op_rank's
+    """The family, then r and l, then that xs has a length, then the op-rank
     cap, then xs's elements; a row that breaks two checks shows which comes
     first.  The values each check refuses are rows of the tables in
     ``tests/test_setsystem.py``."""
@@ -757,6 +819,23 @@ def test_audit_builds_each_column_once_per_family_and_arity(monkeypatch):
     assert len(built) == 13
     assert Counter(Counter(built).values()) == {1: 1, 2: 6}
     assert {sets for sets, _ in built} == {system.sets}
+
+
+def test_audit_asks_public_op_rank_only_in_rows_c_to_e(monkeypatch):
+    """Row (c) ranks the family once, row (d) at r and row (e) at each
+    arity pair; row (f) compares its subfamilies with row (c)'s rank."""
+    asked = []
+    real_op_rank = dims.op_rank
+
+    def op_rank_spy(system, s, cap=None):
+        asked.append(s)
+        return real_op_rank(system, s, cap=cap)
+
+    monkeypatch.setattr(dims, "op_rank", op_rank_spy)
+    system = SetSystem(4, tuple(range(0, 16, 3)))
+    report = audit_bounds(system, 2, 1, 2)
+    assert asked == [2, 1, 1, 2]
+    assert sum(row["bound"] == "rank_monotone_subfamily" for row in report.rows) == 3
 
 
 def test_audit_builds_row_a_vc_columns_once(monkeypatch):

@@ -91,6 +91,16 @@ def test_from_json_refuses_a_name_that_is_not_a_string(name):
         SetSystem.from_json_dict({"universe": 1, "sets": ["1"], "name": name})
 
 
+@pytest.mark.parametrize("name", [[1], 5, {"a": 1}, True])
+def test_constructor_refuses_a_name_that_is_not_a_string(name):
+    """The constructor, not only the JSON loader, so that ``to_json_dict``
+    never writes a name that ``from_json_dict`` would refuse."""
+    with pytest.raises(InputError, match="^set-system 'name' must be a string"):
+        SetSystem(1, (1,), name=name)
+    with pytest.raises(InputError, match="^set-system 'name' must be a string"):
+        SetSystem.from_iterables(1, [[0]], name)
+
+
 def test_from_json_keeps_a_string_name_or_none():
     for name in ("demo", "", None):
         data = {"universe": 1, "sets": ["1"], "name": name}

@@ -106,10 +106,10 @@ def test_validate_rejects_bad_trees():
     g = path_graph(3)
     not_bijective = TypeTree({"": 0, "0": 0, "1": 2})
     assert not validate_type_tree(g, not_bijective)[0]
-    not_prefix_closed = TypeTree({"": 0, "11": 1, "0": 2})
-    assert not validate_type_tree(g, not_prefix_closed)[0]
-    not_binary = TypeTree({"": 0, "1": 1, "2": 2})
-    assert validate_type_tree(g, not_binary) == (False, "bad node key '2'")
+    with pytest.raises(InputError, match="not prefix-closed at '11'"):
+        TypeTree({"": 0, "11": 1, "0": 2})
+    with pytest.raises(InputError, match="bad node key '2'"):
+        TypeTree({"": 0, "1": 1, "2": 2})
     # 0 and 1 are adjacent in the path, so "0" under root 0 is wrong
     wrong_direction = TypeTree({"": 0, "0": 1, "00": 2})
     ok, why = validate_type_tree(g, wrong_direction)
@@ -128,8 +128,10 @@ def test_validate_condition_two():
 
 def test_validate_matches_pairwise_oracle():
     """Built trees, trees with two labels swapped and trees with one key
-    bit flipped, on seeded graphs in shuffled insertion orders."""
-    failures = []
+    bit flipped, on seeded graphs in shuffled insertion orders.  A case
+    whose keys are not binary or not prefix-closed, by the oracle's shape
+    rule, is refused at construction; the others are validated."""
+    failures, refused = [], 0
     for seed in range(70):
         n = 4 + seed % 13
         g = random_graph(n, (1 + seed % 3) / 4, seed=seed)
@@ -146,11 +148,16 @@ def test_validate_matches_pairwise_oracle():
         moved = key[:d] + "10"[int(key[d])] + key[d + 1:]
         flipped = {moved if k == key else k: v for k, v in labels.items()}
         for case in (labels, swapped, flipped):
-            ok, why = validate_type_tree(g, TypeTree(case))
             violation = brute_type_tree_violation(g, case)
-            assert ok == (violation is None), (seed, case, why, violation)
             failures.append(violation)
-    assert len(failures) == 210 and failures.count(None) >= 70
+            if any(set(k) - {"0", "1"} or (k and k[:-1] not in case) for k in case):
+                refused += 1
+                with pytest.raises(InputError, match="not a type tree"):
+                    TypeTree(case)
+                continue
+            ok, why = validate_type_tree(g, TypeTree(case))
+            assert ok == (violation is None), (seed, case, why, violation)
+    assert len(failures) == 210 and failures.count(None) >= 70 and refused > 0
     assert "condition 1" in failures and "condition 2" in failures
 
 
@@ -158,6 +165,17 @@ def test_height():
     assert TypeTree({}).height == 0
     assert TypeTree({"": 0}).height == 1
     assert TypeTree({"": 0, "1": 1, "10": 2}).height == 3
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: TypeTree({"0": 0}), "not a type tree: index set not prefix-closed at '0'"),
+    (lambda: TypeTree({"": 0, "2": 1}), "not a type tree: bad node key '2'"),
+    (lambda: TypeTree.from_json_dict({"": 0, "11": 1}),
+     "not a type tree: index set not prefix-closed at '11'"),
+], ids=["no-root", "not-binary", "json-not-closed"])
+def test_type_tree_refuses_a_malformed_shape_at_construction(make, why):
+    with pytest.raises(InputError, match=why):
+        make()
 
 
 def test_type_tree_json_labels_must_be_integers():
@@ -257,7 +275,7 @@ def test_extraction_extremes():
     (extract_clique_or_independent, {"0": 0}, "not prefix-closed at '0'"),
     (extract_clique_or_independent, {"": 0, "2": 1}, "bad node key '2'"),
     (lambda tree: check_height_bound(Graph(1, ()), tree), {"0": 0},
-     "not a type tree of the graph: index set not prefix-closed at '0'"),
+     "not a type tree: index set not prefix-closed at '0'"),
     (lambda tree: check_height_bound(empty_graph(3), tree), {"": 0, "1": 1, "0": 2},
      "not a type tree of the graph: condition 1"),
 ], ids=["extract-not-closed", "extract-not-binary", "height-not-closed", "height-condition"])

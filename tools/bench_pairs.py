@@ -30,7 +30,11 @@ items afresh for each pass, and a kind's time is the sum over its items.
 The summary gives each side's times and best time per kind over the
 rounds, and the change/parent and parent2/parent ratios beside each other:
 each the median over rounds of the ratio of the two sides' times within
-one round.
+one round.  Beside each kind's ratio stands its "relative" ratio, the
+median over rounds of the kind's ratio in a round divided by the median
+of all kinds' ratios in that round, so a process that ran every kind
+slower moves no kind's relative ratio; the plain ratios and the total
+still show a change that slows every kind.
 
 After the last write, the summaries are printed to stderr as plain text
 (``summary_lines``).
@@ -138,7 +142,10 @@ def summarize_kinds(records, sides):
     per-process times over the rounds and their best, and for each later
     side the median over rounds of its time's ratio to the time of
     ``sides[0]`` in the same round, so one fast or slow process moves one
-    ratio of the median rather than the summary.  A record without times
+    ratio of the median rather than the summary.  Each kind but "total"
+    also gets ``"<side>/<base> relative"``: the median over rounds of its
+    ratio in a round over the median of all kinds' ratios in that round,
+    which a whole process's speed does not move.  A record without times
     counts in no side's values and makes the row incomplete; a round
     without both times gives no ratio."""
     base = sides[0]
@@ -153,6 +160,7 @@ def summarize_kinds(records, sides):
         labels.pop("total", None)
         row = {"workload": workload, "rounds": len({r["round"] for r in group}),
                "sides": list(sides), "complete": len(timed) == len(group), "kinds": {}}
+        ratios = {}  # (side, label) -> {round: ratio}
         for label in [*labels, "total"]:
             entry, times = {}, {}
             for side in sides:
@@ -161,10 +169,20 @@ def summarize_kinds(records, sides):
                 values = list(times[side].values())
                 entry[side] = {"best": min(values, default=None), "values": values}
             for side in sides[1:]:
-                ratios = [seconds / times[base][rnd]
-                          for rnd, seconds in times[side].items() if times[base].get(rnd)]
-                entry[f"{side}/{base}"] = _spread(ratios)["median"]
+                ratios[side, label] = {rnd: seconds / times[base][rnd]
+                                       for rnd, seconds in times[side].items()
+                                       if times[base].get(rnd)}
+                entry[f"{side}/{base}"] = _spread(list(ratios[side, label].values()))["median"]
             row["kinds"][label] = entry
+        for side in sides[1:]:
+            rounds = {}
+            for label in labels:
+                for rnd, ratio in ratios[side, label].items():
+                    rounds.setdefault(rnd, []).append(ratio)
+            scale = {rnd: _spread(values)["median"] for rnd, values in rounds.items()}
+            for label in labels:
+                relative = [ratio / scale[rnd] for rnd, ratio in ratios[side, label].items()]
+                row["kinds"][label][f"{side}/{base} relative"] = _spread(relative)["median"]
         rows.append(row)
     return rows
 
@@ -178,7 +196,8 @@ def summary_lines(rows, kind_rows):
     each side's median, the pairs in which the second side read better,
     and whether it is within the bound; then, where a report had them, each
     side's raw medians and speed factor) and of ``summarize_kinds`` rows
-    (per kind: each later side's paired median ratio to the first side)."""
+    (per kind: each later side's paired median ratio to the first side and
+    its relative ratio)."""
     lines = []
     for row in rows:
         a, b = row["sides"]
@@ -205,10 +224,12 @@ def summary_lines(rows, kind_rows):
         state = "" if row["complete"] else ", INCOMPLETE"
         lines.append(f"{row['workload']} kinds: {row['rounds']} rounds{state}")
         width = max(map(len, row["kinds"]), default=0)
-        lines.append(f"  {'kind':<{width}}" + "".join(f"  {r:>14}" for r in ratios))
+        lines.append(f"  {'kind':<{width}}"
+                     + "".join(f"  {r:>14}  {'relative':>8}" for r in ratios))
         for label, entry in row["kinds"].items():
-            lines.append(f"  {label:<{width}}"
-                         + "".join(f"  {_number(entry[r]):>14}" for r in ratios))
+            lines.append(f"  {label:<{width}}" + "".join(
+                f"  {_number(entry[r]):>14}  {_number(entry.get(f'{r} relative')):>8}"
+                for r in ratios))
     return lines
 
 
