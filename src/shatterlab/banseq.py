@@ -23,8 +23,8 @@ from math import comb, ceil
 import numpy as np
 
 from .dims import NEG_INF, _sauer_sum, op_rank
-from .errors import (InputError, VerificationError, check_cap, reading, require_int,
-                     require_ints, require_list, require_probability)
+from .errors import (InputError, VerificationError, check_cap, reading, require_dict,
+                     require_int, require_ints, require_list, require_probability)
 from .setsystem import SetSystem, _bit_matrix, mask_of
 from .typetree import require_type_tree
 
@@ -137,8 +137,7 @@ class RelaxedBanProblem:
         per pair, checked and written into its array at construction.  A
         valid table is filled with no ``ban_set`` call; a refused one is
         named by the per-entry read of ``_table``."""
-        if not isinstance(table, dict):
-            raise InputError(f"ban table must be a dict, got {table!r}")
+        require_dict(table, "ban table")
         problem = cls(n, k, j, lambda S, X: table[S, X], name=name)
         expected = comb(n, k) * j ** (n - k)
         if len(table) != expected:

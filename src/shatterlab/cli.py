@@ -81,9 +81,7 @@ def _load_system(spec, cap):
 
 
 def _load_problem(spec, cap=None):
-    if os.path.exists(spec):
-        return banseq.BanProblem.from_json_dict(_load_json(spec), cap)
-    raise InputError(f"no such ban-problem file: {spec!r}")
+    return banseq.BanProblem.from_json_dict(_load_json(spec), cap)
 
 
 def _digits(value):

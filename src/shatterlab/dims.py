@@ -118,7 +118,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import or_
 
-from .errors import InputError, check_cap, require_int, require_ints
+from .errors import InputError, check_cap, require_dict, require_int, require_ints, require_len
 from .setsystem import SetSystem, _member_columns, child_masks, mask_of
 
 __all__ = [
@@ -159,8 +159,8 @@ class ElementTree:
 
     Every leaf's (must_contain, must_avoid) masks are built once, at the
     first leaf read, and kept on the tree; the leaf (v_1, ..., v_n) is read
-    at the index whose base-2^s digits are v_1 ... v_n.  So ``labels`` is
-    read once, and mutating it after the first leaf read is unsupported."""
+    at the index whose base-2^s digits are v_1 ... v_n.  The tree keeps its
+    own copy of ``labels``, so the caller's dict may change afterwards."""
 
     arity_exponent: int
     height: int
@@ -171,19 +171,18 @@ class ElementTree:
         n = require_int(self.height, "height", 0)
         arity = 1 << s
         expected = sum(arity ** d for d in range(n))
-        if not isinstance(self.labels, dict):
-            raise InputError(f"labels must be a dict, got {self.labels!r}")
-        if len(self.labels) != expected:
-            raise InputError(f"expected {expected} labeled nodes, got {len(self.labels)}")
-        for node, lab in self.labels.items():
+        labels = dict(require_dict(self.labels, "labels"))
+        object.__setattr__(self, "labels", labels)
+        if len(labels) != expected:
+            raise InputError(f"expected {expected} labeled nodes, got {len(labels)}")
+        for node, lab in labels.items():
             if not isinstance(node, tuple) or len(node) >= n:
                 raise InputError(f"bad node {node!r}")
             for v in node:
                 require_int(v, "node entry", 0, arity - 1)
             if not isinstance(lab, tuple) or len(lab) != s:
                 raise InputError(f"label {lab!r} at {node!r} is not an {s}-tuple")
-        require_ints(lambda: itertools.chain.from_iterable(self.labels.values()),
-                     "label entry", 0)
+        require_ints(lambda: itertools.chain.from_iterable(labels.values()), "label entry", 0)
 
     @property
     def arity(self):
@@ -637,10 +636,7 @@ def count_children_dropping(system: SetSystem, xs, r, l, cap=None):
     if not system.sets:
         raise InputError("requires a nonempty family (finite op-rank)")
     r, l = require_int(r, "r", 1), require_int(l, "l", 1)
-    try:
-        len(xs)
-    except TypeError:
-        raise InputError(f"xs must be a sequence, got {xs!r}") from None
+    require_len(xs, "xs")
     # The family is nonempty: this checks its universe against the cap.
     _is_empty(system, cap, DEFAULT_OP_CAP, "op-rank universe")
     sets, n = system.sets, system.universe_size

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules, the integer rule that reads
 every integer parameter and field and its bulk form for many entries, the
-collection rule that reads every container of members, the JSON rules that
-read an object's fields and an array, the rational-field check shared by the
+collection rule that reads every container of members, the length rule
+(``require_len``) for an argument that must have a length, the dict rule
+(``require_dict``) for labels or a table, the JSON rules that read an
+object's fields and an array, the rational-field check shared by the
 loaders and its inverse that writes a rational as text, the probability
 rule, and the cap check shared by every exponential path.
 
@@ -73,6 +75,22 @@ def require_iterable(value, what):
         return iter(value)
     except TypeError:
         raise InputError(f"expected a collection of {what}, got {value!r}") from None
+
+
+def require_len(value, what):
+    """``len(value)``; a value with no length, such as an int or an
+    iterator, is an InputError, not a TypeError."""
+    try:
+        return len(value)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def require_dict(value, what):
+    """``value`` when it is a dict; anything else is an InputError."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a dict, got {value!r}")
+    return value
 
 
 def require_list(value, what):

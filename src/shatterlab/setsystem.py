@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InputError, check_cap, reading, require_int, require_iterable,
-                     require_list)
+                     require_len, require_list)
 
 __all__ = [
     "SetSystem",
@@ -130,11 +130,7 @@ def dual(system: SetSystem) -> SetSystem:
 def child(system: SetSystem, xs, sigma) -> SetSystem:
     """Subfamily consistent with membership pattern ``sigma`` on tuple ``xs``;
     each sigma entry is the integer 0 or 1."""
-    try:
-        unequal = len(xs) != len(sigma)
-    except TypeError:
-        raise InputError(f"xs and sigma must be sequences, got {xs!r} and {sigma!r}") from None
-    if unequal:
+    if require_len(xs, "xs") != require_len(sigma, "sigma"):
         raise InputError("xs and sigma must have equal length")
     mask_of(xs, system.universe_size)
     sigma = [require_int(b, "sigma entry", 0, 1) for b in sigma]

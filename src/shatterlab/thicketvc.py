@@ -45,7 +45,7 @@ from itertools import accumulate, compress
 import numpy as np
 
 from .errors import (InputError, check_cap, rational_text, reading, require_int,
-                     require_iterable, require_list, require_rational)
+                     require_iterable, require_len, require_list, require_rational)
 from .setsystem import SetSystem, _bit_matrix, mask_of, require_mask
 from .dims import _sauer_sum, thicket_dimension, thicket_shatter
 
@@ -195,11 +195,7 @@ class TestTree:
     def label(self, path):
         """Point index at the node; populates exactly the path's ancestors.
         A path is a sequence of branch bits."""
-        try:
-            deep = len(path) >= self.height
-        except TypeError:
-            raise InputError(f"path must be a sequence, got {path!r}") from None
-        if deep:
+        if require_len(path, "path") >= self.height:
             raise InputError(f"bad node {path!r} for height {self.height}")
         path = tuple(require_int(b, "branch bit", 0, 1) for b in path)
         return bisect_right(self._thresholds, self._state(path))

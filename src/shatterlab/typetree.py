@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Collection
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import (InputError, VerificationError, check_cap, reading, require_int,
-                     require_ints, require_iterable, require_probability)
+from .errors import (InputError, VerificationError, check_cap, reading, require_dict,
+                     require_int, require_ints, require_iterable, require_probability)
 from .setsystem import SetSystem, mask_of
 
 __all__ = [
@@ -49,19 +48,17 @@ _RANK_STATES = "tree rank memo states"
 @dataclass(frozen=True)
 class Graph:
     """Simple graph on vertices 0..vertex_count-1.  ``edges`` may be any
-    collection of edges, each checked to be a collection of two distinct
-    vertices by the element rule (``mask_of``), and is kept as a frozenset
-    of frozensets.  ``_neighbors[v]`` is v's neighbour bitmask, built once,
+    iterable of edges, read once by the collection rule, each checked to be
+    a collection of two distinct vertices by the element rule
+    (``mask_of``), and is kept as a frozenset of frozensets.  ``_neighbors[v]`` is v's neighbour bitmask, built once,
     so adjacency is a bit test (on vertices in range only)."""
     vertex_count: int
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
         n = require_int(self.vertex_count, "vertex_count", 0)
-        if not isinstance(self.edges, Collection):
-            raise InputError(f"edges must be a collection, got {self.edges!r}")
         masks, edges = [0] * n, set()
-        for edge in self.edges:
+        for edge in require_iterable(self.edges, "edges"):
             pair = mask_of(edge, n)
             if pair.bit_count() != 2 or len(edge) != 2:
                 raise InputError(f"edge {edge!r} is not two distinct vertices")
@@ -110,15 +107,16 @@ class TypeTree:
     vertex ids.  At construction ``labels`` must be a dict whose keys are
     strings and whose values pass ``require_int``, and then a tree: every
     key a binary string whose parent, the key less its last digit, is a
-    key.  ``TypeTree({})`` is the empty tree.  That each vertex of a graph
-    is used exactly once is left to ``validate_type_tree``."""
+    key.  The tree keeps a copy of ``labels``, so the caller's dict may
+    change afterwards.  ``TypeTree({})`` is the empty tree.  That each
+    vertex of a graph is used exactly once is left to
+    ``validate_type_tree``."""
 
     labels: dict[str, int]
 
     def __post_init__(self):
-        labels = self.labels
-        if not isinstance(labels, dict):
-            raise InputError(f"type-tree labels must be a dict, got {labels!r}")
+        labels = dict(require_dict(self.labels, "type-tree labels"))
+        object.__setattr__(self, "labels", labels)
         if set(map(type, labels)) - {str}:
             key = next(k for k in labels if type(k) is not str)
             raise InputError(f"type-tree key {key!r} is not a string")

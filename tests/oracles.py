@@ -8,8 +8,9 @@ height once (each tree's leaves counted by
 walk from the labels), the VC dimension and shatter function by
 counting traces on every tuple (each trace a tuple of bits, built here
 rather than by ``setsystem``), the shattered sets by Pajor's recursion on
-ints, the hereditary check by enumerating every candidate context
-assignment (and its witness by banseq's earlier
+ints and a down-set of as many members by Frankl's down-shifts, the
+hereditary check by enumerating every candidate context assignment (and
+its witness by banseq's earlier
 backtracking over the public ``ban_set``), a graph's tree rank by trying
 every root with no memo, general position by testing every subset of at
 most r normals for a nonzero minor, a ban table by banseq's earlier
@@ -152,6 +153,27 @@ def shattered_sets(masks, n):
     f1 = frozenset(m ^ x for m in family if m & x)
     both = shattered_sets(f0, n - 1) & shattered_sets(f1, n - 1)
     return shattered_sets(f0 | f1, n - 1) | {S | x for S in both}
+
+
+def down_shift(masks, n):
+    """The down-set that Frankl's down-shifts (Frankl 1983) make of the
+    family ``masks`` on [n]: S_x(F) takes x out of each member A that holds
+    it when A - x is no member of F, F the family before the step, and
+    leaves every other member; x runs over 0..n-1 until no member moves.
+    Each step keeps |F| and never adds a shattered set, so the result is a
+    down-set of |F| members that F shatters.  Plain ints; it calls nothing
+    from ``shatterlab``."""
+    family = frozenset(masks)
+    moved = True
+    while moved:
+        moved = False
+        for x in range(n):
+            bit = 1 << x
+            shifted = frozenset(A ^ bit if A & bit and A ^ bit not in family else A
+                                for A in family)
+            moved |= shifted != family
+            family = shifted
+    return family
 
 
 def brute_vc_shatter_function(system, size):

@@ -421,6 +421,11 @@ def test_set_system_name_that_is_not_a_string_exits_2(capsys, tmp_path):
     assert code == 2 and "input error: set-system 'name' must be a string" in err
 
 
+def test_a_missing_ban_problem_file_is_refused_as_every_missing_file(capsys, tmp_path):
+    code, out, err = run(capsys, "ban", "solve", str(tmp_path / "missing.json"))
+    assert code == 2 and out == "" and "cannot read" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # invalid input: missing file
     code, _, err = run(capsys, "sys", "dim", "--kind", "vc", "missing.json")

@@ -23,9 +23,9 @@ from shatterlab.dims import rank_to_str
 
 from families import fixture_zoo, random_system
 from oracles import (binomial_bound, brute_rank_shatter, brute_shatters,
-                     brute_vc_dimension, brute_vc_shatter_function, shattered_sets,
-                     tuple_op_rank, tuple_op_shatter, walk_count_properly_labeled,
-                     walk_path_requirements)
+                     brute_vc_dimension, brute_vc_shatter_function, down_shift,
+                     shattered_sets, tuple_op_rank, tuple_op_shatter,
+                     walk_count_properly_labeled, walk_path_requirements)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +444,16 @@ def test_element_tree_validation():
             ElementTree(1, 1, labels)
 
 
+def test_element_tree_keeps_its_own_labels():
+    """A tree copies its labels at construction, so a label written into
+    the caller's dict afterwards, unchecked, never reaches a leaf read."""
+    labels = {(): (0,), (0,): (1,), (1,): (2,)}
+    tree = ElementTree(1, 2, labels)
+    labels[(0,)] = (-1,)
+    assert tree.path_requirements((0, 0)) == (0, 0b11)
+    assert tree == ElementTree(1, 2, {(): (0,), (0,): (1,), (1,): (2,)})
+
+
 def test_path_requirements_and_labeling():
     tree = ElementTree(1, 2, {(): (0,), (0,): (0,), (1,): (1,)})
     # leaf (0, 1): requires 0 out at root, then 0 in -- contradiction
@@ -590,6 +600,58 @@ def test_shatter_function_is_monotone_under_union_and_bounded_by_the_sum():
     assert checks > 1500
 
 
+def sauer_shelah(k, d):
+    return sum(math.comb(k, i) for i in range(d + 1))
+
+
+# Generator families with known answers at sizes no oracle reaches:
+# generate(*key) -> (VC dimension, pi(k) for k = 0..6, thicket dimension),
+# None where no closed form is checked.  A family of |F| members has
+# thicket dimension at most log2 |F|, since the leaves of a properly labeled
+# tree are distinct members, and at least its VC dimension.
+KNOWN_ANSWERS = {
+    # A chain: one point is shattered and two never are, and k points cut it
+    # into k + 1 traces.  Its n + 1 members are split in half at each node of
+    # a binary search, so its thicket (Littlestone) dimension is
+    # floor(log2(n + 1)) (Littlestone 1988).
+    ("thresholds", 20): (1, lambda k: k + 1, 4),
+    # Each point alone is a trace, beside the empty set; no two points are.
+    ("singletons_with_empty", 20): (1, lambda k: k + 1, 1),
+    # The traces on k points of a line are their contiguous runs and the
+    # empty set, k(k + 1)/2 + 1; no three points are shattered, since no
+    # interval holds the outer two without the middle one.
+    ("intervals", 20): (2, lambda k: k * (k + 1) // 2 + 1, None),
+    # All sets of at most d points attain the Sauer-Shelah bound (Sauer 1972,
+    # Shelah 1972): every trace of at most d of k points is a member.  Down
+    # the all-ones path of a tree of height d + 1 a leaf must contain d + 1
+    # points, so the thicket dimension is d.
+    ("all_subsets_of_size_at_most", 20, 2): (2, lambda k: sauer_shelah(k, 2), 2),
+    ("all_subsets_of_size_at_most", 16, 3): (3, lambda k: sauer_shelah(k, 3), 3),
+    # Every set is a member: 2^k traces, and 2^12 members bound the thicket
+    # dimension by 12.
+    ("powerset", 12): (12, lambda k: 2 ** k, 12),
+    # Thresholds past the VC cap of 20 points: the halving bound alone,
+    # on either side of a power of two.
+    ("thresholds", 254): (None, None, 7),
+    ("thresholds", 255): (None, None, 8),
+    ("thresholds", 510): (None, None, 8),
+    ("thresholds", 511): (None, None, 9),
+}
+
+
+@pytest.mark.parametrize("family", KNOWN_ANSWERS, ids=lambda key: ":".join(map(str, key)))
+def test_generator_families_meet_their_closed_forms(family):
+    """VC dimension, pi(k) for k = 0..6 and thicket dimension of each
+    generator family in ``KNOWN_ANSWERS`` equal their closed forms."""
+    vc, pi, thicket = KNOWN_ANSWERS[family]
+    system = generate(*family)
+    if vc is not None:
+        assert vc_dimension(system) == vc
+        assert [vc_shatter_function(system, k) for k in range(7)] == list(map(pi, range(7)))
+    if thicket is not None:
+        assert thicket_dimension(system) == thicket
+
+
 def test_shattered_sets_oracle_meets_pajor_and_the_vc_dimension():
     """``oracles.shattered_sets``, Pajor's recursion on ints, names exactly
     the sets that ``shatters`` accepts; it has at least |F| of them (Pajor
@@ -605,6 +667,25 @@ def test_shattered_sets_oracle_meets_pajor_and_the_vc_dimension():
         assert len(sh) >= len(system.sets), seed
         largest = max((S.bit_count() for S in sh), default=NEG_INF)
         assert vc_dimension(system) == largest, seed
+
+
+def test_down_shift_meets_pajor_member_by_member():
+    """``oracles.down_shift`` (Frankl 1983) turns F into a down-set D of
+    |F| members that F shatters, one witness per member for Pajor's
+    |sh(F)| >= |F|, on the seeded families of the test above."""
+    extremal = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(0, 9)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
+        down, sh = down_shift(masks, n), shattered_sets(masks, n)
+        assert len(down) == len(set(masks)), seed
+        assert all(A & ~(1 << x) in down for A in down for x in range(n)), seed
+        assert down <= sh, seed
+        extremal += down == sh
+    # D = sh(F) exactly when |sh(F)| = |F|, on the shattering-extremal
+    # families (Bollobas-Radcliffe 1995): 182 of the 400.
+    assert extremal == 182
 
 
 def test_count_children_dropping():

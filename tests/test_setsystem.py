@@ -603,6 +603,10 @@ BIT_LAYOUT_CALLS = (".to_bytes(", "np.packbits", "np.unpackbits")
 # outside ``errors.reading`` and ``errors.require_list``.
 JSON_RULE_FORKS = (re.compile(r'InputError\(f?"malformed'),
                    re.compile(r"isinstance\(\w+, list\)"))
+# A refusal of an argument with no length, or of one that is no dict or no
+# collection, written outside ``errors.require_len``, ``require_dict`` and
+# ``require_iterable``.
+CONTAINER_RULE_FORK = re.compile(r'InputError\(f?"[^"]*must be a (sequence|dict|collection)\b')
 
 
 def test_the_package_exports_every_public_name():
@@ -636,4 +640,17 @@ def test_only_errors_reads_json_objects_and_arrays():
     forks = [(path.name, fork.pattern) for path in sorted(package.glob("*.py"))
              if path.name != "errors.py"
              for fork in JSON_RULE_FORKS if fork.search(path.read_text())]
+    assert not forks
+
+
+def test_only_errors_refuses_a_value_with_no_length_or_no_dict():
+    """``errors.require_len`` is the one rule that refuses an argument with
+    no length, ``errors.require_dict`` the one that refuses labels or a
+    table that is no dict, and ``errors.require_iterable`` the one that
+    refuses a container of members that cannot be iterated; no other module
+    of the library writes its own, so the rules cannot fork again."""
+    package = Path(shatterlab.__file__).parent
+    forks = [(path.name, match.group()) for path in sorted(package.glob("*.py"))
+             if path.name != "errors.py"
+             for match in CONTAINER_RULE_FORK.finditer(path.read_text())]
     assert not forks

@@ -49,6 +49,14 @@ def test_graph_basics():
             Graph(3, frozenset({frozenset(edge)}))
 
 
+def test_graph_reads_its_edges_by_the_collection_rule():
+    """Edges are read once, through ``require_iterable``: a one-shot
+    iterator gives the graph its list gives, and an int is refused."""
+    assert Graph(4, iter([(0, 1), (2, 3)])) == Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(InputError, match="expected a collection of edges, got 5"):
+        Graph(3, 5)
+
+
 def test_neighborhood_system():
     g = path_graph(4)
     system = g.neighborhood_system()
@@ -176,6 +184,17 @@ def test_height():
 def test_type_tree_refuses_a_malformed_shape_at_construction(make, why):
     with pytest.raises(InputError, match=why):
         make()
+
+
+def test_type_tree_keeps_its_own_labels():
+    """A tree copies its labels at construction, so a key added to the
+    caller's dict afterwards, which the shape rule never read, never
+    reaches a reader."""
+    labels = {"": 0}
+    tree = TypeTree(labels)
+    labels["01"] = 1
+    assert extract_clique_or_independent(tree) == ({0}, {0})
+    assert tree == TypeTree({"": 0})
 
 
 def test_type_tree_json_labels_must_be_integers():
